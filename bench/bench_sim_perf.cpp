@@ -3,17 +3,17 @@
  * Simulator hot-path microbench guarding the profile-driven fast path:
  *
  *  1. engine evaluation, legacy vs cached — a fresh engine + full plan
- *     build per point (exactly what runGrid does) against
- *     runCached()'s verified in-place rebuild;
+ *     build per point (a cold run()) against runCached()'s verified
+ *     in-place rebuild;
  *  2. plan evaluation backends — analytic evaluatePlan and the
  *     event-driven simulatePlan over one HILOS decode plan, plus the
  *     Prefill-phase plan's build/evaluate cost and the deterministic
  *     chunked-prefill overhead ratio (4 chunks vs monolithic);
- *  3. event-queue throughput — the calendar queue against the binary
- *     heap it replaced (kept verbatim below), on a pre-filled drain
- *     and on a schedule-on-pop workload;
- *  4. end-to-end sweep rate — runGridCached vs runGrid on a Fig-10
- *     style engine x batch x context grid, same binary.
+ *  3. event-queue throughput — the calendar queue on a pre-filled
+ *     drain plus a schedule-on-pop workload;
+ *  4. end-to-end sweep rate — runGrid against a plain loop of cold
+ *     makeEngine(...)->run() on a Fig-10 style engine x batch x
+ *     context grid, same binary.
  *
  * Deterministic workloads (seeded schedules, fixed grids); wall times
  * of course vary run to run, so the checked-in baseline is compared
@@ -31,7 +31,6 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -75,67 +74,10 @@ timeSeconds(const std::function<void()> &fn, int repeats)
     return samples[samples.size() / 2];
 }
 
-/**
- * The event queue this PR replaced, kept verbatim as the in-binary
- * baseline for the throughput comparison.
- */
-class LegacyHeapQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Seconds now() const { return now_; }
-
-    void
-    scheduleAt(Seconds when, Callback fn)
-    {
-        heap_.push(Entry{when, next_seq_++, std::move(fn)});
-    }
-
-    void
-    scheduleAfter(Seconds delay, Callback fn)
-    {
-        scheduleAt(now_ + delay, std::move(fn));
-    }
-
-    Seconds
-    run()
-    {
-        while (!heap_.empty()) {
-            Entry e = heap_.top();
-            heap_.pop();
-            now_ = e.when;
-            e.fn();
-        }
-        return now_;
-    }
-
-  private:
-    struct Entry {
-        Seconds when;
-        std::uint64_t seq;
-        Callback fn;
-    };
-    struct Later {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    Seconds now_ = 0.0;
-    std::uint64_t next_seq_ = 0;
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-};
-
 /** Drive `q` through `n` pre-filled events plus `n` schedule-on-pop
  *  descendants; returns a checksum so the work cannot be elided. */
-template <typename Queue>
 std::uint64_t
-eventQueueWorkload(Queue &q, std::size_t n, std::uint64_t seed)
+eventQueueWorkload(EventQueue &q, std::size_t n, std::uint64_t seed)
 {
     Rng rng(seed);
     std::uint64_t fired = 0;
@@ -157,10 +99,10 @@ eventQueueWorkload(Queue &q, std::size_t n, std::uint64_t seed)
 
 /** Fig-10-style sweep grid: every baseline plus HILOS across batch x
  *  context, dominated (like the figure) by the storage baselines whose
- *  per-point setup the cached path amortises.  Points are ordered
+ *  per-point setup runGrid's plan cache amortises.  Points are ordered
  *  engine-major — each engine sweeps its whole batch x context grid
  *  before the next, exactly how the figure is produced — which is the
- *  ordering the cached path's per-worker engine slot amortises. */
+ *  ordering runGrid's per-worker engine slot amortises. */
 std::vector<GridPoint>
 sweepGrid(const ModelConfig &model, std::size_t repeats)
 {
@@ -362,36 +304,32 @@ main(int argc, char **argv)
     report("prefill_share_of_total", "x",
            headline_run.prefill_time / headline_run.total_time);
 
-    // --- 3. event-queue throughput, calendar vs legacy heap ---
+    // --- 3. event-queue throughput ---
     std::uint64_t fired_calendar = 0;
-    std::uint64_t fired_heap = 0;
     const double calendar_t = timeSeconds(
         [&] {
             EventQueue q;
             fired_calendar = eventQueueWorkload(q, events, 0xE0E0);
         },
         repeats);
-    const double heap_t = timeSeconds(
-        [&] {
-            LegacyHeapQueue q;
-            fired_heap = eventQueueWorkload(q, events, 0xE0E0);
-        },
-        repeats);
-    check(fired_calendar == fired_heap,
-          "event queue workloads diverged");
-    const double fired = static_cast<double>(fired_calendar);
-    report("event_queue_calendar", "Mev/s", fired / calendar_t / 1e6);
-    report("event_queue_heap", "Mev/s", fired / heap_t / 1e6);
-    report("event_queue_speedup", "x", heap_t / calendar_t);
+    check(fired_calendar >= events, "event queue dropped events");
+    report("event_queue_calendar", "Mev/s",
+           static_cast<double>(fired_calendar) / calendar_t / 1e6);
 
-    // --- 4. end-to-end sweep: runGridCached vs runGrid, same grid ---
+    // --- 4. end-to-end sweep: runGrid vs a cold run() per point ---
     const std::vector<GridPoint> grid = sweepGrid(model, grid_repeats);
     std::vector<RunResult> legacy_results;
     std::vector<RunResult> cached_results;
     const double sweep_legacy = timeSeconds(
-        [&] { legacy_results = runGrid(sys, grid, 1); }, repeats);
+        [&] {
+            legacy_results.clear();
+            for (const GridPoint &p : grid)
+                legacy_results.push_back(
+                    makeEngine(p.kind, sys, p.hilos)->run(p.run));
+        },
+        repeats);
     const double sweep_cached = timeSeconds(
-        [&] { cached_results = runGridCached(sys, grid, 1); }, repeats);
+        [&] { cached_results = runGrid(sys, grid, 1); }, repeats);
     check(legacy_results.size() == cached_results.size(),
           "sweep result count mismatch");
     for (std::size_t i = 0; i < grid.size(); i++) {

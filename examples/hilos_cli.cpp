@@ -67,11 +67,15 @@ printReport(const std::string &engine_name, const RunConfig &run,
                 formatSeconds(r.prefill_time).c_str());
     std::printf("end-to-end throughput: %.4f tokens/s\n",
                 r.endToEndThroughput(run.output_len));
-    std::printf("energy               : %.1f kJ (%.0f J/token)\n",
-                r.energy.total() / 1e3,
-                r.energy.total() /
-                    static_cast<double>(r.effective_batch *
-                                        run.output_len));
+    const double energy = r.energy.total().value();
+    const std::uint64_t tokens = r.effective_batch * run.output_len;
+    if (tokens == 0) {
+        std::printf("energy               : %.1f kJ (n/a J/token)\n",
+                    energy / 1e3);
+    } else {
+        std::printf("energy               : %.1f kJ (%.0f J/token)\n",
+                    energy / 1e3, energy / static_cast<double>(tokens));
+    }
     std::printf("cost-effectiveness   : %.3e tokens/s/$ ($%.0f)\n",
                 costEffectiveness(r.decodeThroughput(), price), price);
 

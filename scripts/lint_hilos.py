@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint invariants for the HILOS simulator.
 
-Seven checks, each guarding a convention the test suite cannot express
+Eight checks, each guarding a convention the test suite cannot express
 as a compile error (those live in tests/compile_fail/):
 
  1. quantity-typed public APIs: headers under src/ must not declare
@@ -42,6 +42,12 @@ as a compile error (those live in tests/compile_fail/):
     (src/runtime/plan_analyzer.*) emits must carry a well-formed,
     unique PAnnn ID, and every finding must flow through the single
     ID-stamping emitter — no ad-hoc PlanFinding construction.
+
+ 8. no module kept alive only by its own test: every header under src/
+    must be included by a file in src/ other than its own .cc, or by a
+    file in bench/ or examples/. A module only its unit test reaches is
+    dead code with a test attached; delete both, or name it (with a
+    reason) in ORPHAN_ALLOWLIST.
 
 Exits non-zero listing file:line for every violation. No third-party
 imports; runs anywhere a python3 exists (CI and the ctest fast lane).
@@ -326,6 +332,56 @@ def check_analyzer_diag_ids(violations):
                 )
 
 
+# --- check 8: no module kept alive only by its own test -------------------
+
+INCLUDE_LINE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+
+# Substrate models with no production caller yet, each kept on purpose.
+ORPHAN_ALLOWLIST = {
+    "accel/exp_unit.h":
+        "FPGA exp datapath characterised against std::exp for the "
+        "Table-3 DSP budget; no engine prices it",
+    "interconnect/topology.h":
+        "Fig-3 PCIe topology; the engines read link rates from "
+        "SystemConfig instead",
+    "storage/nand.h":
+        "NAND geometry/timing; the SSD presets use datasheet rates",
+    "storage/raid0.h":
+        "RAID-0 striping of the FLEX(SSD) baselines; the engines use "
+        "aggregate array rates",
+    "storage/nvme_queue.h":
+        "queue-depth model behind host_kv_io_efficiency = 0.28; deriving "
+        "the constant from it would move the goldens",
+}
+
+
+def check_orphan_modules(violations):
+    includers = {}
+    for base in ("src", "bench", "examples"):
+        for path in sorted((ROOT / base).rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            for line in path.read_text().splitlines():
+                match = INCLUDE_LINE.match(line)
+                if match:
+                    includers.setdefault(match.group(1), set()).add(
+                        path.relative_to(ROOT))
+    src = ROOT / "src"
+    for header in sorted(src.rglob("*.h")):
+        name = str(header.relative_to(src))
+        if name in ORPHAN_ALLOWLIST:
+            continue
+        own_cc = header.with_suffix(".cc").relative_to(ROOT)
+        if includers.get(name, set()) - {own_cc}:
+            continue
+        violations.append(
+            f"{header.relative_to(ROOT)}: included by nothing in src/, "
+            f"bench/ or examples/ except its own .cc; a module kept "
+            f"alive only by its unit test is dead code — delete it or "
+            f"add it to ORPHAN_ALLOWLIST with a reason"
+        )
+
+
 def main():
     violations = []
     check_quantity_types(violations)
@@ -335,6 +391,7 @@ def main():
     check_prefill_fractions(violations)
     check_external_determinism(violations)
     check_analyzer_diag_ids(violations)
+    check_orphan_modules(violations)
     if violations:
         print(f"lint_hilos: {len(violations)} violation(s)")
         for v in violations:

@@ -2,142 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.h"
 
 namespace hilos {
-
-void
-Summary::add(double x)
-{
-    n_++;
-    sum_ += x;
-    if (n_ == 1) {
-        mean_ = x;
-        min_ = x;
-        max_ = x;
-        m2_ = 0.0;
-        return;
-    }
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-void
-Summary::reset()
-{
-    *this = Summary();
-}
-
-double
-Summary::variance() const
-{
-    return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double
-Summary::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    HILOS_ASSERT(hi > lo && buckets > 0, "invalid histogram bounds");
-}
-
-void
-Histogram::add(double x)
-{
-    total_++;
-    if (total_ == 1) {
-        min_seen_ = max_seen_ = x;
-    } else {
-        min_seen_ = std::min(min_seen_, x);
-        max_seen_ = std::max(max_seen_, x);
-    }
-    if (x < lo_) {
-        underflow_++;
-    } else if (x >= hi_) {
-        overflow_++;
-    } else {
-        auto i = static_cast<std::size_t>((x - lo_) / width_);
-        i = std::min(i, counts_.size() - 1);  // guard fp edge at hi_
-        counts_[i]++;
-    }
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    underflow_ = overflow_ = total_ = 0;
-    min_seen_ = max_seen_ = 0.0;
-}
-
-double
-Histogram::bucketLow(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::bucketHigh(std::size_t i) const
-{
-    return bucketLow(i) + width_;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    HILOS_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range: ", q);
-    if (total_ == 0)
-        return lo_;
-    const double target = q * static_cast<double>(total_);
-    double cum = static_cast<double>(underflow_);
-    if (cum >= target && underflow_ > 0)
-        return min_seen_;
-    for (std::size_t i = 0; i < counts_.size(); i++) {
-        const double next = cum + static_cast<double>(counts_[i]);
-        if (next >= target && counts_[i] > 0) {
-            const double frac =
-                (target - cum) / static_cast<double>(counts_[i]);
-            return bucketLow(i) + frac * width_;
-        }
-        cum = next;
-    }
-    // The quantile lands in the overflow mass (or the in-range buckets
-    // are empty): report the true maximum, not the bucket bound hi_.
-    return overflow_ > 0 ? max_seen_ : hi_;
-}
-
-std::string
-StatRegistry::report() const
-{
-    std::ostringstream oss;
-    for (const auto &[key, c] : counters_)
-        oss << name_ << "." << key << " = " << c.value() << "\n";
-    for (const auto &[key, s] : summaries_) {
-        oss << name_ << "." << key << " = mean " << s.mean() << " min "
-            << s.min() << " max " << s.max() << " n " << s.count() << "\n";
-    }
-    return oss.str();
-}
-
-void
-StatRegistry::reset()
-{
-    for (auto &[key, c] : counters_)
-        c.reset();
-    for (auto &[key, s] : summaries_)
-        s.reset();
-}
 
 double
 exactQuantile(std::vector<double> samples, double q)

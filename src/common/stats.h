@@ -1,141 +1,25 @@
 /**
  * @file
- * Lightweight statistics primitives: scalar counters, running summaries,
- * histograms, and a registry that groups stats per component for
- * end-of-run reporting. Inspired by the gem5 Stats package but sized for
- * this project.
+ * Sample statistics over whole result series: exact nearest-rank
+ * quantiles (serving TTFT/latency percentiles) and Pearson correlation
+ * (cross-validation benches).
  */
 
 #ifndef HILOS_COMMON_STATS_H_
 #define HILOS_COMMON_STATS_H_
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace hilos {
-
-/** Monotonic counter (events, bytes, tokens, ...). */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void add(double x) { value_ += x; }
-    void increment() { value_ += 1.0; }
-    void reset() { value_ = 0.0; }
-    double value() const { return value_; }
-
-  private:
-    double value_ = 0.0;
-};
-
-/** Streaming min/max/mean/variance summary (Welford's algorithm). */
-class Summary
-{
-  public:
-    void add(double x);
-    void reset();
-
-    std::uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    /** Population variance. */
-    double variance() const;
-    double stddev() const;
-    double sum() const { return sum_; }
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
-
-/** Fixed-bucket histogram over [lo, hi) with under/overflow buckets. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x);
-    void reset();
-
-    std::size_t buckets() const { return counts_.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_.at(i); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-    double bucketLow(std::size_t i) const;
-    double bucketHigh(std::size_t i) const;
-
-    /**
-     * Approximate quantile (0 <= q <= 1) assuming uniform density within
-     * a bucket. Quantiles that land in the underflow (overflow) mass
-     * return the true minimum (maximum) sample seen rather than silently
-     * clamping to the histogram bounds, so q=1.0 always reports the real
-     * tail even when samples fell outside [lo, hi).
-     */
-    double quantile(double q) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-    double min_seen_ = 0.0;
-    double max_seen_ = 0.0;
-};
-
-/**
- * Named stats registry for a component. Components register named
- * counters/summaries and the registry renders a report.
- */
-class StatRegistry
-{
-  public:
-    explicit StatRegistry(std::string name) : name_(std::move(name)) {}
-
-    Counter &counter(const std::string &key) { return counters_[key]; }
-    Summary &summary(const std::string &key) { return summaries_[key]; }
-
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Summary> &summaries() const
-    {
-        return summaries_;
-    }
-
-    /** Human-readable dump, one `name.key = value` line each. */
-    std::string report() const;
-
-    void reset();
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Summary> summaries_;
-};
 
 /** Pearson correlation coefficient of two equal-length series. */
 double pearson(const std::vector<double> &x, const std::vector<double> &y);
 
 /**
  * Exact nearest-rank quantile of a sample set: the smallest value v such
- * that at least ceil(q * n) samples are <= v. Unlike Histogram::quantile
- * this never interpolates, so tail percentiles (p99/p999) are actual
- * observed samples. Sorts a copy; O(n log n). Asserts on an empty set.
+ * that at least ceil(q * n) samples are <= v. It never interpolates,
+ * so tail percentiles (p99/p999) are actual observed samples. Sorts a
+ * copy; O(n log n). Asserts on an empty set.
  */
 double exactQuantile(std::vector<double> samples, double q);
 

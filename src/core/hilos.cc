@@ -74,16 +74,6 @@ runGrid(const SystemConfig &sys, const std::vector<GridPoint> &grid,
         unsigned jobs)
 {
     SweepDriver driver(jobs);
-    return driver.map(grid, [&sys](const GridPoint &p) {
-        return makeEngine(p.kind, sys, p.hilos)->run(p.run);
-    });
-}
-
-std::vector<RunResult>
-runGridCached(const SystemConfig &sys, const std::vector<GridPoint> &grid,
-              unsigned jobs)
-{
-    SweepDriver driver(jobs);
     struct Slot {
         bool valid = false;
         EngineKind kind = EngineKind::Hilos;

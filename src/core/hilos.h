@@ -102,29 +102,21 @@ struct GridPoint {
 
 /**
  * Evaluate every grid point, fanning independent points across `jobs`
- * worker threads (0 = hardware concurrency, 1 = serial). Each point
- * constructs its own engine, so tasks share no mutable state; results
- * are keyed by grid index and bit-identical for every `jobs` value.
+ * worker threads (0 = hardware concurrency, 1 = serial). Each worker
+ * keeps the engine it last constructed plus a PlanCache
+ * (runtime/plan_cache.h), so consecutive points differing only in
+ * scalar parameters (batch, context, output length, HILOS knobs that
+ * re-price but don't reshape the plan) rebuild annotations in place
+ * instead of re-deriving the op topology. Topology changes — a
+ * different engine kind, a capacity decision flipping a plan
+ * infeasible — are caught by the cache's verified rebuild and fall
+ * back to a cold build, so results are keyed by grid index and
+ * bit-identical to a cold `makeEngine(...)->run()` per point for every
+ * `jobs` value.
  */
 std::vector<RunResult> runGrid(const SystemConfig &sys,
                                const std::vector<GridPoint> &grid,
                                unsigned jobs = 1);
-
-/**
- * runGrid with per-worker engine and plan-structure reuse: each worker
- * thread keeps the engine it last constructed plus a PlanCache
- * (runtime/plan_cache.h), so consecutive grid points differing only in
- * scalar parameters (batch, context, output length, HILOS knobs that
- * re-price but don't reshape the plan) rebuild annotations in place
- * instead of re-deriving the op topology. Results are bit-identical to
- * runGrid for every `jobs` value: topology changes — a different
- * engine kind, a capacity decision flipping a plan infeasible — are
- * caught by the cache's verified rebuild and fall back to a cold
- * build. This is the sweep fast path benchmarked by bench_sim_perf.
- */
-std::vector<RunResult> runGridCached(const SystemConfig &sys,
-                                     const std::vector<GridPoint> &grid,
-                                     unsigned jobs = 1);
 
 /** One row of a cross-engine comparison. */
 struct EngineComparison {

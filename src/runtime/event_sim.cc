@@ -288,132 +288,6 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
     return res;
 }
 
-Seconds
-HilosEventSimulator::simulatePrefill(const RunConfig &cfg,
-                                     std::size_t chunk_tokens,
-                                     TraceRecorder *trace,
-                                     Seconds start_time) const
-{
-    HILOS_ASSERT(chunk_tokens >= 1, "chunk size must be >= 1");
-    const ModelConfig &m = cfg.model;
-    const Gpu gpu(sys_.gpu);
-    const unsigned N = opts_.num_devices;
-    const std::uint64_t b = cfg.batch;
-    const std::uint64_t s = cfg.context_len;
-    const std::uint64_t L = m.layers;
-
-    // Prefill under faults: the surviving fleet and derates at
-    // `start_time` scale the write fan-out and the uplink.
-    const FaultInjector inj(opts_.fault_plan, N);
-    unsigned n_alive = N;
-    double min_derate = 1.0;
-    double up_derate = 1.0;
-    if (inj.active()) {
-        n_alive = inj.survivingDevices(start_time);
-        if (n_alive == 0) {
-            HILOS_FATAL("all SmartSSDs failed before prefill; no "
-                        "surviving fleet to receive the KV/X cache");
-        }
-        for (unsigned i = 0; i < N; i++) {
-            if (!inj.deviceFailed(i, start_time))
-                min_derate = std::min(min_derate,
-                                      inj.linkDerate(i, start_time));
-        }
-        up_derate = inj.uplinkDerate(start_time);
-    }
-
-    HilosOptions eff = opts_;
-    eff.fault_plan = FaultPlan{};
-    eff.num_devices = n_alive;
-    const HilosEngine analytic(sys_, eff);
-    const double alpha = analytic.selectedAlpha(cfg);
-    const WeightHome home = chooseWeightHome(m, sys_.dram.capacity);
-
-    BandwidthResource uplink("uplink",
-                             sys_.chassis_uplink_bw * up_derate, usec(1));
-    BandwidthResource host_link("host-pcie", sys_.host_pcie_bw, usec(1));
-    BandwidthResource device_write(
-        "device-write",
-        static_cast<double>(n_alive) * sys_.smartssd.p2p_write_bw *
-            min_derate,
-        usec(50));
-
-    const double weight_bytes = m.loadedWeightBytesPerLayer(b);
-    // Cache bytes per prompt token per layer across the batch: X for
-    // the alpha portion, K+V for the rest.
-    const double cache_tok =
-        static_cast<double>(b) *
-        (alpha * static_cast<double>(m.xBytesPerTokenPerLayer()) +
-         (1.0 - alpha) * 2.0 *
-             static_cast<double>(m.kv_heads * m.headDim() *
-                                 m.dtype_bytes));
-
-    const std::uint64_t chunks = ceilDiv(s, chunk_tokens);
-    Seconds prev_done = 0.0;
-    Seconds gpu_free = 0.0;
-    Seconds weight_ready = 0.0;
-
-    for (std::uint64_t l = 0; l < L; l++) {
-        const Seconds layer_start = std::max(prev_done, weight_ready);
-        // Prefetch the next layer's weights.
-        if (l + 1 < L) {
-            BandwidthResource &wres =
-                home == WeightHome::Storage ? uplink : host_link;
-            weight_ready = wres.transfer(
-                layer_start, static_cast<std::uint64_t>(weight_bytes));
-        }
-
-        Seconds layer_done = layer_start;
-        for (std::uint64_t c = 0; c < chunks; c++) {
-            const std::uint64_t tokens =
-                std::min<std::uint64_t>(chunk_tokens,
-                                        s - c * chunk_tokens);
-            // Chunk compute: GEMMs plus causal attention over the
-            // prefix processed so far (prefix midpoint of the chunk).
-            const double prefix = static_cast<double>(c * chunk_tokens) +
-                                  static_cast<double>(tokens) / 2.0;
-            const double gemm_flops =
-                static_cast<double>(b * tokens) *
-                m.denseFlopsPerTokenPerLayer();
-            const double attn_flops =
-                static_cast<double>(b * tokens) *
-                m.attentionFlopsPerToken(
-                    static_cast<std::uint64_t>(prefix));
-            const Seconds compute = gpu.kernelTime(
-                gemm_flops + attn_flops,
-                static_cast<double>(m.weightBytesPerLayer()) /
-                    static_cast<double>(chunks));
-            const Seconds compute_begin =
-                std::max(gpu_free, layer_start);
-            gpu_free = compute_begin + compute;
-            if (trace != nullptr) {
-                trace->record("gpu",
-                              "prefill/L" + std::to_string(l) + "/c" +
-                                  std::to_string(c),
-                              compute_begin, gpu_free);
-            }
-
-            // The chunk's cache writes ship to the devices and commit
-            // to NAND, overlapping the next chunk's compute.
-            const auto bytes = static_cast<std::uint64_t>(
-                cache_tok * static_cast<double>(tokens));
-            const Seconds shipped = uplink.transfer(gpu_free, bytes);
-            const Seconds committed =
-                device_write.transfer(shipped, bytes);
-            if (trace != nullptr) {
-                trace->record("device-write",
-                              "commit/L" + std::to_string(l) + "/c" +
-                                  std::to_string(c),
-                              committed - device_write.serviceTime(bytes),
-                              committed);
-            }
-            layer_done = std::max(layer_done, committed);
-        }
-        prev_done = std::max(layer_done, gpu_free);
-    }
-    return prev_done;
-}
-
 namespace {
 
 /**

@@ -78,20 +78,6 @@ class HilosEventSimulator
                                       TraceRecorder *trace = nullptr,
                                       Seconds start_time = 0.0) const;
 
-    /**
-     * Simulate the prefill phase: the prompt processes in fixed token
-     * chunks; each chunk's FlashAttention compute overlaps the previous
-     * chunk's KV/X writes to the devices (the same batch-and-head
-     * partitioning as decode, §4.1).
-     * Under a FaultPlan the surviving fleet and derates at
-     * `start_time` apply; a fully failed fleet raises a fatal error.
-     * @return total prefill time
-     */
-    Seconds simulatePrefill(const RunConfig &cfg,
-                            std::size_t chunk_tokens = 4096,
-                            TraceRecorder *trace = nullptr,
-                            Seconds start_time = 0.0) const;
-
   private:
     SystemConfig sys_;
     HilosOptions opts_;

@@ -22,8 +22,8 @@
  * topology unchanged, so the cache republishes the plan with
  * `structure_validated` set and applyPlan takes its fast path.
  *
- * Not thread-safe: sweep workers each own a PlanCache (see
- * runGridCached in core/hilos.h).
+ * Not thread-safe: sweep workers each own a PlanCache (see runGrid in
+ * core/hilos.h).
  */
 
 #ifndef HILOS_RUNTIME_PLAN_CACHE_H_

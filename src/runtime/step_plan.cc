@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "runtime/plan_analyzer.h"
-#include "sim/pipeline.h"
 
 namespace hilos {
 
@@ -841,7 +840,9 @@ evaluatePlan(const StepPlan &plan)
             lane_best[c] = std::max(lane_best[c], pp[c]);
         }
     }
-    ev.layer_critical_path = overlapMax(ev.op_finish);
+    ev.layer_critical_path = 0.0;
+    for (const Seconds t : ev.op_finish)
+        ev.layer_critical_path = std::max(ev.layer_critical_path, t);
 
     Seconds step =
         L * ev.layer_critical_path / plan.layer_time_divisor;

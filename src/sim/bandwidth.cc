@@ -9,8 +9,7 @@ namespace hilos {
 
 BandwidthResource::BandwidthResource(std::string name, Bandwidth rate,
                                      Seconds latency)
-    : name_(std::move(name)), rate_(rate), latency_(latency),
-      stats_(name_)
+    : name_(std::move(name)), rate_(rate), latency_(latency)
 {
     HILOS_ASSERT(rate_ > 0.0, "bandwidth must be positive: ", rate_);
     HILOS_ASSERT(latency_ >= 0.0, "latency must be non-negative");
@@ -29,9 +28,6 @@ BandwidthResource::transfer(Seconds start, std::uint64_t bytes)
     const Seconds service = serviceTime(bytes);
     busy_until_ = begin + service;
     busy_time_ += service;
-    stats_.counter("bytes").add(static_cast<double>(bytes));
-    stats_.counter("transfers").increment();
-    stats_.summary("queue_delay").add(begin - start);
     return busy_until_;
 }
 
@@ -44,7 +40,6 @@ BandwidthResource::occupy(Seconds start, Seconds duration)
     const Seconds begin = std::max(start, busy_until_);
     busy_until_ = begin + duration;
     busy_time_ += duration;
-    stats_.summary("stall").add(duration);
     return busy_until_;
 }
 
@@ -79,7 +74,6 @@ BandwidthResource::reset()
 {
     busy_until_ = 0.0;
     busy_time_ = 0.0;
-    stats_.reset();
 }
 
 BandwidthPool::BandwidthPool(std::string name, unsigned instances,

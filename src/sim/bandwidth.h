@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/units.h"
 
 namespace hilos {
@@ -26,14 +25,14 @@ namespace hilos {
  *
  * The model is analytic: `transfer(start, bytes)` returns the completion
  * time assuming FIFO service, and advances the channel's busy horizon.
- * Utilisation statistics accumulate so benches can report per-link
- * occupancy (Fig. 4(c)).
+ * Busy time accumulates so benches can report per-link occupancy
+ * (Fig. 4(c)).
  */
 class BandwidthResource
 {
   public:
     /**
-     * @param name stat-reporting name
+     * @param name name used in diagnostics
      * @param rate channel bandwidth in bytes/second
      * @param latency fixed per-request latency in seconds
      */
@@ -68,9 +67,6 @@ class BandwidthResource
     /** Earliest time a new transfer could begin service. */
     Seconds busyUntil() const { return busy_until_; }
 
-    /** Total bytes moved so far. */
-    double totalBytes() const { return stats_.counter("bytes").value(); }
-
     /** Total time the channel spent busy. */
     Seconds busyTime() const { return busy_time_; }
 
@@ -84,16 +80,14 @@ class BandwidthResource
     double utilization(Seconds horizon) const;
 
     /**
-     * Reset busy horizon and all statistics, including the queue_delay
-     * and stall summaries, back to the freshly constructed state (the
-     * configured rate and latency are preserved).
+     * Reset the busy horizon and busy time back to the freshly
+     * constructed state (the configured rate and latency are preserved).
      */
     void reset();
 
     Bandwidth rate() const { return rate_; }
     Seconds latency() const { return latency_; }
     const std::string &name() const { return name_; }
-    const StatRegistry &stats() const { return stats_; }
 
   private:
     std::string name_;
@@ -101,7 +95,6 @@ class BandwidthResource
     Seconds latency_;
     Seconds busy_until_ = 0.0;
     Seconds busy_time_ = 0.0;
-    mutable StatRegistry stats_;
 };
 
 /**

@@ -7,8 +7,7 @@
 namespace hilos {
 
 Ssd::Ssd(const SsdConfig &cfg, std::uint64_t capacity_scale)
-    : cfg_(cfg), scale_(std::max<std::uint64_t>(1, capacity_scale)),
-      stats_(cfg.name)
+    : cfg_(cfg), scale_(std::max<std::uint64_t>(1, capacity_scale))
 {
     HILOS_ASSERT(cfg_.capacity > 0 && cfg_.page_bytes > 0,
                  "invalid SSD geometry");
@@ -96,7 +95,6 @@ void
 Ssd::recordWrite(std::uint64_t bytes, bool sequential)
 {
     host_bytes_written_ += static_cast<double>(bytes);
-    stats_.counter("host_write_bytes").add(static_cast<double>(bytes));
 
     if (sequential) {
         padded_bytes_written_ +=
@@ -116,15 +114,7 @@ Ssd::recordWrite(std::uint64_t bytes, bool sequential)
             1, ceilDiv(bytes, cfg_.page_bytes));
         padded_bytes_written_ +=
             static_cast<double>(writes * cfg_.page_bytes);
-        stats_.counter("subpage_writes").add(static_cast<double>(writes));
     }
-}
-
-void
-Ssd::recordRead(std::uint64_t bytes)
-{
-    host_bytes_read_ += static_cast<double>(bytes);
-    stats_.counter("host_read_bytes").add(static_cast<double>(bytes));
 }
 
 double

@@ -16,7 +16,6 @@
 #include <memory>
 #include <string>
 
-#include "common/stats.h"
 #include "common/units.h"
 #include "storage/ftl.h"
 
@@ -96,9 +95,6 @@ class Ssd
      */
     void recordWrite(std::uint64_t bytes, bool sequential);
 
-    /** Record a host read (for traffic stats only). */
-    void recordRead(std::uint64_t bytes);
-
     /** Total NAND bytes programmed so far (endurance consumption). */
     double nandBytesWritten() const;
 
@@ -129,21 +125,18 @@ class Ssd
 
     const SsdConfig &config() const { return cfg_; }
     const Ftl &ftl() const { return *ftl_; }
-    StatRegistry &stats() { return stats_; }
 
   private:
     SsdConfig cfg_;
     std::unique_ptr<Ftl> ftl_;
     std::uint64_t scale_;
     double host_bytes_written_ = 0.0;
-    double host_bytes_read_ = 0.0;
     /** Sub-page padding overhead counted analytically (full scale). */
     double padded_bytes_written_ = 0.0;
     /** Next sequential-write cursor in scaled FTL space. */
     std::uint64_t seq_cursor_ = 0;
     SsdHealth health_ = SsdHealth::Healthy;
     double read_slowdown_ = 1.0;
-    StatRegistry stats_;
 };
 
 /** Samsung PM9A3 3.84 TB (baseline PCIe 4.0 x4 SSD). */

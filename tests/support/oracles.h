@@ -39,6 +39,7 @@
 #include "runtime/engine.h"
 #include "runtime/event_sim.h"
 #include "support/fuzzer.h"
+#include "support/tolerances.h"
 
 namespace hilos {
 namespace test {
@@ -138,15 +139,13 @@ struct AgreementCheck {
 };
 
 /**
- * The shared agreement band + per-result invariants used by both the
- * engine oracle and bench_crossval_eventsim. The default band is
- * deliberately wider than the hand-picked crossval grid's observed
- * 0.7-1.4x: random corners (tiny fleets, MoE models, alpha overrides)
- * legitimately stress the analytic model harder.
+ * The shared agreement band (support/tolerances.h) + per-result
+ * invariants used by both the engine oracle and bench_crossval_eventsim.
  */
 AgreementCheck checkEngineAgreement(const RunResult &analytic,
                                     const EventSimResult &sim,
-                                    double lo = 0.4, double hi = 2.5);
+                                    double lo = kReplayAgreementLo,
+                                    double hi = kReplayAgreementHi);
 
 }  // namespace test
 }  // namespace hilos

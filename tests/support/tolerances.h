@@ -51,6 +51,16 @@ inline constexpr float kFp32SoftmaxElemTol = 3e-6f;
  */
 inline constexpr float kExactZeroTol = 1e-12f;
 
+/**
+ * Agreement band for a contended replay (the plan replay or the slice
+ * simulator) over the analytic engine's time for the same phase. It is
+ * deliberately wider than the hand-picked crossval grid's observed
+ * 0.7-1.4x: random corners (tiny fleets, MoE models, alpha overrides)
+ * legitimately stress the analytic model harder.
+ */
+inline constexpr double kReplayAgreementLo = 0.4;
+inline constexpr double kReplayAgreementHi = 2.5;
+
 }  // namespace test
 }  // namespace hilos
 

@@ -88,6 +88,17 @@ TEST(CliGolden, FaultPlanRun)
                 " 2>/dev/null"));
 }
 
+TEST(CliGolden, ZeroOutputReportsNoNonFiniteNumbers)
+{
+    // No token is generated, so per-token metrics have no value; the
+    // report must say so instead of printing inf or nan.
+    const std::string out = capture(std::string(HILOS_CLI_PATH) +
+                                    " --output 0 2>/dev/null");
+    EXPECT_NE(out.find("n/a J/token"), std::string::npos) << out;
+    EXPECT_EQ(out.find("inf"), std::string::npos) << out;
+    EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+}
+
 }  // namespace
 }  // namespace test
 }  // namespace hilos

@@ -8,6 +8,7 @@
 
 #include "core/hilos.h"
 #include "runtime/event_sim.h"
+#include "support/tolerances.h"
 
 namespace hilos {
 namespace {
@@ -106,19 +107,29 @@ TEST(EventSim, InternalPathIsTheHotResource)
     EXPECT_LT(r.gpu_utilization, 0.2);
 }
 
+/** Replayed time of chunk `chunk` of `chunks` of the HILOS prefill. */
+Seconds
+replayPrefill(const SystemConfig &sys, const HilosOptions &opts,
+              const RunConfig &run, std::uint64_t chunk = 0,
+              std::uint64_t chunks = 1)
+{
+    return simulatePlan(prefillStepPlanFor(EngineKind::Hilos, sys, run,
+                                           chunk, chunks, opts))
+        .decode_step_time;
+}
+
 TEST(EventSim, PrefillAgreesWithAnalyticModel)
 {
     SystemConfig sys = defaultSystem();
     HilosOptions opts;
     opts.num_devices = 8;
     const HilosEngine analytic(sys, opts);
-    const HilosEventSimulator sim(sys, opts);
     for (std::uint64_t s : {8192ull, 32768ull}) {
         const RunConfig run = makeRun(opt66b(), s);
         const Seconds a = analytic.run(run).prefill_time;
-        const Seconds e = sim.simulatePrefill(run);
-        EXPECT_GT(e / a, 0.5) << "s=" << s;
-        EXPECT_LT(e / a, 2.0) << "s=" << s;
+        const Seconds e = replayPrefill(sys, opts, run);
+        EXPECT_GT(e / a, test::kReplayAgreementLo) << "s=" << s;
+        EXPECT_LT(e / a, test::kReplayAgreementHi) << "s=" << s;
     }
 }
 
@@ -127,10 +138,9 @@ TEST(EventSim, PrefillMonotonicInContext)
     SystemConfig sys = defaultSystem();
     HilosOptions opts;
     opts.num_devices = 8;
-    const HilosEventSimulator sim(sys, opts);
     Seconds prev = 0;
     for (std::uint64_t s : {4096ull, 16384ull, 65536ull}) {
-        const Seconds t = sim.simulatePrefill(makeRun(opt66b(), s));
+        const Seconds t = replayPrefill(sys, opts, makeRun(opt66b(), s));
         EXPECT_GT(t, prev);
         prev = t;
     }
@@ -138,16 +148,17 @@ TEST(EventSim, PrefillMonotonicInContext)
 
 TEST(EventSim, PrefillChunkSizeIsSecondOrder)
 {
-    // Chunking granularity must not swing the total (compute and
-    // writes pipeline at any chunk size).
+    // Chunking granularity must not swing the total: four chunked
+    // passes re-pay only per-pass costs over the monolithic prefill.
     SystemConfig sys = defaultSystem();
     HilosOptions opts;
     opts.num_devices = 8;
-    const HilosEventSimulator sim(sys, opts);
     const RunConfig run = makeRun(opt66b(), 32768);
-    const Seconds coarse = sim.simulatePrefill(run, 8192);
-    const Seconds fine = sim.simulatePrefill(run, 1024);
-    EXPECT_NEAR(fine / coarse, 1.0, 0.25);
+    const Seconds mono = replayPrefill(sys, opts, run);
+    Seconds chunked = 0;
+    for (std::uint64_t k = 0; k < 4; ++k)
+        chunked += replayPrefill(sys, opts, run, k, 4);
+    EXPECT_NEAR(chunked / mono, 1.0, 0.25);
 }
 
 TEST(EventSim, XCacheLoadsTheGdsPath)

@@ -76,7 +76,6 @@ TEST(FaultIntegration, ZeroFaultPlanEventSimByteIdentical)
     EXPECT_EQ(a.layer_times, b.layer_times);
     EXPECT_TRUE(b.completed);
     EXPECT_EQ(b.redispatched_slices, 0u);
-    EXPECT_EQ(plain.simulatePrefill(run), with_plan.simulatePrefill(run));
 }
 
 // --- Determinism ---
@@ -234,7 +233,6 @@ TEST(FaultIntegration, AllDevicesFailedYieldsClearError)
     const EventSimResult es = sim.simulateDecodeStep(run);
     EXPECT_FALSE(es.completed);
     EXPECT_FALSE(es.note.empty());
-    EXPECT_THROW(sim.simulatePrefill(run), std::runtime_error);
 }
 
 // --- Degradation events ---

@@ -1,15 +1,12 @@
 /**
  * @file
- * Tests for the statistics primitives: counters, Welford summaries,
- * histograms/quantiles, registries, and the Pearson helper used by the
- * performance-estimator validation.
+ * Tests for the statistics helpers: exact nearest-rank quantiles and the
+ * Pearson helper used by the performance-estimator validation.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <iterator>
 #include <vector>
 
 #include "common/random.h"
@@ -17,118 +14,6 @@
 
 namespace hilos {
 namespace {
-
-TEST(Counter, AccumulatesAndResets)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0.0);
-    c.add(2.5);
-    c.increment();
-    EXPECT_DOUBLE_EQ(c.value(), 3.5);
-    c.reset();
-    EXPECT_EQ(c.value(), 0.0);
-}
-
-TEST(Summary, SingleValue)
-{
-    Summary s;
-    s.add(7.0);
-    EXPECT_EQ(s.count(), 1u);
-    EXPECT_DOUBLE_EQ(s.mean(), 7.0);
-    EXPECT_DOUBLE_EQ(s.min(), 7.0);
-    EXPECT_DOUBLE_EQ(s.max(), 7.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(Summary, MatchesDirectComputation)
-{
-    Rng rng(11);
-    std::vector<double> xs;
-    Summary s;
-    for (int i = 0; i < 1000; i++) {
-        const double x = rng.normal(5.0, 2.0);
-        xs.push_back(x);
-        s.add(x);
-    }
-    double mean = 0;
-    for (double x : xs)
-        mean += x;
-    mean /= static_cast<double>(xs.size());
-    double var = 0;
-    for (double x : xs)
-        var += (x - mean) * (x - mean);
-    var /= static_cast<double>(xs.size());
-
-    EXPECT_NEAR(s.mean(), mean, 1e-9);
-    EXPECT_NEAR(s.variance(), var, 1e-6);
-    EXPECT_NEAR(s.stddev(), std::sqrt(var), 1e-6);
-}
-
-TEST(Summary, EmptyIsZero)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Histogram, BucketsAndBounds)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(5.5);
-    h.add(9.99);
-    h.add(-1.0);
-    h.add(10.0);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(5), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.bucketHigh(5), 6.0);
-}
-
-TEST(Histogram, QuantileOfUniformData)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; i++)
-        h.add(static_cast<double>(i) + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.1), 10.0, 1.5);
-}
-
-TEST(Histogram, TailQuantileReportsTrueExtremaNotBucketBounds)
-{
-    // Regression: q=1.0 with overflow mass silently returned hi_, and
-    // quantiles landing in the underflow mass clamped to lo_.
-    Histogram h(0.0, 10.0, 10);
-    h.add(-3.0);
-    h.add(5.0);
-    h.add(42.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 42.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), -3.0);
-    // Without out-of-range mass the bucket interpolation is unchanged.
-    Histogram in(0.0, 10.0, 10);
-    in.add(5.0);
-    EXPECT_LE(in.quantile(1.0), 10.0);
-    EXPECT_GE(in.quantile(1.0), 5.0);
-}
-
-TEST(Histogram, QuantileIsMonotoneWithOutOfRangeMass)
-{
-    Rng rng(17);
-    Histogram h(0.0, 50.0, 7);
-    for (int i = 0; i < 500; i++)
-        h.add(rng.normal(25.0, 30.0));  // plenty of under/overflow
-    const double qs[] = {0.0, 0.01, 0.1, 0.25, 0.5,
-                         0.75, 0.9, 0.99, 0.999, 1.0};
-    for (std::size_t i = 1; i < std::size(qs); i++)
-        EXPECT_LE(h.quantile(qs[i - 1]), h.quantile(qs[i]))
-            << "q=" << qs[i - 1] << " vs q=" << qs[i];
-}
 
 TEST(ExactQuantile, NearestRankOnKnownSamples)
 {
@@ -169,26 +54,6 @@ TEST(ExactQuantile, MonotoneAndAlwaysAnObservedSample)
 TEST(ExactQuantile, EmptySampleSetDies)
 {
     EXPECT_DEATH(exactQuantile({}, 0.5), "empty");
-}
-
-TEST(Histogram, ResetClearsEverything)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(0.5);
-    h.add(2.0);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(StatRegistry, ReportContainsEntries)
-{
-    StatRegistry reg("ssd0");
-    reg.counter("bytes").add(1024);
-    reg.summary("latency").add(0.5);
-    const std::string report = reg.report();
-    EXPECT_NE(report.find("ssd0.bytes = 1024"), std::string::npos);
-    EXPECT_NE(report.find("ssd0.latency"), std::string::npos);
 }
 
 TEST(Pearson, PerfectPositiveCorrelation)

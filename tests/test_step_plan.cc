@@ -739,10 +739,10 @@ TEST(PlanCache, CapacityFlipIsATopologyMissNotACorruption)
     EXPECT_GE(cache.stats().mismatches, 2u);
 }
 
-TEST(RunGridCached, BitIdenticalToRunGridForEveryJobCount)
+TEST(RunGrid, BitIdenticalToColdRunForEveryJobCount)
 {
     const SystemConfig sys = defaultSystem();
-    // Interleave kinds so cached workers switch engines mid-sweep.
+    // Interleave kinds so the workers' cached engines switch mid-sweep.
     std::vector<GridPoint> grid;
     const EngineKind kinds[] = {
         EngineKind::Hilos, EngineKind::FlexSsd, EngineKind::Hilos,
@@ -761,10 +761,11 @@ TEST(RunGridCached, BitIdenticalToRunGridForEveryJobCount)
         grid.push_back(p);
         batch += 4;
     }
-    const std::vector<RunResult> reference = runGrid(sys, grid, 1);
+    std::vector<RunResult> reference;
+    for (const GridPoint &p : grid)
+        reference.push_back(makeEngine(p.kind, sys, p.hilos)->run(p.run));
     for (const unsigned jobs : {1u, 3u}) {
-        const std::vector<RunResult> cached =
-            runGridCached(sys, grid, jobs);
+        const std::vector<RunResult> cached = runGrid(sys, grid, jobs);
         ASSERT_EQ(cached.size(), reference.size());
         for (std::size_t i = 0; i < cached.size(); i++)
             EXPECT_EQ(test::serialize(cached[i]),
