@@ -42,6 +42,15 @@ struct ParamExpectation {
     double tolerance;
 };
 
+// Print the model name, not gtest's default byte dump: the dump holds the
+// address of `name`, which moves with ASLR and so gave each run different
+// test names.
+void
+PrintTo(const ParamExpectation &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
 class ParamCounts : public ::testing::TestWithParam<ParamExpectation>
 {
 };
