@@ -176,6 +176,39 @@ TEST(GoldenSnapshots, ServingPoissonStreamOpt66b)
                  serialize(sim.run(makePoissonArrivals(pc, rng))));
 }
 
+TEST(GoldenSnapshots, ServingPoliciesSaturatedOpt66b)
+{
+    // The non-FCFS admission orders under load: a stream far above
+    // what a batch cap of 4 drains keeps the pending queue deep, and
+    // every 7th arrival ties the one before it, so each policy's
+    // ordering and its (arrival, id) tiebreak decide who is admitted.
+    const HilosEngine engine(defaultSystem(), HilosOptions{});
+    PoissonStreamConfig pc;
+    pc.arrival_rate = 2.0;
+    pc.count = 28;
+    Rng rng;  // fixed default seed
+    std::vector<Request> stream = makePoissonArrivals(pc, rng);
+    for (std::size_t i = 7; i < stream.size(); i += 7)
+        stream[i].arrival = stream[i - 1].arrival;
+
+    std::ostringstream os;
+    for (const ServingPolicy policy :
+         {ServingPolicy::Sjf, ServingPolicy::SloAware}) {
+        for (const std::uint64_t chunks : {1, 4}) {
+            ServingConfig cfg;
+            cfg.model = modelByName("OPT-66B");
+            cfg.max_batch = 4;
+            cfg.policy = policy;
+            cfg.slo = Seconds(600.0);
+            cfg.prefill_chunks = chunks;
+            os << "==== " << servingPolicyName(policy)
+               << " prefill_chunks=" << chunks << " ====\n"
+               << serialize(ServingSimulator(engine, cfg).run(stream));
+        }
+    }
+    expectGolden("serving_policies_saturated_opt66b.txt", os.str());
+}
+
 TEST(GoldenSnapshots, BatcherTokenAccountingOpt66b)
 {
     // Pins the corrected serve() accounting: tokens_per_second counts
