@@ -13,10 +13,18 @@
  * stream from a fixed per-point seed, so the sweep is byte-identical
  * run-to-run and across --jobs. Results land in BENCH_serving.json via
  * the shared bench-JSON writer.
+ *
+ * A last table times the simulator itself on saturated streams of
+ * growing length (the host-time column is the one that varies from run
+ * to run): host time per request stays flat when admission cost does
+ * not grow with queue depth. Its rows are informational, not enforced.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -209,11 +217,11 @@ main(int argc, char **argv)
     // turn (costed at the slower of the two) slows the in-flight token
     // cadence to chunk granularity — that is why the headline sweep
     // above keeps prefill_chunks = 1 (see DESIGN.md section 14).
+    const auto vllm = makeEngine(EngineKind::VllmMultiGpu, sys);
     {
         const std::size_t rate_index = rates.size() - 1;
         const std::vector<Request> stream =
             pointStream(rates.back(), rate_index, requests);
-        const auto vllm = makeEngine(EngineKind::VllmMultiGpu, sys);
         ServingConfig mono_cfg = base;
         mono_cfg.policy = ServingPolicy::Fcfs;
         const ServingResult mono =
@@ -258,6 +266,60 @@ main(int argc, char **argv)
         check(chunked.ttft_p99 <= mono.ttft_p99,
               "chunked prefill must not worsen the p99 TTFT at "
               "saturation");
+    }
+
+    // --- saturated scaling ----------------------------------------------
+    // Simulator host cost, not a modeled metric. The multi-GPU baseline
+    // drains far slower than 0.5 req/s, so the pending queue grows with
+    // the stream; each row is the run `hilos_cli --serve --engine vllm
+    // --arrival-rate 0.5 --requests N` makes (same default-seeded
+    // stream), timed best of three.
+    {
+        constexpr double kScalingRate = 0.5;
+        printBanner(std::cout, "saturated scaling (vLLM, FCFS, rate " +
+                                   std::to_string(kScalingRate) +
+                                   " req/s, host time best of 3)");
+        TextTable scale_table({"requests", "host ms", "host us/request",
+                               "decode steps", "peak queue"});
+        ServingConfig cfg = base;
+        cfg.policy = ServingPolicy::Fcfs;
+        const ServingSimulator sim(*vllm, cfg);
+        for (const std::size_t n : {1000, 10000}) {
+            PoissonStreamConfig pc;
+            pc.arrival_rate = kScalingRate;
+            pc.count = n;
+            Rng rng;  // the CLI's fixed default seed
+            const std::vector<Request> stream = makePoissonArrivals(pc, rng);
+            ServingResult r;
+            double best_s = std::numeric_limits<double>::infinity();
+            for (int rep = 0; rep < 3; rep++) {
+                const auto t0 = std::chrono::steady_clock::now();
+                r = sim.run(stream);
+                const auto t1 = std::chrono::steady_clock::now();
+                best_s = std::min(
+                    best_s,
+                    std::chrono::duration<double>(t1 - t0).count());
+            }
+            check(r.feasible, "scaling point infeasible: " + r.note);
+            const double us_per_request =
+                best_s * 1e6 / static_cast<double>(n);
+            scale_table.row()
+                .num(static_cast<double>(n), 0)
+                .num(best_s * 1e3, 2)
+                .num(us_per_request, 2)
+                .num(static_cast<double>(r.decode_steps), 0)
+                .num(static_cast<double>(r.peak_queue_depth), 0);
+            json.row()
+                .cell("rate", kScalingRate)
+                .cell("policy", std::string("fcfs/scaling"))
+                .cell("engine", vllm->name())
+                .cell("requests", std::uint64_t{n})
+                .cell("host_ms", best_s * 1e3)
+                .cell("host_us_per_request", us_per_request)
+                .cell("decode_steps", r.decode_steps)
+                .cell("peak_queue_depth", r.peak_queue_depth);
+        }
+        scale_table.print(std::cout);
     }
 
     if (!args.get("json-dir").empty())

@@ -309,13 +309,18 @@ main(int argc, char **argv)
         args.get("gpu") == "h100" ? h100System() : defaultSystem();
     RunConfig run;
     run.model = modelByName(args.get("model"));
-    run.batch = static_cast<std::uint64_t>(args.getInt("batch"));
+    const std::int64_t batch = args.getInt("batch");
+    run.batch = static_cast<std::uint64_t>(batch);
     run.context_len = static_cast<std::uint64_t>(args.getInt("context"));
     run.output_len = static_cast<std::uint64_t>(args.getInt("output"));
     run.prefill_chunks =
         static_cast<std::uint64_t>(args.getInt("prefill-chunks"));
     if (args.ok() && run.prefill_chunks < 1) {
         std::cerr << "error: --prefill-chunks needs at least 1\n";
+        return 2;
+    }
+    if (args.ok() && batch < 1) {
+        std::cerr << "error: --batch needs at least 1\n";
         return 2;
     }
 
@@ -474,7 +479,17 @@ main(int argc, char **argv)
                       << "' (fcfs, sjf, slo)\n";
             return 2;
         }
-        scfg.slo = Seconds(args.getDouble("slo-ms") / 1e3);
+        const double slo_ms = args.getDouble("slo-ms");
+        if (!args.ok()) {
+            std::cerr << "error: " << args.error() << "\n";
+            return 2;
+        }
+        if (!(slo_ms >= 0.0)) {
+            std::cerr << "error: --slo-ms must be >= 0 (0 disables the "
+                         "SLO)\n";
+            return 2;
+        }
+        scfg.slo = Seconds(slo_ms / 1e3);
         scfg.prefill_chunks = run.prefill_chunks;
         std::vector<Request> stream;
         const std::string trace_file = args.get("arrival-trace");
@@ -488,14 +503,23 @@ main(int argc, char **argv)
             text << in.rdbuf();
             stream = parseArrivalTrace(text.str());
         } else {
-            PoissonStreamConfig pc;
-            pc.arrival_rate = args.getDouble("arrival-rate");
-            pc.count =
-                static_cast<std::size_t>(args.getInt("requests"));
+            const double rate = args.getDouble("arrival-rate");
+            const std::int64_t count = args.getInt("requests");
             if (!args.ok()) {
                 std::cerr << "error: " << args.error() << "\n";
                 return 2;
             }
+            if (!(rate > 0.0)) {
+                std::cerr << "error: --arrival-rate must be > 0\n";
+                return 2;
+            }
+            if (count < 1) {
+                std::cerr << "error: --requests needs at least 1\n";
+                return 2;
+            }
+            PoissonStreamConfig pc;
+            pc.arrival_rate = rate;
+            pc.count = static_cast<std::size_t>(count);
             Rng rng;  // fixed default seed: streams replay exactly
             stream = makePoissonArrivals(pc, rng);
         }

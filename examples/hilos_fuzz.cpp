@@ -27,7 +27,8 @@
  *   hilos_fuzz --oracle attention --replay 1234567890
  *
  * `--perturb` deliberately breaks one side (drop-padding-mask on the
- * kernel, skew-analytic on the engine) to demonstrate that the oracles
+ * kernel, skew-analytic on the engine, reverse-admission-order on the
+ * serving order check) to demonstrate that the oracles
  * detect real defects; see tests/test_fuzz_oracles.cc for the
  * automated version of that check.
  */
@@ -68,8 +69,11 @@ perturbByName(const std::string &name)
         return Perturbation::DropPaddingMask;
     if (name == "skew-analytic")
         return Perturbation::SkewAnalytic;
+    if (name == "reverse-admission-order")
+        return Perturbation::ReverseAdmissionOrder;
     std::cerr << "error: unknown --perturb '" << name
-              << "' (none, drop-padding-mask, skew-analytic)\n";
+              << "' (none, drop-padding-mask, skew-analytic, "
+                 "reverse-admission-order)\n";
     std::exit(2);
 }
 
@@ -90,7 +94,7 @@ main(int argc, char **argv)
         .addOption("perturb", "none",
                    "deliberately break one side: none, "
                    "drop-padding-mask (attention), skew-analytic "
-                   "(engine)");
+                   "(engine), reverse-admission-order (serving)");
     if (!args.parse(argc, argv) || args.helpRequested()) {
         std::cerr << args.usage();
         return args.helpRequested() ? 0 : 2;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -247,11 +248,30 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         }
     }
 
+    // Pending requests, kept in admission order. An arrival inserts in
+    // O(log n); since admission never leapfrogs, every admitted group is
+    // a prefix of this order and leaves with one range erase.
+    const auto admission_order = [policy = cfg_.policy](
+                                     const AdmissionCandidate &a,
+                                     const AdmissionCandidate &b) {
+        return admitsBefore(policy, a, b);
+    };
+    std::set<AdmissionCandidate, decltype(admission_order)> pending(
+        admission_order);
+    const auto arrive = [&](std::size_t id) {
+        const RequestRecord &rec = res.records[id];
+        AdmissionCandidate c;
+        c.id = id;
+        c.arrival = rec.arrival;
+        c.input_tokens = rec.input_tokens;
+        c.output_tokens = rec.output_tokens;
+        c.deadline = rec.arrival + cfg_.slo;
+        pending.insert(c);
+    };
     EventQueue eq;
-    std::vector<std::size_t> pending;  // record ids, arrival order
     for (const RequestRecord &rec : res.records) {
         const std::size_t id = rec.id;
-        eq.scheduleAt(rec.arrival, [&pending, id] { pending.push_back(id); });
+        eq.scheduleAt(rec.arrival, [&arrive, id] { arrive(id); });
     }
 
     struct InFlight {
@@ -284,27 +304,13 @@ ServingSimulator::run(const std::vector<Request> &requests) const
             continue;
         }
 
-        // Admission at the step boundary: order the pending queue by
-        // policy, then admit greedily without leapfrogging — the first
-        // request that does not fit blocks the rest, so FCFS cannot
-        // starve anyone. Requests still mid-prefill hold their batch
-        // and capacity reservations (their KV is materializing).
-        if (!pending.empty() &&
-            flight.size() + prefillingCount() < cfg_.max_batch) {
-            std::vector<AdmissionCandidate> cands;
-            cands.reserve(pending.size());
-            for (std::size_t id : pending) {
-                const RequestRecord &rec = res.records[id];
-                AdmissionCandidate c;
-                c.id = id;
-                c.arrival = rec.arrival;
-                c.input_tokens = rec.input_tokens;
-                c.output_tokens = rec.output_tokens;
-                c.deadline = rec.arrival + cfg_.slo;
-                cands.push_back(c);
-            }
-            orderForAdmission(cfg_.policy, cands);
-
+        // Admission at the step boundary: walk the pending set in
+        // policy order and admit greedily without leapfrogging — the
+        // first request that does not fit blocks the rest, so FCFS
+        // cannot starve anyone. Requests still mid-prefill hold their
+        // batch and capacity reservations (their KV is materializing).
+        const std::size_t busy = flight.size() + prefillingCount();
+        if (!pending.empty() && busy < cfg_.max_batch) {
             std::uint64_t flight_ctx = 0;
             for (const InFlight &f : flight)
                 flight_ctx =
@@ -315,29 +321,21 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                                           lifetimeCtx(res.records[id]));
 
             std::vector<std::size_t> admitted;
-            for (const AdmissionCandidate &c : cands) {
-                const std::size_t committed =
-                    flight.size() + prefillingCount() + admitted.size();
+            auto stop = pending.begin();
+            for (; stop != pending.end(); ++stop) {
+                const std::size_t committed = busy + admitted.size();
                 if (committed >= cfg_.max_batch)
                     break;
                 const std::uint64_t ctx = std::max(
-                    flight_ctx, lifetimeCtx(res.records[c.id]));
+                    flight_ctx, lifetimeCtx(res.records[stop->id]));
                 if (cost.capacity(ctx) < committed + 1)
                     break;
                 flight_ctx = ctx;
-                res.records[c.id].admitted = eq.now();
-                admitted.push_back(c.id);
+                res.records[stop->id].admitted = eq.now();
+                admitted.push_back(stop->id);
             }
             if (!admitted.empty()) {
-                pending.erase(
-                    std::remove_if(pending.begin(), pending.end(),
-                                   [&](std::size_t id) {
-                                       return std::find(admitted.begin(),
-                                                        admitted.end(),
-                                                        id) !=
-                                              admitted.end();
-                                   }),
-                    pending.end());
+                pending.erase(pending.begin(), stop);
                 // The newly admitted group's first prefill chunk runs
                 // at admission, padded to its longest prompt; at
                 // prefill_chunks == 1 that is the whole prefill and

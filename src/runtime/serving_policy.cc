@@ -1,6 +1,5 @@
 #include "runtime/serving_policy.h"
 
-#include <algorithm>
 #include <tuple>
 
 #include "common/logging.h"
@@ -36,44 +35,33 @@ parseServingPolicy(const std::string &name, ServingPolicy *out)
     return true;
 }
 
-void
-orderForAdmission(ServingPolicy policy,
-                  std::vector<AdmissionCandidate> &pending)
+bool
+admitsBefore(ServingPolicy policy, const AdmissionCandidate &a,
+             const AdmissionCandidate &b)
 {
-    const auto fcfs = [](const AdmissionCandidate &a,
-                         const AdmissionCandidate &b) {
+    const auto fcfs = [&] {
         return std::make_tuple(a.arrival.value(), a.id) <
                std::make_tuple(b.arrival.value(), b.id);
     };
     switch (policy) {
     case ServingPolicy::Fcfs:
-        std::sort(pending.begin(), pending.end(), fcfs);
-        return;
+        return fcfs();
     case ServingPolicy::Sjf:
         // Remaining decode work is the output length; prompt length
         // breaks ties (a shorter prompt prefills faster).
-        std::sort(pending.begin(), pending.end(),
-                  [&](const AdmissionCandidate &a,
-                      const AdmissionCandidate &b) {
-                      if (a.output_tokens != b.output_tokens)
-                          return a.output_tokens < b.output_tokens;
-                      if (a.input_tokens != b.input_tokens)
-                          return a.input_tokens < b.input_tokens;
-                      return fcfs(a, b);
-                  });
-        return;
+        if (a.output_tokens != b.output_tokens)
+            return a.output_tokens < b.output_tokens;
+        if (a.input_tokens != b.input_tokens)
+            return a.input_tokens < b.input_tokens;
+        return fcfs();
     case ServingPolicy::SloAware:
         // Earliest deadline first; deadline = arrival + slo.
-        std::sort(pending.begin(), pending.end(),
-                  [&](const AdmissionCandidate &a,
-                      const AdmissionCandidate &b) {
-                      if (a.deadline != b.deadline)
-                          return a.deadline < b.deadline;
-                      return fcfs(a, b);
-                  });
-        return;
+        if (a.deadline != b.deadline)
+            return a.deadline < b.deadline;
+        return fcfs();
     }
     HILOS_ASSERT(false, "unknown serving policy");
+    return false;
 }
 
 }  // namespace hilos

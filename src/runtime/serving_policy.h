@@ -2,11 +2,12 @@
  * @file
  * Admission / scheduling policies for the online serving simulator.
  *
- * A policy is a deterministic total order over the pending queue; the
- * continuous batcher admits in that order at every step boundary, never
- * leapfrogging a request it cannot fit (so FCFS is starvation-free by
- * construction and the other policies starve only while strictly
- * better-ranked work keeps arriving).
+ * A policy is a deterministic total order over pending requests,
+ * encoded once in `admitsBefore`. The serving simulator keys its
+ * pending set on that order and admits from the front at every step
+ * boundary, never leapfrogging a request it cannot fit (so FCFS is
+ * starvation-free by construction and the other policies starve only
+ * while strictly better-ranked work keeps arriving).
  */
 
 #ifndef HILOS_RUNTIME_SERVING_POLICY_H_
@@ -14,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/units.h"
 
@@ -46,12 +46,13 @@ struct AdmissionCandidate {
 };
 
 /**
- * Sort `pending` into admission order. Every policy's ordering ends in
- * the (arrival, id) tiebreak, so the order is total and deterministic
- * for any input permutation.
+ * True when `a` is admitted before `b` under `policy`. Every policy's
+ * ordering ends in the (arrival, id) tiebreak, so over candidates with
+ * distinct ids this is a strict total order: admission is
+ * deterministic for any arrival permutation.
  */
-void orderForAdmission(ServingPolicy policy,
-                       std::vector<AdmissionCandidate> &pending);
+bool admitsBefore(ServingPolicy policy, const AdmissionCandidate &a,
+                  const AdmissionCandidate &b);
 
 }  // namespace hilos
 

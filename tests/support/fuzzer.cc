@@ -315,6 +315,10 @@ FuzzServingCase::describe() const
        << " slo=" << serving.slo.value()
        << " devices=" << opts.num_devices << " rate=" << arrival_rate
        << " requests=" << requests.size();
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < requests.size(); i++)
+        ties += requests[i].arrival == requests[i - 1].arrival ? 1 : 0;
+    os << " ties=" << ties;
     if (!requests.empty())
         os << " class=" << requestClassName(requests.front().cls);
     return os.str();
@@ -362,6 +366,11 @@ ConfigFuzzer::servingCase()
     pc.long_weight = cls == RequestClass::Long ? 1.0 : 0.0;
     pc.length_jitter = 0.25;
     c.requests = makePoissonArrivals(pc, rng_);
+    // Tie about a quarter of the arrivals to the one before, so every
+    // policy's (arrival, id) tiebreak decides some admissions.
+    for (std::size_t i = 1; i < c.requests.size(); i++)
+        if (chance(rng_, 0.25))
+            c.requests[i].arrival = c.requests[i - 1].arrival;
     return c;
 }
 

@@ -89,7 +89,8 @@ struct FuzzFleetCase {
 
 /**
  * One serving-oracle case: an engine, a serving configuration, and a
- * pre-generated homogeneous-class Poisson arrival stream. The stream is
+ * pre-generated homogeneous-class Poisson arrival stream, with about a
+ * quarter of its arrivals tied to the one before. The stream is
  * single-class (with per-request length jitter) so the all-arrivals-
  * at-zero comparison against OfflineBatcher stays inside the agreement
  * band — mixed-class streams pad the continuous batch to the longest

@@ -762,6 +762,44 @@ checkServingInvariants(const FuzzServingCase &c, const ServingResult &r)
     return "";
 }
 
+/**
+ * First no-leapfrog violation in the records; empty when none. Every
+ * request that ranks before `a` and had arrived by `a`'s admission
+ * was pending at that decision, and admission takes a prefix of the
+ * policy order, so it must have been admitted no later than `a`.
+ */
+std::string
+checkNoLeapfrog(const FuzzServingCase &c, const ServingResult &r,
+                bool reverse)
+{
+    const auto candidate = [&](const RequestRecord &rec) {
+        AdmissionCandidate cand;
+        cand.id = rec.id;
+        cand.arrival = rec.arrival;
+        cand.input_tokens = rec.input_tokens;
+        cand.output_tokens = rec.output_tokens;
+        cand.deadline = rec.arrival + c.serving.slo;
+        return cand;
+    };
+    for (const RequestRecord &a : r.records) {
+        for (const RequestRecord &b : r.records) {
+            const bool b_first =
+                reverse ? admitsBefore(c.serving.policy, candidate(a),
+                                       candidate(b))
+                        : admitsBefore(c.serving.policy, candidate(b),
+                                       candidate(a));
+            if (b_first && b.arrival <= a.admitted &&
+                b.admitted > a.admitted)
+                return "request " + std::to_string(b.id) +
+                       " ranks before " + std::to_string(a.id) +
+                       " and was pending when it was admitted at " +
+                       fmt(a.admitted) + ", but waited until " +
+                       fmt(b.admitted);
+        }
+    }
+    return "";
+}
+
 }  // namespace
 
 OracleOutcome
@@ -796,6 +834,13 @@ runServingOracle(std::uint64_t seed, Perturbation perturb)
     if (!violation.empty()) {
         out.ok = false;
         out.detail = "serving invariant: " + violation;
+        return out;
+    }
+    const std::string leapfrog = checkNoLeapfrog(
+        c, a, perturb == Perturbation::ReverseAdmissionOrder);
+    if (!leapfrog.empty()) {
+        out.ok = false;
+        out.detail = "admission order: " + leapfrog;
         return out;
     }
 

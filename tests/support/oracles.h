@@ -55,6 +55,12 @@ enum class Perturbation {
     DropPaddingMask,
     /** Engine oracle: analytic decode-step time skewed 3x. */
     SkewAnalytic,
+    /**
+     * Serving oracle: the no-leapfrog check ranks requests by the
+     * reverse of `admitsBefore`, as a simulator whose pending order
+     * disagrees with its policy would — the broken-comparator class.
+     */
+    ReverseAdmissionOrder,
 };
 
 /** Outcome of one oracle evaluation. */
@@ -120,13 +126,17 @@ OracleOutcome runFleetOracle(std::uint64_t seed,
  * Poisson arrival stream. Checks that the simulation is deterministic
  * (two runs serialize identically), that scheduling invariants hold
  * (lifecycle timestamps ordered, in-flight batch within the cap, SLO
- * and percentile accounting consistent), and that with every arrival
+ * and percentile accounting consistent), that admission follows the
+ * policy without leapfrogging — read from the records alone: whenever
+ * `b` ranks before `a` under `admitsBefore` and had arrived by the time
+ * `a` was admitted, `b` was admitted no later — and that with every arrival
  * moved to t=0 under FCFS the serving makespan agrees with
  * OfflineBatcher::serve on the same request set within the band —
  * continuous batching and offline bucketing are two independent
  * schedulers over the same engine cost model.
  * Perturbation::SkewAnalytic skews the serving makespan 3x so tests
- * can verify the band detects divergence.
+ * can verify the band detects divergence; ReverseAdmissionOrder
+ * reverses the order the no-leapfrog check expects.
  */
 OracleOutcome runServingOracle(
     std::uint64_t seed, Perturbation perturb = Perturbation::None);

@@ -1,9 +1,10 @@
 /**
  * @file
  * Golden snapshots of hilos_cli's stdout: the default HILOS run and a
- * --fault-plan run. The CLI is the first thing a downstream user sees,
- * so its exact output (field labels, ordering, number formatting) is a
- * behavioural surface worth pinning end-to-end — through ArgParser,
+ * --fault-plan run, plus the exit status of rejected inputs. The CLI
+ * is the first thing a downstream user sees, so its exact output
+ * (field labels, ordering, number formatting) is a behavioural
+ * surface worth pinning end-to-end — through ArgParser,
  * engine dispatch, and the table renderer, not just the library calls
  * the other golden tests cover.
  *
@@ -12,6 +13,8 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <string>
@@ -39,6 +42,23 @@ capture(const std::string &cmd)
     const int status = pclose(pipe);
     EXPECT_EQ(status, 0) << cmd << "\n" << out;
     return out;
+}
+
+/** Run a command with stderr folded into stdout; return the raw
+ *  wait status and store the combined output in `out`. */
+int
+runStatus(const std::string &cmd, std::string *out)
+{
+    FILE *pipe = popen((cmd + " 2>&1").c_str(), "r");
+    if (pipe == nullptr) {
+        ADD_FAILURE() << "popen failed for: " << cmd;
+        return -1;
+    }
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0)
+        out->append(buf, n);
+    return pclose(pipe);
 }
 
 void
@@ -97,6 +117,32 @@ TEST(CliGolden, ZeroOutputReportsNoNonFiniteNumbers)
     EXPECT_NE(out.find("n/a J/token"), std::string::npos) << out;
     EXPECT_EQ(out.find("inf"), std::string::npos) << out;
     EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+}
+
+TEST(CliGolden, BadServeInputsExitTwoWithANamedError)
+{
+    // User errors on the serve path are rejected at the CLI boundary
+    // with a named diagnostic and exit 2; none may reach a library
+    // assert (SIGABRT) or escape as an uncaught exception.
+    const struct {
+        const char *args;
+        const char *error;
+    } cases[] = {
+        {"--serve --arrival-rate 0", "error: --arrival-rate"},
+        {"--serve --batch 0", "error: --batch"},
+        {"--serve --slo-ms -1", "error: --slo-ms"},
+        {"--serve --requests -5", "error: --requests"},
+    };
+    for (const auto &c : cases) {
+        const std::string cmd = std::string(HILOS_CLI_PATH) + " " + c.args;
+        std::string out;
+        const int status = runStatus(cmd, &out);
+        EXPECT_FALSE(WIFSIGNALED(status)) << cmd << "\n" << out;
+        ASSERT_TRUE(WIFEXITED(status)) << cmd << "\n" << out;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << "\n" << out;
+        EXPECT_NE(out.find(c.error), std::string::npos)
+            << cmd << "\n" << out;
+    }
 }
 
 }  // namespace

@@ -265,6 +265,33 @@ TEST(ServingOracle, SkewedServingMakespanIsCaught)
         << ran << " cases";
 }
 
+TEST(ServingOracle, ReversedAdmissionOrderIsCaught)
+{
+    // A comparator that disagrees with the simulator's pending order
+    // trips the no-leapfrog check wherever requests compete for
+    // admission, which most fuzzed streams do; a check that passes
+    // either order validates nothing.
+    std::uint64_t ran = 0, caught = 0;
+    for (std::uint64_t i = 0; i < 20; i++) {
+        const std::uint64_t seed = fuzzSeedForIteration(kBaseSeed, i);
+        const OracleOutcome out =
+            runServingOracle(seed, Perturbation::ReverseAdmissionOrder);
+        if (out.skipped)
+            continue;
+        ran++;
+        if (!out.ok) {
+            caught++;
+            EXPECT_NE(out.detail.find("admission order"),
+                      std::string::npos)
+                << out.detail;
+        }
+    }
+    ASSERT_GT(ran, 0u);
+    EXPECT_GE(caught * 2, ran)
+        << "reversed admission order detected on only " << caught << "/"
+        << ran << " cases";
+}
+
 TEST(OracleOutcomeTest, ReproLineCarriesSeedCfgAndReplayCommand)
 {
     OracleOutcome out;

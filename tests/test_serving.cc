@@ -159,6 +159,18 @@ TEST(ServingPolicyOrder, ParseAndNameRoundTrip)
     EXPECT_EQ(out, ServingPolicy::Sjf);  // untouched on failure
 }
 
+/** `pending` sorted front-to-back in the order admission walks it. */
+void
+sortForAdmission(ServingPolicy policy,
+                 std::vector<AdmissionCandidate> &pending)
+{
+    std::sort(pending.begin(), pending.end(),
+              [policy](const AdmissionCandidate &a,
+                       const AdmissionCandidate &b) {
+                  return admitsBefore(policy, a, b);
+              });
+}
+
 TEST(ServingPolicyOrder, FcfsOrdersByArrivalThenId)
 {
     std::vector<AdmissionCandidate> pending = {
@@ -166,7 +178,7 @@ TEST(ServingPolicyOrder, FcfsOrdersByArrivalThenId)
         {1, Seconds(1.0), 256, 100, Seconds(0.0)},
         {0, Seconds(1.0), 256, 100, Seconds(0.0)},
     };
-    orderForAdmission(ServingPolicy::Fcfs, pending);
+    sortForAdmission(ServingPolicy::Fcfs, pending);
     EXPECT_EQ(pending[0].id, 0u);
     EXPECT_EQ(pending[1].id, 1u);
     EXPECT_EQ(pending[2].id, 2u);
@@ -179,7 +191,7 @@ TEST(ServingPolicyOrder, SjfPrefersLeastRemainingWork)
         {1, Seconds(1.0), 256, 100, Seconds(0.0)},
         {2, Seconds(2.0), 128, 100, Seconds(0.0)},
     };
-    orderForAdmission(ServingPolicy::Sjf, pending);
+    sortForAdmission(ServingPolicy::Sjf, pending);
     // Fewest output tokens first; input breaks the tie.
     EXPECT_EQ(pending[0].id, 2u);
     EXPECT_EQ(pending[1].id, 1u);
@@ -192,7 +204,7 @@ TEST(ServingPolicyOrder, SloAwareIsEarliestDeadlineFirst)
         {0, Seconds(0.0), 256, 100, Seconds(9.0)},
         {1, Seconds(1.0), 256, 100, Seconds(4.0)},
     };
-    orderForAdmission(ServingPolicy::SloAware, pending);
+    sortForAdmission(ServingPolicy::SloAware, pending);
     EXPECT_EQ(pending[0].id, 1u);
     EXPECT_EQ(pending[1].id, 0u);
 }
