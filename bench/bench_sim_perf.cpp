@@ -1,9 +1,12 @@
 /**
  * @file
- * Simulator hot-path microbench guarding the profile-driven fast path:
+ * Simulator hot-path microbench: absolute per-layer costs, each also
+ * normalised to an in-process calibration kernel.
  *
- *  1. engine evaluation, legacy vs cached — a fresh engine + full plan
- *     build per point (a cold run()) against runCached()'s verified
+ *  0. calibration — a fixed allocation-heavy loop that calls nothing
+ *     in the library, so its time tracks only the host;
+ *  1. engine evaluation, cold vs cached — a fresh engine + full plan
+ *     build per point (a cold run()) and runCached()'s verified
  *     in-place rebuild;
  *  2. plan evaluation backends — analytic evaluatePlan and the
  *     event-driven simulatePlan over one HILOS decode plan, plus the
@@ -11,16 +14,22 @@
  *     chunked-prefill overhead ratio (4 chunks vs monolithic);
  *  3. event-queue throughput — the calendar queue on a pre-filled
  *     drain plus a schedule-on-pop workload;
- *  4. end-to-end sweep rate — runGrid against a plain loop of cold
+ *  4. end-to-end sweep rate — runGrid and a plain loop of cold
  *     makeEngine(...)->run() on a Fig-10 style engine x batch x
- *     context grid, same binary.
+ *     context grid, same binary; the two must agree bit for bit.
  *
- * Deterministic workloads (seeded schedules, fixed grids); wall times
- * of course vary run to run, so the checked-in baseline is compared
- * with a wide relative tolerance (scripts/check_bench_regression.py).
- * Exits non-zero when the cached sweep speedup falls below
- * --min-speedup (default 10): that ratio is the PR's contract, not a
- * tuning suggestion.
+ * Every wall-time row is the minimum over --repeats (after one
+ * untimed warm-up; each repeat is the median of several runs) and
+ * records its spread, max/min over the repeats. Next to it goes a
+ * "_norm" row: the same time in calibration kernel runs, per thousand
+ * units ("cal/kpoint", "cal/kplan", ...). A host that is slower or
+ * busier moves both the row and the kernel, so the _norm rows travel
+ * between runs where raw times do not.
+ * scripts/check_bench_regression.py enforces the _norm rows and the
+ * deterministic ratio rows against the checked-in baseline, and fails
+ * an enforced row whose own spread is too wide to judge. The bench
+ * itself exits non-zero only when a correctness check fails (cold and
+ * cached sweeps must match exactly).
  *
  * Results land in BENCH_sim_perf.json via the shared bench-JSON writer.
  */
@@ -32,6 +41,8 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
@@ -56,22 +67,120 @@ check(bool ok, const std::string &what)
     }
 }
 
-/** Median-of-repeats wall time of fn(), in seconds. */
+/**
+ * The calibration kernel: builds and indexes a table of 64 labelled
+ * records with short dependency lists, eight times over. That is the
+ * allocation-heavy mix of small strings, small vectors and hash
+ * lookups a plan build does, but it calls nothing in the library. On a
+ * shared 4-vCPU Xeon VM its time tracked the plan rows' slowdowns more
+ * closely than a heap-and-map event loop did. Returns a value so the
+ * work cannot be elided.
+ */
 double
-timeSeconds(const std::function<void()> &fn, int repeats)
+calibrationKernel()
+{
+    struct Record {
+        std::string label;
+        std::vector<std::uint32_t> deps;
+        double weight = 0.0;
+    };
+    double acc = 0.0;
+    for (int pass = 0; pass < 8; pass++) {
+        std::vector<Record> records;
+        std::unordered_map<std::string, std::size_t> index;
+        for (std::uint32_t i = 0; i < 64; i++) {
+            Record r;
+            r.label = "op_" + std::to_string(i * 2654435761u % 997);
+            r.weight = 1.0 + i;
+            for (std::uint32_t d = 0; d < i % 4; d++)
+                r.deps.push_back(i - d - 1);
+            index[r.label] = records.size();
+            records.push_back(std::move(r));
+        }
+        for (const Record &r : records)
+            acc += r.weight * static_cast<double>(index.at(r.label)) +
+                   static_cast<double>(r.deps.size());
+    }
+    return acc;
+}
+
+/** Calibration kernel runs timed next to each run of a row. */
+constexpr int kCalibrationRuns = 8;
+
+/**
+ * Runs per repeat. A repeat takes the median of its runs: on a shared
+ * host a run now and then stalls, and now and then lands on a quiet
+ * core and runs a quarter faster than usual; the median drops both.
+ */
+constexpr int kRunsPerRepeat = 15;
+
+/** A wall-time row, raw and normalised to the calibration kernel. */
+struct Timing {
+    double best = 0.0;         ///< seconds per call, the fastest repeat
+    double spread = 1.0;       ///< slowest repeat over the fastest
+    double norm_best = 0.0;    ///< kernel runs per call, lowest repeat
+    double norm_spread = 1.0;  ///< highest repeat over the lowest
+};
+
+double
+secondsFor(const std::function<void()> &fn)
 {
     using SteadyClock = std::chrono::steady_clock;
-    std::vector<double> samples;
-    samples.reserve(static_cast<std::size_t>(repeats));
-    for (int rep = 0; rep < repeats; rep++) {
-        const auto t0 = SteadyClock::now();
-        fn();
-        const auto t1 = SteadyClock::now();
-        samples.push_back(
-            std::chrono::duration<double>(t1 - t0).count());
+    const auto t0 = SteadyClock::now();
+    fn();
+    return std::chrono::duration<double>(SteadyClock::now() - t0).count();
+}
+
+double
+medianOf(std::vector<double> v)
+{
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
+
+/**
+ * Time fn() over `repeats` repeats after one untimed warm-up call.
+ * Every run of fn() follows a run of the calibration kernel, and a
+ * repeat's normalised time is the median of those pairs' ratios: the
+ * two halves of a pair see the same host load. Repeats are
+ * interleaved (run k belongs to repeat k % repeats), so a host whose
+ * load drifts over the row's runs moves every repeat alike; the
+ * spread then measures how well the repeats agree, not how the load
+ * drifted.
+ */
+Timing
+timeSeconds(const std::function<void()> &fn, int repeats)
+{
+    double cal_sink = 0.0;
+    const auto calibrate = [&cal_sink] {
+        for (int i = 0; i < kCalibrationRuns; i++)
+            cal_sink += calibrationKernel();
+    };
+    fn();
+    const auto n = static_cast<std::size_t>(repeats);
+    std::vector<std::vector<double>> row_runs(n);
+    std::vector<std::vector<double>> cal_runs(n);
+    for (int run = 0; run < kRunsPerRepeat; run++) {
+        for (std::size_t rep = 0; rep < n; rep++) {
+            cal_runs[rep].push_back(secondsFor(calibrate));
+            row_runs[rep].push_back(secondsFor(fn));
+        }
     }
-    std::sort(samples.begin(), samples.end());
-    return samples[samples.size() / 2];
+    check(cal_sink > 0.0, "calibration kernel produced nothing");
+    std::vector<double> raw;
+    std::vector<double> norm;
+    for (std::size_t rep = 0; rep < n; rep++) {
+        std::vector<double> ratios;
+        for (int run = 0; run < kRunsPerRepeat; run++)
+            ratios.push_back(row_runs[rep][run] /
+                             (cal_runs[rep][run] / kCalibrationRuns));
+        raw.push_back(medianOf(row_runs[rep]));
+        norm.push_back(medianOf(ratios));
+    }
+    const auto [raw_lo, raw_hi] = std::minmax_element(raw.begin(), raw.end());
+    const auto [norm_lo, norm_hi] =
+        std::minmax_element(norm.begin(), norm.end());
+    return {*raw_lo, *raw_hi / *raw_lo, *norm_lo, *norm_hi / *norm_lo};
 }
 
 /** Drive `q` through `n` pre-filled events plus `n` schedule-on-pop
@@ -134,18 +243,16 @@ int
 main(int argc, char **argv)
 {
     // This bench times the production hot path; the opt-in semantic
-    // analyzer gate (HILOS_ANALYZE_PLANS, DESIGN.md section 15) adds a
-    // per-applyPlan cost to both sweep arms that compresses the
-    // cached-vs-legacy ratio below its contract floor. Scrub it before
-    // the first plan evaluation caches the flag.
+    // analyzer gate (HILOS_ANALYZE_PLANS, DESIGN.md section 15) would
+    // add a per-applyPlan cost to every timed plan evaluation and make
+    // the rows incomparable with the baseline. Scrub it before the
+    // first plan evaluation caches the flag.
     unsetenv("HILOS_ANALYZE_PLANS");
     ArgParser args("bench_sim_perf");
     args.addOption("events", "20000", "pre-filled events per queue run");
     args.addOption("grid-repeats", "3",
                    "repetitions of the base sweep grid");
-    args.addOption("repeats", "5", "timing repeats (median taken)");
-    args.addOption("min-speedup", "10",
-                   "fail if cached sweep speedup drops below this");
+    args.addOption("repeats", "5", "timing repeats (minimum taken)");
     args.addOption("json-dir", ".",
                    "where BENCH_sim_perf.json goes (empty = skip)");
     if (!args.parse(argc, argv) || args.helpRequested()) {
@@ -157,9 +264,12 @@ main(int argc, char **argv)
     const std::size_t grid_repeats =
         static_cast<std::size_t>(args.getInt("grid-repeats"));
     const int repeats = static_cast<int>(args.getInt("repeats"));
-    const double min_speedup = args.getDouble("min-speedup");
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
+        return 2;
+    }
+    if (repeats < 1) {
+        std::cerr << "error: --repeats must be at least 1\n";
         return 2;
     }
 
@@ -167,60 +277,79 @@ main(int argc, char **argv)
     const ModelConfig model = opt66b();
     const RunConfig headline{model, 16, 32768, 64};
 
-    TextTable table({"case", "unit", "value"});
+    TextTable table({"case", "unit", "value", "spread"});
     bench::BenchJson json("sim_perf");
     json.meta("model", model.name)
         .meta("events", static_cast<std::uint64_t>(events))
-        .meta("grid_repeats", static_cast<std::uint64_t>(grid_repeats));
+        .meta("grid_repeats", static_cast<std::uint64_t>(grid_repeats))
+        .meta("repeats", static_cast<std::uint64_t>(repeats));
 
-    const auto report = [&](const std::string &name,
-                            const std::string &unit, double value) {
-        table.row().cell(name).cell(unit).num(value, 3);
-        json.row().cell("case", name).cell("unit", unit).cell("value",
-                                                              value);
+    /** A timed row and its spread over the repeats. */
+    const auto reportRow = [&](const std::string &name,
+                               const std::string &unit, double value,
+                               double spread) {
+        table.row().cell(name).cell(unit).num(value, 3).num(spread, 3);
+        json.row()
+            .cell("case", name)
+            .cell("unit", unit)
+            .cell("value", value)
+            .cell("spread", spread);
+    };
+    /** A wall-time row in us/<per>, and its _norm row in cal/k<per>:
+     *  calibration kernel runs per thousand <per>. */
+    const auto reportTime = [&](const std::string &name,
+                                const std::string &per, const Timing &t,
+                                double count) {
+        reportRow(name, "us/" + per, 1e6 * t.best / count, t.spread);
+        reportRow(name + "_norm", "cal/k" + per, 1e3 * t.norm_best / count,
+                  t.norm_spread);
+    };
+    /** A deterministic model ratio (no timing, no spread). */
+    const auto reportRatio = [&](const std::string &name, double value) {
+        table.row().cell(name).cell("x").num(value, 3).cell("-");
+        json.row().cell("case", name).cell("unit", std::string("x")).cell(
+            "value", value);
     };
 
-    // --- 1. engine evaluation: fresh-engine legacy vs cached rebuild ---
+    // --- 0. calibration: host speed, measured without the library ---
+    const Timing cal = timeSeconds([] { (void)calibrationKernel(); },
+                                   repeats);
+    reportRow("calibration", "us/run", 1e6 * cal.best, cal.spread);
+
+    // --- 1. engine evaluation: fresh-engine cold vs cached rebuild ---
     const std::vector<std::uint64_t> batches = {4, 8, 16, 32};
-    const int eval_iters = 20;
-    const double legacy_flex = timeSeconds(
+    const int eval_iters = 200;
+    const auto batchOf = [&](int i) {
+        RunConfig cfg = headline;
+        cfg.batch = batches[static_cast<std::size_t>(i) % batches.size()];
+        return cfg;
+    };
+    const Timing cold_flex = timeSeconds(
         [&] {
             for (int i = 0; i < eval_iters; i++) {
-                RunConfig cfg = headline;
-                cfg.batch =
-                    batches[static_cast<std::size_t>(i) % batches.size()];
-                const auto engine =
-                    makeEngine(EngineKind::FlexSsd, sys);
-                const RunResult r = engine->run(cfg);
-                check(r.feasible, "legacy FLEX(SSD) point infeasible");
+                const auto engine = makeEngine(EngineKind::FlexSsd, sys);
+                const RunResult r = engine->run(batchOf(i));
+                check(r.feasible, "cold FLEX(SSD) point infeasible");
             }
         },
         repeats);
     PlanCache flex_cache;
     const auto flex_engine = makeEngine(EngineKind::FlexSsd, sys);
-    flex_engine->runCached(headline, flex_cache);  // warm the cache
-    const double cached_flex = timeSeconds(
+    const Timing cached_flex = timeSeconds(
         [&] {
             for (int i = 0; i < eval_iters; i++) {
-                RunConfig cfg = headline;
-                cfg.batch =
-                    batches[static_cast<std::size_t>(i) % batches.size()];
                 const RunResult r =
-                    flex_engine->runCached(cfg, flex_cache);
+                    flex_engine->runCached(batchOf(i), flex_cache);
                 check(r.feasible, "cached FLEX(SSD) point infeasible");
             }
         },
         repeats);
-    report("flex_ssd_legacy", "us/point",
-           1e6 * legacy_flex / eval_iters);
-    report("flex_ssd_cached", "us/point",
-           1e6 * cached_flex / eval_iters);
-    report("flex_ssd_point_speedup", "x", legacy_flex / cached_flex);
+    reportTime("flex_ssd_cold", "point", cold_flex, eval_iters);
+    reportTime("flex_ssd_cached", "point", cached_flex, eval_iters);
 
     PlanCache hilos_cache;
     const auto hilos_engine = makeEngine(EngineKind::Hilos, sys);
-    hilos_engine->runCached(headline, hilos_cache);
-    const double legacy_hilos = timeSeconds(
+    const Timing cold_hilos = timeSeconds(
         [&] {
             for (int i = 0; i < eval_iters; i++) {
                 const auto engine = makeEngine(EngineKind::Hilos, sys);
@@ -228,43 +357,42 @@ main(int argc, char **argv)
             }
         },
         repeats);
-    const double cached_hilos = timeSeconds(
+    const Timing cached_hilos = timeSeconds(
         [&] {
             for (int i = 0; i < eval_iters; i++)
                 (void)hilos_engine->runCached(headline, hilos_cache);
         },
         repeats);
-    report("hilos_legacy", "us/point", 1e6 * legacy_hilos / eval_iters);
-    report("hilos_cached", "us/point", 1e6 * cached_hilos / eval_iters);
+    reportTime("hilos_cold", "point", cold_hilos, eval_iters);
+    reportTime("hilos_cached", "point", cached_hilos, eval_iters);
 
     // --- 2. plan evaluation backends over one HILOS decode plan ---
     const StepPlan plan =
         decodeStepPlanFor(EngineKind::Hilos, sys, headline);
     check(plan.feasible, "headline HILOS plan infeasible");
-    const int eval_plan_iters = 200;
+    const int plan_iters = 2000;
+    const int replay_iters = 50;
     double sink = 0.0;
-    const double analytic = timeSeconds(
+    const Timing analytic = timeSeconds(
         [&] {
-            for (int i = 0; i < eval_plan_iters; i++)
+            for (int i = 0; i < plan_iters; i++)
                 sink += evaluatePlan(plan).decode_step_time;
         },
         repeats);
-    const double event_sim = timeSeconds(
+    const Timing event_sim = timeSeconds(
         [&] {
-            for (int i = 0; i < eval_plan_iters; i++)
+            for (int i = 0; i < replay_iters; i++)
                 sink += simulatePlan(plan).decode_step_time;
         },
         repeats);
     check(sink > 0.0, "plan evaluation produced zero time");
-    report("evaluate_plan_analytic", "us/op",
-           1e6 * analytic / eval_plan_iters);
-    report("simulate_plan_event", "us/op",
-           1e6 * event_sim / eval_plan_iters);
+    reportTime("evaluate_plan_analytic", "plan", analytic, plan_iters);
+    reportTime("simulate_plan_event", "plan", event_sim, replay_iters);
 
     // --- 2b. Prefill-phase plans: build/evaluate cost + chunk ratio ---
-    const double prefill_build = timeSeconds(
+    const Timing prefill_build = timeSeconds(
         [&] {
-            for (int i = 0; i < eval_plan_iters; i++) {
+            for (int i = 0; i < plan_iters; i++) {
                 const StepPlan p =
                     prefillStepPlanFor(EngineKind::Hilos, sys, headline);
                 sink += static_cast<double>(p.layer_ops.size());
@@ -274,19 +402,17 @@ main(int argc, char **argv)
     const StepPlan prefill_plan =
         prefillStepPlanFor(EngineKind::Hilos, sys, headline);
     check(prefill_plan.feasible, "headline HILOS prefill plan infeasible");
-    const double prefill_eval = timeSeconds(
+    const Timing prefill_eval = timeSeconds(
         [&] {
-            for (int i = 0; i < eval_plan_iters; i++)
+            for (int i = 0; i < plan_iters; i++)
                 sink += evaluatePlan(prefill_plan).decode_step_time;
         },
         repeats);
-    report("prefill_plan_build", "us/op",
-           1e6 * prefill_build / eval_plan_iters);
-    report("prefill_plan_evaluate", "us/op",
-           1e6 * prefill_eval / eval_plan_iters);
+    reportTime("prefill_plan_build", "plan", prefill_build, plan_iters);
+    reportTime("prefill_plan_evaluate", "plan", prefill_eval, plan_iters);
     // Deterministic model ratios: machine-portable, so enforced against
-    // the baseline like the speedups. Chunking re-streams weights per
-    // pass, so 4 chunks cost >= 1x the monolithic prefill.
+    // the baseline as they are. Chunking re-streams weights per pass,
+    // so 4 chunks cost >= 1x the monolithic prefill.
     const Seconds mono_prefill =
         evaluatePlan(prefill_plan).decode_step_time;
     Seconds chunk4_sum = 0.0;
@@ -297,61 +423,59 @@ main(int argc, char **argv)
                           .decode_step_time;
     check(chunk4_sum >= mono_prefill,
           "chunked prefill cheaper than monolithic");
-    report("prefill_chunk4_overhead", "x", chunk4_sum / mono_prefill);
+    reportRatio("prefill_chunk4_overhead", chunk4_sum / mono_prefill);
     const RunResult headline_run =
         makeEngine(EngineKind::Hilos, sys)->run(headline);
     check(headline_run.feasible, "headline HILOS run infeasible");
-    report("prefill_share_of_total", "x",
-           headline_run.prefill_time / headline_run.total_time);
+    reportRatio("prefill_share_of_total",
+                headline_run.prefill_time / headline_run.total_time);
 
     // --- 3. event-queue throughput ---
     std::uint64_t fired_calendar = 0;
-    const double calendar_t = timeSeconds(
+    const Timing calendar_t = timeSeconds(
         [&] {
             EventQueue q;
             fired_calendar = eventQueueWorkload(q, events, 0xE0E0);
         },
         repeats);
     check(fired_calendar >= events, "event queue dropped events");
-    report("event_queue_calendar", "Mev/s",
-           static_cast<double>(fired_calendar) / calendar_t / 1e6);
+    reportTime("event_queue_calendar", "event", calendar_t,
+               static_cast<double>(fired_calendar));
 
-    // --- 4. end-to-end sweep: runGrid vs a cold run() per point ---
+    // --- 4. end-to-end sweep: a cold run() per point vs runGrid ---
     const std::vector<GridPoint> grid = sweepGrid(model, grid_repeats);
-    std::vector<RunResult> legacy_results;
+    std::vector<RunResult> cold_results;
     std::vector<RunResult> cached_results;
-    const double sweep_legacy = timeSeconds(
+    const Timing sweep_cold = timeSeconds(
         [&] {
-            legacy_results.clear();
+            cold_results.clear();
             for (const GridPoint &p : grid)
-                legacy_results.push_back(
+                cold_results.push_back(
                     makeEngine(p.kind, sys, p.hilos)->run(p.run));
         },
         repeats);
-    const double sweep_cached = timeSeconds(
+    const Timing sweep_cached = timeSeconds(
         [&] { cached_results = runGrid(sys, grid, 1); }, repeats);
-    check(legacy_results.size() == cached_results.size(),
+    check(cold_results.size() == cached_results.size(),
           "sweep result count mismatch");
     for (std::size_t i = 0; i < grid.size(); i++) {
-        check(legacy_results[i].decodeThroughput() ==
+        check(cold_results[i].decodeThroughput() ==
                   cached_results[i].decodeThroughput(),
-              "cached sweep diverged from legacy at point " +
+              "cached sweep diverged from cold at point " +
                   std::to_string(i));
     }
     const double pts = static_cast<double>(grid.size());
-    const double speedup = sweep_legacy / sweep_cached;
-    report("sweep_legacy", "points/s", pts / sweep_legacy);
-    report("sweep_cached", "points/s", pts / sweep_cached);
-    report("sweep_speedup", "x", speedup);
+    reportTime("sweep_cold", "point", sweep_cold, pts);
+    reportTime("sweep_cached", "point", sweep_cached, pts);
 
     table.print(std::cout);
-    std::cout << "sweep: " << grid.size() << " points, cached speedup "
-              << bench::jsonNumber(speedup) << "x (floor "
-              << bench::jsonNumber(min_speedup) << "x)\n";
+    std::cout << "sweep: " << grid.size() << " points, cold "
+              << bench::jsonNumber(pts / sweep_cold.best)
+              << " points/s, cached "
+              << bench::jsonNumber(pts / sweep_cached.best)
+              << " points/s\n";
     if (!args.get("json-dir").empty())
         json.write(args.get("json-dir"));
-    check(speedup >= min_speedup,
-          "cached sweep speedup below the contract floor");
     std::cout << "OK\n";
     return 0;
 }

@@ -14,6 +14,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/cli.h"
 #include "common/logging.h"
@@ -226,10 +227,8 @@ priceFor(const std::string &engine, const SystemConfig &sys,
                           sys.num_baseline_ssds);
 }
 
-}  // namespace
-
 int
-main(int argc, char **argv)
+runCli(int argc, char **argv)
 {
     ArgParser args("hilos_cli");
     args.addOption("engine", "hilos",
@@ -338,12 +337,21 @@ main(int argc, char **argv)
         std::cerr << "error: " << args.error() << "\n";
         return 2;
     }
+    if (opts.num_devices < 1 || opts.num_devices > 16) {
+        std::cerr << "error: --devices must be in 1..16\n";
+        return 2;
+    }
     const std::string fault_spec = args.get("fault-plan");
     if (!fault_spec.empty()) {
         try {
             opts.fault_plan = parseFaultPlan(fault_spec);
         } catch (const std::exception &e) {
             std::cerr << "error: " << e.what() << "\n";
+            return 2;
+        }
+        const std::vector<std::string> problems = opts.fault_plan.validate();
+        if (!problems.empty()) {
+            std::cerr << "error: --fault-plan: " << problems.front() << "\n";
             return 2;
         }
     }
@@ -556,4 +564,19 @@ main(int argc, char **argv)
                   << " (open in chrome://tracing)\n";
     }
     return r.feasible ? 0 : 1;
+}
+
+}  // namespace
+
+int
+main(int argc, char **argv)
+{
+    // HILOS_FATAL reports a user error, such as an unknown model or
+    // engine name, by throwing; it exits like any other bad input.
+    try {
+        return runCli(argc, argv);
+    } catch (const std::runtime_error &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 }

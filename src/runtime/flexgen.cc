@@ -6,16 +6,13 @@
 #include "runtime/cost_model.h"
 #include "runtime/plan_cache.h"
 #include "runtime/prefill_constants.h"
+#include "storage/ssd.h"
 
 namespace hilos {
 
 FlexGenEngine::FlexGenEngine(const SystemConfig &sys, FlexTier tier)
     : sys_(sys), tier_(tier)
 {
-    if (tier_ != FlexTier::HostDram)
-        kv_ssd_.emplace(tier_ == FlexTier::BaselineSsds
-                            ? sys_.baseline_ssd
-                            : sys_.smartssd.nand);
 }
 
 std::string
@@ -162,12 +159,14 @@ FlexGenEngine::makePlan(const RunConfig &cfg, RunResult &res,
     // entry is a 256 B sub-page write.
     Seconds kv_write = 0.0;
     if (on_ssd) {
+        const bool baseline = tier_ == FlexTier::BaselineSsds;
+        const SsdConfig &kv_ssd =
+            baseline ? sys_.baseline_ssd : sys_.smartssd.nand;
         const std::uint64_t devices =
-            tier_ == FlexTier::BaselineSsds ? sys_.num_baseline_ssds : 16;
+            baseline ? sys_.num_baseline_ssds : 16;
         const std::uint64_t slices = b * m.kv_heads;
-        kv_write = kv_ssd_->randomWriteTime(
-            ceilDiv(slices, devices),
-            2 * m.headDim() * m.dtype_bytes);
+        kv_write = kv_ssd.randomWriteTime(ceilDiv(slices, devices),
+                                          2 * m.headDim() * m.dtype_bytes);
     }
 
     // --- The decode-step plan ---

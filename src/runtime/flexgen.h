@@ -9,13 +9,11 @@
 #ifndef HILOS_RUNTIME_FLEXGEN_H_
 #define HILOS_RUNTIME_FLEXGEN_H_
 
-#include <optional>
 #include <string>
 
 #include "runtime/engine.h"
 #include "runtime/step_plan.h"
 #include "runtime/system_config.h"
-#include "storage/ssd.h"
 
 namespace hilos {
 
@@ -67,13 +65,6 @@ class FlexGenEngine : public InferenceEngine, public StepPlanSource
 
     SystemConfig sys_;
     FlexTier tier_;
-    /**
-     * This tier's KV device model, constructed once: the Ssd
-     * constructor builds a scaled FTL for wear accounting, which
-     * dominated makePlan when rebuilt per grid point. Empty for the
-     * DRAM tier (no device on the KV path).
-     */
-    std::optional<Ssd> kv_ssd_;
 };
 
 }  // namespace hilos

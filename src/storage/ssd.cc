@@ -6,6 +6,20 @@
 
 namespace hilos {
 
+Seconds
+SsdConfig::randomWriteTime(std::uint64_t count, std::uint64_t bytes) const
+{
+    if (count == 0)
+        return 0.0;
+    const std::uint64_t padded = roundUp(std::max<std::uint64_t>(bytes, 1),
+                                         page_bytes);
+    const Seconds iops_time =
+        static_cast<double>(count) / rand_write_iops;
+    const Seconds bw_time =
+        Bytes(static_cast<double>(count * padded)) / seq_write_bw;
+    return write_latency + std::max(iops_time, bw_time);
+}
+
 Ssd::Ssd(const SsdConfig &cfg, std::uint64_t capacity_scale)
     : cfg_(cfg), scale_(std::max<std::uint64_t>(1, capacity_scale))
 {
@@ -75,20 +89,6 @@ Ssd::degrade(double read_slowdown)
                  "cannot degrade a failed SSD");
     health_ = SsdHealth::Degraded;
     read_slowdown_ *= read_slowdown;
-}
-
-Seconds
-Ssd::randomWriteTime(std::uint64_t count, std::uint64_t bytes) const
-{
-    if (count == 0)
-        return 0.0;
-    const std::uint64_t padded = roundUp(std::max<std::uint64_t>(bytes, 1),
-                                         cfg_.page_bytes);
-    const Seconds iops_time =
-        static_cast<double>(count) / cfg_.rand_write_iops;
-    const Seconds bw_time =
-        Bytes(static_cast<double>(count * padded)) / cfg_.seq_write_bw;
-    return cfg_.write_latency + std::max(iops_time, bw_time);
 }
 
 void

@@ -39,6 +39,13 @@ struct SsdConfig {
 
     /** Rated endurance in bytes. */
     double enduranceBytes() const { return endurance_pbw * 1e15; }
+
+    /**
+     * Time for `count` random writes of `bytes` each. Writes smaller
+     * than a page are padded to page granularity (RMW), so a 256 B KV
+     * entry write costs a full 4 KiB program slot.
+     */
+    Seconds randomWriteTime(std::uint64_t count, std::uint64_t bytes) const;
 };
 
 /** Device health for degraded-mode execution. */
@@ -56,7 +63,10 @@ enum class SsdHealth {
  *    fixed command latency,
  *  - random (page-granular) accesses pay the IOPS limit,
  *  - sub-page writes cost a full page program (read-modify-write),
- *    which is the inefficiency delayed KV writeback removes.
+ *    which is the inefficiency delayed KV writeback removes. Random
+ *    writes are priced by SsdConfig::randomWriteTime, pure arithmetic
+ *    on the datasheet, so callers that only need that cost (the
+ *    FlexGen engines) never build the FTL.
  *
  * Wear accounting runs through a scaled FTL: the FTL geometry is
  * reduced (capacity_scale) so multi-terabyte devices don't need
@@ -79,12 +89,6 @@ class Ssd
     Seconds writeTime(std::uint64_t bytes) const;
     /** Time for `count` random reads of `bytes` each. */
     Seconds randomReadTime(std::uint64_t count, std::uint64_t bytes) const;
-    /**
-     * Time for `count` random writes of `bytes` each. Writes smaller
-     * than a page are padded to page granularity (RMW), so a 256 B KV
-     * entry write costs a full 4 KiB program slot.
-     */
-    Seconds randomWriteTime(std::uint64_t count, std::uint64_t bytes) const;
 
     /**
      * Record a host write for endurance accounting (does not advance

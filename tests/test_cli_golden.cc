@@ -145,6 +145,34 @@ TEST(CliGolden, BadServeInputsExitTwoWithANamedError)
     }
 }
 
+TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
+{
+    // Out-of-range devices, unknown names and a fault plan that parses
+    // but does not validate are user errors: each gets an `error:` line
+    // and exit 2, never a library assert (SIGABRT) or an uncaught
+    // exception.
+    const struct {
+        const char *args;
+        const char *error;
+    } cases[] = {
+        {"--devices 0", "error: --devices"},
+        {"--devices 17", "error: --devices"},
+        {"--model NoSuch", "error: "},
+        {"--engine nosuch", "error: "},
+        {"--fault-plan 'fail@nan=3'", "error: --fault-plan"},
+    };
+    for (const auto &c : cases) {
+        const std::string cmd = std::string(HILOS_CLI_PATH) + " " + c.args;
+        std::string out;
+        const int status = runStatus(cmd, &out);
+        EXPECT_FALSE(WIFSIGNALED(status)) << cmd << "\n" << out;
+        ASSERT_TRUE(WIFEXITED(status)) << cmd << "\n" << out;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << "\n" << out;
+        EXPECT_NE(out.find(c.error), std::string::npos)
+            << cmd << "\n" << out;
+    }
+}
+
 }  // namespace
 }  // namespace test
 }  // namespace hilos

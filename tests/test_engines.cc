@@ -64,6 +64,27 @@ TEST_F(EngineFixture, FlexSsdKeepsRequestedBatch)
     EXPECT_EQ(r.effective_batch, 16u);
 }
 
+TEST_F(EngineFixture, FlexSsdKvCommitIsPricedFromTheDriveConfig)
+{
+    // Each step commits one 2 x head_dim entry per (sequence, KV head),
+    // striped over the RAID-0 members as sub-page random writes.
+    const RunConfig run = makeRun(opt66b(), 16, 16384);
+    const ModelConfig &m = run.model;
+    const StepPlan plan = decodeStepPlanFor(EngineKind::FlexSsd, sys, run);
+    ASSERT_TRUE(plan.feasible);
+    const Seconds expected = sys.baseline_ssd.randomWriteTime(
+        ceilDiv(run.batch * m.kv_heads, sys.num_baseline_ssds),
+        2 * m.headDim() * m.dtype_bytes);
+    bool found = false;
+    for (const StepOpView op : plan.layer_ops) {
+        if (op.label != "kv_commit")
+            continue;
+        found = true;
+        EXPECT_EQ(op.seconds, expected);
+    }
+    EXPECT_TRUE(found) << "FLEX(SSD) decode plan has no kv_commit op";
+}
+
 TEST_F(EngineFixture, KvIoDominatesFlexSsdAtLongContext)
 {
     // Fig. 2(b): > 60% of decode time in KV transfers.

@@ -54,10 +54,13 @@ TEST(Ssd, RandomReadIopsLimit)
 
 TEST(Ssd, SubPageRandomWritePaysFullPage)
 {
-    const Ssd ssd(pm9a3Config());
-    // A 256 B write costs the same as a full 4 KiB write slot.
-    EXPECT_DOUBLE_EQ(ssd.randomWriteTime(1000, 256),
-                     ssd.randomWriteTime(1000, 4096));
+    // A 256 B write costs the same as a full 4 KiB write slot, on both
+    // the baseline drive and the SmartSSD's internal NAND.
+    for (const SsdConfig &cfg : {pm9a3Config(), smartSsdNandConfig()}) {
+        SCOPED_TRACE(cfg.name);
+        EXPECT_DOUBLE_EQ(cfg.randomWriteTime(1000, 256),
+                         cfg.randomWriteTime(1000, 4096));
+    }
 }
 
 TEST(Ssd, SequentialWritesHaveUnitAmplification)
