@@ -12,8 +12,8 @@
  *     event-driven simulatePlan over one HILOS decode plan, plus the
  *     Prefill-phase plan's build/evaluate cost and the deterministic
  *     chunked-prefill overhead ratio (4 chunks vs monolithic);
- *  3. event-queue throughput — the calendar queue on a pre-filled
- *     drain plus a schedule-on-pop workload;
+ *  3. serving — ServingSimulator::run on a saturated open-loop Poisson
+ *     stream (HILOS, OPT-66B, batch cap 16), per request served;
  *  4. end-to-end sweep rate — runGrid and a plain loop of cold
  *     makeEngine(...)->run() on a Fig-10 style engine x batch x
  *     context grid, same binary; the two must agree bit for bit.
@@ -52,7 +52,8 @@
 #include "core/hilos.h"
 #include "runtime/event_sim.h"
 #include "runtime/plan_cache.h"
-#include "sim/event_queue.h"
+#include "runtime/serving.h"
+#include "runtime/serving_workload.h"
 
 using namespace hilos;
 
@@ -183,29 +184,6 @@ timeSeconds(const std::function<void()> &fn, int repeats)
     return {*raw_lo, *raw_hi / *raw_lo, *norm_lo, *norm_hi / *norm_lo};
 }
 
-/** Drive `q` through `n` pre-filled events plus `n` schedule-on-pop
- *  descendants; returns a checksum so the work cannot be elided. */
-std::uint64_t
-eventQueueWorkload(EventQueue &q, std::size_t n, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::uint64_t fired = 0;
-    for (std::size_t i = 0; i < n; i++) {
-        const Seconds when = Seconds(rng.uniform(0.0, 1.0));
-        q.scheduleAt(when, [&q, &fired, &rng] {
-            fired++;
-            // Half the events reschedule: the simulation-like pattern
-            // (transfer completion enqueues the dependent op).
-            if ((fired & 1) == 0) {
-                q.scheduleAfter(Seconds(rng.uniform(0.0, 1e-3)),
-                                [&fired] { fired++; });
-            }
-        });
-    }
-    q.run();
-    return fired;
-}
-
 /** Fig-10-style sweep grid: every baseline plus HILOS across batch x
  *  context, dominated (like the figure) by the storage baselines whose
  *  per-point setup runGrid's plan cache amortises.  Points are ordered
@@ -249,7 +227,6 @@ main(int argc, char **argv)
     // first plan evaluation caches the flag.
     unsetenv("HILOS_ANALYZE_PLANS");
     ArgParser args("bench_sim_perf");
-    args.addOption("events", "20000", "pre-filled events per queue run");
     args.addOption("grid-repeats", "3",
                    "repetitions of the base sweep grid");
     args.addOption("repeats", "5", "timing repeats (minimum taken)");
@@ -259,8 +236,6 @@ main(int argc, char **argv)
         std::cerr << args.usage();
         return args.helpRequested() ? 0 : 2;
     }
-    const std::size_t events =
-        static_cast<std::size_t>(args.getInt("events"));
     const std::size_t grid_repeats =
         static_cast<std::size_t>(args.getInt("grid-repeats"));
     const int repeats = static_cast<int>(args.getInt("repeats"));
@@ -280,7 +255,6 @@ main(int argc, char **argv)
     TextTable table({"case", "unit", "value", "spread"});
     bench::BenchJson json("sim_perf");
     json.meta("model", model.name)
-        .meta("events", static_cast<std::uint64_t>(events))
         .meta("grid_repeats", static_cast<std::uint64_t>(grid_repeats))
         .meta("repeats", static_cast<std::uint64_t>(repeats));
 
@@ -430,17 +404,31 @@ main(int argc, char **argv)
     reportRatio("prefill_share_of_total",
                 headline_run.prefill_time / headline_run.total_time);
 
-    // --- 3. event-queue throughput ---
-    std::uint64_t fired_calendar = 0;
-    const Timing calendar_t = timeSeconds(
+    // --- 3. serving: the admit + step loop on a saturated stream ---
+    // 0.25 req/s is far above what HILOS drains on OPT-66B at a batch
+    // cap of 16, so the pending queue stays deep for the whole run.
+    PoissonStreamConfig stream_cfg;
+    stream_cfg.arrival_rate = 0.25;
+    stream_cfg.count = 2000;
+    Rng stream_rng(0x5345525645ull);
+    const std::vector<Request> stream =
+        makePoissonArrivals(stream_cfg, stream_rng);
+    const auto serving_engine = makeEngine(EngineKind::Hilos, sys);
+    ServingConfig serving_cfg;
+    serving_cfg.model = model;
+    serving_cfg.max_batch = 16;
+    const ServingSimulator serving(*serving_engine, serving_cfg);
+    std::uint64_t served = 0;
+    const Timing serving_t = timeSeconds(
         [&] {
-            EventQueue q;
-            fired_calendar = eventQueueWorkload(q, events, 0xE0E0);
+            const ServingResult r = serving.run(stream);
+            check(r.feasible, "saturated serving stream infeasible");
+            served = r.records.size();
         },
         repeats);
-    check(fired_calendar >= events, "event queue dropped events");
-    reportTime("event_queue_calendar", "event", calendar_t,
-               static_cast<double>(fired_calendar));
+    check(served == stream.size(), "serving dropped requests");
+    reportTime("serving_saturated", "request", serving_t,
+               static_cast<double>(served));
 
     // --- 4. end-to-end sweep: a cold run() per point vs runGrid ---
     const std::vector<GridPoint> grid = sweepGrid(model, grid_repeats);

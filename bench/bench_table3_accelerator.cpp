@@ -20,7 +20,6 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "sim/bandwidth.h"
-#include "sim/event_queue.h"
 
 using namespace hilos;
 

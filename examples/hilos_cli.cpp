@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/cli.h"
 #include "common/logging.h"
@@ -572,11 +573,15 @@ int
 main(int argc, char **argv)
 {
     // HILOS_FATAL reports a user error, such as an unknown model or
-    // engine name, by throwing; it exits like any other bad input.
+    // engine name or a malformed arrival-trace line, by throwing; it
+    // exits like any other bad input, under the same `error:` prefix.
     try {
         return runCli(argc, argv);
     } catch (const std::runtime_error &e) {
-        std::cerr << "error: " << e.what() << "\n";
+        std::string_view what = e.what();
+        if (what.starts_with("fatal: "))
+            what.remove_prefix(std::string_view("fatal: ").size());
+        std::cerr << "error: " << what << "\n";
         return 2;
     }
 }

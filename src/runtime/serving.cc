@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -11,7 +13,6 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "runtime/step_plan.h"
-#include "sim/event_queue.h"
 
 namespace hilos {
 
@@ -232,7 +233,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     // A request's context grows to input + output tokens over its
     // lifetime; admission reserves capacity at that padded peak so the
     // in-flight batch never outgrows the engine mid-generation.
-    const auto lifetimeCtx = [&](const RequestRecord &rec) {
+    const auto lifetimeCtx = [&](const auto &rec) {
         return roundUp(rec.input_tokens + rec.output_tokens,
                        cfg_.bucket_quantum);
     };
@@ -258,27 +259,44 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     };
     std::set<AdmissionCandidate, decltype(admission_order)> pending(
         admission_order);
-    const auto arrive = [&](std::size_t id) {
-        const RequestRecord &rec = res.records[id];
-        AdmissionCandidate c;
-        c.id = id;
-        c.arrival = rec.arrival;
-        c.input_tokens = rec.input_tokens;
-        c.output_tokens = rec.output_tokens;
-        c.deadline = rec.arrival + cfg_.slo;
-        pending.insert(c);
+    // Arrivals in (arrival, id) order: a cursor hands each request to
+    // the pending set once the clock reaches its arrival time.
+    std::vector<std::size_t> arrivals(res.records.size());
+    std::iota(arrivals.begin(), arrivals.end(), std::size_t{0});
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return res.records[a].arrival <
+                                res.records[b].arrival;
+                     });
+    std::size_t next_arrival = 0;
+    Seconds now = 0.0;
+    const auto arriveUntil = [&](Seconds t) {
+        for (; next_arrival < arrivals.size(); next_arrival++) {
+            const RequestRecord &rec = res.records[arrivals[next_arrival]];
+            if (rec.arrival > t)
+                break;
+            AdmissionCandidate c;
+            c.id = rec.id;
+            c.arrival = rec.arrival;
+            c.input_tokens = rec.input_tokens;
+            c.output_tokens = rec.output_tokens;
+            c.deadline = rec.arrival + cfg_.slo;
+            pending.insert(c);
+        }
     };
-    EventQueue eq;
-    for (const RequestRecord &rec : res.records) {
-        const std::size_t id = rec.id;
-        eq.scheduleAt(rec.arrival, [&arrive, id] { arrive(id); });
-    }
 
     struct InFlight {
         std::size_t id = 0;
+        std::uint64_t input_tokens = 0;
+        std::uint64_t output_tokens = 0;
         std::uint64_t generated = 0;
     };
     std::vector<InFlight> flight;
+    const auto join = [&](std::size_t id) {
+        const RequestRecord &rec = res.records[id];
+        flight.push_back(
+            InFlight{id, rec.input_tokens, rec.output_tokens, 0});
+    };
     // Admitted groups whose prefill has not finished: the first chunk
     // was charged at admission; later chunks run one per loop turn,
     // yielding to (and overlapping) the decode batch. Requests join
@@ -300,7 +318,8 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     while (completed < res.requests) {
         if (flight.empty() && pending.empty() && prefilling.empty()) {
             // Idle: jump straight to the next arrival.
-            eq.runUntil(eq.peekNext());
+            now = res.records[arrivals[next_arrival]].arrival;
+            arriveUntil(now);
             continue;
         }
 
@@ -313,8 +332,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         if (!pending.empty() && busy < cfg_.max_batch) {
             std::uint64_t flight_ctx = 0;
             for (const InFlight &f : flight)
-                flight_ctx =
-                    std::max(flight_ctx, lifetimeCtx(res.records[f.id]));
+                flight_ctx = std::max(flight_ctx, lifetimeCtx(f));
             for (const PrefillGroup &g : prefilling)
                 for (const std::size_t id : g.ids)
                     flight_ctx = std::max(flight_ctx,
@@ -331,7 +349,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                 if (cost.capacity(ctx) < committed + 1)
                     break;
                 flight_ctx = ctx;
-                res.records[stop->id].admitted = eq.now();
+                res.records[stop->id].admitted = now;
                 admitted.push_back(stop->id);
             }
             if (!admitted.empty()) {
@@ -345,16 +363,17 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                     prompt =
                         std::max(prompt, res.records[id].input_tokens);
                 PrefillGroup g;
-                g.ids = admitted;
+                g.ids = std::move(admitted);
                 g.prompt_ctx = roundUp(prompt, cfg_.bucket_quantum);
                 const Seconds chunk0 = cost.prefillChunkTime(
                     g.ids.size(), g.prompt_ctx, 0, cfg_.prefill_chunks);
-                eq.runUntil(eq.now() + chunk0);
+                now = now + chunk0;
+                arriveUntil(now);
                 res.prefill_batches++;
                 res.prefill_chunks_run++;
                 if (cfg_.prefill_chunks == 1) {
                     for (const std::size_t id : g.ids)
-                        flight.push_back(InFlight{id, 0});
+                        join(id);
                 } else {
                     prefilling.push_back(std::move(g));
                 }
@@ -363,26 +382,10 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         if (flight.empty() && prefilling.empty())
             continue;
 
-        // One decode step for the whole in-flight batch, costed at the
-        // padded longest current context. Decode runs at priority:
-        // when a group is mid-prefill, its next chunk is preempted
-        // onto the host GPU under this step (decode attention is
-        // fleet-bound, prefill compute host-bound), so the loop turn
-        // costs the slower of the two.
-        Seconds step = 0.0;
-        if (!flight.empty()) {
-            res.peak_in_flight = std::max<std::uint64_t>(
-                res.peak_in_flight, flight.size());
-            std::uint64_t ctx_now = 0;
-            for (const InFlight &f : flight) {
-                const RequestRecord &rec = res.records[f.id];
-                ctx_now =
-                    std::max(ctx_now, rec.input_tokens + f.generated);
-            }
-            step = cost.stepTime(flight.size(),
-                                 roundUp(ctx_now, cfg_.bucket_quantum));
-            res.decode_steps++;
-        }
+        // Decode runs at priority: when a group is mid-prefill, its
+        // next chunk is preempted onto the host GPU under the decode
+        // step (decode attention is fleet-bound, prefill compute
+        // host-bound), so that turn costs the slower of the two.
         Seconds chunk = 0.0;
         if (!prefilling.empty()) {
             PrefillGroup &g = prefilling.front();
@@ -394,32 +397,76 @@ ServingSimulator::run(const std::vector<Request> &requests) const
             if (!flight.empty())
                 res.prefill_preemptions++;
         }
-        eq.runUntil(eq.now() + std::max(step, chunk));
 
-        if (!flight.empty()) {
-            for (InFlight &f : flight) {
-                f.generated++;
-                if (f.generated == 1)
-                    res.records[f.id].first_token = eq.now();
-            }
-            for (const InFlight &f : flight) {
-                if (f.generated >= res.records[f.id].output_tokens) {
-                    res.records[f.id].completed = eq.now();
-                    completed++;
+        // Decode steps for the whole in-flight batch, each costed at
+        // the padded longest current context. The turn runs until the
+        // next step boundary where the batch can change: the first
+        // completion, or (with room in the batch) the first boundary
+        // that could admit someone — the next one when requests are
+        // already pending, else the first at or after the next
+        // arrival. A mid-prefill group changes the batch every step.
+        std::uint64_t ctx = 0;
+        std::uint64_t max_steps = std::numeric_limits<std::uint64_t>::max();
+        for (const InFlight &f : flight) {
+            ctx = std::max(ctx, f.input_tokens + f.generated);
+            max_steps = std::min(max_steps, f.output_tokens - f.generated);
+        }
+        const bool room = flight.size() < cfg_.max_batch;
+        if (flight.empty() || !prefilling.empty() ||
+            (room && !pending.empty()))
+            max_steps = 1;
+        const Seconds stop_at =
+            room && next_arrival < arrivals.size()
+                ? res.records[arrivals[next_arrival]].arrival
+                : Seconds(std::numeric_limits<double>::infinity());
+        // Within a run the flight is fixed and every context grows by
+        // one token per step, so the step cost is looked up again only
+        // when the padded context crosses a bucket; the steps in
+        // between are the cache hits they would have been.
+        Seconds step = 0.0;
+        Seconds first_step_end = 0.0;
+        std::uint64_t bucket = 0;
+        std::uint64_t steps = 0;
+        do {
+            if (!flight.empty()) {
+                const std::uint64_t b =
+                    roundUp(ctx + steps, cfg_.bucket_quantum);
+                if (steps == 0 || b != bucket) {
+                    step = cost.stepTime(flight.size(), b);
+                    bucket = b;
+                } else {
+                    cost.hits++;
                 }
             }
-            flight.erase(
-                std::remove_if(flight.begin(), flight.end(),
-                               [&](const InFlight &f) {
-                                   return f.generated >=
-                                          res.records[f.id].output_tokens;
-                               }),
-                flight.end());
+            now = now + std::max(step, chunk);
+            if (steps == 0)
+                first_step_end = now;
+            steps++;
+        } while (steps < max_steps && now < stop_at);
+        arriveUntil(now);
+
+        if (!flight.empty()) {
+            res.peak_in_flight = std::max<std::uint64_t>(
+                res.peak_in_flight, flight.size());
+            res.decode_steps += steps;
+            std::size_t kept = 0;
+            for (InFlight f : flight) {
+                if (f.generated == 0)
+                    res.records[f.id].first_token = first_step_end;
+                f.generated += steps;
+                if (f.generated >= f.output_tokens) {
+                    res.records[f.id].completed = now;
+                    completed++;
+                } else {
+                    flight[kept++] = f;
+                }
+            }
+            flight.resize(kept);
         }
         if (!prefilling.empty() &&
             prefilling.front().next_chunk >= cfg_.prefill_chunks) {
             for (const std::size_t id : prefilling.front().ids)
-                flight.push_back(InFlight{id, 0});
+                join(id);
             prefilling.pop_front();
         }
     }
@@ -443,12 +490,14 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         if (rec.met_slo)
             res.slo_met++;
     }
-    res.ttft_p50 = Seconds(exactQuantile(ttft, 0.50));
-    res.ttft_p99 = Seconds(exactQuantile(ttft, 0.99));
-    res.ttft_p999 = Seconds(exactQuantile(ttft, 0.999));
-    res.latency_p50 = Seconds(exactQuantile(e2e, 0.50));
-    res.latency_p99 = Seconds(exactQuantile(e2e, 0.99));
-    res.latency_p999 = Seconds(exactQuantile(e2e, 0.999));
+    std::sort(ttft.begin(), ttft.end());
+    std::sort(e2e.begin(), e2e.end());
+    res.ttft_p50 = Seconds(exactQuantileSorted(ttft, 0.50));
+    res.ttft_p99 = Seconds(exactQuantileSorted(ttft, 0.99));
+    res.ttft_p999 = Seconds(exactQuantileSorted(ttft, 0.999));
+    res.latency_p50 = Seconds(exactQuantileSorted(e2e, 0.50));
+    res.latency_p99 = Seconds(exactQuantileSorted(e2e, 0.99));
+    res.latency_p999 = Seconds(exactQuantileSorted(e2e, 0.999));
     res.mean_queue_wait =
         Seconds(wait / static_cast<double>(res.requests));
     res.slo_attainment = static_cast<double>(res.slo_met) /

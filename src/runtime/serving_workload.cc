@@ -98,13 +98,15 @@ parseArrivalTrace(const std::string &text)
         const bool parsed =
             static_cast<bool>(fields >> arrival >> input >> output) &&
             !(fields >> trailing);
-        HILOS_ASSERT(parsed,
-                     "arrival trace line ", lineno,
-                     ": expected `<arrival_seconds> <input> <output>`");
-        HILOS_ASSERT(arrival >= 0.0, "arrival trace line ", lineno,
-                     ": negative arrival time ", arrival);
-        HILOS_ASSERT(input >= 1 && output >= 1, "arrival trace line ",
-                     lineno, ": token counts must be >= 1");
+        if (!parsed)
+            HILOS_FATAL("arrival trace line ", lineno,
+                        ": expected `<arrival_seconds> <input> <output>`");
+        if (!(arrival >= 0.0))
+            HILOS_FATAL("arrival trace line ", lineno,
+                        ": negative arrival time ", arrival);
+        if (input < 1 || output < 1)
+            HILOS_FATAL("arrival trace line ", lineno,
+                        ": token counts must be >= 1");
         Request r;
         r.cls = classifyByInputLength(input);
         r.input_tokens = input;

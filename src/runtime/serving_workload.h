@@ -60,7 +60,7 @@ RequestClass classifyByInputLength(std::uint64_t input_tokens);
  * Parse an arrival trace: one request per line as
  * `<arrival_seconds> <input_tokens> <output_tokens>`, `#` starts a
  * comment, blank lines are skipped. Arrivals must be non-negative and
- * token counts >= 1; the first malformed line raises an assertion
+ * token counts >= 1; the first malformed line is a fatal user error
  * naming its line number. Requests are returned sorted by arrival.
  */
 std::vector<Request> parseArrivalTrace(const std::string &text);

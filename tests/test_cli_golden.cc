@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "support/golden.h"
@@ -142,6 +143,42 @@ TEST(CliGolden, BadServeInputsExitTwoWithANamedError)
         EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << "\n" << out;
         EXPECT_NE(out.find(c.error), std::string::npos)
             << cmd << "\n" << out;
+    }
+}
+
+TEST(CliGolden, BadArrivalTraceLinesExitTwoWithTheLineNumber)
+{
+    // A malformed or zero-token --arrival-trace line is the user's
+    // error: exit 2 with an `error:` line naming the trace line, never
+    // a library panic (SIGABRT).
+    const struct {
+        const char *name;
+        const char *text;
+        const char *error;
+    } cases[] = {
+        {"zero_tokens.trace", "0.5 256 100\n1.0 256 0\n",
+         "error: arrival trace line 2: token counts must be >= 1"},
+        {"malformed.trace", "# header\n0.5 256\n",
+         "error: arrival trace line 2: expected"},
+        {"negative.trace", "-1 256 100\n",
+         "error: arrival trace line 1: negative arrival time"},
+    };
+    for (const auto &c : cases) {
+        const std::string path = ::testing::TempDir() + c.name;
+        {
+            std::ofstream trace(path);
+            trace << c.text;
+        }
+        const std::string cmd = std::string(HILOS_CLI_PATH) +
+                                " --serve --arrival-trace " + path;
+        std::string out;
+        const int status = runStatus(cmd, &out);
+        EXPECT_FALSE(WIFSIGNALED(status)) << cmd << "\n" << out;
+        ASSERT_TRUE(WIFEXITED(status)) << cmd << "\n" << out;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << "\n" << out;
+        EXPECT_NE(out.find(c.error), std::string::npos)
+            << cmd << "\n" << out;
+        std::remove(path.c_str());
     }
 }
 

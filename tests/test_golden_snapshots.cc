@@ -209,6 +209,38 @@ TEST(GoldenSnapshots, ServingPoliciesSaturatedOpt66b)
     expectGolden("serving_policies_saturated_opt66b.txt", os.str());
 }
 
+TEST(GoldenSnapshots, ServingModerateLoadOpt66b)
+{
+    // The unsaturated regime: at these rates the batch mostly runs
+    // below its cap of 16 and arrivals land while an admitted group is
+    // still mid-prefill, so every step boundary that could admit one
+    // of them shows up in the admitted/first_token/completed times.
+    const HilosEngine engine(defaultSystem(), HilosOptions{});
+    std::ostringstream os;
+    for (const double rate : {0.02, 0.005}) {
+        PoissonStreamConfig pc;
+        pc.arrival_rate = rate;
+        pc.count = 300;
+        Rng rng(17);
+        const std::vector<Request> stream = makePoissonArrivals(pc, rng);
+        for (const ServingPolicy policy :
+             {ServingPolicy::Fcfs, ServingPolicy::Sjf}) {
+            for (const std::uint64_t chunks : {1, 4}) {
+                ServingConfig cfg;
+                cfg.model = modelByName("OPT-66B");
+                cfg.max_batch = 16;
+                cfg.policy = policy;
+                cfg.prefill_chunks = chunks;
+                os << "==== rate=" << rate << ' '
+                   << servingPolicyName(policy)
+                   << " prefill_chunks=" << chunks << " ====\n"
+                   << serialize(ServingSimulator(engine, cfg).run(stream));
+            }
+        }
+    }
+    expectGolden("serving_moderate_load_opt66b.txt", os.str());
+}
+
 TEST(GoldenSnapshots, BatcherTokenAccountingOpt66b)
 {
     // Pins the corrected serve() accounting: tokens_per_second counts

@@ -13,6 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/hilos.h"
@@ -137,13 +141,31 @@ TEST(ServingWorkload, TraceParserAcceptsMissingTrailingNewline)
     EXPECT_EQ(reqs[1].cls, RequestClass::Medium);
 }
 
+/** The user error parseArrivalTrace raises on `text` ("" if none). */
+std::string
+traceError(const std::string &text)
+{
+    try {
+        (void)parseArrivalTrace(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(ServingWorkload, TraceParserRejectsMalformedLines)
 {
-    EXPECT_DEATH(parseArrivalTrace("0.5 256\n"), "line 1");
-    EXPECT_DEATH(parseArrivalTrace("ok 256 100\n"), "line 1");
-    EXPECT_DEATH(parseArrivalTrace("1.0 256 100\n-2 256 100\n"),
-                 "line 2");
-    EXPECT_DEATH(parseArrivalTrace("1.0 256 0\n"), "line 1");
+    // A bad trace line is the user's error, not a library bug: it is
+    // a fatal error naming the line, never a panic.
+    EXPECT_NE(traceError("0.5 256\n").find("line 1: expected"),
+              std::string::npos);
+    EXPECT_NE(traceError("ok 256 100\n").find("line 1: expected"),
+              std::string::npos);
+    EXPECT_NE(traceError("1.0 256 100\n-2 256 100\n")
+                  .find("line 2: negative arrival"),
+              std::string::npos);
+    EXPECT_NE(traceError("1.0 256 0\n").find("line 1: token counts"),
+              std::string::npos);
 }
 
 TEST(ServingPolicyOrder, ParseAndNameRoundTrip)
@@ -522,6 +544,63 @@ TEST_F(ServingSim, ChunkedPrefillCountsChunksAndPreemptions)
     ASSERT_EQ(chunked.records.size(), reqs.size());
     for (const RequestRecord &r : chunked.records)
         EXPECT_GT(r.first_token, r.admitted);
+}
+
+TEST_F(ServingSim, ServingIsIndependentOfSubmissionOrder)
+{
+    // Arrivals reach the pending queue in (arrival, id) order whatever
+    // order the stream is submitted in. Shuffle a stream with tied
+    // arrivals, keeping each tie group in its relative order (the id
+    // tiebreak), and the run must match the sorted one request for
+    // request once ids are mapped back.
+    const HilosEngine eng = engine();
+    std::vector<Request> sorted = sampleStream(48, 2.0);
+    for (std::size_t i = 3; i < sorted.size(); i += 4)
+        sorted[i].arrival = sorted[i - 1].arrival;
+
+    // perm[j] is the sorted index submitted at position j.
+    std::vector<std::size_t> perm(sorted.size());
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    Rng rng(29);
+    for (std::size_t j = perm.size() - 1; j > 0; j--)
+        std::swap(perm[j], perm[static_cast<std::size_t>(rng.uniformInt(
+                               0, static_cast<std::int64_t>(j)))]);
+    std::map<double, std::vector<std::size_t>> ties;  // arrival -> slots
+    for (std::size_t j = 0; j < perm.size(); j++)
+        ties[sorted[perm[j]].arrival.value()].push_back(j);
+    for (const auto &[arrival, slots] : ties) {
+        std::vector<std::size_t> members;
+        for (const std::size_t j : slots)
+            members.push_back(perm[j]);
+        std::sort(members.begin(), members.end());
+        for (std::size_t k = 0; k < slots.size(); k++)
+            perm[slots[k]] = members[k];
+    }
+    ASSERT_GT(sorted.size() - ties.size(), 5u);  // ties were made
+    std::vector<Request> shuffled;
+    for (const std::size_t i : perm)
+        shuffled.push_back(sorted[i]);
+
+    for (const ServingPolicy policy :
+         {ServingPolicy::Fcfs, ServingPolicy::Sjf, ServingPolicy::SloAware}) {
+        for (const std::uint64_t chunks : {1, 4}) {
+            ServingConfig cfg = config(policy);
+            cfg.slo = Seconds(120.0);
+            cfg.prefill_chunks = chunks;
+            const ServingSimulator sim(eng, cfg);
+            const ServingResult want = sim.run(sorted);
+            ServingResult got = sim.run(shuffled);
+            ASSERT_EQ(got.records.size(), sorted.size());
+            std::vector<RequestRecord> mapped(got.records.size());
+            for (std::size_t j = 0; j < perm.size(); j++) {
+                mapped[perm[j]] = got.records[j];
+                mapped[perm[j]].id = perm[j];
+            }
+            got.records = std::move(mapped);
+            EXPECT_EQ(serialize(got), serialize(want))
+                << servingPolicyName(policy) << " chunks " << chunks;
+        }
+    }
 }
 
 TEST_F(ServingSim, EmptyStreamDies)
