@@ -1,12 +1,14 @@
 /**
  * @file
  * Cross-validation: the analytic HILOS engine versus the slice-level
- * event simulation of the same decoding step. The two models are built
+ * event simulation of the same decoding step (the independent test
+ * oracle in tests/support/slice_sim.h). The two models are built
  * independently (closed-form stage composition vs contended-resource
  * replay); agreement within tens of percent across the grid is the
  * internal consistency check for every HILOS number reported by the
  * other benches, in the spirit of the paper's estimator validation
- * (§5.1).
+ * (§5.1). A second table replays FlexGen's StepPlans through the
+ * production replay backend (simulatePlan).
  *
  * Each grid point constructs its own engine and simulator, so the
  * sweep fans across `--jobs N` worker threads with byte-identical
@@ -25,8 +27,23 @@
 #include "runtime/step_plan.h"
 #include "sim/parallel.h"
 #include "support/oracles.h"
+#include "support/slice_sim.h"
 
 using namespace hilos;
+
+namespace {
+
+/** A replay's mean utilisation of `resource`; 0 when the plan has none. */
+double
+utilizationOf(const PlanSimResult &r, PlanResource resource)
+{
+    for (const auto &[name, util] : r.resource_utilization)
+        if (name == planResourceName(resource))
+            return util;
+    return 0.0;
+}
+
+}  // namespace
 
 int
 main(int argc, char **argv)
@@ -54,7 +71,7 @@ main(int argc, char **argv)
 
     struct PairResult {
         RunResult analytic;
-        EventSimResult sim;
+        test::EventSimResult sim;
     };
     const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
     if (!args.ok()) {
@@ -72,7 +89,7 @@ main(int argc, char **argv)
             HilosOptions opts;
             opts.num_devices = p.devices;
             const HilosEngine engine(sys, opts);
-            const HilosEventSimulator sim(sys, opts);
+            const test::HilosEventSimulator sim(sys, opts);
             return PairResult{engine.run(run),
                               sim.simulateDecodeStep(run)};
         });
@@ -93,7 +110,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];
         const RunResult &a = results[i].analytic;
-        const EventSimResult &e = results[i].sim;
+        const test::EventSimResult &e = results[i].sim;
         analytic_series.push_back(a.decode_step_time);
         sim_series.push_back(e.decode_step_time);
         const test::AgreementCheck chk =
@@ -136,7 +153,11 @@ main(int argc, char **argv)
             for (FlexTier tier : {FlexTier::HostDram, FlexTier::BaselineSsds})
                 flex_points.push_back(FlexPoint{model, s, tier});
 
-    const std::vector<PairResult> flex_results =
+    struct FlexResult {
+        RunResult analytic;
+        PlanSimResult replay;
+    };
+    const std::vector<FlexResult> flex_results =
         driver.map(flex_points, [&sys](const FlexPoint &p) {
             RunConfig run;
             run.model = p.model;
@@ -146,12 +167,11 @@ main(int argc, char **argv)
             const FlexGenEngine engine(sys, p.tier);
             RunResult analytic = engine.run(run);
             if (!analytic.feasible || analytic.effective_batch == 0)
-                return PairResult{analytic, EventSimResult{}};
+                return FlexResult{analytic, PlanSimResult{}};
             run.batch = analytic.effective_batch;
             analytic = engine.run(run);
-            const PlanSimResult ps =
-                simulatePlan(engine.decodeStepPlan(run));
-            return PairResult{analytic, toEventSimResult(ps)};
+            return FlexResult{analytic,
+                              simulatePlan(engine.decodeStepPlan(run))};
         });
 
     printBanner(std::cout,
@@ -166,7 +186,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < flex_points.size(); ++i) {
         const FlexPoint &p = flex_points[i];
         const RunResult &a = flex_results[i].analytic;
-        const EventSimResult &e = flex_results[i].sim;
+        const PlanSimResult &e = flex_results[i].replay;
         const char *tier =
             p.tier == FlexTier::HostDram ? "DRAM" : "SSD";
         if (!a.feasible || a.effective_batch == 0) {
@@ -195,8 +215,8 @@ main(int argc, char **argv)
             .cell(formatSeconds(a.decode_step_time))
             .cell(formatSeconds(e.decode_step_time))
             .ratio(e.decode_step_time / a.decode_step_time)
-            .num(100.0 * e.uplink_utilization, 1)
-            .num(100.0 * e.internal_utilization, 1)
+            .num(100.0 * utilizationOf(e, PlanResource::HostPcie), 1)
+            .num(100.0 * utilizationOf(e, PlanResource::Storage), 1)
             .cell(chk.ok ? "ok" : chk.detail);
     }
     flex_table.print(std::cout);

@@ -10,7 +10,7 @@
  *    shard-rebuild traffic over the inter-host link and the run
  *    completes degraded; the bench reports availability, slowdown,
  *    and rebuild bytes/seconds, and cross-checks the analytic fleet
- *    step against the event-sim backend (the fuzz oracle's agreement
+ *    step against the plan-replay backend (the fuzz oracle's agreement
  *    band).
  *
  * `--replay-dir tests/fault_plans` switches to the adversarial-plan
@@ -93,9 +93,9 @@ recoveryInvariants(const FleetEngine &fe, const RunConfig &run,
         return "rebuild bytes without rebuild time";
     if (a.fleet.slowdown < 1.0 - 1e-9)
         return "slowdown below 1 (faults made the fleet faster)";
-    // Analytic vs event-sim fleet step at the first decode epoch
-    // (sampling the sim at the epoch start keeps both backends on the
-    // same serving set) and again on the end-of-run placement.
+    // Analytic vs replayed fleet step at the first decode epoch
+    // (pricing the replay at the epoch start keeps both backends on
+    // the same serving set) and again on the end-of-run placement.
     const Seconds t0 = a.fleet.epochs.empty()
                            ? Seconds(0.0)
                            : a.fleet.epochs.front().start;
@@ -104,13 +104,13 @@ recoveryInvariants(const FleetEngine &fe, const RunConfig &run,
                               : a.fleet.epochs.front().step_time;
     const double early = fe.simulatedDecodeStep(run, t0) / ideal;
     if (early < 0.4 || early > 2.5)
-        return "event-sim disagrees with analytic step at epoch 0";
+        return "replay disagrees with analytic step at epoch 0";
     if (a.fleet.degraded_step_time > 0.0) {
         const double late =
             fe.simulatedDecodeStep(run, a.total_time + 1.0) /
             a.fleet.degraded_step_time;
         if (late < 0.4 || late > 2.5)
-            return "event-sim disagrees with degraded analytic step";
+            return "replay disagrees with degraded analytic step";
     }
     return "";
 }
@@ -340,14 +340,14 @@ main(int argc, char **argv)
         .cell("rebuild_s", double(lost.fleet.rebuild_time))
         .cell("hosts_failed", std::uint64_t{lost.fleet.hosts_failed});
 
-    // --- Analytic vs event-sim fleet step (the fuzz oracle's band) ---
+    // --- Analytic vs replayed fleet step (the fuzz oracle's band) ---
     const double early =
         fe.simulatedDecodeStep(run, 0.0) / healthy.decode_step_time;
     double late = 1.0;
     if (lost.fleet.degraded_step_time > 0.0)
         late = fe.simulatedDecodeStep(run, lost.total_time + 1.0) /
                lost.fleet.degraded_step_time;
-    std::cout << "event-sim / analytic fleet step: " << early
+    std::cout << "replay / analytic fleet step: " << early
               << "x healthy, " << late << "x degraded (band [0.4, 2.5])\n";
     check(early > 0.4 && early < 2.5 && late > 0.4 && late < 2.5,
           "fleet backends must agree within [0.4, 2.5]");
@@ -360,6 +360,6 @@ main(int argc, char **argv)
         json.write(args.get("json-dir"));
     std::cout << "\nShape checks passed: deterministic node-loss replay, "
                  "graceful degradation with availability < 1, and "
-                 "analytic/event-sim agreement.\n";
+                 "analytic/replay agreement.\n";
     return 0;
 }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -269,8 +270,8 @@ runCli(int argc, char **argv)
                    "worker threads for the --report grid sweep "
                    "(0 = all cores; output is identical at any value)")
         .addOption("trace", "",
-                   "write a chrome://tracing JSON of one simulated "
-                   "decode step (HILOS only) to this file")
+                   "write a chrome://tracing JSON of one replayed "
+                   "decode step (any engine, one host) to this file")
         .addFlag("serve",
                  "online serving simulation: continuous batching over "
                  "an arrival stream (uses --batch as the batch cap; "
@@ -329,8 +330,8 @@ runCli(int argc, char **argv)
     opts.xcache = !args.getFlag("no-xcache");
     opts.delayed_writeback = !args.getFlag("no-writeback");
     opts.alpha_override = args.getDouble("alpha");
-    opts.spill_interval =
-        static_cast<unsigned>(args.getInt("spill"));
+    const std::int64_t spill = args.getInt("spill");
+    opts.spill_interval = static_cast<unsigned>(spill);
     opts.cxl_mode = args.getFlag("cxl");
     opts.attention_window =
         static_cast<std::uint64_t>(args.getInt("window"));
@@ -340,6 +341,17 @@ runCli(int argc, char **argv)
     }
     if (opts.num_devices < 1 || opts.num_devices > 16) {
         std::cerr << "error: --devices must be in 1..16\n";
+        return 2;
+    }
+    if (opts.alpha_override != -1.0 &&
+        !(opts.alpha_override >= 0.0 && opts.alpha_override <= 1.0)) {
+        std::cerr << "error: --alpha must be -1 (scheduler-selected) or "
+                     "in [0, 1]\n";
+        return 2;
+    }
+    if (spill < 1 || spill > std::numeric_limits<unsigned>::max()) {
+        std::cerr << "error: --spill must be in 1.."
+                  << std::numeric_limits<unsigned>::max() << "\n";
         return 2;
     }
     const std::string fault_spec = args.get("fault-plan");
@@ -411,6 +423,11 @@ runCli(int argc, char **argv)
     const unsigned spares = static_cast<unsigned>(args.getInt("spares"));
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
+        return 2;
+    }
+    if (hosts > 1 && !args.get("trace").empty()) {
+        std::cerr << "error: --trace replays one host's decode plan; "
+                     "the fleet (--hosts > 1) emits no plan to trace\n";
         return 2;
     }
 
@@ -547,13 +564,20 @@ runCli(int argc, char **argv)
 
     const std::string trace_path = args.get("trace");
     if (!trace_path.empty()) {
-        if (engine_name != "hilos") {
-            std::cerr << "error: --trace requires --engine hilos\n";
-            return 2;
+        // HILOS prices its plan under the FaultPlan's t=0 conditions;
+        // without a plan that is its ideal-fleet decode plan.
+        const EngineKind kind = engineByName(engine_name);
+        const StepPlan plan =
+            kind == EngineKind::Hilos
+                ? HilosEngine(sys, opts).decodeStepPlanAt(run, 0.0)
+                : decodeStepPlanFor(kind, sys, run, opts);
+        if (!plan.feasible) {
+            std::cerr << "error: --trace: no decode plan to replay: "
+                      << plan.note << "\n";
+            return 1;
         }
         TraceRecorder recorder;
-        const HilosEventSimulator sim(sys, opts);
-        sim.simulateDecodeStep(run, &recorder);
+        simulatePlan(plan, &recorder);
         std::ofstream out(trace_path);
         if (!out) {
             std::cerr << "error: cannot write " << trace_path << "\n";

@@ -8,14 +8,15 @@
  *   attention     accelerator AttentionKernel vs FP32 reference across
  *                 the GQA x sliding-window x sink x padding x buffered
  *                 space
- *   engine        analytic HilosEngine vs slice-level event simulation
+ *   engine        analytic HilosEngine vs the slice-level test oracle
  *                 (agreement band + structural invariants +
- *                 monotonicity)
+ *                 monotonicity), and the replayed decodeStepPlanAt
+ *                 plan held in the same band of the oracle
  *   flexgen-plan  FlexGen StepPlan evaluated analytically vs replayed
  *                 over contended resources (per-op structural invariant
  *                 + agreement band)
  *   fleet         FleetEngine determinism + graceful-degradation
- *                 invariants + analytic-vs-event-sim fleet step band
+ *                 invariants + analytic-vs-replay fleet step band
  *   serving       continuous-batching ServingSimulator determinism +
  *                 scheduling invariants + all-arrivals-at-zero makespan
  *                 band against OfflineBatcher

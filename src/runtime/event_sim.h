@@ -1,87 +1,31 @@
 /**
  * @file
- * Transfer-granularity simulation of a HILOS decoding step.
+ * The replay backend: one StepPlan queued over contended resources.
  *
- * The analytic engine (hilos_engine.*) composes closed-form stage times
- * with max/sum rules; this simulator replays the same decoding step as
- * individual slice-sized transfers over contended resources — the
- * chassis uplink, the GDS path, each SmartSSD's internal P2P link and
- * accelerator, and the GPU — with cross-layer weight prefetching. It
- * exists to validate the analytic model (the two must agree within
- * tens of percent; see bench_crossval_eventsim and the tests) and to
- * expose per-resource utilisation at finer granularity.
+ * The analytic evaluator (evaluatePlan in runtime/step_plan.h) prices a
+ * plan with max/sum rules; simulatePlan replays the same plan op by op
+ * on per-instance BandwidthPools, so ops that share a resource
+ * instance queue behind each other. It is the only replay in the
+ * library: every engine's decode and prefill plans run through it, a
+ * faulted HILOS step replays the plan HilosEngine::decodeStepPlanAt
+ * prices under that time's fleet conditions, and its per-pool tracks
+ * are what `hilos_cli --trace` writes. The independent slice-level
+ * oracle that both backends are checked against lives in
+ * tests/support/slice_sim.h.
  */
 
 #ifndef HILOS_RUNTIME_EVENT_SIM_H_
 #define HILOS_RUNTIME_EVENT_SIM_H_
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "runtime/engine.h"
-#include "runtime/hilos_engine.h"
 #include "runtime/step_plan.h"
-#include "runtime/system_config.h"
 #include "sim/bandwidth.h"
 #include "sim/trace.h"
 
 namespace hilos {
-
-/** Per-resource outcome of one simulated decoding step. */
-struct EventSimResult {
-    Seconds decode_step_time = 0;
-    double uplink_utilization = 0;
-    double gds_utilization = 0;
-    double internal_utilization = 0;  ///< mean over devices
-    double gpu_utilization = 0;
-    Seconds mean_layer_time = 0;
-    std::vector<Seconds> layer_times;
-
-    // Fault-injection outcome (all zero / true without a FaultPlan).
-    bool completed = true;  ///< false: no surviving device could serve
-    std::string note;       ///< failure reason when !completed
-    unsigned devices_failed = 0;
-    std::uint64_t redispatched_slices = 0;
-    std::uint64_t nand_read_errors = 0;
-    std::uint64_t nvme_timeouts = 0;
-    std::uint64_t nvme_retries = 0;
-    Seconds retry_time = 0;  ///< latency added by retry recovery
-};
-
-/**
- * Slice-level simulator of the HILOS decode pipeline.
- */
-class HilosEventSimulator
-{
-  public:
-    HilosEventSimulator(const SystemConfig &sys, const HilosOptions &opts);
-
-    /**
-     * Simulate one full decoding step (all layers).
-     *
-     * When the options carry a FaultPlan, fault conditions (failed
-     * devices, link derates) are sampled at `start_time`; slices homed
-     * on failed devices re-dispatch round-robin onto survivors, and
-     * per-slice NAND/NVMe recovery penalties are drawn from the plan's
-     * seeded per-device RNG streams, so the same (seed, plan,
-     * start_time) always reproduces an identical result.
-     *
-     * @param trace optional recorder; when supplied every transfer and
-     *        compute interval lands on its own track (exportable to
-     *        chrome://tracing via TraceRecorder::writeChromeTrace)
-     * @param start_time absolute run time at which this step begins
-     *        (used to evaluate timed fault events)
-     */
-    EventSimResult simulateDecodeStep(const RunConfig &cfg,
-                                      TraceRecorder *trace = nullptr,
-                                      Seconds start_time = 0.0) const;
-
-  private:
-    SystemConfig sys_;
-    HilosOptions opts_;
-};
 
 /** Outcome of replaying one StepPlan over contended resources. */
 struct PlanSimResult {
@@ -116,14 +60,6 @@ struct PlanSimResult {
  */
 PlanSimResult simulatePlan(const StepPlan &plan,
                            TraceRecorder *trace = nullptr);
-
-/**
- * Adapt a plan replay to the EventSimResult shape the agreement
- * checkers consume. Utilisations map by name (uplink or host_pcie ->
- * uplink; gds -> gds; mean of p2p/storage/intra_node -> internal; gpu
- * unit -> gpu); absent resources report 0.
- */
-EventSimResult toEventSimResult(const PlanSimResult &r);
 
 }  // namespace hilos
 

@@ -417,12 +417,10 @@ FleetEngine::simulatedDecodeStep(const RunConfig &cfg, Seconds now) const
         return 0.0;
     RunConfig host_cfg = cfg;
     host_cfg.batch = place.maxHostBatch();
-    const HilosEventSimulator sim(sys_, host_opts_);
-    const EventSimResult r =
-        sim.simulateDecodeStep(host_cfg, nullptr, now);
-    if (!r.completed)
+    const StepPlan plan = host_engine_.decodeStepPlanAt(host_cfg, now);
+    if (!plan.feasible)
         return 0.0;
-    return r.decode_step_time +
+    return simulatePlan(plan).decode_step_time +
            coordinationTime(place.placed_batch,
                             view.interHostDerate(now));
 }

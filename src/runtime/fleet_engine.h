@@ -70,11 +70,12 @@ class FleetEngine : public InferenceEngine
     RunResult run(const RunConfig &cfg) const override;
 
     /**
-     * Event-sim backend of the fleet decode step: each serving host's
-     * step replayed at transfer granularity (HilosEventSimulator) with
-     * fleet conditions sampled at `now`, plus the same coordination
-     * term as the analytic model. Agreement between the two backends
-     * is an oracle invariant.
+     * Replay backend of the fleet decode step: the largest host shard's
+     * decode plan under the host's device conditions at `now`
+     * (HilosEngine::decodeStepPlanAt) replayed by simulatePlan, plus
+     * the same coordination term as the analytic model. 0 when no host
+     * or no device can serve. Agreement between the two backends is an
+     * oracle invariant.
      */
     Seconds simulatedDecodeStep(const RunConfig &cfg,
                                 Seconds now = 0.0) const;

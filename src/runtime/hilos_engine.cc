@@ -147,6 +147,51 @@ HilosEngine::decodeStepPlan(const RunConfig &cfg) const
     return plan;
 }
 
+HilosEngine::FleetConditions
+HilosEngine::conditionsAt(const FaultInjector &inj, Seconds now) const
+{
+    const unsigned N = opts_.num_devices;
+    FleetConditions c;
+    c.retry = opts_.fault_plan.retry;
+    c.devices = inj.survivingDevices(now);
+    c.failed_devices = N - c.devices;
+    // The slice pipeline is statically partitioned, so the slowest
+    // surviving device binds each epoch: take the worst derate and the
+    // worst fault probabilities across survivors.
+    double derate = 1.0;
+    double nand_p = 0.0;
+    double nvme_p = 0.0;
+    for (unsigned dev = 0; dev < N; ++dev) {
+        if (inj.deviceFailed(dev, now))
+            continue;
+        derate = std::min(derate, inj.linkDerate(dev, now));
+        nand_p = std::max(nand_p, inj.nandErrorProbability(dev));
+        nvme_p = std::max(nvme_p, inj.nvmeTimeoutProbability(dev));
+    }
+    c.p2p_derate = derate;
+    c.uplink_derate = inj.uplinkDerate(now);
+    c.nand_error_prob = nand_p;
+    c.nvme_timeout_prob = nvme_p;
+    return c;
+}
+
+StepPlan
+HilosEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds now) const
+{
+    const FaultInjector inj(opts_.fault_plan, opts_.num_devices);
+    const FleetConditions cond = conditionsAt(inj, now);
+    StepPlan plan;
+    if (cond.devices == 0) {
+        plan.feasible = false;
+        plan.note = "fault plan has failed every SmartSSD by this time; "
+                    "no surviving fleet to serve attention shards";
+        return plan;
+    }
+    RunResult scratch;
+    makePlan(cfg, cond, scratch, plan);
+    return plan;
+}
+
 StepPlan
 HilosEngine::prefillStepPlan(const RunConfig &cfg,
                              std::uint64_t chunk_index,
@@ -595,34 +640,9 @@ HilosEngine::runWithFaults(const RunConfig &cfg) const
     // The analytic model uses only closed-form fault expectations, so a
     // plan's probabilistic events never consume RNG state here; timed
     // events partition the run into constant-condition epochs.
-    const auto conditionsAt = [&](Seconds now) {
-        FleetConditions c;
-        c.retry = rp;
-        c.devices = inj.survivingDevices(now);
-        c.failed_devices = N - c.devices;
-        // The slice pipeline is statically partitioned, so the slowest
-        // surviving device binds each epoch: take the worst derate and
-        // the worst fault probabilities across survivors.
-        double derate = 1.0;
-        double nand_p = 0.0;
-        double nvme_p = 0.0;
-        for (unsigned dev = 0; dev < N; ++dev) {
-            if (inj.deviceFailed(dev, now))
-                continue;
-            derate = std::min(derate, inj.linkDerate(dev, now));
-            nand_p = std::max(nand_p, inj.nandErrorProbability(dev));
-            nvme_p = std::max(nvme_p, inj.nvmeTimeoutProbability(dev));
-        }
-        c.p2p_derate = derate;
-        c.uplink_derate = inj.uplinkDerate(now);
-        c.nand_error_prob = nand_p;
-        c.nvme_timeout_prob = nvme_p;
-        return c;
-    };
-
     const RunResult ideal = runConditioned(cfg, idealConditions());
 
-    const FleetConditions c0 = conditionsAt(0.0);
+    const FleetConditions c0 = conditionsAt(inj, 0.0);
     if (c0.devices == 0) {
         RunResult res;
         res.feasible = false;
@@ -692,7 +712,7 @@ HilosEngine::runWithFaults(const RunConfig &cfg) const
     double exp_redispatch = 0.0;
 
     while (remaining > 0) {
-        const FleetConditions c = conditionsAt(now);
+        const FleetConditions c = conditionsAt(inj, now);
         if (c.devices == 0) {
             res.feasible = false;
             res.note =

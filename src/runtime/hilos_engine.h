@@ -66,6 +66,14 @@ class HilosEngine : public InferenceEngine, public StepPlanSource
                         PlanCache &cache) const override;
     /** The zero-fault (ideal-fleet) decode-step plan. */
     StepPlan decodeStepPlan(const RunConfig &cfg) const override;
+    /**
+     * The decode-step plan under the fleet conditions the FaultPlan
+     * puts in force at run time `now`: surviving devices, link derates
+     * and expected retry cost, priced as runWithFaults prices that
+     * epoch. With an empty plan this is decodeStepPlan(). Infeasible,
+     * with a note, when no device survives at `now`.
+     */
+    StepPlan decodeStepPlanAt(const RunConfig &cfg, Seconds now) const;
     /** The zero-fault (ideal-fleet) prefill plan for one chunk. */
     StepPlan prefillStepPlan(const RunConfig &cfg,
                              std::uint64_t chunk_index = 0,
@@ -100,6 +108,13 @@ class HilosEngine : public InferenceEngine, public StepPlanSource
     };
 
     FleetConditions idealConditions() const;
+
+    /**
+     * Conditions `inj` puts in force at run time `now`; the only place
+     * a FaultPlan turns into plan pricing.
+     */
+    FleetConditions conditionsAt(const FaultInjector &inj,
+                                 Seconds now) const;
 
     /** Scheduler alpha for a given fleet/GDS bandwidth pair. */
     double alphaFor(const RunConfig &cfg, Bandwidth fleet_read,

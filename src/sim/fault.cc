@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <map>
+#include <sstream>
 
 #include "common/logging.h"
 
@@ -226,6 +228,45 @@ FaultPlan::validate() const
             out.push_back(ref + ": the inter-host interconnect is "
                                 "shared; a per-host target " +
                           std::to_string(ev.device) + " is meaningless");
+        }
+    }
+
+    // Worst-case compound derate per link: every in-range degrade event
+    // active at once, as FaultInjector and HostFaultView multiply them.
+    double uplink = 1.0;
+    double fleet_wide = 1.0;
+    double inter_host = 1.0;
+    std::map<unsigned, double> per_device;
+    for (const FaultEvent &ev : events) {
+        if (!(ev.bw_multiplier > 0.0 && ev.bw_multiplier <= 1.0))
+            continue;  // already named above
+        if (ev.kind == FaultKind::HostLinkDegrade) {
+            inter_host *= ev.bw_multiplier;
+        } else if (ev.kind == FaultKind::LinkDegrade) {
+            if (ev.device == kUplinkTarget)
+                uplink *= ev.bw_multiplier;
+            else if (ev.device == kAllDevices)
+                fleet_wide *= ev.bw_multiplier;
+            else
+                per_device.try_emplace(ev.device, 1.0).first->second *=
+                    ev.bw_multiplier;
+        }
+    }
+    double device_link = 1.0;
+    for (const auto &[dev, derate] : per_device)
+        device_link = std::min(device_link, derate);
+    const struct {
+        const char *link;
+        double derate;
+    } compound[] = {{"chassis-uplink", uplink},
+                    {"device-link", fleet_wide * device_link},
+                    {"inter-host", inter_host}};
+    for (const auto &c : compound) {
+        if (c.derate < kMinCompoundDerate) {
+            std::ostringstream os;
+            os << "compound " << c.link << " derate " << c.derate
+               << " is below the floor " << kMinCompoundDerate;
+            out.push_back(os.str());
         }
     }
     return out;

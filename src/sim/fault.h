@@ -46,6 +46,14 @@ constexpr unsigned kUplinkTarget = kAllDevices - 1;
  * typo can never silently alias a future sentinel.
  */
 constexpr unsigned kMaxRealTarget = 1u << 16;
+/**
+ * Floor on a compound bandwidth derate. Degrade events on one link
+ * multiply, and a fault-conditioned plan divides bytes by the product,
+ * so FaultPlan::validate() rejects a plan whose worst-case product on
+ * the uplink, any device link or the inter-host link falls below this
+ * floor: no op duration can then overflow to inf.
+ */
+constexpr double kMinCompoundDerate = 1e-3;
 
 /** The fault classes the simulator can inject. */
 enum class FaultKind {
@@ -129,7 +137,9 @@ struct FaultPlan {
      * Check every event against the representable ranges: probability
      * in [0, 1], *LinkDegrade multiplier in (0, 1], finite non-negative
      * `at` and `duration`, and no target inside the reserved gap
-     * between real indices and the kUplinkTarget/kAllDevices sentinels.
+     * between real indices and the kUplinkTarget/kAllDevices sentinels;
+     * plus, over the whole plan, every link's compound derate (all its
+     * degrade events active at once) at or above kMinCompoundDerate.
      * Returns one named diagnostic per violation (empty = valid), in
      * the style of StepPlan::validate(); FaultInjector and
      * HostFaultView construction are gated on it.
@@ -200,8 +210,8 @@ struct FaultStats {
  *
  * Probabilistic queries (nandReadPenalty, nvmeCommand) consume one
  * deterministic per-device RNG stream each, so results depend only on
- * (seed, plan, per-device call order) — the event simulator issues them
- * in deterministic loop order. Timed queries (deviceFailed, linkDerate)
+ * (seed, plan, per-device call order) — the slice-level test oracle
+ * issues them in deterministic loop order. Timed queries (deviceFailed, linkDerate)
  * are pure functions of the plan and the supplied clock.
  */
 class FaultInjector
@@ -275,7 +285,7 @@ class FaultInjector
  * Cluster-granularity companion to FaultInjector: evaluates the
  * host-scope events of a FaultPlan against a fleet of `num_hosts`
  * hosts. Pure function of (plan, num_hosts) — no RNG state — so the
- * analytic and event-sim fleet backends share one view.
+ * analytic and replay fleet backends share one view.
  *
  * A HostStall mirrors the NVMe-timeout ladder at host granularity: the
  * scheduler probes the silent host at the ladder's timeout+backoff

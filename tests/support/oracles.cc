@@ -14,12 +14,13 @@
 #include "runtime/batcher.h"
 #include "runtime/flexgen.h"
 #include "runtime/serving.h"
-#include "support/serialize.h"
+#include "runtime/event_sim.h"
 #include "runtime/fleet_engine.h"
 #include "runtime/hilos_engine.h"
 #include "runtime/plan_analyzer.h"
 #include "runtime/step_plan.h"
 #include "runtime/system_config.h"
+#include "support/serialize.h"
 #include "support/tolerances.h"
 
 namespace hilos {
@@ -166,9 +167,16 @@ runAttentionOracle(std::uint64_t seed, Perturbation perturb)
     return out;
 }
 
+namespace {
+
+/**
+ * Band check of a replayed decode step against the analytic one, after
+ * every named utilisation of the replay is checked to lie in [0, 1].
+ */
 AgreementCheck
-checkEngineAgreement(const RunResult &analytic, const EventSimResult &sim,
-                     double lo, double hi)
+checkAgreement(const RunResult &analytic, Seconds sim_step,
+               const std::vector<std::pair<std::string, double>> &utils,
+               double lo, double hi)
 {
     AgreementCheck chk;
     if (!analytic.feasible) {
@@ -182,28 +190,20 @@ checkEngineAgreement(const RunResult &analytic, const EventSimResult &sim,
         chk.detail = "analytic decode step not positive/finite";
         return chk;
     }
-    if (!(sim.decode_step_time > 0) ||
-        !std::isfinite(sim.decode_step_time)) {
+    if (!(sim_step > 0) || !std::isfinite(sim_step)) {
         chk.ok = false;
         chk.detail = "sim decode step not positive/finite";
         return chk;
     }
-    const struct {
-        const char *name;
-        double v;
-    } utils[] = {{"uplink", sim.uplink_utilization},
-                 {"gds", sim.gds_utilization},
-                 {"internal", sim.internal_utilization},
-                 {"gpu", sim.gpu_utilization}};
-    for (const auto &u : utils) {
-        if (!(u.v >= 0.0) || u.v > 1.0 + kRelEps) {
+    for (const auto &[name, u] : utils) {
+        if (!(u >= 0.0) || u > 1.0 + kRelEps) {
             chk.ok = false;
-            chk.detail = std::string(u.name) + " utilization " +
-                         fmt(u.v) + " outside [0, 1]";
+            chk.detail =
+                name + " utilization " + fmt(u) + " outside [0, 1]";
             return chk;
         }
     }
-    chk.ratio = sim.decode_step_time / analytic.decode_step_time;
+    chk.ratio = sim_step / analytic.decode_step_time;
     if (chk.ratio < lo || chk.ratio > hi) {
         chk.ok = false;
         chk.detail = "sim/analytic ratio " + fmt(chk.ratio) +
@@ -211,6 +211,31 @@ checkEngineAgreement(const RunResult &analytic, const EventSimResult &sim,
                      fmt(hi) + "]";
     }
     return chk;
+}
+
+}  // namespace
+
+AgreementCheck
+checkEngineAgreement(const RunResult &analytic, const EventSimResult &sim,
+                     double lo, double hi)
+{
+    return checkAgreement(analytic, sim.decode_step_time,
+                          {{"uplink", sim.uplink_utilization},
+                           {"gds", sim.gds_utilization},
+                           {"internal", sim.internal_utilization},
+                           {"gpu", sim.gpu_utilization}},
+                          lo, hi);
+}
+
+AgreementCheck
+checkEngineAgreement(const RunResult &analytic, const PlanSimResult &sim,
+                     double lo, double hi)
+{
+    std::vector<std::pair<std::string, double>> utils =
+        sim.resource_utilization;
+    utils.insert(utils.end(), sim.unit_utilization.begin(),
+                 sim.unit_utilization.end());
+    return checkAgreement(analytic, sim.decode_step_time, utils, lo, hi);
 }
 
 namespace {
@@ -356,6 +381,28 @@ runEngineOracle(std::uint64_t seed, Perturbation perturb)
         return out;
     }
 
+    // The production replay, priced under the conditions the slice
+    // simulator sampled (t=0), against the independent slice schedule.
+    const StepPlan plan = engine.decodeStepPlanAt(c.run, 0.0);
+    if (!plan.feasible) {
+        out.ok = false;
+        out.detail = "replay: no decode plan where the slice simulator "
+                     "completed: " +
+                     plan.note;
+        return out;
+    }
+    const double replay_ratio =
+        simulatePlan(plan).decode_step_time / e.decode_step_time;
+    if (!(replay_ratio >= kReplayAgreementLo &&
+          replay_ratio <= kReplayAgreementHi)) {
+        out.ok = false;
+        out.detail = "replay agreement: replay/slice ratio " +
+                     fmt(replay_ratio) + " outside [" +
+                     fmt(kReplayAgreementLo) + ", " +
+                     fmt(kReplayAgreementHi) + "]";
+        return out;
+    }
+
     if (!c.faulted()) {
         RunResult compared = r;
         if (perturb == Perturbation::SkewAnalytic)
@@ -490,8 +537,7 @@ runFlexGenPlanOracle(std::uint64_t seed, Perturbation perturb)
     RunResult compared = r;
     if (perturb == Perturbation::SkewAnalytic)
         compared.decode_step_time *= 3.0;
-    const AgreementCheck chk =
-        checkEngineAgreement(compared, toEventSimResult(ps));
+    const AgreementCheck chk = checkEngineAgreement(compared, ps);
     if (!chk.ok) {
         out.ok = false;
         out.detail = "agreement: " + chk.detail;
@@ -659,9 +705,9 @@ runFleetOracle(std::uint64_t seed, Perturbation perturb)
         return out;
     }
 
-    // Analytic vs event-sim fleet step on epoch 0's serving set. The
-    // sim is sampled at the epoch start so both backends see the same
-    // fleet conditions.
+    // Analytic vs replayed fleet step on epoch 0's serving set. The
+    // replay is priced at the epoch start so both backends see the
+    // same fleet conditions.
     const FleetEpoch &ep0 = a.fleet.epochs.front();
     Seconds analytic = ep0.step_time;
     if (perturb == Perturbation::SkewAnalytic)
@@ -669,7 +715,7 @@ runFleetOracle(std::uint64_t seed, Perturbation perturb)
     const Seconds sim = engine.simulatedDecodeStep(c.run, ep0.start);
     if (!(sim > 0.0)) {
         out.ok = false;
-        out.detail = "event-sim fleet step did not complete";
+        out.detail = "replayed fleet step has no feasible plan";
         return out;
     }
     const double ratio = sim / analytic;

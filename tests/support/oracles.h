@@ -15,11 +15,13 @@
  *    sink x padding x buffered-tail shape space;
  *
  *  - engine oracle: the closed-form HilosEngine against the
- *    slice-level HilosEventSimulator, with an agreement band on the
- *    decode-step time for fault-free cases plus structural invariants
- *    that hold for every case (utilisations <= 1, traffic subsets
- *    conserved, monotonicity in context and batch, fault-summary
- *    consistency).
+ *    slice-level HilosEventSimulator (support/slice_sim.h), with an
+ *    agreement band on the decode-step time for fault-free cases, the
+ *    production replay of HilosEngine::decodeStepPlanAt held in the
+ *    same band of the slice simulator for every case, plus structural
+ *    invariants that hold for every case (utilisations <= 1, traffic
+ *    subsets conserved, monotonicity in context and batch,
+ *    fault-summary consistency).
  *
  * Every failure carries a `seed=... cfg=...` repro line; re-running the
  * oracle on that seed deterministically reproduces the identical
@@ -39,6 +41,7 @@
 #include "runtime/engine.h"
 #include "runtime/event_sim.h"
 #include "support/fuzzer.h"
+#include "support/slice_sim.h"
 #include "support/tolerances.h"
 
 namespace hilos {
@@ -84,10 +87,13 @@ OracleOutcome runAttentionOracle(std::uint64_t seed,
 
 /**
  * Run the engine differential oracle on the case derived from `seed`.
- * Fault-free cases check the agreement band and monotonicity; faulted
- * cases check structural/fault invariants only (the analytic side uses
- * closed-form expectations, the simulator samples, so their times are
- * not directly comparable).
+ * Fault-free cases check the analytic/slice agreement band and
+ * monotonicity; faulted cases check structural/fault invariants only
+ * against the analytic side (it uses closed-form expectations over the
+ * whole run, the simulator samples one step, so their times are not
+ * directly comparable). Every case also replays the production plan
+ * decodeStepPlanAt(run, 0) — the t=0 conditions the slice simulator
+ * samples — and holds it within the band of the slice simulator.
  */
 OracleOutcome runEngineOracle(std::uint64_t seed,
                               Perturbation perturb = Perturbation::None);
@@ -141,7 +147,7 @@ OracleOutcome runFleetOracle(std::uint64_t seed,
 OracleOutcome runServingOracle(
     std::uint64_t seed, Perturbation perturb = Perturbation::None);
 
-/** Result of one analytic-vs-event-sim agreement check. */
+/** Result of one analytic-vs-replay agreement check. */
 struct AgreementCheck {
     bool ok = true;
     double ratio = 0;    ///< sim / analytic decode-step time
@@ -150,10 +156,19 @@ struct AgreementCheck {
 
 /**
  * The shared agreement band (support/tolerances.h) + per-result
- * invariants used by both the engine oracle and bench_crossval_eventsim.
+ * invariants used by both the engine oracle and bench_crossval_eventsim:
+ * the slice simulator's step against the analytic one, with its four
+ * utilisations in [0, 1].
  */
 AgreementCheck checkEngineAgreement(const RunResult &analytic,
                                     const EventSimResult &sim,
+                                    double lo = kReplayAgreementLo,
+                                    double hi = kReplayAgreementHi);
+
+/** The same check for a plan replay, over every replayed resource's
+ *  and compute unit's utilisation. */
+AgreementCheck checkEngineAgreement(const RunResult &analytic,
+                                    const PlanSimResult &sim,
                                     double lo = kReplayAgreementLo,
                                     double hi = kReplayAgreementHi);
 

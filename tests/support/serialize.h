@@ -15,10 +15,10 @@
 
 #include "runtime/batcher.h"
 #include "runtime/engine.h"
-#include "runtime/event_sim.h"
 #include "runtime/serving.h"
 #include "runtime/step_plan.h"
 #include "sim/trace.h"
+#include "support/slice_sim.h"
 
 namespace hilos {
 namespace test {

@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "support/golden.h"
@@ -197,6 +198,10 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         {"--model NoSuch", "error: "},
         {"--engine nosuch", "error: "},
         {"--fault-plan 'fail@nan=3'", "error: --fault-plan"},
+        {"--alpha 2", "error: --alpha"},
+        {"--alpha -0.5", "error: --alpha"},
+        {"--spill 0", "error: --spill"},
+        {"--hosts 2 --trace unwritten.json", "error: --trace"},
     };
     for (const auto &c : cases) {
         const std::string cmd = std::string(HILOS_CLI_PATH) + " " + c.args;
@@ -208,6 +213,47 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         EXPECT_NE(out.find(c.error), std::string::npos)
             << cmd << "\n" << out;
     }
+}
+
+TEST(CliGolden, CompoundUplinkDerateBelowTheFloorExitsTwo)
+{
+    // 1,000 halvings of the uplink each pass the per-event check, but
+    // their product would price ops at inf seconds.
+    std::string plan;
+    for (int i = 0; i < 1000; ++i)
+        plan += "uplink@0.5=0.5;";
+    const std::string cmd =
+        std::string(HILOS_CLI_PATH) + " --fault-plan '" + plan + "'";
+    std::string out;
+    const int status = runStatus(cmd, &out);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+    EXPECT_NE(out.find("error: --fault-plan: compound chassis-uplink"),
+              std::string::npos)
+        << out;
+}
+
+TEST(CliGolden, AlphaAndSpillBoundariesAreAccepted)
+{
+    for (const char *args : {"--alpha 0", "--alpha 1", "--spill 1"})
+        capture(std::string(HILOS_CLI_PATH) + " " + args + " >/dev/null");
+}
+
+TEST(CliGolden, TraceReplaysABaselineEnginesPlanOps)
+{
+    // --trace is the plan replay, so any engine can be traced and its
+    // events name the ops of that engine's decode plan.
+    const std::string path = ::testing::TempDir() + "flex_ssd_trace.json";
+    capture(std::string(HILOS_CLI_PATH) + " --engine flex-ssd --trace " +
+            path + " >/dev/null");
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << path;
+    const std::string json((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"layer0/kv_fetch\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"storage[0]\""), std::string::npos);
+    std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,17 +1,21 @@
 /**
  * @file
- * Tests for the slice-level event simulator and its agreement with the
- * analytic HILOS engine.
+ * Tests for the slice-level HILOS simulator, the test oracle in
+ * support/slice_sim.h, and its agreement with the analytic engine.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/hilos.h"
 #include "runtime/event_sim.h"
+#include "support/slice_sim.h"
 #include "support/tolerances.h"
 
 namespace hilos {
 namespace {
+
+using test::HilosEventSimulator;
+using test::EventSimResult;
 
 RunConfig
 makeRun(const ModelConfig &m, std::uint64_t context)

@@ -420,6 +420,51 @@ TEST(FaultPlanValidate, RejectsReservedSentinelGapTargets)
     EXPECT_TRUE(FaultPlan{}.addUplinkDegrade(1.0, 0.5).validate().empty());
 }
 
+TEST(FaultPlanValidate, CompoundDerateFloorPerLink)
+{
+    // Degrades on one link multiply. A plan may take each link down to
+    // kMinCompoundDerate; one more event on that link drops it below.
+    const struct {
+        const char *diag;
+        FaultPlan at_floor;
+        FaultPlan below;
+    } links[] = {
+        {"compound chassis-uplink derate",
+         FaultPlan{}.addUplinkDegrade(0.0, kMinCompoundDerate),
+         FaultPlan{}
+             .addUplinkDegrade(0.0, kMinCompoundDerate)
+             .addUplinkDegrade(1.0, 0.999)},
+        {"compound device-link derate",
+         FaultPlan{}.addLinkDegrade(0.0, kMinCompoundDerate, 2),
+         FaultPlan{}
+             .addLinkDegrade(0.0, kMinCompoundDerate, 2)
+             .addLinkDegrade(1.0, 0.999)},
+        {"compound inter-host derate",
+         FaultPlan{}.addHostLinkDegrade(0.0, kMinCompoundDerate),
+         FaultPlan{}
+             .addHostLinkDegrade(0.0, kMinCompoundDerate)
+             .addHostLinkDegrade(1.0, 0.999)},
+    };
+    for (const auto &l : links) {
+        EXPECT_TRUE(l.at_floor.validate().empty()) << l.diag;
+        const std::vector<std::string> diags = l.below.validate();
+        ASSERT_EQ(diags.size(), 1u) << l.diag;
+        EXPECT_NE(diags[0].find(l.diag), std::string::npos) << diags[0];
+    }
+    // Derates on two different devices do not compound.
+    EXPECT_TRUE(FaultPlan{}
+                    .addLinkDegrade(0.0, kMinCompoundDerate, 1)
+                    .addLinkDegrade(0.0, kMinCompoundDerate, 2)
+                    .validate()
+                    .empty());
+    // 1,000 in-range halvings of the uplink: one diagnostic, for the
+    // product.
+    FaultPlan halved;
+    for (int i = 0; i < 1000; ++i)
+        halved.addUplinkDegrade(0.5, 0.5);
+    EXPECT_EQ(halved.validate().size(), 1u);
+}
+
 TEST(FaultPlanValidate, RejectsUplinkSentinelAsHostTarget)
 {
     FaultPlan plan;

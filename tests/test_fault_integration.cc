@@ -2,7 +2,8 @@
  * @file
  * Integration tests for fault injection through the runtime: the
  * zero-fault regression invariant, degraded-mode analytic execution,
- * event-sim determinism under faults, and report surfacing.
+ * the decode plan priced at a point of a faulted run, slice-oracle
+ * determinism under faults, and report surfacing.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +12,16 @@
 #include <stdexcept>
 
 #include "core/hilos.h"
-#include "runtime/event_sim.h"
 #include "runtime/report.h"
+#include "runtime/step_plan.h"
+#include "support/serialize.h"
+#include "support/slice_sim.h"
 
 namespace hilos {
 namespace {
+
+using test::HilosEventSimulator;
+using test::EventSimResult;
 
 RunConfig
 makeRun(std::uint64_t context = 32768)
@@ -198,6 +204,54 @@ TEST(FaultIntegration, EventSimRedispatchesSlicesOffFailedDevice)
     EXPECT_EQ(r.devices_failed, 1u);
     EXPECT_GT(r.redispatched_slices, 0u);
     EXPECT_GT(r.decode_step_time, 0.0);
+}
+
+// --- The decode plan a faulted engine prices at a given time ---
+
+TEST(FaultIntegration, DecodeStepPlanAtWithoutFaultsIsTheIdealPlan)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = makeRun();
+    FaultPlan empty_plan;
+    empty_plan.seed = 987654321;
+    const HilosEngine engine(sys, makeOpts(8, empty_plan));
+    const std::string ideal = test::serialize(engine.decodeStepPlan(run));
+    EXPECT_EQ(test::serialize(engine.decodeStepPlanAt(run, 0.0)), ideal);
+    EXPECT_EQ(test::serialize(engine.decodeStepPlanAt(run, 1e6)), ideal);
+}
+
+TEST(FaultIntegration, DecodeStepPlanAtPricesTheSurvivingFleet)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = makeRun();
+    const Seconds mid = HilosEngine(sys, makeOpts(8)).run(run).prefill_time +
+                        1.0;
+    const HilosEngine engine(
+        sys, makeOpts(8, FaultPlan{}.addDeviceFailure(mid, 3)));
+
+    const StepPlan before = engine.decodeStepPlanAt(run, 0.0);
+    ASSERT_TRUE(before.feasible) << before.note;
+    EXPECT_EQ(before.instancesOf(PlanResource::Storage), 8u);
+
+    const RunResult r = engine.run(run);
+    ASSERT_TRUE(r.feasible) << r.note;
+    const StepPlan after = engine.decodeStepPlanAt(run, r.total_time);
+    ASSERT_TRUE(after.feasible) << after.note;
+    EXPECT_EQ(after.instancesOf(PlanResource::Storage), 7u);
+    // The plan is the one runWithFaults priced for the last epoch.
+    EXPECT_EQ(evaluatePlan(after).decode_step_time,
+              r.faults.degraded_step_time);
+}
+
+TEST(FaultIntegration, DecodeStepPlanAtWithNoSurvivorIsInfeasible)
+{
+    const SystemConfig sys = defaultSystem();
+    const HilosEngine engine(
+        sys, makeOpts(8, FaultPlan{}.addFleetFailure(2.0)));
+    EXPECT_TRUE(engine.decodeStepPlanAt(makeRun(), 1.0).feasible);
+    const StepPlan dead = engine.decodeStepPlanAt(makeRun(), 2.0);
+    EXPECT_FALSE(dead.feasible);
+    EXPECT_NE(dead.note.find("no surviving"), std::string::npos);
 }
 
 // --- Degenerate plan: every device failed ---

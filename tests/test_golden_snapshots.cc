@@ -15,7 +15,6 @@
 
 #include "runtime/batcher.h"
 #include "runtime/deepspeed_uvm.h"
-#include "runtime/event_sim.h"
 #include "runtime/fleet_engine.h"
 #include "runtime/flexgen.h"
 #include "runtime/hilos_engine.h"
@@ -29,6 +28,7 @@
 #include "sim/trace.h"
 #include "support/golden.h"
 #include "support/serialize.h"
+#include "support/slice_sim.h"
 
 namespace hilos {
 namespace test {

@@ -9,11 +9,14 @@
 #include <sstream>
 
 #include "core/hilos.h"
-#include "runtime/event_sim.h"
 #include "sim/trace.h"
+#include "support/slice_sim.h"
 
 namespace hilos {
 namespace {
+
+using test::HilosEventSimulator;
+using test::EventSimResult;
 
 TEST(Trace, RecordsIntervalsInOrder)
 {
