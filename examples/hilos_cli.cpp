@@ -271,7 +271,7 @@ runCli(int argc, char **argv)
                    "(0 = all cores; output is identical at any value)")
         .addOption("trace", "",
                    "write a chrome://tracing JSON of one replayed "
-                   "decode step (any engine, one host) to this file")
+                   "decode step (any engine or fleet) to this file")
         .addFlag("serve",
                  "online serving simulation: continuous batching over "
                  "an arrival stream (uses --batch as the batch cap; "
@@ -306,14 +306,21 @@ runCli(int argc, char **argv)
         return args.ok() ? 0 : 2;
     }
 
-    SystemConfig sys =
-        args.get("gpu") == "h100" ? h100System() : defaultSystem();
+    const std::string gpu = args.get("gpu");
+    if (gpu != "a100" && gpu != "h100") {
+        std::cerr << "error: --gpu must be a100 or h100, not '" << gpu
+                  << "'\n";
+        return 2;
+    }
+    SystemConfig sys = gpu == "h100" ? h100System() : defaultSystem();
     RunConfig run;
     run.model = modelByName(args.get("model"));
     const std::int64_t batch = args.getInt("batch");
+    const std::int64_t context = args.getInt("context");
+    const std::int64_t output = args.getInt("output");
     run.batch = static_cast<std::uint64_t>(batch);
-    run.context_len = static_cast<std::uint64_t>(args.getInt("context"));
-    run.output_len = static_cast<std::uint64_t>(args.getInt("output"));
+    run.context_len = static_cast<std::uint64_t>(context);
+    run.output_len = static_cast<std::uint64_t>(output);
     run.prefill_chunks =
         static_cast<std::uint64_t>(args.getInt("prefill-chunks"));
     if (args.ok() && run.prefill_chunks < 1) {
@@ -322,6 +329,15 @@ runCli(int argc, char **argv)
     }
     if (args.ok() && batch < 1) {
         std::cerr << "error: --batch needs at least 1\n";
+        return 2;
+    }
+    if (args.ok() && context < 1) {
+        std::cerr << "error: --context needs at least 1 token\n";
+        return 2;
+    }
+    // --output 0 is a prefill-only run, which every engine models.
+    if (args.ok() && output < 0) {
+        std::cerr << "error: --output must be >= 0\n";
         return 2;
     }
 
@@ -333,10 +349,24 @@ runCli(int argc, char **argv)
     const std::int64_t spill = args.getInt("spill");
     opts.spill_interval = static_cast<unsigned>(spill);
     opts.cxl_mode = args.getFlag("cxl");
-    opts.attention_window =
-        static_cast<std::uint64_t>(args.getInt("window"));
+    const std::int64_t window = args.getInt("window");
+    opts.attention_window = static_cast<std::uint64_t>(window);
+    const std::int64_t hosts_arg = args.getInt("hosts");
+    const std::int64_t jobs = args.getInt("jobs");
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
+        return 2;
+    }
+    if (window < 0) {
+        std::cerr << "error: --window must be >= 0 (0 = full attention)\n";
+        return 2;
+    }
+    if (hosts_arg < 1 || hosts_arg > 64) {
+        std::cerr << "error: --hosts must be in 1..64\n";
+        return 2;
+    }
+    if (jobs < 0) {
+        std::cerr << "error: --jobs must be >= 0 (0 = all cores)\n";
         return 2;
     }
     if (opts.num_devices < 1 || opts.num_devices > 16) {
@@ -418,16 +448,11 @@ runCli(int argc, char **argv)
         return failed ? 1 : 0;
     }
 
-    const unsigned hosts = static_cast<unsigned>(args.getInt("hosts"));
+    const auto hosts = static_cast<unsigned>(hosts_arg);
     const std::string policy_name = args.get("policy");
     const unsigned spares = static_cast<unsigned>(args.getInt("spares"));
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
-    if (hosts > 1 && !args.get("trace").empty()) {
-        std::cerr << "error: --trace replays one host's decode plan; "
-                     "the fleet (--hosts > 1) emits no plan to trace\n";
         return 2;
     }
 
@@ -437,11 +462,7 @@ runCli(int argc, char **argv)
         rc.fault_plan = opts.fault_plan;
         rc.hosts = hosts;
         rc.fleet_policy = parsePlacementPolicy(policy_name);
-        rc.jobs = static_cast<unsigned>(args.getInt("jobs"));
-        if (!args.ok()) {
-            std::cerr << "error: " << args.error() << "\n";
-            return 2;
-        }
+        rc.jobs = static_cast<unsigned>(jobs);
         const EvaluationReport rep = runEvaluation(sys, rc);
         std::ofstream out(report_path);
         if (!out) {
@@ -564,13 +585,9 @@ runCli(int argc, char **argv)
 
     const std::string trace_path = args.get("trace");
     if (!trace_path.empty()) {
-        // HILOS prices its plan under the FaultPlan's t=0 conditions;
-        // without a plan that is its ideal-fleet decode plan.
-        const EngineKind kind = engineByName(engine_name);
-        const StepPlan plan =
-            kind == EngineKind::Hilos
-                ? HilosEngine(sys, opts).decodeStepPlanAt(run, 0.0)
-                : decodeStepPlanFor(kind, sys, run, opts);
+        // HILOS and the fleet price their plans under the FaultPlan's
+        // t=0 conditions; without faults that is the ideal decode plan.
+        const StepPlan plan = engine->decodeStepPlanAt(run, 0.0);
         if (!plan.feasible) {
             std::cerr << "error: --trace: no decode plan to replay: "
                       << plan.note << "\n";

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint invariants for the HILOS simulator.
 
-Eight checks, each guarding a convention the test suite cannot express
+Nine checks, each guarding a convention the test suite cannot express
 as a compile error (those live in tests/compile_fail/):
 
  1. quantity-typed public APIs: headers under src/ must not declare
@@ -48,6 +48,11 @@ as a compile error (those live in tests/compile_fail/):
     file in bench/ or examples/. A module only its unit test reaches is
     dead code with a test attached; delete both, or name it (with a
     reason) in ORPHAN_ALLOWLIST.
+
+ 9. one engine interface: every engine implements InferenceEngine,
+    plans included, so no caller needs to probe an engine's type. A
+    `dynamic_cast` in src/, examples/ or tests/support/ reintroduces
+    the per-kind dispatch that interface replaced.
 
 Exits non-zero listing file:line for every violation. No third-party
 imports; runs anywhere a python3 exists (CI and the ctest fast lane).
@@ -382,6 +387,28 @@ def check_orphan_modules(violations):
         )
 
 
+# --- check 9: no dynamic_cast dispatch on engine types --------------------
+
+DYNAMIC_CAST = re.compile(r"\bdynamic_cast\s*<")
+
+
+def check_no_dynamic_cast(violations):
+    scan_dirs = [ROOT / "src", ROOT / "examples", ROOT / "tests" / "support"]
+    for base in scan_dirs:
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            rel = path.relative_to(ROOT)
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                code = STRING_LITERAL.sub('""', line.split("//")[0])
+                if DYNAMIC_CAST.search(code):
+                    violations.append(
+                        f"{rel}:{lineno}: dynamic_cast; every engine "
+                        f"implements InferenceEngine in full, so call "
+                        f"the interface instead of probing the type"
+                    )
+
+
 def main():
     violations = []
     check_quantity_types(violations)
@@ -392,6 +419,7 @@ def main():
     check_external_determinism(violations)
     check_analyzer_diag_ids(violations)
     check_orphan_modules(violations)
+    check_no_dynamic_cast(violations)
     if violations:
         print(f"lint_hilos: {len(violations)} violation(s)")
         for v in violations:

@@ -47,12 +47,7 @@ StepPlan
 decodeStepPlanFor(EngineKind kind, const SystemConfig &sys,
                   const RunConfig &run, const HilosOptions &hilos_opts)
 {
-    const std::unique_ptr<InferenceEngine> engine =
-        makeEngine(kind, sys, hilos_opts);
-    const auto *source = dynamic_cast<const StepPlanSource *>(engine.get());
-    HILOS_ASSERT(source != nullptr, "engine '", engine->name(),
-                 "' does not emit step plans");
-    return source->decodeStepPlan(run);
+    return makeEngine(kind, sys, hilos_opts)->decodeStepPlan(run);
 }
 
 StepPlan
@@ -61,12 +56,8 @@ prefillStepPlanFor(EngineKind kind, const SystemConfig &sys,
                    std::uint64_t chunk_count,
                    const HilosOptions &hilos_opts)
 {
-    const std::unique_ptr<InferenceEngine> engine =
-        makeEngine(kind, sys, hilos_opts);
-    const auto *source = dynamic_cast<const StepPlanSource *>(engine.get());
-    HILOS_ASSERT(source != nullptr, "engine '", engine->name(),
-                 "' does not emit step plans");
-    return source->prefillStepPlan(run, chunk_index, chunk_count);
+    return makeEngine(kind, sys, hilos_opts)
+        ->prefillStepPlan(run, chunk_index, chunk_count);
 }
 
 std::vector<RunResult>

@@ -68,8 +68,8 @@ std::unique_ptr<InferenceEngine> makeFleetEngine(
     const HilosOptions &host_opts = HilosOptions{});
 
 /**
- * The decode-step plan a named engine emits for one workload (every
- * engine implements StepPlanSource). Infeasible configurations come
+ * The decode-step plan a named engine emits for one workload
+ * (InferenceEngine::decodeStepPlan). Infeasible configurations come
  * back with `feasible == false` and the reason in `note`; for
  * EngineKind::Hilos the plan describes the zero-fault ideal fleet.
  */

@@ -19,7 +19,7 @@
 namespace hilos {
 
 /** DS+UVM(DRAM) baseline engine. */
-class DeepSpeedUvmEngine : public InferenceEngine, public StepPlanSource
+class DeepSpeedUvmEngine : public InferenceEngine
 {
   public:
     explicit DeepSpeedUvmEngine(const SystemConfig &sys);

@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include "common/logging.h"
+#include "runtime/step_plan.h"
 
 namespace hilos {
 
@@ -39,6 +40,12 @@ RunResult
 InferenceEngine::runCached(const RunConfig &cfg, PlanCache &) const
 {
     return run(cfg);
+}
+
+StepPlan
+InferenceEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds) const
+{
+    return decodeStepPlan(cfg);
 }
 
 bool

@@ -184,9 +184,12 @@ struct RunResult {
 };
 
 class PlanCache;
+struct StepPlan;
 
 /**
- * Abstract offline-inference engine.
+ * Abstract offline-inference engine. Every engine emits its phases as
+ * StepPlans (runtime/step_plan.h), which run() evaluates and which
+ * serving, replay and tracing consume directly.
  */
 class InferenceEngine
 {
@@ -207,6 +210,31 @@ class InferenceEngine
      * implementation ignores the cache.
      */
     virtual RunResult runCached(const RunConfig &cfg, PlanCache &cache) const;
+
+    /**
+     * The decode-step plan for one run configuration. Plans reflect the
+     * same capacity/batch-shrink decisions as run(); infeasible
+     * configurations yield a plan with feasible == false.
+     */
+    virtual StepPlan decodeStepPlan(const RunConfig &cfg) const = 0;
+
+    /**
+     * The decode-step plan under the conditions a fault schedule puts
+     * in force at run time `now`. Engines without a fault model (the
+     * default) return decodeStepPlan().
+     */
+    virtual StepPlan decodeStepPlanAt(const RunConfig &cfg,
+                                      Seconds now) const;
+
+    /**
+     * The Prefill-phase plan for chunk `chunk_index` of `chunk_count`.
+     * The defaults emit the monolithic prefill, whose evaluation is
+     * bit-identical to the engine's historical closed-form
+     * prefill_time.
+     */
+    virtual StepPlan prefillStepPlan(const RunConfig &cfg,
+                                     std::uint64_t chunk_index = 0,
+                                     std::uint64_t chunk_count = 1) const = 0;
 };
 
 /**

@@ -45,6 +45,26 @@ scaleTraffic(TrafficCounters &t, double factor)
     t.storage_write_bytes *= factor;
 }
 
+/** The infeasible plan of a fleet with no host to place work on. */
+StepPlan
+unplacedPlan(PlanPhase phase)
+{
+    StepPlan plan;
+    plan.phase = phase;
+    plan.feasible = false;
+    plan.note = "no host can serve a share of this workload";
+    return plan;
+}
+
+/** `cfg` narrowed to the largest per-host share of `place`. */
+RunConfig
+hostShare(const RunConfig &cfg, const FleetPlacement &place)
+{
+    RunConfig host_cfg = cfg;
+    host_cfg.batch = place.maxHostBatch();
+    return host_cfg;
+}
+
 }  // namespace
 
 std::vector<std::string>
@@ -153,8 +173,7 @@ FleetEngine::run(const RunConfig &cfg) const
     fl.devices_per_host = fleet_.devices_per_host;
     fl.policy = placementPolicyName(fleet_.policy);
 
-    const std::vector<bool> all_alive(H, true);
-    const FleetPlacement p0 = sched_.place(cfg, cfg.batch, all_alive);
+    const FleetPlacement p0 = healthyPlacement(cfg);
     if (p0.placed_batch == 0) {
         RunResult res;
         res.feasible = false;
@@ -407,22 +426,70 @@ FleetEngine::run(const RunConfig &cfg) const
     return res;
 }
 
+FleetPlacement
+FleetEngine::healthyPlacement(const RunConfig &cfg) const
+{
+    return sched_.place(cfg, cfg.batch,
+                        std::vector<bool>(fleet_.hosts, true));
+}
+
+StepPlan
+FleetEngine::withCoordination(StepPlan plan, std::uint64_t placed_batch,
+                              double derate) const
+{
+    if (!plan.feasible || fleet_.hosts <= 1)
+        return plan;
+    plan.declareStage("inter_host_sync");
+    plan.declareResource(PlanResource::InterNode, 1);
+    plan.addTailOp(
+        transferOp(PlanResource::InterNode, "inter_host_sync",
+                   coordinationTime(placed_batch, derate),
+                   static_cast<double>(placed_batch) * kSyncBytesPerRequest)
+            .stageTag("inter_host_sync"));
+    return plan;
+}
+
+StepPlan
+FleetEngine::decodeStepPlan(const RunConfig &cfg) const
+{
+    const FleetPlacement place = healthyPlacement(cfg);
+    if (place.placed_batch == 0)
+        return unplacedPlan(PlanPhase::Decode);
+    return withCoordination(
+        host_engine_.decodeStepPlan(hostShare(cfg, place)),
+        place.placed_batch, 1.0);
+}
+
+StepPlan
+FleetEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds now) const
+{
+    const HostFaultView view(fleet_.fault_plan, fleet_.hosts);
+    const FleetPlacement place =
+        sched_.place(cfg, cfg.batch, servingMask(view, now));
+    if (place.placed_batch == 0)
+        return unplacedPlan(PlanPhase::Decode);
+    return withCoordination(
+        host_engine_.decodeStepPlanAt(hostShare(cfg, place), now),
+        place.placed_batch, view.interHostDerate(now));
+}
+
+StepPlan
+FleetEngine::prefillStepPlan(const RunConfig &cfg,
+                             std::uint64_t chunk_index,
+                             std::uint64_t chunk_count) const
+{
+    const FleetPlacement place = healthyPlacement(cfg);
+    if (place.placed_batch == 0)
+        return unplacedPlan(PlanPhase::Prefill);
+    return host_engine_.prefillStepPlan(hostShare(cfg, place), chunk_index,
+                                        chunk_count);
+}
+
 Seconds
 FleetEngine::simulatedDecodeStep(const RunConfig &cfg, Seconds now) const
 {
-    const HostFaultView view(fleet_.fault_plan, fleet_.hosts);
-    const std::vector<bool> serving = servingMask(view, now);
-    const FleetPlacement place = sched_.place(cfg, cfg.batch, serving);
-    if (place.placed_batch == 0)
-        return 0.0;
-    RunConfig host_cfg = cfg;
-    host_cfg.batch = place.maxHostBatch();
-    const StepPlan plan = host_engine_.decodeStepPlanAt(host_cfg, now);
-    if (!plan.feasible)
-        return 0.0;
-    return simulatePlan(plan).decode_step_time +
-           coordinationTime(place.placed_batch,
-                            view.interHostDerate(now));
+    const StepPlan plan = decodeStepPlanAt(cfg, now);
+    return plan.feasible ? simulatePlan(plan).decode_step_time : Seconds(0.0);
 }
 
 }  // namespace hilos

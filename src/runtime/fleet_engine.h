@@ -19,6 +19,7 @@
 #include "runtime/engine.h"
 #include "runtime/fleet_scheduler.h"
 #include "runtime/hilos_engine.h"
+#include "runtime/step_plan.h"
 #include "runtime/system_config.h"
 #include "sim/fault.h"
 
@@ -70,12 +71,36 @@ class FleetEngine : public InferenceEngine
     RunResult run(const RunConfig &cfg) const override;
 
     /**
-     * Replay backend of the fleet decode step: the largest host shard's
-     * decode plan under the host's device conditions at `now`
-     * (HilosEngine::decodeStepPlanAt) replayed by simulatePlan, plus
-     * the same coordination term as the analytic model. 0 when no host
-     * or no device can serve. Agreement between the two backends is an
-     * oracle invariant.
+     * The healthy fleet's decode step: the host engine's decode plan
+     * at the largest per-host share of the all-hosts placement. With
+     * more than one host it gains an `inter_host_sync` stage, one
+     * InterNode resource and a tail op priced as the per-step
+     * coordination exchange, so its evaluation is run()'s healthy
+     * decode step bit-for-bit.
+     */
+    StepPlan decodeStepPlan(const RunConfig &cfg) const override;
+    /**
+     * The fleet decode step at run time `now`: the placement over the
+     * hosts serving at `now`, the host plan under the device conditions
+     * in force then (HilosEngine::decodeStepPlanAt) and the
+     * coordination exchange over the inter-host link's derate at
+     * `now`. Infeasible, with a note, when no host can serve.
+     */
+    StepPlan decodeStepPlanAt(const RunConfig &cfg,
+                              Seconds now) const override;
+    /**
+     * The host engine's prefill plan at the same per-host share as
+     * decodeStepPlan(): hosts prefill their shares in parallel, and
+     * run() adopts exactly this prefill.
+     */
+    StepPlan prefillStepPlan(const RunConfig &cfg,
+                             std::uint64_t chunk_index = 0,
+                             std::uint64_t chunk_count = 1) const override;
+
+    /**
+     * Replay backend of the fleet decode step: simulatePlan over
+     * decodeStepPlanAt(cfg, now). 0 when no host or no device can
+     * serve. Agreement with run()'s epoch step is an oracle invariant.
      */
     Seconds simulatedDecodeStep(const RunConfig &cfg,
                                 Seconds now = 0.0) const;
@@ -89,6 +114,18 @@ class FleetEngine : public InferenceEngine
     /** Per-step token/coordination exchange (0 for a one-host fleet). */
     Seconds coordinationTime(std::uint64_t placed_batch,
                              double derate) const;
+
+    /**
+     * `host_plan`, a decode plan at a placement's largest share, with
+     * the coordination exchange of `placed_batch` requests over a link
+     * at `derate` appended as a tail op (unchanged for one host).
+     */
+    StepPlan withCoordination(StepPlan host_plan,
+                              std::uint64_t placed_batch,
+                              double derate) const;
+
+    /** The batch placed over every host (no fault in force). */
+    FleetPlacement healthyPlacement(const RunConfig &cfg) const;
 
     /** Serving mask at `now`: alive and not inside a stall window. */
     std::vector<bool> servingMask(const HostFaultView &view,

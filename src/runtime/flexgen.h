@@ -27,7 +27,7 @@ enum class FlexTier {
 /**
  * FlexGen baseline engine.
  */
-class FlexGenEngine : public InferenceEngine, public StepPlanSource
+class FlexGenEngine : public InferenceEngine
 {
   public:
     FlexGenEngine(const SystemConfig &sys, FlexTier tier);

@@ -53,7 +53,7 @@ struct HilosOptions {
  * HILOS engine: analytic end-to-end model mirroring the real system's
  * execution schedule.
  */
-class HilosEngine : public InferenceEngine, public StepPlanSource
+class HilosEngine : public InferenceEngine
 {
   public:
     HilosEngine(const SystemConfig &sys, const HilosOptions &opts);
@@ -73,7 +73,8 @@ class HilosEngine : public InferenceEngine, public StepPlanSource
      * epoch. With an empty plan this is decodeStepPlan(). Infeasible,
      * with a note, when no device survives at `now`.
      */
-    StepPlan decodeStepPlanAt(const RunConfig &cfg, Seconds now) const;
+    StepPlan decodeStepPlanAt(const RunConfig &cfg,
+                              Seconds now) const override;
     /** The zero-fault (ideal-fleet) prefill plan for one chunk. */
     StepPlan prefillStepPlan(const RunConfig &cfg,
                              std::uint64_t chunk_index = 0,

@@ -19,19 +19,17 @@ namespace hilos {
 namespace {
 
 /**
- * Cached per-step cost oracle over one engine. Decode steps are costed
- * through the StepPlan IR when the engine emits plans (all single-host
- * engines); capacity and prefill — which the IR does not describe —
- * and plan-less engines (the fleet) fall back to cached whole-engine
- * run() results. Context keys are already bucket-padded by the caller,
- * so the caches stay small even for long generations.
+ * Cached per-step cost oracle over one engine. Decode steps and
+ * prefill chunks are costed through the engine's StepPlans; capacity
+ * and the monolithic prefill come from cached whole-engine run()
+ * results. Context keys are already bucket-padded by the caller, so
+ * the caches stay small even for long generations.
  */
 class StepCostModel
 {
   public:
     StepCostModel(const InferenceEngine &engine, const ServingConfig &cfg)
-        : engine_(engine),
-          plans_(dynamic_cast<const StepPlanSource *>(&engine)), cfg_(cfg)
+        : engine_(engine), cfg_(cfg)
     {
     }
 
@@ -54,20 +52,12 @@ class StepCostModel
             return it->second;
         }
         misses++;
-        Seconds t = 0.0;
-        if (plans_ != nullptr) {
-            const StepPlan plan =
-                plans_->decodeStepPlan(runConfig(batch, context));
-            HILOS_ASSERT(plan.feasible,
-                         "decode plan infeasible at admitted batch ",
-                         batch, " context ", context, ": ", plan.note);
-            t = evaluatePlan(plan).decode_step_time;
-        } else {
-            const RunResult &r = cachedRun(batch, context);
-            HILOS_ASSERT(r.feasible, "engine infeasible at admitted batch ",
-                         batch, " context ", context, ": ", r.note);
-            t = r.decode_step_time;
-        }
+        const StepPlan plan =
+            engine_.decodeStepPlan(runConfig(batch, context));
+        HILOS_ASSERT(plan.feasible,
+                     "decode plan infeasible at admitted batch ", batch,
+                     " context ", context, ": ", plan.note);
+        const Seconds t = evaluatePlan(plan).decode_step_time;
         step_cache_.emplace(key, t);
         return t;
     }
@@ -86,8 +76,7 @@ class StepCostModel
      * One prefill chunk (`index` of `count`) of a group of `batch`
      * prompts at a padded prompt length. Monolithic groups charge the
      * engine's whole-run prefill (bit-identical to the historical
-     * path); chunked groups evaluate the engine's Prefill-phase plans,
-     * with a proportional split for plan-less engines (the fleet).
+     * path); chunked groups evaluate the engine's Prefill-phase plans.
      */
     Seconds
     prefillChunkTime(std::uint64_t batch, std::uint64_t context,
@@ -95,9 +84,6 @@ class StepCostModel
     {
         if (count == 1)
             return prefillTime(batch, context);
-        if (plans_ == nullptr)
-            return prefillTime(batch, context) /
-                   static_cast<double>(count);
         const auto key = std::make_tuple(batch, context, index, count);
         auto it = chunk_cache_.find(key);
         if (it != chunk_cache_.end()) {
@@ -107,7 +93,7 @@ class StepCostModel
         misses++;
         RunConfig run = runConfig(batch, context);
         run.prefill_chunks = count;
-        const StepPlan plan = plans_->prefillStepPlan(run, index, count);
+        const StepPlan plan = engine_.prefillStepPlan(run, index, count);
         HILOS_ASSERT(plan.feasible,
                      "prefill plan infeasible at admitted batch ", batch,
                      " context ", context, ": ", plan.note);
@@ -147,7 +133,6 @@ class StepCostModel
     }
 
     const InferenceEngine &engine_;
-    const StepPlanSource *plans_;
     const ServingConfig &cfg_;
     std::map<std::pair<std::uint64_t, std::uint64_t>, Seconds> step_cache_;
     std::map<std::pair<std::uint64_t, std::uint64_t>, RunResult> run_cache_;

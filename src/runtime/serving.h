@@ -9,14 +9,14 @@
  * `runtime/serving_workload`, admits pending requests under a
  * `ServingPolicy` at every step boundary, and grows/shrinks the
  * in-flight batch between decode steps. Each step is costed through the
- * engine's StepPlan IR (`StepPlanSource::decodeStepPlan` +
+ * engine's StepPlan IR (`InferenceEngine::decodeStepPlan` +
  * `evaluatePlan`) rather than re-running whole-engine `run()` calls;
- * engines that emit no plans (the fleet) fall back to cached `run()`
- * results. Arrivals reach the pending queue from a cursor over the
- * stream sorted by (arrival, id), so they interleave with decode steps
- * deterministically, and each loop turn advances the batch through
- * every decode step up to the next boundary where it can change (a
- * completion, or an admission with room in the batch).
+ * every engine, the fleet included, emits plans. Arrivals reach the
+ * pending queue from a cursor over the stream sorted by (arrival, id),
+ * so they interleave with decode steps deterministically, and each
+ * loop turn advances the batch through every decode step up to the
+ * next boundary where it can change (a completion, or an admission
+ * with room in the batch).
  *
  * Prefill is admitted as chunked steps (`ServingConfig::prefill_chunks`)
  * interleaved with decode: a newly admitted group's first chunk is

@@ -1000,14 +1000,14 @@ propagatePrefill(const RunResult &from, RunResult &res)
 }
 
 bool
-applyPrefillPhase(const StepPlanSource &source, const RunConfig &cfg,
+applyPrefillPhase(const InferenceEngine &engine, const RunConfig &cfg,
                   RunResult &res)
 {
     HILOS_ASSERT(cfg.prefill_chunks >= 1,
                  "a run needs at least one prefill chunk");
     for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
         if (!applyPrefillPlan(
-                source.prefillStepPlan(cfg, i, cfg.prefill_chunks), res))
+                engine.prefillStepPlan(cfg, i, cfg.prefill_chunks), res))
             return false;
     }
     return true;

@@ -513,36 +513,11 @@ void propagatePrefill(const RunResult &from, RunResult &res);
 void accumulateWeighted(RunResult &acc, const RunResult &r, double w);
 
 /**
- * Interface of every engine that can emit its phases as StepPlans (all
- * engines implement it alongside InferenceEngine). Plans reflect the
- * same capacity/batch-shrink decisions as run(); infeasible
- * configurations yield a plan with feasible == false.
- */
-class StepPlanSource
-{
-  public:
-    virtual ~StepPlanSource() = default;
-
-    /** Emit the decode-step plan for one run configuration. */
-    virtual StepPlan decodeStepPlan(const RunConfig &cfg) const = 0;
-
-    /**
-     * Emit the Prefill-phase plan for chunk `chunk_index` of
-     * `chunk_count`. The defaults emit the monolithic prefill, whose
-     * evaluation is bit-identical to the engine's historical
-     * closed-form prefill_time.
-     */
-    virtual StepPlan prefillStepPlan(const RunConfig &cfg,
-                                     std::uint64_t chunk_index = 0,
-                                     std::uint64_t chunk_count = 1) const = 0;
-};
-
-/**
  * Build every prefill chunk of `cfg` (cfg.prefill_chunks of them) via
- * `source` and fold them into `res` with applyPrefillPlan. Returns
+ * `engine` and fold them into `res` with applyPrefillPlan. Returns
  * false as soon as a chunk is infeasible.
  */
-bool applyPrefillPhase(const StepPlanSource &source, const RunConfig &cfg,
+bool applyPrefillPhase(const InferenceEngine &engine, const RunConfig &cfg,
                        RunResult &res);
 
 }  // namespace hilos

@@ -39,7 +39,7 @@ struct VllmClusterConfig {
 };
 
 /** vLLM tensor+pipeline-parallel baseline engine. */
-class VllmMultiGpuEngine : public InferenceEngine, public StepPlanSource
+class VllmMultiGpuEngine : public InferenceEngine
 {
   public:
     VllmMultiGpuEngine(const SystemConfig &sys,

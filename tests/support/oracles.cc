@@ -718,6 +718,15 @@ runFleetOracle(std::uint64_t seed, Perturbation perturb)
         out.detail = "replayed fleet step has no feasible plan";
         return out;
     }
+    // The replayed plan must also pass the semantic analyzer: the
+    // fleet's coordination tail op is checked like any engine's op.
+    const PlanAnalysis analysis =
+        analyzePlan(engine.decodeStepPlanAt(c.run, ep0.start));
+    if (hasUnwaivedErrors(analysis)) {
+        out.ok = false;
+        out.detail = "fleet plan analysis: " + firstUnwaivedError(analysis);
+        return out;
+    }
     const double ratio = sim / analytic;
     if (ratio < 0.4 || ratio > 2.5) {
         out.ok = false;
@@ -891,31 +900,28 @@ runServingOracle(std::uint64_t seed, Perturbation perturb)
     }
 
     // Semantic gate on the plans the serving loop steps over: probe
-    // the engine's StepPlanSource at the stream's shape and require
-    // zero error-severity analyzer findings, decode and prefill both.
-    if (const auto *src =
-            dynamic_cast<const StepPlanSource *>(engine.get())) {
-        RunConfig probe;
-        probe.model = c.serving.model;
-        probe.batch = c.serving.max_batch;
-        probe.context_len = c.requests.front().input_tokens;
-        probe.output_len =
-            std::max<std::uint64_t>(1, c.requests.front().output_tokens);
-        const StepPlan dp = src->decodeStepPlan(probe);
-        if (dp.feasible && hasUnwaivedErrors(analyzePlan(dp))) {
-            out.ok = false;
-            out.detail = "serving plan analysis: " +
-                         firstUnwaivedError(analyzePlan(dp));
-            return out;
-        }
-        const StepPlan pp = src->prefillStepPlan(
-            probe, 0, c.serving.prefill_chunks);
-        if (pp.feasible && hasUnwaivedErrors(analyzePlan(pp))) {
-            out.ok = false;
-            out.detail = "serving prefill plan analysis: " +
-                         firstUnwaivedError(analyzePlan(pp));
-            return out;
-        }
+    // the engine's plans at the stream's shape and require zero
+    // error-severity analyzer findings, decode and prefill both.
+    RunConfig probe;
+    probe.model = c.serving.model;
+    probe.batch = c.serving.max_batch;
+    probe.context_len = c.requests.front().input_tokens;
+    probe.output_len =
+        std::max<std::uint64_t>(1, c.requests.front().output_tokens);
+    const StepPlan dp = engine->decodeStepPlan(probe);
+    if (dp.feasible && hasUnwaivedErrors(analyzePlan(dp))) {
+        out.ok = false;
+        out.detail = "serving plan analysis: " +
+                     firstUnwaivedError(analyzePlan(dp));
+        return out;
+    }
+    const StepPlan pp =
+        engine->prefillStepPlan(probe, 0, c.serving.prefill_chunks);
+    if (pp.feasible && hasUnwaivedErrors(analyzePlan(pp))) {
+        out.ok = false;
+        out.detail = "serving prefill plan analysis: " +
+                     firstUnwaivedError(analyzePlan(pp));
+        return out;
     }
 
     // All-arrivals-at-zero equivalence: FCFS continuous batching and

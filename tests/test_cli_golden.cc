@@ -185,10 +185,11 @@ TEST(CliGolden, BadArrivalTraceLinesExitTwoWithTheLineNumber)
 
 TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
 {
-    // Out-of-range devices, unknown names and a fault plan that parses
-    // but does not validate are user errors: each gets an `error:` line
-    // and exit 2, never a library assert (SIGABRT) or an uncaught
-    // exception.
+    // Out-of-range devices, negative or zero sizes, unknown names and a
+    // fault plan that parses but does not validate are user errors:
+    // each gets an `error:` line and exit 2, never a library assert
+    // (SIGABRT), an uncaught exception, or a run priced on a wrapped
+    // negative number.
     const struct {
         const char *args;
         const char *error;
@@ -201,7 +202,13 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         {"--alpha 2", "error: --alpha"},
         {"--alpha -0.5", "error: --alpha"},
         {"--spill 0", "error: --spill"},
-        {"--hosts 2 --trace unwritten.json", "error: --trace"},
+        {"--output -1", "error: --output"},
+        {"--context -5", "error: --context"},
+        {"--context 0", "error: --context"},
+        {"--window -1", "error: --window"},
+        {"--hosts 0", "error: --hosts"},
+        {"--jobs -1", "error: --jobs"},
+        {"--gpu tpu", "error: --gpu"},
     };
     for (const auto &c : cases) {
         const std::string cmd = std::string(HILOS_CLI_PATH) + " " + c.args;
@@ -253,6 +260,33 @@ TEST(CliGolden, TraceReplaysABaselineEnginesPlanOps)
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"layer0/kv_fetch\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"storage[0]\""), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(CliGolden, FleetTraceNamesTheInterHostSync)
+{
+    // A fleet emits a decode plan like any engine: its replay carries
+    // the per-step coordination exchange as a tail op on the
+    // inter-node link.
+    const std::string path = ::testing::TempDir() + "fleet_trace.json";
+    capture(std::string(HILOS_CLI_PATH) + " --hosts 2 --trace " + path +
+            " >/dev/null");
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << path;
+    const std::string json((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::string track = "\"args\":{\"name\":\"inter_node[0]\"}";
+    const std::size_t at = json.find(track);
+    ASSERT_NE(at, std::string::npos) << json.substr(0, 512);
+    // The track's thread id sits just before its name.
+    const std::size_t tid_at = json.rfind("\"tid\":", at);
+    ASSERT_NE(tid_at, std::string::npos);
+    const std::string tid = json.substr(tid_at, at - tid_at);
+    EXPECT_NE(json.find("{\"name\":\"tail/inter_host_sync\",\"ph\":\"X\","
+                        "\"pid\":1," +
+                        tid),
+              std::string::npos)
+        << tid;
     std::remove(path.c_str());
 }
 

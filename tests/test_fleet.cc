@@ -2,7 +2,8 @@
  * @file
  * Fleet subsystem tests: FleetConfig validation, scheduler placement
  * policies, the identity invariants (one healthy host == HilosEngine,
- * empty plan == byte-identical serialization), node-loss recovery
+ * empty plan == byte-identical serialization), the fleet's StepPlans
+ * against its analytic model, node-loss recovery
  * (graceful degradation, cascades, stalls), and analytic-vs-event-sim
  * agreement at fleet scope.
  */
@@ -264,6 +265,84 @@ TEST(FleetEngine, HealthyFleetScalesThroughputWithHosts)
     EXPECT_EQ(two.fleet.hosts_failed, 0u);
 }
 
+// --- Fleet plans ---
+
+TEST(FleetPlan, HealthyPlanEvaluatesToTheAnalyticStep)
+{
+    // The fleet's decode plan is the priced form of run()'s healthy
+    // step: host plan at the largest share plus the coordination tail
+    // op, evaluated in the same order, so the two agree bit-for-bit.
+    const SystemConfig sys = defaultSystem();
+    unsigned compared = 0;
+    for (unsigned hosts : {1u, 2u, 3u, 4u, 8u}) {
+        for (unsigned devices : {4u, 8u, 16u}) {
+            const FleetEngine fe(sys, fleetOf(hosts, devices));
+            for (std::uint64_t batch : {1ull, 5ull, 16ull, 33ull, 64ull}) {
+                for (std::uint64_t context : {2048ull, 16384ull, 65536ull}) {
+                    RunConfig run = smallRun();
+                    run.batch = batch;
+                    run.context_len = context;
+                    const RunResult r = fe.run(run);
+                    const StepPlan plan = fe.decodeStepPlan(run);
+                    const std::string shape =
+                        fe.name() + " batch " + std::to_string(batch) +
+                        " context " + std::to_string(context);
+                    ASSERT_EQ(plan.feasible, r.feasible) << shape;
+                    if (!r.feasible)
+                        continue;
+                    EXPECT_TRUE(plan.validate().empty()) << shape;
+                    const PlanEvaluation ev = evaluatePlan(plan);
+                    EXPECT_EQ(ev.decode_step_time, r.decode_step_time)
+                        << shape;
+                    EXPECT_EQ(ev.breakdown.get("inter_host_sync"),
+                              r.breakdown.get("inter_host_sync"))
+                        << shape;
+                    compared++;
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 100u);
+}
+
+TEST(FleetPlan, OneHostPlansSerializeAsHilosEngines)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = smallRun();
+    HilosOptions opts;
+    opts.num_devices = 8;
+    const HilosEngine host(sys, opts);
+    const FleetEngine fleet(sys, fleetOf(1));
+    EXPECT_EQ(test::serialize(fleet.decodeStepPlan(run)),
+              test::serialize(host.decodeStepPlan(run)));
+    EXPECT_EQ(test::serialize(fleet.prefillStepPlan(run)),
+              test::serialize(host.prefillStepPlan(run)));
+    EXPECT_EQ(test::serialize(fleet.prefillStepPlan(run, 1, 4)),
+              test::serialize(host.prefillStepPlan(run, 1, 4)));
+}
+
+TEST(FleetPlan, PlanAtEachEpochStartEvaluatesToItsStep)
+{
+    // After a mid-run host loss the plan at each epoch's start is that
+    // epoch's analytic step: the survivors' placement, the host plan
+    // and the coordination over the link at that time.
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = smallRun();
+    FleetConfig fc = fleetOf(4);
+    fc.fault_plan.addHostFailure(midDecode(sys, fc, run), 1);
+    const FleetEngine fe(sys, fc);
+    const RunResult r = fe.run(run);
+    ASSERT_TRUE(r.feasible) << r.note;
+    ASSERT_GE(r.fleet.epochs.size(), 2u);
+    for (const FleetEpoch &ep : r.fleet.epochs)
+        EXPECT_EQ(evaluatePlan(fe.decodeStepPlanAt(run, ep.start))
+                      .decode_step_time,
+                  ep.step_time)
+            << "epoch at " << ep.start.value();
+    EXPECT_NE(r.fleet.epochs.back().step_time,
+              r.fleet.epochs.front().step_time);
+}
+
 // --- Node-loss recovery ---
 
 TEST(FleetEngine, HostLossDegradesGracefully)
@@ -406,12 +485,18 @@ TEST(FleetEngine, AllHostsFailedIsAClearErrorNotANan)
     FleetConfig fc = fleetOf(2);
     const Seconds mid = midDecode(sys, fc, run);
     fc.fault_plan.addHostFailure(mid, kAllDevices);
-    const RunResult r = FleetEngine(sys, fc).run(run);
+    const FleetEngine fe(sys, fc);
+    const RunResult r = fe.run(run);
     EXPECT_FALSE(r.feasible);
     EXPECT_FALSE(r.note.empty());
     EXPECT_FALSE(std::isnan(r.total_time));
     EXPECT_EQ(r.faults.requests_failed, run.batch);
     EXPECT_LT(r.fleet.availability, 1.0);
+    // Past the loss there is no plan to price or replay either.
+    const StepPlan dead = fe.decodeStepPlanAt(run, mid + 1.0);
+    EXPECT_FALSE(dead.feasible);
+    EXPECT_FALSE(dead.note.empty());
+    EXPECT_EQ(fe.simulatedDecodeStep(run, mid + 1.0), 0.0);
 }
 
 TEST(FleetEngine, FaultAwareSpareAbsorbsALoss)

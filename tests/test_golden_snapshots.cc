@@ -118,7 +118,7 @@ TEST(GoldenSnapshots, StepPlanAllEnginesOpt66b)
     const FlexGenEngine flex_ssd(sys, FlexTier::BaselineSsds);
     const DeepSpeedUvmEngine uvm(sys);
     const VllmMultiGpuEngine vllm(sys, VllmClusterConfig{});
-    const std::pair<const char *, const StepPlanSource *> engines[] = {
+    const std::pair<const char *, const InferenceEngine *> engines[] = {
         {"HILOS", &hilos},          {"FlexGen(DRAM)", &flex_dram},
         {"FlexGen(SSD)", &flex_ssd}, {"DeepSpeed-UVM", &uvm},
         {"vLLM", &vllm},
@@ -133,7 +133,7 @@ TEST(GoldenSnapshots, StepPlanAllEnginesOpt66b)
 TEST(GoldenSnapshots, PrefillPhaseOpt66b)
 {
     // The Prefill-phase plans behind the chunked-prefill path: each
-    // plan-emitting engine's monolithic prefill plus chunk 1-of-4, so
+    // engine's monolithic prefill plus chunk 1-of-4, so
     // chunk-range pricing, phase/chunk tags and the per-op prefill
     // energy accounting all pin here.
     const SystemConfig sys = defaultSystem();
@@ -143,7 +143,7 @@ TEST(GoldenSnapshots, PrefillPhaseOpt66b)
     const FlexGenEngine flex_ssd(sys, FlexTier::BaselineSsds);
     const DeepSpeedUvmEngine uvm(sys);
     const VllmMultiGpuEngine vllm(sys, VllmClusterConfig{});
-    const std::pair<const char *, const StepPlanSource *> engines[] = {
+    const std::pair<const char *, const InferenceEngine *> engines[] = {
         {"HILOS", &hilos},          {"FlexGen(DRAM)", &flex_dram},
         {"FlexGen(SSD)", &flex_ssd}, {"DeepSpeed-UVM", &uvm},
         {"vLLM", &vllm},

@@ -473,16 +473,33 @@ TEST_F(ServingSim, WorksAgainstEveryEngineKind)
     }
 }
 
-TEST_F(ServingSim, FleetEngineFallsBackToRunCosting)
+TEST_F(ServingSim, FleetEngineServesThroughItsPlans)
 {
+    // A fleet is costed through its own decode and prefill plans, like
+    // every engine: one host serves exactly as HilosEngine does, the
+    // cost-cache counters and chunked prefill included.
+    const HilosEngine host = engine();
     FleetConfig fleet;
-    fleet.hosts = 2;
+    fleet.hosts = 1;
     fleet.devices_per_host = 8;
-    const auto eng = makeFleetEngine(sys_, fleet, HilosOptions{});
+    const auto one = makeFleetEngine(sys_, fleet, HilosOptions{});
+    const std::vector<Request> reqs = sampleStream(24, 2.0);
+    for (std::uint64_t chunks : {1ull, 4ull}) {
+        ServingConfig cfg = config();
+        cfg.prefill_chunks = chunks;
+        const ServingResult want = ServingSimulator(host, cfg).run(reqs);
+        ASSERT_TRUE(want.feasible) << want.note;
+        EXPECT_EQ(serialize(ServingSimulator(*one, cfg).run(reqs)),
+                  serialize(want))
+            << chunks << " prefill chunks";
+    }
+
+    fleet.hosts = 2;
+    const auto two = makeFleetEngine(sys_, fleet, HilosOptions{});
     ServingConfig cfg = config();
     cfg.max_batch = 4;
-    const ServingSimulator sim(*eng, cfg);
-    const ServingResult res = sim.run(sampleStream(6, 1.0));
+    const ServingResult res =
+        ServingSimulator(*two, cfg).run(sampleStream(6, 1.0));
     ASSERT_TRUE(res.feasible) << res.note;
     EXPECT_EQ(res.records.size(), 6u);
     EXPECT_GT(res.makespan, 0.0);
