@@ -9,6 +9,7 @@
  *   hilos_cli --compare --model OPT-175B --context 131072
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -352,6 +353,7 @@ runCli(int argc, char **argv)
     const std::int64_t window = args.getInt("window");
     opts.attention_window = static_cast<std::uint64_t>(window);
     const std::int64_t hosts_arg = args.getInt("hosts");
+    const std::int64_t spares_arg = args.getInt("spares");
     const std::int64_t jobs = args.getInt("jobs");
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
@@ -363,6 +365,10 @@ runCli(int argc, char **argv)
     }
     if (hosts_arg < 1 || hosts_arg > 64) {
         std::cerr << "error: --hosts must be in 1..64\n";
+        return 2;
+    }
+    if (spares_arg < 0) {
+        std::cerr << "error: --spares must be >= 0\n";
         return 2;
     }
     if (jobs < 0) {
@@ -450,7 +456,9 @@ runCli(int argc, char **argv)
 
     const auto hosts = static_cast<unsigned>(hosts_arg);
     const std::string policy_name = args.get("policy");
-    const unsigned spares = static_cast<unsigned>(args.getInt("spares"));
+    // A count past unsigned range acts like any count past the fleet.
+    const auto spares = static_cast<unsigned>(std::min<std::int64_t>(
+        spares_arg, std::numeric_limits<unsigned>::max()));
     if (!args.ok()) {
         std::cerr << "error: " << args.error() << "\n";
         return 2;

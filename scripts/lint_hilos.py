@@ -44,10 +44,10 @@ as a compile error (those live in tests/compile_fail/):
     ID-stamping emitter — no ad-hoc PlanFinding construction.
 
  8. no module kept alive only by its own test: every header under src/
-    must be included by a file in src/ other than its own .cc, or by a
-    file in bench/ or examples/. A module only its unit test reaches is
-    dead code with a test attached; delete both, or name it (with a
-    reason) in ORPHAN_ALLOWLIST.
+    must be reachable through #includes from a file in bench/,
+    examples/ or perfbench/, following each reached header and its
+    own .cc. A module only its unit test reaches is dead code with a
+    test attached; delete both.
 
  9. one engine interface: every engine implements InferenceEngine,
     plans included, so no caller needs to probe an engine's type. A
@@ -341,49 +341,49 @@ def check_analyzer_diag_ids(violations):
 
 INCLUDE_LINE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
-# Substrate models with no production caller yet, each kept on purpose.
-ORPHAN_ALLOWLIST = {
-    "accel/exp_unit.h":
-        "FPGA exp datapath characterised against std::exp for the "
-        "Table-3 DSP budget; no engine prices it",
-    "interconnect/topology.h":
-        "Fig-3 PCIe topology; the engines read link rates from "
-        "SystemConfig instead",
-    "storage/nand.h":
-        "NAND geometry/timing; the SSD presets use datasheet rates",
-    "storage/raid0.h":
-        "RAID-0 striping of the FLEX(SSD) baselines; the engines use "
-        "aggregate array rates",
-    "storage/nvme_queue.h":
-        "queue-depth model behind host_kv_io_efficiency = 0.28; deriving "
-        "the constant from it would move the goldens",
-}
+REACHABILITY_ROOTS = ("bench", "examples", "perfbench")
+
+
+def included_files(path):
+    """The repo files `path` names in #include "...": resolved against
+    its own directory first, then the src/ and tests/ include roots."""
+    found = []
+    for line in path.read_text().splitlines():
+        match = INCLUDE_LINE.match(line)
+        if not match:
+            continue
+        for base in (path.parent, ROOT / "src", ROOT / "tests"):
+            target = base / match.group(1)
+            if target.is_file():
+                found.append(target.resolve())
+                break
+    return found
 
 
 def check_orphan_modules(violations):
-    includers = {}
-    for base in ("src", "bench", "examples"):
-        for path in sorted((ROOT / base).rglob("*")):
-            if path.suffix not in (".h", ".cc", ".cpp"):
-                continue
-            for line in path.read_text().splitlines():
-                match = INCLUDE_LINE.match(line)
-                if match:
-                    includers.setdefault(match.group(1), set()).add(
-                        path.relative_to(ROOT))
-    src = ROOT / "src"
-    for header in sorted(src.rglob("*.h")):
-        name = str(header.relative_to(src))
-        if name in ORPHAN_ALLOWLIST:
+    pending = [
+        path.resolve()
+        for base in REACHABILITY_ROOTS
+        for path in sorted((ROOT / base).rglob("*"))
+        if path.suffix in (".h", ".cc", ".cpp")
+    ]
+    reached = set()
+    while pending:
+        path = pending.pop()
+        if path in reached:
             continue
-        own_cc = header.with_suffix(".cc").relative_to(ROOT)
-        if includers.get(name, set()) - {own_cc}:
+        reached.add(path)
+        pending.extend(included_files(path))
+        own_cc = path.with_suffix(".cc")
+        if path.suffix == ".h" and own_cc.is_file():
+            pending.append(own_cc)
+    for header in sorted((ROOT / "src").rglob("*.h")):
+        if header.resolve() in reached:
             continue
         violations.append(
-            f"{header.relative_to(ROOT)}: included by nothing in src/, "
-            f"bench/ or examples/ except its own .cc; a module kept "
-            f"alive only by its unit test is dead code — delete it or "
-            f"add it to ORPHAN_ALLOWLIST with a reason"
+            f"{header.relative_to(ROOT)}: not reachable through "
+            f"#includes from bench/, examples/ or perfbench/; a module "
+            f"kept alive only by its unit test is dead code — delete it"
         )
 
 

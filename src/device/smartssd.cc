@@ -1,63 +1,6 @@
 #include "device/smartssd.h"
 
-#include "common/logging.h"
-
 namespace hilos {
-
-SmartSsd::SmartSsd(const SmartSsdConfig &cfg)
-    : cfg_(cfg), ssd_(std::make_unique<Ssd>(cfg.nand))
-{
-    HILOS_ASSERT(cfg_.p2p_read_bw > 0 && cfg_.fpga_dram_bandwidth > 0,
-                 "invalid SmartSSD config");
-}
-
-Seconds
-SmartSsd::p2pReadTime(std::uint64_t bytes) const
-{
-    HILOS_ASSERT(health_ != DeviceHealth::Failed,
-                 "P2P read on failed SmartSSD '", cfg_.name, "'");
-    if (bytes == 0)
-        return 0.0;
-    return cfg_.nand.read_latency +
-           Bytes(static_cast<double>(bytes)) / (cfg_.p2p_read_bw * p2p_derate_);
-}
-
-Seconds
-SmartSsd::p2pWriteTime(std::uint64_t bytes) const
-{
-    HILOS_ASSERT(health_ != DeviceHealth::Failed,
-                 "P2P write on failed SmartSSD '", cfg_.name, "'");
-    if (bytes == 0)
-        return 0.0;
-    return cfg_.nand.write_latency +
-           Bytes(static_cast<double>(bytes)) /
-               (cfg_.p2p_write_bw * p2p_derate_);
-}
-
-void
-SmartSsd::degradeP2p(double bw_multiplier)
-{
-    HILOS_ASSERT(bw_multiplier > 0.0 && bw_multiplier <= 1.0,
-                 "P2P derate must be in (0, 1]: ", bw_multiplier);
-    HILOS_ASSERT(health_ != DeviceHealth::Failed,
-                 "cannot degrade a failed SmartSSD");
-    health_ = DeviceHealth::Degraded;
-    p2p_derate_ *= bw_multiplier;
-}
-
-void
-SmartSsd::fail()
-{
-    health_ = DeviceHealth::Failed;
-    ssd_->fail();
-}
-
-Seconds
-SmartSsd::dramTime(Bytes bytes) const
-{
-    HILOS_ASSERT(bytes >= 0.0, "negative bytes");
-    return bytes / cfg_.fpga_dram_bandwidth;
-}
 
 SmartSsdConfig
 smartSsdConfig()
@@ -69,8 +12,6 @@ SmartSsdConfig
 ispDeviceConfig()
 {
     SmartSsdConfig cfg;
-    cfg.name = "isp-envisioned";
-    cfg.nand.name = "isp-nand";
     cfg.nand.capacity = 16ull * 1000 * 1000 * 1000 * 1000;  // 16 TB
     // Eight 2,000 MT/s flash channels: 16 GB/s internal read path.
     cfg.nand.seq_read_bw = gbps(16.0);
@@ -79,9 +20,7 @@ ispDeviceConfig()
     cfg.p2p_write_bw = gbps(6.0);
     // Single-package LPDDR5X, four 16-bit channels: 68 GB/s.
     cfg.fpga_dram_bandwidth = gbps(68.0);
-    cfg.fpga_dram_capacity = 8ull * GiB;
     cfg.fpga_idle_power = 0.5;
-    cfg.price_usd = 2000.0;
     return cfg;
 }
 

@@ -1,18 +1,14 @@
 /**
  * @file
- * SmartSSD composite device: a 3.84 TB NVMe SSD, a Kintex UltraScale+
- * KU15P FPGA with 4 GB of DDR4-2400, and an internal PCIe 3.0 x4 P2P
- * path between them (§2.3, §5.3). The FPGA's attention-kernel throughput
- * is supplied by the accelerator cycle model at runtime; this class owns
- * the storage/memory/link characteristics and the P2P timing.
+ * SmartSSD presets: a 3.84 TB NVMe SSD, a Kintex UltraScale+ KU15P FPGA
+ * with DDR4-2400, and an internal PCIe 3.0 x4 P2P path between them
+ * (§2.3, §5.3). The engines read these rates through SystemConfig; the
+ * FPGA's attention-kernel throughput and clock come from the
+ * accelerator cycle model.
  */
 
 #ifndef HILOS_DEVICE_SMARTSSD_H_
 #define HILOS_DEVICE_SMARTSSD_H_
-
-#include <cstdint>
-#include <memory>
-#include <string>
 
 #include "common/units.h"
 #include "storage/ssd.h"
@@ -21,71 +17,13 @@ namespace hilos {
 
 /** SmartSSD-specific parameters beyond the embedded SSD config. */
 struct SmartSsdConfig {
-    std::string name = "smartssd";
     SsdConfig nand;                      ///< the internal NVMe SSD
-    std::uint64_t fpga_dram_capacity = 4ull * GiB;
     Bandwidth fpga_dram_bandwidth = gbps(19.2);  ///< 1ch DDR4-2400
     Bandwidth p2p_read_bw = gbps(3.0);   ///< NAND -> FPGA DRAM, internal
     Bandwidth p2p_write_bw = gbps(2.1);  ///< FPGA DRAM -> NAND, internal
-    Hertz clock_hz = 296.05e6;           ///< achieved kernel clock (§6.2)
     Watts fpga_idle_power = 6.0;
-    double price_usd = 2400.0;
 
     SmartSsdConfig() { nand = smartSsdNandConfig(); }
-};
-
-/** Health of a composite SmartSSD (NAND + FPGA + internal link). */
-enum class DeviceHealth {
-    Healthy,
-    Degraded,  ///< operational with a derated internal P2P path
-    Failed,    ///< offline; its shards must re-dispatch elsewhere
-};
-
-/**
- * One SmartSSD. Owns its SSD model (with wear accounting); exposes P2P
- * transfer timing on the internal path that bypasses the host fabric.
- */
-class SmartSsd
-{
-  public:
-    explicit SmartSsd(const SmartSsdConfig &cfg);
-
-    /** Internal NAND -> FPGA DRAM read time (the P2P path, §2.3). */
-    Seconds p2pReadTime(std::uint64_t bytes) const;
-
-    /** Internal FPGA DRAM -> NAND write time. */
-    Seconds p2pWriteTime(std::uint64_t bytes) const;
-
-    /** FPGA on-board DRAM streaming time. */
-    Seconds dramTime(Bytes bytes) const;
-
-    /** Current health state (Healthy on construction). */
-    DeviceHealth health() const { return health_; }
-
-    /**
-     * Derate the internal P2P path by `bw_multiplier` in (0, 1]
-     * (link retraining at lower width/speed). Repeated calls compound;
-     * the device reports Degraded.
-     */
-    void degradeP2p(double bw_multiplier);
-
-    /** Take the device offline; further P2P access is a panic. */
-    void fail();
-
-    /** Current P2P bandwidth multiplier (1 when healthy). */
-    double p2pDerate() const { return p2p_derate_; }
-
-    /** The embedded SSD (for host-path I/O and endurance accounting). */
-    Ssd &ssd() { return *ssd_; }
-    const Ssd &ssd() const { return *ssd_; }
-
-    const SmartSsdConfig &config() const { return cfg_; }
-
-  private:
-    SmartSsdConfig cfg_;
-    std::unique_ptr<Ssd> ssd_;
-    DeviceHealth health_ = DeviceHealth::Healthy;
-    double p2p_derate_ = 1.0;
 };
 
 /** Default SmartSSD preset (Table 1). */

@@ -207,6 +207,10 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         {"--context 0", "error: --context"},
         {"--window -1", "error: --window"},
         {"--hosts 0", "error: --hosts"},
+        {"--spares -1", "error: --spares"},
+        // 2^32 spares must not wrap to 0 and pass as a valid fleet.
+        {"--policy fault-aware --hosts 4 --spares 4294967296",
+         "spare hosts leaves no server"},
         {"--jobs -1", "error: --jobs"},
         {"--gpu tpu", "error: --gpu"},
     };

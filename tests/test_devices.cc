@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the roofline device models: GPU, CPU, host DRAM and the
- * SmartSSD composite device.
+ * Tests for the roofline device models (GPU, CPU, host DRAM) and the
+ * SmartSSD presets.
  */
 
 #include <gtest/gtest.h>
@@ -90,24 +90,12 @@ TEST(Dram, TestbedCapacityIs512GiB)
     EXPECT_EQ(hostDramConfig().capacity, 512ull * GiB);
 }
 
-TEST(SmartSsd, P2pPathIsAbout3GBps)
+TEST(SmartSsdConfig, PresetP2pAndDramRates)
 {
-    const SmartSsd dev(smartSsdConfig());
-    const Seconds t = dev.p2pReadTime(3ull * 1000 * 1000 * 1000);
-    EXPECT_NEAR(t, 1.0, 0.01);
-}
-
-TEST(SmartSsd, P2pWriteSlowerThanRead)
-{
-    const SmartSsd dev(smartSsdConfig());
-    const std::uint64_t bytes = 1ull << 30;
-    EXPECT_GT(dev.p2pWriteTime(bytes), dev.p2pReadTime(bytes));
-}
-
-TEST(SmartSsd, OnBoardDramFasterThanP2p)
-{
-    const SmartSsd dev(smartSsdConfig());
-    EXPECT_LT(dev.dramTime(1e9), dev.p2pReadTime(1'000'000'000));
+    const SmartSsdConfig cfg = smartSsdConfig();
+    EXPECT_DOUBLE_EQ(cfg.p2p_read_bw, gbps(3.0));
+    EXPECT_LT(cfg.p2p_write_bw, cfg.p2p_read_bw);
+    EXPECT_GT(cfg.fpga_dram_bandwidth, cfg.p2p_read_bw);
 }
 
 TEST(SmartSsd, IspDeviceMatchesFourSmartSsds)

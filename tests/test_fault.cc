@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the fault-injection subsystem: retry-policy math, the
- * plan parser, injector determinism, and the fault hooks in the
- * storage/device/interconnect layers.
+ * plan parser, injector determinism, and the BandwidthResource fault
+ * hooks.
  */
 
 #include <gtest/gtest.h>
@@ -11,13 +11,8 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/random.h"
 #include "sim/bandwidth.h"
 #include "sim/fault.h"
-#include "storage/nand.h"
-#include "storage/nvme_queue.h"
-#include "storage/raid0.h"
-#include "storage/ssd.h"
 
 namespace hilos {
 namespace {
@@ -205,130 +200,6 @@ TEST(FaultInjector, FleetFailureKillsEveryDevice)
     const FaultInjector inj(plan, 8);
     EXPECT_EQ(inj.survivingDevices(3.9), 8u);
     EXPECT_EQ(inj.survivingDevices(4.0), 0u);
-}
-
-// --- NAND ECC read-retry ---
-
-TEST(NandFaults, RetryLatencyIsPerStepRereads)
-{
-    const NandConfig cfg;
-    const NandTiming timing(cfg);
-    EXPECT_DOUBLE_EQ(timing.readRetryLatency(3),
-                     3.0 * (cfg.read_latency + cfg.read_retry_step));
-    EXPECT_DOUBLE_EQ(timing.readRetryLatency(0), 0.0);
-}
-
-TEST(NandFaults, ZeroErrorProbabilityMatchesPlainReadExactly)
-{
-    const NandTiming timing{NandConfig{}};
-    Rng rng(7);
-    std::uint64_t errors = 123;
-    const Seconds with =
-        timing.readPagesWithRetries(1000, 16, 0.0, rng, &errors);
-    EXPECT_EQ(with, timing.readPages(1000, 16));  // bit-identical
-    EXPECT_EQ(errors, 0u);
-}
-
-TEST(NandFaults, ErrorsAddLatencyDeterministically)
-{
-    const NandTiming timing{NandConfig{}};
-    Rng rng1(42);
-    Rng rng2(42);
-    std::uint64_t e1 = 0;
-    std::uint64_t e2 = 0;
-    const Seconds a =
-        timing.readPagesWithRetries(1000, 16, 0.05, rng1, &e1);
-    const Seconds b =
-        timing.readPagesWithRetries(1000, 16, 0.05, rng2, &e2);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(e1, e2);
-    EXPECT_GT(e1, 0u);
-    EXPECT_GT(a, timing.readPages(1000, 16));
-}
-
-// --- NVMe timeout/backoff ---
-
-TEST(NvmeFaults, ZeroTimeoutProbabilityMatchesIdealExactly)
-{
-    const NvmeQueueModel model{NvmeQueueConfig{}};
-    const RetryPolicy rp;
-    EXPECT_EQ(model.degradedBandwidth(64, 128 * KiB, 0.0, rp),
-              model.bandwidth(64, 128 * KiB));
-}
-
-TEST(NvmeFaults, TimeoutsShrinkBandwidthMonotonically)
-{
-    const NvmeQueueModel model{NvmeQueueConfig{}};
-    const RetryPolicy rp;
-    // Shallow queue so Little's law (not the device bandwidth cap)
-    // binds and retry latency is visible in the delivered bandwidth.
-    Bandwidth prev = model.bandwidth(4, 128 * KiB);
-    for (double p : {1e-4, 1e-3, 1e-2}) {
-        const Bandwidth bw = model.degradedBandwidth(4, 128 * KiB, p, rp);
-        EXPECT_LT(bw, prev);
-        prev = bw;
-    }
-}
-
-TEST(NvmeFaults, RetryLatencyAddsExpectedPenalty)
-{
-    const NvmeQueueModel model{NvmeQueueConfig{}};
-    const RetryPolicy rp;
-    const Seconds ideal =
-        model.commandLatencyWithRetries(128 * KiB, 0.0, rp);
-    const Seconds degraded =
-        model.commandLatencyWithRetries(128 * KiB, 1e-2, rp);
-    EXPECT_DOUBLE_EQ(degraded - ideal, rp.expectedNvmePenalty(1e-2));
-}
-
-// --- SSD health ---
-
-TEST(SsdHealthTest, DegradeSlowsReadsOnly)
-{
-    Ssd healthy(pm9a3Config());
-    Ssd degraded(pm9a3Config());
-    degraded.degrade(2.0);
-    EXPECT_EQ(degraded.health(), SsdHealth::Degraded);
-    EXPECT_DOUBLE_EQ(degraded.readTime(1 * GiB),
-                     2.0 * healthy.readTime(1 * GiB));
-    EXPECT_DOUBLE_EQ(degraded.writeTime(1 * GiB),
-                     healthy.writeTime(1 * GiB));
-    degraded.degrade(1.5);  // compounds
-    EXPECT_DOUBLE_EQ(degraded.readSlowdown(), 3.0);
-}
-
-TEST(SsdHealthTest, FailedDeviceRefusesIo)
-{
-    Ssd ssd(pm9a3Config());
-    ssd.fail();
-    EXPECT_EQ(ssd.health(), SsdHealth::Failed);
-    EXPECT_DEATH(ssd.readTime(4096), "failed");
-    EXPECT_DEATH(ssd.writeTime(4096), "failed");
-}
-
-// --- RAID-0 degraded/failed members ---
-
-TEST(Raid0Faults, DegradedMemberBindsTheStripe)
-{
-    Raid0 healthy(pm9a3Config(), 4);
-    Raid0 degraded(pm9a3Config(), 4);
-    degraded.degradeMember(2, 2.0);
-    EXPECT_EQ(degraded.degradedMembers(), 1u);
-    EXPECT_FALSE(degraded.failed());
-    const std::uint64_t bytes = 4ull * GiB;
-    // The slow member serves 1/4 of the stripe at half speed and
-    // becomes the critical path.
-    EXPECT_NEAR(degraded.readTime(bytes), 2.0 * healthy.readTime(bytes),
-                1e-6);
-}
-
-TEST(Raid0Faults, MemberFailureLosesTheStripe)
-{
-    Raid0 raid(pm9a3Config(), 4);
-    EXPECT_FALSE(raid.failed());
-    raid.failMember(1);
-    EXPECT_TRUE(raid.failed());
-    EXPECT_DEATH(raid.readTime(1 * MiB), "failed");
 }
 
 // --- BandwidthResource fault hooks ---
