@@ -27,6 +27,20 @@ TEST(SsdConfig, SmartSsdNandIsP2pLimited)
     EXPECT_LT(cfg.seq_read_bw, pm9a3Config().seq_read_bw);
 }
 
+TEST(Ssd, SequentialReadTime)
+{
+    // 6.9 GB at the PM9A3's 6,900 MB/s sequential read rate is 1 s.
+    const Seconds t = Bytes(6.9e9) / pm9a3Config().seq_read_bw;
+    EXPECT_NEAR(t, 1.0, 0.01);
+}
+
+TEST(Ssd, SequentialWriteSlowerThanRead)
+{
+    for (const SsdConfig &cfg : {pm9a3Config(), smartSsdNandConfig()}) {
+        EXPECT_LT(cfg.seq_write_bw, cfg.seq_read_bw);
+    }
+}
+
 TEST(Ssd, SubPageRandomWritePaysFullPage)
 {
     // A 256 B write costs the same as a full 4 KiB write slot, on both
