@@ -31,23 +31,17 @@ using namespace hilos;
 
 namespace {
 
-EngineKind
-engineByName(const std::string &name)
+/** "flex-dram, flex-ssd, ..." for help and error text. */
+std::string
+engineNameList()
 {
-    if (name == "hilos")
-        return EngineKind::Hilos;
-    if (name == "flex-ssd")
-        return EngineKind::FlexSsd;
-    if (name == "flex-dram")
-        return EngineKind::FlexDram;
-    if (name == "flex-16p3")
-        return EngineKind::FlexSmartSsdRaw;
-    if (name == "ds-uvm")
-        return EngineKind::DeepSpeedUvm;
-    if (name == "vllm")
-        return EngineKind::VllmMultiGpu;
-    HILOS_FATAL("unknown engine '", name,
-                "' (hilos, flex-ssd, flex-dram, flex-16p3, ds-uvm, vllm)");
+    std::string out;
+    for (const EngineName &e : kEngineNames) {
+        if (!out.empty())
+            out += ", ";
+        out += e.name;
+    }
+    return out;
 }
 
 void
@@ -215,28 +209,30 @@ printServingReport(const std::string &engine_name,
 }
 
 double
-priceFor(const std::string &engine, const SystemConfig &sys,
-         unsigned devices)
+priceFor(EngineKind kind, const SystemConfig &sys, unsigned devices)
 {
-    if (engine == "hilos")
+    switch (kind) {
+      case EngineKind::Hilos:
         return systemPriceUsd(sys, StorageKind::SmartSsds, devices);
-    if (engine == "flex-dram" || engine == "ds-uvm")
+      case EngineKind::FlexDram:
+      case EngineKind::DeepSpeedUvm:
         return systemPriceUsd(sys, StorageKind::None, 0);
-    if (engine == "flex-16p3")
+      case EngineKind::FlexSmartSsdRaw:
         return systemPriceUsd(sys, StorageKind::SmartSsds, 16);
-    if (engine == "vllm")
+      case EngineKind::VllmMultiGpu:
         return 2 * 28000.0;
-    return systemPriceUsd(sys, StorageKind::BaselineSsds,
-                          sys.num_baseline_ssds);
+      case EngineKind::FlexSsd:
+        return systemPriceUsd(sys, StorageKind::BaselineSsds,
+                              sys.num_baseline_ssds);
+    }
+    HILOS_PANIC("unknown engine kind");
 }
 
 int
 runCli(int argc, char **argv)
 {
     ArgParser args("hilos_cli");
-    args.addOption("engine", "hilos",
-                   "engine: hilos, flex-ssd, flex-dram, flex-16p3, "
-                   "ds-uvm, vllm")
+    args.addOption("engine", "hilos", "engine: " + engineNameList())
         .addOption("model", "OPT-66B",
                    "Table 2 model name (e.g. OPT-175B, Qwen2.5-32B)")
         .addOption("batch", "16", "batch size")
@@ -313,18 +309,23 @@ runCli(int argc, char **argv)
                   << "'\n";
         return 2;
     }
+    const std::string engine_name = args.get("engine");
+    EngineKind engine_kind = EngineKind::Hilos;
+    if (!parseEngineKind(engine_name, &engine_kind)) {
+        std::cerr << "error: --engine must be one of " << engineNameList()
+                  << ", not '" << engine_name << "'\n";
+        return 2;
+    }
     SystemConfig sys = gpu == "h100" ? h100System() : defaultSystem();
     RunConfig run;
     run.model = modelByName(args.get("model"));
+    // Every count is range-checked as parsed, before any unsigned cast
+    // can wrap a negative or oversized value into a valid-looking one.
     const std::int64_t batch = args.getInt("batch");
     const std::int64_t context = args.getInt("context");
     const std::int64_t output = args.getInt("output");
-    run.batch = static_cast<std::uint64_t>(batch);
-    run.context_len = static_cast<std::uint64_t>(context);
-    run.output_len = static_cast<std::uint64_t>(output);
-    run.prefill_chunks =
-        static_cast<std::uint64_t>(args.getInt("prefill-chunks"));
-    if (args.ok() && run.prefill_chunks < 1) {
+    const std::int64_t chunks = args.getInt("prefill-chunks");
+    if (args.ok() && chunks < 1) {
         std::cerr << "error: --prefill-chunks needs at least 1\n";
         return 2;
     }
@@ -341,17 +342,26 @@ runCli(int argc, char **argv)
         std::cerr << "error: --output must be >= 0\n";
         return 2;
     }
+    // A chunk past the prompt's last token is empty yet still streams
+    // the weights. Serving splits each request's own prompt instead.
+    if (args.ok() && !args.getFlag("serve") && chunks > context) {
+        std::cerr << "error: --prefill-chunks must be at most --context ("
+                  << context << ")\n";
+        return 2;
+    }
+    run.batch = static_cast<std::uint64_t>(batch);
+    run.context_len = static_cast<std::uint64_t>(context);
+    run.output_len = static_cast<std::uint64_t>(output);
+    run.prefill_chunks = static_cast<std::uint64_t>(chunks);
 
     HilosOptions opts;
-    opts.num_devices = static_cast<unsigned>(args.getInt("devices"));
+    const std::int64_t devices = args.getInt("devices");
     opts.xcache = !args.getFlag("no-xcache");
     opts.delayed_writeback = !args.getFlag("no-writeback");
     opts.alpha_override = args.getDouble("alpha");
     const std::int64_t spill = args.getInt("spill");
-    opts.spill_interval = static_cast<unsigned>(spill);
     opts.cxl_mode = args.getFlag("cxl");
     const std::int64_t window = args.getInt("window");
-    opts.attention_window = static_cast<std::uint64_t>(window);
     const std::int64_t hosts_arg = args.getInt("hosts");
     const std::int64_t spares_arg = args.getInt("spares");
     const std::int64_t jobs = args.getInt("jobs");
@@ -363,6 +373,7 @@ runCli(int argc, char **argv)
         std::cerr << "error: --window must be >= 0 (0 = full attention)\n";
         return 2;
     }
+    opts.attention_window = static_cast<std::uint64_t>(window);
     if (hosts_arg < 1 || hosts_arg > 64) {
         std::cerr << "error: --hosts must be in 1..64\n";
         return 2;
@@ -375,10 +386,11 @@ runCli(int argc, char **argv)
         std::cerr << "error: --jobs must be >= 0 (0 = all cores)\n";
         return 2;
     }
-    if (opts.num_devices < 1 || opts.num_devices > 16) {
+    if (devices < 1 || devices > 16) {
         std::cerr << "error: --devices must be in 1..16\n";
         return 2;
     }
+    opts.num_devices = static_cast<unsigned>(devices);
     if (opts.alpha_override != -1.0 &&
         !(opts.alpha_override >= 0.0 && opts.alpha_override <= 1.0)) {
         std::cerr << "error: --alpha must be -1 (scheduler-selected) or "
@@ -390,6 +402,7 @@ runCli(int argc, char **argv)
                   << std::numeric_limits<unsigned>::max() << "\n";
         return 2;
     }
+    opts.spill_interval = static_cast<unsigned>(spill);
     const std::string fault_spec = args.get("fault-plan");
     if (!fault_spec.empty()) {
         try {
@@ -423,17 +436,6 @@ runCli(int argc, char **argv)
                 std::cerr << "warning: " << waiver_path << ": " << p
                           << "\n";
         }
-        static const struct {
-            const char *name;
-            EngineKind kind;
-        } kAllEngines[] = {
-            {"flex-dram", EngineKind::FlexDram},
-            {"flex-ssd", EngineKind::FlexSsd},
-            {"flex-16p3", EngineKind::FlexSmartSsdRaw},
-            {"ds-uvm", EngineKind::DeepSpeedUvm},
-            {"vllm", EngineKind::VllmMultiGpu},
-            {"hilos", EngineKind::Hilos},
-        };
         bool failed = false;
         const auto report = [&](const std::string &header,
                                 const StepPlan &plan) {
@@ -444,7 +446,7 @@ runCli(int argc, char **argv)
             if (hasUnwaivedErrors(analysis))
                 failed = true;
         };
-        for (const auto &e : kAllEngines) {
+        for (const EngineName &e : kEngineNames) {
             report(std::string(e.name) + " decode",
                    decodeStepPlanFor(e.kind, sys, run, opts));
             report(std::string(e.name) + " prefill",
@@ -505,11 +507,10 @@ runCli(int argc, char **argv)
         return 0;
     }
 
-    const std::string engine_name = args.get("engine");
     std::unique_ptr<InferenceEngine> engine;
-    double price = priceFor(engine_name, sys, opts.num_devices);
+    double price = priceFor(engine_kind, sys, opts.num_devices);
     if (hosts > 1) {
-        if (engine_name != "hilos") {
+        if (engine_kind != EngineKind::Hilos) {
             std::cerr << "error: --hosts > 1 requires --engine hilos\n";
             return 2;
         }
@@ -522,7 +523,7 @@ runCli(int argc, char **argv)
         engine = makeFleetEngine(sys, fc, opts);
         price *= static_cast<double>(hosts);
     } else {
-        engine = makeEngine(engineByName(engine_name), sys, opts);
+        engine = makeEngine(engine_kind, sys, opts);
     }
     if (args.getFlag("serve")) {
         ServingConfig scfg;

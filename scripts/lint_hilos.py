@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint invariants for the HILOS simulator.
 
-Nine checks, each guarding a convention the test suite cannot express
+Ten checks, each guarding a convention the test suite cannot express
 as a compile error (those live in tests/compile_fail/):
 
  1. quantity-typed public APIs: headers under src/ must not declare
@@ -53,6 +53,12 @@ as a compile error (those live in tests/compile_fail/):
     plans included, so no caller needs to probe an engine's type. A
     `dynamic_cast` in src/, examples/ or tests/support/ reintroduces
     the per-kind dispatch that interface replaced.
+
+10. one run body: an engine supplies its two plan builders and
+    InferenceEngine turns them into runs. In src/, only
+    runtime/engine.cc calls applyPlan(), applyPrefillPlan() or a
+    PlanCache's build(); a call anywhere else is an engine growing its
+    own run body again.
 
 Exits non-zero listing file:line for every violation. No third-party
 imports; runs anywhere a python3 exists (CI and the ctest fast lane).
@@ -409,6 +415,40 @@ def check_no_dynamic_cast(violations):
                     )
 
 
+# --- check 10: one run body in runtime/engine.cc ---------------------------
+
+# Calls, not the declarations (`void applyPlan(`) or the column-0
+# definitions in runtime/step_plan.*; `.build(`/`->build(` is the
+# PlanCache entry point (src/ has no other build() member).
+RUN_BODY_CALL = re.compile(
+    r"(?<!void )(?<!bool )(?<![\w])(applyPlan|applyPrefillPlan)\s*\(|"
+    r"(?:\.|->)(build)\s*\(")
+
+RUN_BODY_HOME = pathlib.Path("src/runtime/engine.cc")
+
+
+def check_one_run_body(violations):
+    for path in sorted((ROOT / "src").rglob("*")):
+        if path.suffix not in (".h", ".cc"):
+            continue
+        rel = path.relative_to(ROOT)
+        if rel == RUN_BODY_HOME:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if line.lstrip().startswith(("*", "/*")):
+                continue  # block-comment line
+            code = STRING_LITERAL.sub('""', line.split("//")[0])
+            for match in RUN_BODY_CALL.finditer(code):
+                if match.start() == 0:
+                    continue  # an out-of-line definition
+                name = match.group(1) or "PlanCache::build"
+                violations.append(
+                    f"{rel}:{lineno}: {name}() call outside "
+                    f"{RUN_BODY_HOME}; implement buildDecodePlan/"
+                    f"buildPrefillPlan and let InferenceEngine run them"
+                )
+
+
 def main():
     violations = []
     check_quantity_types(violations)
@@ -420,6 +460,7 @@ def main():
     check_analyzer_diag_ids(violations)
     check_orphan_modules(violations)
     check_no_dynamic_cast(violations)
+    check_one_run_body(violations)
     if violations:
         print(f"lint_hilos: {len(violations)} violation(s)")
         for v in violations:

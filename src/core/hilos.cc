@@ -12,6 +12,28 @@ versionString()
     return "1.0.0";
 }
 
+std::string_view
+engineKindName(EngineKind kind)
+{
+    for (const EngineName &e : kEngineNames) {
+        if (e.kind == kind)
+            return e.name;
+    }
+    HILOS_PANIC("unknown engine kind");
+}
+
+bool
+parseEngineKind(std::string_view name, EngineKind *out)
+{
+    for (const EngineName &e : kEngineNames) {
+        if (e.name == name) {
+            *out = e.kind;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::unique_ptr<InferenceEngine>
 makeEngine(EngineKind kind, const SystemConfig &sys,
            const HilosOptions &hilos_opts)

@@ -23,6 +23,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/version.h"
@@ -49,6 +50,31 @@ enum class EngineKind {
     VllmMultiGpu,     ///< 2-node 8-GPU vLLM
     Hilos,            ///< full HILOS
 };
+
+/** An EngineKind and its command-line name. */
+struct EngineName {
+    EngineKind kind;
+    std::string_view name;
+};
+
+/** Every EngineKind with its name, in declaration order. */
+inline constexpr EngineName kEngineNames[] = {
+    {EngineKind::FlexDram, "flex-dram"},
+    {EngineKind::FlexSsd, "flex-ssd"},
+    {EngineKind::FlexSmartSsdRaw, "flex-16p3"},
+    {EngineKind::DeepSpeedUvm, "ds-uvm"},
+    {EngineKind::VllmMultiGpu, "vllm"},
+    {EngineKind::Hilos, "hilos"},
+};
+
+/** The command-line name of `kind` (kEngineNames). */
+std::string_view engineKindName(EngineKind kind);
+
+/**
+ * The kind called `name` in kEngineNames into `*out`; false, leaving
+ * `*out` unchanged, for any other name.
+ */
+bool parseEngineKind(std::string_view name, EngineKind *out);
 
 /**
  * Engine factory. `hilos_opts` applies only to EngineKind::Hilos.

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "runtime/cost_model.h"
-#include "runtime/plan_cache.h"
 #include "runtime/prefill_constants.h"
 
 namespace hilos {
@@ -34,8 +33,8 @@ DeepSpeedUvmEngine::effectiveBatch(const RunConfig &cfg,
 }
 
 void
-DeepSpeedUvmEngine::makePlan(const RunConfig &cfg, RunResult &res,
-                             StepPlan &plan) const
+DeepSpeedUvmEngine::buildDecodePlan(const RunConfig &cfg,
+                                    RunResult &res, StepPlan &plan) const
 {
     const ModelConfig &m = cfg.model;
     const Gpu gpu(sys_.gpu);
@@ -128,7 +127,7 @@ DeepSpeedUvmEngine::makePlan(const RunConfig &cfg, RunResult &res,
 }
 
 void
-DeepSpeedUvmEngine::makePrefillPlan(const RunConfig &cfg,
+DeepSpeedUvmEngine::buildPrefillPlan(const RunConfig &cfg,
                                     std::uint64_t chunk_index,
                                     std::uint64_t chunk_count,
                                     StepPlan &plan) const
@@ -188,65 +187,6 @@ DeepSpeedUvmEngine::makePrefillPlan(const RunConfig &cfg,
 
     plan.busy_step_fraction.gpu = kPrefillGpuBusyFraction;
     plan.busy_step_fraction.dram = kPrefillDramBusyFractionOffload;
-}
-
-RunResult
-DeepSpeedUvmEngine::run(const RunConfig &cfg) const
-{
-    RunResult res;
-    StepPlan plan;
-    makePlan(cfg, res, plan);
-    if (!plan.feasible)
-        return res;
-    if (!applyPrefillPhase(*this, cfg, res))
-        return res;
-    applyPlan(plan, cfg, res);
-    return res;
-}
-
-RunResult
-DeepSpeedUvmEngine::runCached(const RunConfig &cfg, PlanCache &cache) const
-{
-    RunResult res;
-    const StepPlan &plan = cache.build(
-        PlanCache::keyOf(name(), cfg.model.name), [&](StepPlan &p) {
-            res = RunResult{};
-            makePlan(cfg, res, p);
-        });
-    if (!plan.feasible)
-        return res;
-    const std::uint64_t prefill_key =
-        PlanCache::keyOf(name(), cfg.model.name, PlanPhase::Prefill);
-    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        const StepPlan &pre = cache.build(
-            prefill_key,
-            [&](StepPlan &p) {
-                makePrefillPlan(cfg, i, cfg.prefill_chunks, p);
-            });
-        if (!applyPrefillPlan(pre, res))
-            return res;
-    }
-    applyPlan(plan, cfg, res);
-    return res;
-}
-
-StepPlan
-DeepSpeedUvmEngine::decodeStepPlan(const RunConfig &cfg) const
-{
-    RunResult scratch;
-    StepPlan plan;
-    makePlan(cfg, scratch, plan);
-    return plan;
-}
-
-StepPlan
-DeepSpeedUvmEngine::prefillStepPlan(const RunConfig &cfg,
-                                    std::uint64_t chunk_index,
-                                    std::uint64_t chunk_count) const
-{
-    StepPlan plan;
-    makePrefillPlan(cfg, chunk_index, chunk_count, plan);
-    return plan;
 }
 
 }  // namespace hilos

@@ -25,23 +25,15 @@ class DeepSpeedUvmEngine : public InferenceEngine
     explicit DeepSpeedUvmEngine(const SystemConfig &sys);
 
     std::string name() const override { return "DS+UVM(DRAM)"; }
-    RunResult run(const RunConfig &cfg) const override;
-    RunResult runCached(const RunConfig &cfg,
-                        PlanCache &cache) const override;
-    StepPlan decodeStepPlan(const RunConfig &cfg) const override;
-    StepPlan prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index = 0,
-                             std::uint64_t chunk_count = 1) const override;
+    /** Capacity decisions into `res`, decode step into `plan`. */
+    void buildDecodePlan(const RunConfig &cfg, RunResult &res,
+                         StepPlan &plan) const override;
+    /** Prefill-phase plan for one chunk. */
+    void buildPrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
+                          std::uint64_t chunk_count,
+                          StepPlan &plan) const override;
 
   private:
-    /** Capacity decisions into `res`, decode step into `plan`. */
-    void makePlan(const RunConfig &cfg, RunResult &res,
-                  StepPlan &plan) const;
-
-    /** Prefill-phase plan for one chunk. */
-    void makePrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
-                         std::uint64_t chunk_count, StepPlan &plan) const;
-
     /** The capacity-shrunk batch (0 = infeasible, setting `note`). */
     std::uint64_t effectiveBatch(const RunConfig &cfg,
                                  std::string *note) const;

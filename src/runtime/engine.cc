@@ -1,6 +1,9 @@
 #include "runtime/engine.h"
 
+#include <optional>
+
 #include "common/logging.h"
+#include "runtime/plan_cache.h"
 #include "runtime/step_plan.h"
 
 namespace hilos {
@@ -36,16 +39,108 @@ StageBreakdown::sum() const
     return total;
 }
 
+namespace {
+
+/** An engine's own decode builder, as a runPlans argument. */
+struct OwnDecode {
+    const InferenceEngine &engine;
+    void operator()(const RunConfig &cfg, RunResult &res,
+                    StepPlan &plan) const
+    {
+        engine.buildDecodePlan(cfg, res, plan);
+    }
+};
+
+/** An engine's own prefill builder, as a runPlans argument. */
+struct OwnPrefill {
+    const InferenceEngine &engine;
+    void operator()(const RunConfig &cfg, std::uint64_t chunk_index,
+                    std::uint64_t chunk_count, StepPlan &plan) const
+    {
+        engine.buildPrefillPlan(cfg, chunk_index, chunk_count, plan);
+    }
+};
+
+}  // namespace
+
 RunResult
-InferenceEngine::runCached(const RunConfig &cfg, PlanCache &) const
+InferenceEngine::runPlans(const RunConfig &cfg, PlanCache *cache,
+                          DecodeBuilder decode, PrefillBuilder prefill) const
 {
-    return run(cfg);
+    HILOS_ASSERT(cfg.prefill_chunks >= 1,
+                 "a run needs at least one prefill chunk");
+    // Cold builds fill a fresh plan; cached ones rebuild the phase's
+    // entry in place and may run the builder twice. `fresh` stays
+    // empty on the cached path, which then constructs no plan at all.
+    const auto build = [cache](std::uint64_t key,
+                               std::optional<StepPlan> &fresh,
+                               const auto &fn) -> const StepPlan & {
+        if (cache != nullptr)
+            return cache->build(key, fn);
+        fn(fresh.emplace());
+        return *fresh;
+    };
+    const auto keyOf = [&](PlanPhase phase) -> std::uint64_t {
+        return cache ? PlanCache::keyOf(name(), cfg.model.name, phase) : 0;
+    };
+
+    RunResult res;
+    std::optional<StepPlan> decode_plan;
+    const StepPlan &plan =
+        build(keyOf(PlanPhase::Decode), decode_plan, [&](StepPlan &p) {
+            res = RunResult{};
+            decode(cfg, res, p);
+        });
+    if (!plan.feasible)
+        return res;
+    const std::uint64_t prefill_key = keyOf(PlanPhase::Prefill);
+    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
+        std::optional<StepPlan> chunk;
+        const StepPlan &pre = build(prefill_key, chunk, [&](StepPlan &p) {
+            prefill(cfg, i, cfg.prefill_chunks, p);
+        });
+        if (!applyPrefillPlan(pre, res))
+            return res;
+    }
+    applyPlan(plan, cfg, res);
+    return res;
+}
+
+RunResult
+InferenceEngine::run(const RunConfig &cfg) const
+{
+    return runPlans(cfg, nullptr, OwnDecode{*this}, OwnPrefill{*this});
+}
+
+RunResult
+InferenceEngine::runCached(const RunConfig &cfg, PlanCache &cache) const
+{
+    return runPlans(cfg, &cache, OwnDecode{*this}, OwnPrefill{*this});
+}
+
+StepPlan
+InferenceEngine::decodeStepPlan(const RunConfig &cfg) const
+{
+    RunResult scratch;
+    StepPlan plan;
+    buildDecodePlan(cfg, scratch, plan);
+    return plan;
 }
 
 StepPlan
 InferenceEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds) const
 {
     return decodeStepPlan(cfg);
+}
+
+StepPlan
+InferenceEngine::prefillStepPlan(const RunConfig &cfg,
+                                 std::uint64_t chunk_index,
+                                 std::uint64_t chunk_count) const
+{
+    StepPlan plan;
+    buildPrefillPlan(cfg, chunk_index, chunk_count, plan);
+    return plan;
 }
 
 bool

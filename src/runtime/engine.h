@@ -187,9 +187,41 @@ class PlanCache;
 struct StepPlan;
 
 /**
- * Abstract offline-inference engine. Every engine emits its phases as
- * StepPlans (runtime/step_plan.h), which run() evaluates and which
- * serving, replay and tracing consume directly.
+ * A non-owning reference to a callable: one indirect call and no
+ * allocation, unlike std::function, for builders passed down the
+ * sweep's per-point path. The callable must outlive the call the
+ * reference is passed to.
+ */
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)>
+{
+  public:
+    template <typename F>
+    FunctionRef(const F &fn)
+        : obj_(&fn), call_([](const void *obj, Args... args) -> R {
+              return (*static_cast<const F *>(obj))(
+                  std::forward<Args>(args)...);
+          })
+    {
+    }
+
+    R operator()(Args... args) const
+    {
+        return call_(obj_, std::forward<Args>(args)...);
+    }
+
+  private:
+    const void *obj_;
+    R (*call_)(const void *, Args...);
+};
+
+/**
+ * Abstract offline-inference engine. An engine supplies two plan
+ * builders (runtime/step_plan.h); the base class turns them into
+ * runs, and serving, replay and tracing consume the plans directly.
  */
 class InferenceEngine
 {
@@ -199,24 +231,44 @@ class InferenceEngine
     /** Display name used in bench tables. */
     virtual std::string name() const = 0;
 
-    /** Model the full run analytically. */
-    virtual RunResult run(const RunConfig &cfg) const = 0;
+    /**
+     * Build the decode step for `cfg` into `plan` (fresh, or in rebuild
+     * mode under a PlanCache), writing the capacity decisions (the
+     * effective batch, an infeasibility or batch-shrink note) into
+     * `res`. An infeasible configuration yields a plan with
+     * feasible == false.
+     */
+    virtual void buildDecodePlan(const RunConfig &cfg, RunResult &res,
+                                 StepPlan &plan) const = 0;
 
     /**
-     * run() with plan-structure reuse: plan-emitting engines rebuild
-     * only the priced annotations when `cache` already holds their
-     * topology (see runtime/plan_cache.h). Results are bit-identical
-     * to run() for every engine and cache state; the base
-     * implementation ignores the cache.
+     * Build the Prefill-phase plan for chunk `chunk_index` of
+     * `chunk_count` into `plan`. The monolithic prefill (one chunk)
+     * evaluates bit-identically to the engine's historical closed-form
+     * prefill_time.
+     */
+    virtual void buildPrefillPlan(const RunConfig &cfg,
+                                  std::uint64_t chunk_index,
+                                  std::uint64_t chunk_count,
+                                  StepPlan &plan) const = 0;
+
+    /**
+     * Model the full run analytically: the decode plan and every
+     * prefill chunk built cold and folded into one result. The
+     * uncached reference runCached() is checked against.
+     */
+    virtual RunResult run(const RunConfig &cfg) const;
+
+    /**
+     * run() with plan-structure reuse: the builders rebuild only the
+     * priced annotations when `cache` already holds their topology
+     * (see runtime/plan_cache.h). Results are bit-identical to run()
+     * for every engine and cache state.
      */
     virtual RunResult runCached(const RunConfig &cfg, PlanCache &cache) const;
 
-    /**
-     * The decode-step plan for one run configuration. Plans reflect the
-     * same capacity/batch-shrink decisions as run(); infeasible
-     * configurations yield a plan with feasible == false.
-     */
-    virtual StepPlan decodeStepPlan(const RunConfig &cfg) const = 0;
+    /** The decode-step plan for one run configuration (a cold build). */
+    StepPlan decodeStepPlan(const RunConfig &cfg) const;
 
     /**
      * The decode-step plan under the conditions a fault schedule puts
@@ -226,15 +278,27 @@ class InferenceEngine
     virtual StepPlan decodeStepPlanAt(const RunConfig &cfg,
                                       Seconds now) const;
 
+    /** The Prefill-phase plan for chunk `chunk_index` of `chunk_count`. */
+    StepPlan prefillStepPlan(const RunConfig &cfg,
+                             std::uint64_t chunk_index = 0,
+                             std::uint64_t chunk_count = 1) const;
+
+  protected:
+    using DecodeBuilder =
+        FunctionRef<void(const RunConfig &, RunResult &, StepPlan &)>;
+    using PrefillBuilder = FunctionRef<void(
+        const RunConfig &, std::uint64_t, std::uint64_t, StepPlan &)>;
+
     /**
-     * The Prefill-phase plan for chunk `chunk_index` of `chunk_count`.
-     * The defaults emit the monolithic prefill, whose evaluation is
-     * bit-identical to the engine's historical closed-form
-     * prefill_time.
+     * The one run body: build the decode plan and each prefill chunk
+     * with the given builders (cold when `cache` is null, else through
+     * `cache` under this engine's keys) and fold them with
+     * applyPrefillPlan/applyPlan. run() and runCached() pass the
+     * engine's own builders; an engine with operating conditions
+     * passes builders bound to other conditions.
      */
-    virtual StepPlan prefillStepPlan(const RunConfig &cfg,
-                                     std::uint64_t chunk_index = 0,
-                                     std::uint64_t chunk_count = 1) const = 0;
+    RunResult runPlans(const RunConfig &cfg, PlanCache *cache,
+                       DecodeBuilder decode, PrefillBuilder prefill) const;
 };
 
 /**

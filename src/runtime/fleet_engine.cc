@@ -433,12 +433,12 @@ FleetEngine::healthyPlacement(const RunConfig &cfg) const
                         std::vector<bool>(fleet_.hosts, true));
 }
 
-StepPlan
-FleetEngine::withCoordination(StepPlan plan, std::uint64_t placed_batch,
-                              double derate) const
+void
+FleetEngine::appendCoordination(StepPlan &plan, std::uint64_t placed_batch,
+                                double derate) const
 {
     if (!plan.feasible || fleet_.hosts <= 1)
-        return plan;
+        return;
     plan.declareStage("inter_host_sync");
     plan.declareResource(PlanResource::InterNode, 1);
     plan.addTailOp(
@@ -446,18 +446,40 @@ FleetEngine::withCoordination(StepPlan plan, std::uint64_t placed_batch,
                    coordinationTime(placed_batch, derate),
                    static_cast<double>(placed_batch) * kSyncBytesPerRequest)
             .stageTag("inter_host_sync"));
-    return plan;
 }
 
-StepPlan
-FleetEngine::decodeStepPlan(const RunConfig &cfg) const
+void
+FleetEngine::buildDecodePlan(const RunConfig &cfg, RunResult &res,
+                             StepPlan &plan) const
 {
     const FleetPlacement place = healthyPlacement(cfg);
-    if (place.placed_batch == 0)
-        return unplacedPlan(PlanPhase::Decode);
-    return withCoordination(
-        host_engine_.decodeStepPlan(hostShare(cfg, place)),
-        place.placed_batch, 1.0);
+    if (place.placed_batch == 0) {
+        plan = unplacedPlan(PlanPhase::Decode);
+        return;
+    }
+    host_engine_.buildDecodePlan(hostShare(cfg, place), res, plan);
+    appendCoordination(plan, place.placed_batch, 1.0);
+}
+
+void
+FleetEngine::buildPrefillPlan(const RunConfig &cfg,
+                              std::uint64_t chunk_index,
+                              std::uint64_t chunk_count,
+                              StepPlan &plan) const
+{
+    const FleetPlacement place = healthyPlacement(cfg);
+    if (place.placed_batch == 0) {
+        plan = unplacedPlan(PlanPhase::Prefill);
+        return;
+    }
+    host_engine_.buildPrefillPlan(hostShare(cfg, place), chunk_index,
+                                  chunk_count, plan);
+}
+
+RunResult
+FleetEngine::runCached(const RunConfig &cfg, PlanCache &) const
+{
+    return run(cfg);
 }
 
 StepPlan
@@ -468,21 +490,11 @@ FleetEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds now) const
         sched_.place(cfg, cfg.batch, servingMask(view, now));
     if (place.placed_batch == 0)
         return unplacedPlan(PlanPhase::Decode);
-    return withCoordination(
-        host_engine_.decodeStepPlanAt(hostShare(cfg, place), now),
-        place.placed_batch, view.interHostDerate(now));
-}
-
-StepPlan
-FleetEngine::prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index,
-                             std::uint64_t chunk_count) const
-{
-    const FleetPlacement place = healthyPlacement(cfg);
-    if (place.placed_batch == 0)
-        return unplacedPlan(PlanPhase::Prefill);
-    return host_engine_.prefillStepPlan(hostShare(cfg, place), chunk_index,
-                                        chunk_count);
+    StepPlan plan =
+        host_engine_.decodeStepPlanAt(hostShare(cfg, place), now);
+    appendCoordination(plan, place.placed_batch,
+                       view.interHostDerate(now));
+    return plan;
 }
 
 Seconds

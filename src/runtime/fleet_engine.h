@@ -68,7 +68,6 @@ class FleetEngine : public InferenceEngine
                 const HilosOptions &host_opts = HilosOptions{});
 
     std::string name() const override;
-    RunResult run(const RunConfig &cfg) const override;
 
     /**
      * The healthy fleet's decode step: the host engine's decode plan
@@ -76,9 +75,28 @@ class FleetEngine : public InferenceEngine
      * more than one host it gains an `inter_host_sync` stage, one
      * InterNode resource and a tail op priced as the per-step
      * coordination exchange, so its evaluation is run()'s healthy
-     * decode step bit-for-bit.
+     * decode step bit-for-bit. `res` gets the host engine's capacity
+     * decisions at that share.
      */
-    StepPlan decodeStepPlan(const RunConfig &cfg) const override;
+    void buildDecodePlan(const RunConfig &cfg, RunResult &res,
+                         StepPlan &plan) const override;
+    /**
+     * The host engine's prefill plan at the same per-host share as
+     * buildDecodePlan(): hosts prefill their shares in parallel, and
+     * run() adopts exactly this prefill.
+     */
+    void buildPrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
+                          std::uint64_t chunk_count,
+                          StepPlan &plan) const override;
+
+    /** The epoch machine: placement, re-placement and shard rebuild. */
+    RunResult run(const RunConfig &cfg) const override;
+    /**
+     * run(), uncached: a fleet result comes from the epoch machine,
+     * not from folding the fleet's plans.
+     */
+    RunResult runCached(const RunConfig &cfg,
+                        PlanCache &cache) const override;
     /**
      * The fleet decode step at run time `now`: the placement over the
      * hosts serving at `now`, the host plan under the device conditions
@@ -88,14 +106,6 @@ class FleetEngine : public InferenceEngine
      */
     StepPlan decodeStepPlanAt(const RunConfig &cfg,
                               Seconds now) const override;
-    /**
-     * The host engine's prefill plan at the same per-host share as
-     * decodeStepPlan(): hosts prefill their shares in parallel, and
-     * run() adopts exactly this prefill.
-     */
-    StepPlan prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index = 0,
-                             std::uint64_t chunk_count = 1) const override;
 
     /**
      * Replay backend of the fleet decode step: simulatePlan over
@@ -116,13 +126,13 @@ class FleetEngine : public InferenceEngine
                              double derate) const;
 
     /**
-     * `host_plan`, a decode plan at a placement's largest share, with
-     * the coordination exchange of `placed_batch` requests over a link
-     * at `derate` appended as a tail op (unchanged for one host).
+     * Append to `plan`, a host decode plan at a placement's largest
+     * share, the coordination exchange of `placed_batch` requests over
+     * a link at `derate` as a tail op (nothing for one host or an
+     * infeasible plan).
      */
-    StepPlan withCoordination(StepPlan host_plan,
-                              std::uint64_t placed_batch,
-                              double derate) const;
+    void appendCoordination(StepPlan &plan, std::uint64_t placed_batch,
+                            double derate) const;
 
     /** The batch placed over every host (no fault in force). */
     FleetPlacement healthyPlacement(const RunConfig &cfg) const;

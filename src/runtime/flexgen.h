@@ -33,13 +33,14 @@ class FlexGenEngine : public InferenceEngine
     FlexGenEngine(const SystemConfig &sys, FlexTier tier);
 
     std::string name() const override;
-    RunResult run(const RunConfig &cfg) const override;
-    RunResult runCached(const RunConfig &cfg,
-                        PlanCache &cache) const override;
-    StepPlan decodeStepPlan(const RunConfig &cfg) const override;
-    StepPlan prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index = 0,
-                             std::uint64_t chunk_count = 1) const override;
+    /** Capacity decisions into `res`, decode step into `plan`. */
+    void buildDecodePlan(const RunConfig &cfg, RunResult &res,
+                         StepPlan &plan) const override;
+    /** Prefill-phase plan for one chunk (shares buildDecodePlan's
+     *  capacity decision via effectiveBatch). */
+    void buildPrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
+                          std::uint64_t chunk_count,
+                          StepPlan &plan) const override;
 
     /** Aggregate storage read bandwidth of this tier's fleet. */
     Bandwidth storageReadBw() const;
@@ -49,15 +50,6 @@ class FlexGenEngine : public InferenceEngine
     FlexTier tier() const { return tier_; }
 
   private:
-    /** Capacity decisions into `res`, decode step into `plan`. */
-    void makePlan(const RunConfig &cfg, RunResult &res,
-                  StepPlan &plan) const;
-
-    /** Prefill-phase plan for one chunk (shares makePlan's capacity
-     *  decision via effectiveBatch). */
-    void makePrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
-                         std::uint64_t chunk_count, StepPlan &plan) const;
-
     /** The capacity-shrunk batch (0 = infeasible); sets `note` when the
      *  batch shrank or the config does not fit. */
     std::uint64_t effectiveBatch(const RunConfig &cfg,

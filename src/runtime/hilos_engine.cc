@@ -8,7 +8,6 @@
 #include "accel/resource_model.h"
 #include "common/logging.h"
 #include "runtime/cost_model.h"
-#include "runtime/plan_cache.h"
 #include "runtime/prefill_constants.h"
 #include "runtime/writeback.h"
 
@@ -81,70 +80,52 @@ HilosEngine::idealConditions() const
     return cond;
 }
 
+void
+HilosEngine::buildDecodePlan(const RunConfig &cfg, RunResult &res,
+                             StepPlan &plan) const
+{
+    makePlan(cfg, idealConditions(), res, plan);
+}
+
+void
+HilosEngine::buildPrefillPlan(const RunConfig &cfg,
+                              std::uint64_t chunk_index,
+                              std::uint64_t chunk_count,
+                              StepPlan &plan) const
+{
+    makePrefillPlan(cfg, idealConditions(), chunk_index, chunk_count,
+                    plan);
+}
+
 RunResult
 HilosEngine::run(const RunConfig &cfg) const
 {
     if (opts_.fault_plan.empty())
-        return runConditioned(cfg, idealConditions());
+        return InferenceEngine::run(cfg);
     return runWithFaults(cfg);
 }
 
 RunResult
 HilosEngine::runCached(const RunConfig &cfg, PlanCache &cache) const
 {
-    if (!opts_.fault_plan.empty())
-        return runWithFaults(cfg);
-    const FleetConditions cond = idealConditions();
-    RunResult res;
-    const StepPlan &plan = cache.build(
-        PlanCache::keyOf(name(), cfg.model.name), [&](StepPlan &p) {
-            res = RunResult{};
-            makePlan(cfg, cond, res, p);
-        });
-    if (!plan.feasible)
-        return res;
-    const std::uint64_t prefill_key =
-        PlanCache::keyOf(name(), cfg.model.name, PlanPhase::Prefill);
-    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        const StepPlan &pre = cache.build(
-            prefill_key,
-            [&](StepPlan &p) {
-                makePrefillPlan(cfg, cond, i, cfg.prefill_chunks, p);
-            });
-        if (!applyPrefillPlan(pre, res))
-            return res;
-    }
-    applyPlan(plan, cfg, res);
-    return res;
+    if (opts_.fault_plan.empty())
+        return InferenceEngine::runCached(cfg, cache);
+    return runWithFaults(cfg);
 }
 
 RunResult
 HilosEngine::runConditioned(const RunConfig &cfg,
                             const FleetConditions &cond) const
 {
-    HILOS_ASSERT(cfg.prefill_chunks >= 1, "prefill_chunks must be >= 1");
-    RunResult res;
-    StepPlan plan;
-    makePlan(cfg, cond, res, plan);
-    if (!plan.feasible)
-        return res;
-    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        StepPlan pre;
-        makePrefillPlan(cfg, cond, i, cfg.prefill_chunks, pre);
-        if (!applyPrefillPlan(pre, res))
-            return res;
-    }
-    applyPlan(plan, cfg, res);
-    return res;
-}
-
-StepPlan
-HilosEngine::decodeStepPlan(const RunConfig &cfg) const
-{
-    RunResult scratch;
-    StepPlan plan;
-    makePlan(cfg, idealConditions(), scratch, plan);
-    return plan;
+    return runPlans(
+        cfg, nullptr,
+        [&](const RunConfig &c, RunResult &res, StepPlan &plan) {
+            makePlan(c, cond, res, plan);
+        },
+        [&](const RunConfig &c, std::uint64_t chunk_index,
+            std::uint64_t chunk_count, StepPlan &plan) {
+            makePrefillPlan(c, cond, chunk_index, chunk_count, plan);
+        });
 }
 
 HilosEngine::FleetConditions
@@ -189,17 +170,6 @@ HilosEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds now) const
     }
     RunResult scratch;
     makePlan(cfg, cond, scratch, plan);
-    return plan;
-}
-
-StepPlan
-HilosEngine::prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index,
-                             std::uint64_t chunk_count) const
-{
-    StepPlan plan;
-    makePrefillPlan(cfg, idealConditions(), chunk_index, chunk_count,
-                    plan);
     return plan;
 }
 

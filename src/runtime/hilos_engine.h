@@ -59,13 +59,20 @@ class HilosEngine : public InferenceEngine
     HilosEngine(const SystemConfig &sys, const HilosOptions &opts);
 
     std::string name() const override;
+    /** The zero-fault (ideal-fleet) decode step; its capacity checks,
+     *  fault accounting and fpga power into `res`. */
+    void buildDecodePlan(const RunConfig &cfg, RunResult &res,
+                         StepPlan &plan) const override;
+    /** The zero-fault (ideal-fleet) prefill plan for one chunk. */
+    void buildPrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
+                          std::uint64_t chunk_count,
+                          StepPlan &plan) const override;
+    /** The base run body; a non-empty fault plan runs runWithFaults. */
     RunResult run(const RunConfig &cfg) const override;
     /** Plan-structure-cached run(); fault plans bypass the cache (the
      *  degraded-mode epochs rebuild plans under varying conditions). */
     RunResult runCached(const RunConfig &cfg,
                         PlanCache &cache) const override;
-    /** The zero-fault (ideal-fleet) decode-step plan. */
-    StepPlan decodeStepPlan(const RunConfig &cfg) const override;
     /**
      * The decode-step plan under the fleet conditions the FaultPlan
      * puts in force at run time `now`: surviving devices, link derates
@@ -75,10 +82,6 @@ class HilosEngine : public InferenceEngine
      */
     StepPlan decodeStepPlanAt(const RunConfig &cfg,
                               Seconds now) const override;
-    /** The zero-fault (ideal-fleet) prefill plan for one chunk. */
-    StepPlan prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index = 0,
-                             std::uint64_t chunk_count = 1) const override;
 
     /** Aggregate internal P2P read bandwidth of the fleet. */
     Bandwidth internalReadBw() const;
@@ -121,14 +124,17 @@ class HilosEngine : public InferenceEngine
     double alphaFor(const RunConfig &cfg, Bandwidth fleet_read,
                     Bandwidth gds) const;
 
-    /** The analytic model evaluated under fixed fleet conditions. */
+    /**
+     * The base run body over the builders bound to fixed fleet
+     * conditions.
+     */
     RunResult runConditioned(const RunConfig &cfg,
                              const FleetConditions &cond) const;
 
     /**
-     * Capacity checks, prefill, fault accounting and fpga power into
-     * `res`; the decode step itself built into `plan` (fresh, or in
-     * rebuild mode under a PlanCache).
+     * buildDecodePlan under the given fleet conditions: capacity
+     * checks, fault accounting and fpga power into `res`; the decode
+     * step itself built into `plan`.
      */
     void makePlan(const RunConfig &cfg, const FleetConditions &cond,
                   RunResult &res, StepPlan &plan) const;

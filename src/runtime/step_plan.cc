@@ -999,20 +999,6 @@ propagatePrefill(const RunResult &from, RunResult &res)
     res.prefill_busy = from.prefill_busy;
 }
 
-bool
-applyPrefillPhase(const InferenceEngine &engine, const RunConfig &cfg,
-                  RunResult &res)
-{
-    HILOS_ASSERT(cfg.prefill_chunks >= 1,
-                 "a run needs at least one prefill chunk");
-    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        if (!applyPrefillPlan(
-                engine.prefillStepPlan(cfg, i, cfg.prefill_chunks), res))
-            return false;
-    }
-    return true;
-}
-
 void
 accumulateWeighted(RunResult &acc, const RunResult &r, double w)
 {

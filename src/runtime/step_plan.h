@@ -512,14 +512,6 @@ void propagatePrefill(const RunResult &from, RunResult &res);
  */
 void accumulateWeighted(RunResult &acc, const RunResult &r, double w);
 
-/**
- * Build every prefill chunk of `cfg` (cfg.prefill_chunks of them) via
- * `engine` and fold them into `res` with applyPrefillPlan. Returns
- * false as soon as a chunk is infeasible.
- */
-bool applyPrefillPhase(const InferenceEngine &engine, const RunConfig &cfg,
-                       RunResult &res);
-
 }  // namespace hilos
 
 #endif  // HILOS_RUNTIME_STEP_PLAN_H_

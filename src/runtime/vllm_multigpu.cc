@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "runtime/cost_model.h"
-#include "runtime/plan_cache.h"
 #include "runtime/prefill_constants.h"
 
 namespace hilos {
@@ -26,8 +25,8 @@ VllmMultiGpuEngine::totalGpuMemory() const
 }
 
 void
-VllmMultiGpuEngine::makePlan(const RunConfig &cfg, RunResult &res,
-                             StepPlan &plan) const
+VllmMultiGpuEngine::buildDecodePlan(const RunConfig &cfg,
+                                    RunResult &res, StepPlan &plan) const
 {
     const ModelConfig &m = cfg.model;
     const Gpu gpu(cluster_.gpu);
@@ -162,7 +161,7 @@ VllmMultiGpuEngine::makePlan(const RunConfig &cfg, RunResult &res,
 }
 
 void
-VllmMultiGpuEngine::makePrefillPlan(const RunConfig &cfg,
+VllmMultiGpuEngine::buildPrefillPlan(const RunConfig &cfg,
                                     std::uint64_t chunk_index,
                                     std::uint64_t chunk_count,
                                     StepPlan &plan) const
@@ -185,7 +184,7 @@ VllmMultiGpuEngine::makePrefillPlan(const RunConfig &cfg,
         return;
     }
     // Decode falls back to host swap rather than shrinking the batch
-    // (see makePlan), so prefill always runs the requested batch.
+    // (see buildDecodePlan), so prefill always runs the requested batch.
     const std::uint64_t b = cfg.batch;
 
     const auto [start, end] =
@@ -228,65 +227,6 @@ VllmMultiGpuEngine::makePrefillPlan(const RunConfig &cfg,
                        .stageTag("pp_comm"));
 
     plan.busy_step_fraction.gpu = kPrefillGpuBusyFraction;
-}
-
-RunResult
-VllmMultiGpuEngine::run(const RunConfig &cfg) const
-{
-    RunResult res;
-    StepPlan plan;
-    makePlan(cfg, res, plan);
-    if (!plan.feasible)
-        return res;
-    if (!applyPrefillPhase(*this, cfg, res))
-        return res;
-    applyPlan(plan, cfg, res);
-    return res;
-}
-
-RunResult
-VllmMultiGpuEngine::runCached(const RunConfig &cfg, PlanCache &cache) const
-{
-    RunResult res;
-    const StepPlan &plan = cache.build(
-        PlanCache::keyOf(name(), cfg.model.name), [&](StepPlan &p) {
-            res = RunResult{};
-            makePlan(cfg, res, p);
-        });
-    if (!plan.feasible)
-        return res;
-    const std::uint64_t prefill_key =
-        PlanCache::keyOf(name(), cfg.model.name, PlanPhase::Prefill);
-    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        const StepPlan &pre = cache.build(
-            prefill_key,
-            [&](StepPlan &p) {
-                makePrefillPlan(cfg, i, cfg.prefill_chunks, p);
-            });
-        if (!applyPrefillPlan(pre, res))
-            return res;
-    }
-    applyPlan(plan, cfg, res);
-    return res;
-}
-
-StepPlan
-VllmMultiGpuEngine::decodeStepPlan(const RunConfig &cfg) const
-{
-    RunResult scratch;
-    StepPlan plan;
-    makePlan(cfg, scratch, plan);
-    return plan;
-}
-
-StepPlan
-VllmMultiGpuEngine::prefillStepPlan(const RunConfig &cfg,
-                                    std::uint64_t chunk_index,
-                                    std::uint64_t chunk_count) const
-{
-    StepPlan plan;
-    makePrefillPlan(cfg, chunk_index, chunk_count, plan);
-    return plan;
 }
 
 }  // namespace hilos

@@ -46,13 +46,13 @@ class VllmMultiGpuEngine : public InferenceEngine
                        const VllmClusterConfig &cluster);
 
     std::string name() const override { return "vLLM(2x4xA6000)"; }
-    RunResult run(const RunConfig &cfg) const override;
-    RunResult runCached(const RunConfig &cfg,
-                        PlanCache &cache) const override;
-    StepPlan decodeStepPlan(const RunConfig &cfg) const override;
-    StepPlan prefillStepPlan(const RunConfig &cfg,
-                             std::uint64_t chunk_index = 0,
-                             std::uint64_t chunk_count = 1) const override;
+    /** Capacity decisions into `res`, decode step into `plan`. */
+    void buildDecodePlan(const RunConfig &cfg, RunResult &res,
+                         StepPlan &plan) const override;
+    /** Prefill-phase plan for one chunk. */
+    void buildPrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
+                          std::uint64_t chunk_count,
+                          StepPlan &plan) const override;
 
     /** Aggregate GPU memory of the cluster. */
     double totalGpuMemory() const;
@@ -60,14 +60,6 @@ class VllmMultiGpuEngine : public InferenceEngine
     const VllmClusterConfig &cluster() const { return cluster_; }
 
   private:
-    /** Capacity decisions into `res`, decode step into `plan`. */
-    void makePlan(const RunConfig &cfg, RunResult &res,
-                  StepPlan &plan) const;
-
-    /** Prefill-phase plan for one chunk. */
-    void makePrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
-                         std::uint64_t chunk_count, StepPlan &plan) const;
-
     SystemConfig sys_;
     VllmClusterConfig cluster_;
 };

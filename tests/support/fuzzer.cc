@@ -280,35 +280,11 @@ ConfigFuzzer::fleetCase()
     return c;
 }
 
-namespace {
-
-std::string
-engineKindLabel(EngineKind kind)
-{
-    switch (kind) {
-    case EngineKind::FlexDram:
-        return "flex-dram";
-    case EngineKind::FlexSsd:
-        return "flex-ssd";
-    case EngineKind::FlexSmartSsdRaw:
-        return "flex-16p3";
-    case EngineKind::DeepSpeedUvm:
-        return "ds-uvm";
-    case EngineKind::VllmMultiGpu:
-        return "vllm";
-    case EngineKind::Hilos:
-        return "hilos";
-    }
-    return "?";
-}
-
-}  // namespace
-
 std::string
 FuzzServingCase::describe() const
 {
     std::ostringstream os;
-    os << "engine=" << engineKindLabel(kind)
+    os << "engine=" << engineKindName(kind)
        << " model=" << serving.model.name
        << " max_batch=" << serving.max_batch
        << " policy=" << servingPolicyName(serving.policy)

@@ -196,8 +196,17 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
     } cases[] = {
         {"--devices 0", "error: --devices"},
         {"--devices 17", "error: --devices"},
+        // Counts are checked before the unsigned cast: these once
+        // wrapped to a valid-looking 1-device run.
+        {"--devices 4294967297", "error: --devices"},
+        {"--devices -4294967295", "error: --devices"},
+        // ... and these to 2^64-1 prefill chunks, a run that never ends.
+        {"--prefill-chunks -1", "error: --prefill-chunks"},
+        {"--prefill-chunks 18446744073709551615", "error: --prefill-chunks"},
+        // An offline run's chunks past the prompt would be empty.
+        {"--context 4 --prefill-chunks 8", "error: --prefill-chunks"},
         {"--model NoSuch", "error: "},
-        {"--engine nosuch", "error: "},
+        {"--engine nosuch", "error: --engine"},
         {"--fault-plan 'fail@nan=3'", "error: --fault-plan"},
         {"--alpha 2", "error: --alpha"},
         {"--alpha -0.5", "error: --alpha"},
@@ -247,6 +256,17 @@ TEST(CliGolden, CompoundUplinkDerateBelowTheFloorExitsTwo)
 TEST(CliGolden, AlphaAndSpillBoundariesAreAccepted)
 {
     for (const char *args : {"--alpha 0", "--alpha 1", "--spill 1"})
+        capture(std::string(HILOS_CLI_PATH) + " " + args + " >/dev/null");
+}
+
+TEST(CliGolden, PrefillChunkBoundariesAreAccepted)
+{
+    // An offline run may split its prompt into one-token chunks; a
+    // serving run splits each request's own prompt, so --context does
+    // not bound its chunk count.
+    for (const char *args : {"--context 4 --prefill-chunks 4",
+                             "--serve --requests 2 --context 4 "
+                             "--prefill-chunks 8"})
         capture(std::string(HILOS_CLI_PATH) + " " + args + " >/dev/null");
 }
 

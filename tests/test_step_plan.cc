@@ -668,12 +668,15 @@ scalarGrid()
     for (const std::uint64_t batch : {8ull, 16ull}) {
         for (const std::uint64_t context : {4096ull, 8192ull}) {
             for (const std::uint64_t output : {16ull, 64ull}) {
-                RunConfig run;
-                run.model = opt30b();
-                run.batch = batch;
-                run.context_len = context;
-                run.output_len = output;
-                grid.push_back(run);
+                for (const std::uint64_t chunks : {1ull, 4ull}) {
+                    RunConfig run;
+                    run.model = opt30b();
+                    run.batch = batch;
+                    run.context_len = context;
+                    run.output_len = output;
+                    run.prefill_chunks = chunks;
+                    grid.push_back(run);
+                }
             }
         }
     }
@@ -691,21 +694,65 @@ TEST(PlanCache, EveryEngineRunCachedMatchesRunAcrossScalarGrid)
     for (const EngineKind kind : kinds) {
         const auto engine = makeEngine(kind, sys);
         PlanCache cache;
-        std::size_t points = 0;
+        std::uint64_t builds = 0;
         for (const RunConfig &run : scalarGrid()) {
             const RunResult uncached = engine->run(run);
             const RunResult cached = engine->runCached(run, cache);
             EXPECT_EQ(test::serialize(cached), test::serialize(uncached))
                 << engine->name() << " batch=" << run.batch
                 << " context=" << run.context_len
-                << " output=" << run.output_len;
-            points++;
+                << " output=" << run.output_len
+                << " chunks=" << run.prefill_chunks;
+            builds += 1 + run.prefill_chunks;
         }
-        // One cold build per phase (decode + prefill), every later
-        // point a verified rebuild of both.
+        // One cold build per phase (decode + prefill); every later
+        // decode plan and prefill chunk is a verified rebuild, the
+        // monolithic prefill and the chunks alike.
         EXPECT_EQ(cache.stats().misses, 2u) << engine->name();
-        EXPECT_EQ(cache.stats().hits, 2 * (points - 1)) << engine->name();
+        EXPECT_EQ(cache.stats().hits, builds - 2) << engine->name();
         EXPECT_EQ(cache.stats().mismatches, 0u) << engine->name();
+    }
+}
+
+TEST(PlanCache, FaultRoutesRunCachedMatchRun)
+{
+    // A faulted HILOS and a fleet run epoch machines rather than the
+    // plan body; runCached must take the same route as run(), also over
+    // a cache that already holds the healthy plans.
+    const SystemConfig sys = defaultSystem();
+    RunConfig run;
+    run.model = opt30b();
+    run.batch = 16;
+    run.context_len = 8192;
+    run.output_len = 32;
+    const auto midDecode = [&](const InferenceEngine &healthy) {
+        const RunResult r = healthy.run(run);
+        return r.prefill_time +
+               static_cast<double>(run.output_len / 2) * r.decode_step_time;
+    };
+
+    HilosOptions opts;
+    opts.fault_plan.addNandReadError(1e-3).addDeviceFailure(
+        midDecode(HilosEngine(sys, HilosOptions{})), 3);
+    FleetConfig fc;
+    fc.hosts = 2;
+    fc.fault_plan.addHostFailure(midDecode(FleetEngine(sys, fc)), 1);
+    const std::unique_ptr<InferenceEngine> engines[] = {
+        makeEngine(EngineKind::Hilos, sys, opts),
+        makeFleetEngine(sys, fc),
+    };
+    for (const auto &engine : engines) {
+        PlanCache cache;
+        makeEngine(EngineKind::Hilos, sys)->runCached(run, cache);
+        for (const std::uint64_t chunks : {1ull, 4ull}) {
+            run.prefill_chunks = chunks;
+            const RunResult uncached = engine->run(run);
+            EXPECT_TRUE(uncached.faults.any()) << engine->name();
+            EXPECT_EQ(test::serialize(engine->runCached(run, cache)),
+                      test::serialize(uncached))
+                << engine->name() << " chunks=" << chunks;
+        }
+        run.prefill_chunks = 1;
     }
 }
 
