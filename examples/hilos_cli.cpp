@@ -257,9 +257,10 @@ runCli(int argc, char **argv)
         .addFlag("cxl", "model a CXL.mem-coherent accelerator (7.3)")
         .addFlag("compare", "run every engine on the workload")
         .addOption("fault-plan", "",
-                   "inject faults, e.g. "
-                   "'seed=7;nand-err=1e-3;fail@2.5=3;uplink@1=0.8' "
-                   "(HILOS only; see sim/fault.h)")
+                   "inject faults into an offline --engine hilos run "
+                   "(any --hosts), e.g. "
+                   "'seed=7;nand-err=1e-3;fail@2.5=3;uplink@1=0.8'; "
+                   "not with --serve (see sim/fault.h)")
         .addOption("report", "",
                    "write a markdown evaluation report (headline grid) "
                    "to this file")
@@ -414,6 +415,17 @@ runCli(int argc, char **argv)
         const std::vector<std::string> problems = opts.fault_plan.validate();
         if (!problems.empty()) {
             std::cerr << "error: --fault-plan: " << problems.front() << "\n";
+            return 2;
+        }
+        // Only HILOS (and its fleet) price fault conditions, and serving
+        // prices healthy steps: a plan either would drop is an error.
+        if (engine_kind != EngineKind::Hilos) {
+            std::cerr << "error: --fault-plan requires --engine hilos\n";
+            return 2;
+        }
+        if (args.getFlag("serve")) {
+            std::cerr << "error: --fault-plan is not supported with --serve "
+                         "(serving prices healthy conditions only)\n";
             return 2;
         }
     }

@@ -1,10 +1,13 @@
 #include "runtime/engine.h"
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "common/logging.h"
 #include "runtime/plan_cache.h"
 #include "runtime/step_plan.h"
+#include "sim/fault.h"
 
 namespace hilos {
 
@@ -61,6 +64,33 @@ struct OwnPrefill {
     }
 };
 
+/**
+ * Accumulate the `w`-weighted decode-step accounting of `ev` into `acc`
+ * (decode step time, breakdown stages, traffic counters, busy time):
+ * the epoch-blending primitive of the fold.
+ */
+void
+accumulateWeighted(RunResult &acc, const PlanEvaluation &ev, double w)
+{
+    acc.decode_step_time += w * ev.decode_step_time;
+    for (const auto &[stage, secs] : ev.breakdown.stages())
+        acc.breakdown.add(stage, w * secs);
+    acc.traffic.host_read_bytes += w * ev.traffic.host_read_bytes;
+    acc.traffic.host_write_bytes += w * ev.traffic.host_write_bytes;
+    acc.traffic.attn_host_read_bytes +=
+        w * ev.traffic.attn_host_read_bytes;
+    acc.traffic.attn_host_write_bytes +=
+        w * ev.traffic.attn_host_write_bytes;
+    acc.traffic.internal_bytes += w * ev.traffic.internal_bytes;
+    acc.traffic.storage_write_bytes +=
+        w * ev.traffic.storage_write_bytes;
+    acc.busy.gpu += w * ev.busy.gpu;
+    acc.busy.cpu += w * ev.busy.cpu;
+    acc.busy.dram += w * ev.busy.dram;
+    acc.busy.storage += w * ev.busy.storage;
+    acc.busy.fpga += w * ev.busy.fpga;
+}
+
 }  // namespace
 
 RunResult
@@ -107,15 +137,153 @@ InferenceEngine::runPlans(const RunConfig &cfg, PlanCache *cache,
 }
 
 RunResult
+InferenceEngine::runHealthy(const RunConfig &cfg, PlanCache *cache) const
+{
+    RunResult res =
+        runPlans(cfg, cache, OwnDecode{*this}, OwnPrefill{*this});
+    const DecodeEpoch only{res.prefill_time, res.decode_step_time,
+                           cfg.output_len, 1.0};
+    EpochLog log;
+    if (res.feasible) {
+        log.epochs = {&only, 1};
+        log.healthy_step = res.decode_step_time;
+        log.end = res.total_time;
+    }
+    summarize(cfg, log, res);
+    return res;
+}
+
+RunResult
+InferenceEngine::runEpochs(const RunConfig &cfg) const
+{
+    HILOS_ASSERT(cfg.prefill_chunks >= 1,
+                 "a run needs at least one prefill chunk");
+    const ConditionTimeline &tl = timeline();
+    std::vector<DecodeEpoch> epochs;
+    EpochLog log;
+    const StepPlan healthy = decodeStepPlan(cfg);
+    if (healthy.feasible)
+        log.healthy_step = evaluatePlan(healthy).decode_step_time;
+
+    // Capacity decisions and the prefill phase under the conditions in
+    // force when the run starts.
+    const Seconds run_start = 0.0;
+    RunResult res;
+    StepPlan first;
+    buildDecodePlanAt(cfg, run_start, res, first);
+    if (!first.feasible) {
+        res.feasible = false;
+        res.note = first.note;
+        summarize(cfg, log, res);
+        return res;
+    }
+    for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
+        StepPlan pre;
+        buildPrefillPlanAt(cfg, run_start, i, cfg.prefill_chunks, pre);
+        if (!applyPrefillPlan(pre, res)) {
+            summarize(cfg, log, res);
+            return res;
+        }
+    }
+    if (cfg.output_len == 0) {
+        applyPlan(first, cfg, res);
+        epochs.push_back({res.prefill_time, res.decode_step_time, 0, 1.0});
+        log.epochs = epochs;
+        log.end = res.prefill_time;
+        summarize(cfg, log, res);
+        return res;
+    }
+
+    // Decode epochs: constant conditions between change times. `since`
+    // is when the conditions were last charged for: the start of the
+    // previous epoch or the previous rebuild.
+    const double out_tokens = static_cast<double>(cfg.output_len);
+    Seconds now = res.prefill_time;
+    Seconds since = run_start;
+    Seconds decode_time = 0.0;
+    std::uint64_t remaining = cfg.output_len;
+    while (remaining > 0) {
+        const StepPlan rebuild =
+            rebuildPlanAt(cfg, since, now, cfg.output_len - remaining);
+        if (!rebuild.tail_ops.empty()) {
+            // Decode pauses for the rebuild; a change inside the pause
+            // is read (and charged) on the next pass.
+            const Seconds pause = evaluatePlan(rebuild).decode_step_time;
+            log.rebuild_time += pause;
+            for (const StepOpView op : rebuild.tail_ops)
+                log.rebuild_bytes += op.bytes;
+            since = now;
+            now += pause;
+            continue;
+        }
+        if (tl.allHostsStalled(now)) {
+            // Nothing serves until the next change (a stall always ends).
+            now = tl.nextChangeAfter(now);
+            HILOS_ASSERT(std::isfinite(now),
+                         "stalled fleet with no recovery event");
+            continue;
+        }
+        const StepPlan plan = decodeStepPlanAt(cfg, now);
+        if (!plan.feasible) {
+            res.feasible = false;
+            res.note = plan.note;
+            break;
+        }
+        const PlanEvaluation ev = evaluatePlan(plan);
+        const Seconds step = ev.decode_step_time;
+        HILOS_ASSERT(step > 0.0, "decode step must be positive");
+
+        // Tokens until the next change flips conditions.
+        std::uint64_t tokens = remaining;
+        const Seconds next = tl.nextChangeAfter(now);
+        if (std::isfinite(next)) {
+            const double span = (next - now) / step;
+            const auto fit = static_cast<std::uint64_t>(std::ceil(span));
+            tokens = std::min(remaining, std::max<std::uint64_t>(1, fit));
+        }
+        const double w = static_cast<double>(tokens) / out_tokens;
+        accumulateWeighted(res, ev, w);
+        epochs.push_back({now, step, tokens, w});
+        decode_time += static_cast<double>(tokens) * step;
+        since = now;
+        now += static_cast<double>(tokens) * step;
+        remaining -= tokens;
+    }
+    log.epochs = epochs;
+    log.end = now;
+    log.stall_time = tl.recoveredStallsBefore(now).time;
+    res.total_time = res.prefill_time + decode_time + log.rebuild_time +
+                     log.stall_time;
+    if (res.feasible)
+        applyRunEnergy(first.energy, cfg, res);
+    summarize(cfg, log, res);
+    return res;
+}
+
+RunResult
 InferenceEngine::run(const RunConfig &cfg) const
 {
-    return runPlans(cfg, nullptr, OwnDecode{*this}, OwnPrefill{*this});
+    return timeline().empty() ? runHealthy(cfg, nullptr) : runEpochs(cfg);
 }
 
 RunResult
 InferenceEngine::runCached(const RunConfig &cfg, PlanCache &cache) const
 {
-    return runPlans(cfg, &cache, OwnDecode{*this}, OwnPrefill{*this});
+    return timeline().empty() ? runHealthy(cfg, &cache) : runEpochs(cfg);
+}
+
+RunResult
+InferenceEngine::runAt(const RunConfig &cfg, Seconds now) const
+{
+    return runPlans(
+        cfg, nullptr,
+        [&](const RunConfig &c, RunResult &res, StepPlan &plan) {
+            buildDecodePlanAt(c, now, res, plan);
+        },
+        [&](const RunConfig &c, std::uint64_t chunk_index,
+            std::uint64_t chunk_count, StepPlan &plan) {
+            buildPrefillPlanAt(c, now, chunk_index, chunk_count, plan);
+        });
 }
 
 StepPlan
@@ -128,9 +296,12 @@ InferenceEngine::decodeStepPlan(const RunConfig &cfg) const
 }
 
 StepPlan
-InferenceEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds) const
+InferenceEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds now) const
 {
-    return decodeStepPlan(cfg);
+    RunResult scratch;
+    StepPlan plan;
+    buildDecodePlanAt(cfg, now, scratch, plan);
+    return plan;
 }
 
 StepPlan
@@ -141,6 +312,42 @@ InferenceEngine::prefillStepPlan(const RunConfig &cfg,
     StepPlan plan;
     buildPrefillPlan(cfg, chunk_index, chunk_count, plan);
     return plan;
+}
+
+void
+InferenceEngine::buildDecodePlanAt(const RunConfig &cfg, Seconds,
+                                   RunResult &res, StepPlan &plan) const
+{
+    buildDecodePlan(cfg, res, plan);
+}
+
+void
+InferenceEngine::buildPrefillPlanAt(const RunConfig &cfg, Seconds,
+                                    std::uint64_t chunk_index,
+                                    std::uint64_t chunk_count,
+                                    StepPlan &plan) const
+{
+    buildPrefillPlan(cfg, chunk_index, chunk_count, plan);
+}
+
+StepPlan
+InferenceEngine::rebuildPlanAt(const RunConfig &, Seconds, Seconds,
+                               std::uint64_t) const
+{
+    return StepPlan{};
+}
+
+const ConditionTimeline &
+InferenceEngine::timeline() const
+{
+    static const ConditionTimeline kHealthy;
+    return kHealthy;
+}
+
+void
+InferenceEngine::summarize(const RunConfig &, const EpochLog &,
+                           RunResult &) const
+{
 }
 
 bool

@@ -9,6 +9,7 @@
 #define HILOS_RUNTIME_ENGINE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -183,8 +184,33 @@ struct RunResult {
     FleetSummary fleet;        ///< cluster accounting, FleetEngine only
 };
 
+class ConditionTimeline;
 class PlanCache;
 struct StepPlan;
+
+/** One constant-condition stretch of a run's decode phase. */
+struct DecodeEpoch {
+    Seconds start = 0;         ///< run time decode (re)starts at
+    Seconds step = 0;          ///< decodeStepPlanAt(cfg, start) evaluated
+    std::uint64_t tokens = 0;  ///< decode tokens generated in it
+    double weight = 1.0;       ///< tokens / output_len (1 for no decode)
+};
+
+/**
+ * What the epoch fold hands an engine's summary hook: the decode epochs
+ * a run went through (all of them, or those before it became
+ * infeasible; valid for the hook call) and the run-level times the
+ * fold charged.
+ */
+struct EpochLog {
+    std::span<const DecodeEpoch> epochs;
+    /** The healthy decode step (decodeStepPlan evaluated). */
+    Seconds healthy_step = 0;
+    Seconds rebuild_time = 0;  ///< boundary rebuild plans, summed
+    Bytes rebuild_bytes = 0;   ///< bytes their transfer ops moved
+    Seconds stall_time = 0;    ///< recovered host stalls before `end`
+    Seconds end = 0;           ///< run time the decode phase stopped at
+};
 
 /**
  * A non-owning reference to a callable: one indirect call and no
@@ -253,30 +279,67 @@ class InferenceEngine
                                   StepPlan &plan) const = 0;
 
     /**
-     * Model the full run analytically: the decode plan and every
-     * prefill chunk built cold and folded into one result. The
-     * uncached reference runCached() is checked against.
+     * buildDecodePlan under the conditions the engine's timeline() puts
+     * in force at run time `now`. Engines without a fault model (the
+     * default) build their healthy plan. Infeasible, with a note, when
+     * nothing survives to serve at `now`.
      */
-    virtual RunResult run(const RunConfig &cfg) const;
+    virtual void buildDecodePlanAt(const RunConfig &cfg, Seconds now,
+                                   RunResult &res, StepPlan &plan) const;
+
+    /** buildPrefillPlan under the conditions in force at `now`. */
+    virtual void buildPrefillPlanAt(const RunConfig &cfg, Seconds now,
+                                    std::uint64_t chunk_index,
+                                    std::uint64_t chunk_count,
+                                    StepPlan &plan) const;
+
+    /**
+     * The shard rebuild a condition change between `since` and `now`
+     * forces before decode resumes at `now`, `done` tokens into the
+     * decode: transfer tail ops whose evaluation is the pause. An empty
+     * plan (the default) when nothing was lost.
+     */
+    virtual StepPlan rebuildPlanAt(const RunConfig &cfg, Seconds since,
+                                   Seconds now, std::uint64_t done) const;
+
+    /** The fault conditions the engine runs under (empty by default). */
+    virtual const ConditionTimeline &timeline() const;
+
+    /**
+     * Engine-specific accounting over a finished run: called once by
+     * run()/runCached() with the epochs the run went through (one for a
+     * run with an empty timeline). The default records nothing.
+     */
+    virtual void summarize(const RunConfig &cfg, const EpochLog &log,
+                           RunResult &res) const;
+
+    /**
+     * Model the full run analytically. With an empty timeline() the
+     * decode plan and every prefill chunk are built cold and folded
+     * into one result, the uncached reference runCached() is checked
+     * against; otherwise the run is the epoch fold (see engine.cc).
+     */
+    RunResult run(const RunConfig &cfg) const;
 
     /**
      * run() with plan-structure reuse: the builders rebuild only the
      * priced annotations when `cache` already holds their topology
      * (see runtime/plan_cache.h). Results are bit-identical to run()
-     * for every engine and cache state.
+     * for every engine and cache state; the epoch fold builds cold.
      */
-    virtual RunResult runCached(const RunConfig &cfg, PlanCache &cache) const;
+    RunResult runCached(const RunConfig &cfg, PlanCache &cache) const;
+
+    /**
+     * The run held at the conditions in force at `now` for its whole
+     * length: decode and prefill built by the `At` builders, no epochs.
+     */
+    RunResult runAt(const RunConfig &cfg, Seconds now) const;
 
     /** The decode-step plan for one run configuration (a cold build). */
     StepPlan decodeStepPlan(const RunConfig &cfg) const;
 
-    /**
-     * The decode-step plan under the conditions a fault schedule puts
-     * in force at run time `now`. Engines without a fault model (the
-     * default) return decodeStepPlan().
-     */
-    virtual StepPlan decodeStepPlanAt(const RunConfig &cfg,
-                                      Seconds now) const;
+    /** The decode-step plan under the conditions in force at `now`. */
+    StepPlan decodeStepPlanAt(const RunConfig &cfg, Seconds now) const;
 
     /** The Prefill-phase plan for chunk `chunk_index` of `chunk_count`. */
     StepPlan prefillStepPlan(const RunConfig &cfg,
@@ -294,11 +357,20 @@ class InferenceEngine
      * with the given builders (cold when `cache` is null, else through
      * `cache` under this engine's keys) and fold them with
      * applyPrefillPlan/applyPlan. run() and runCached() pass the
-     * engine's own builders; an engine with operating conditions
-     * passes builders bound to other conditions.
+     * engine's own builders, runAt() the builders at one time.
      */
     RunResult runPlans(const RunConfig &cfg, PlanCache *cache,
                        DecodeBuilder decode, PrefillBuilder prefill) const;
+
+    /** run() and runCached() over runPlans plus the summary hook. */
+    RunResult runHealthy(const RunConfig &cfg, PlanCache *cache) const;
+
+    /**
+     * The epoch fold of a run under a non-empty timeline(): prefill at
+     * t = 0, decode cut at the timeline's change times, each boundary
+     * charged through rebuildPlanAt, epochs blended by token weight.
+     */
+    RunResult runEpochs(const RunConfig &cfg) const;
 };
 
 /**

@@ -3,11 +3,10 @@
  * Fleet-scale NSP scale-out: N hosts of M SmartSSDs each, data-parallel
  * over the request batch, coordinated over an inter-host interconnect
  * (the vLLM baseline's InfiniBand model generalized to N nodes). The
- * FleetEngine executes a FleetScheduler placement and reuses the
- * single-host epoch machinery at cluster granularity: a host loss
- * triggers deterministic re-placement and shard rebuild, a host stall
- * runs the retry/backoff ladder, and throughput degrades gracefully
- * instead of erroring.
+ * FleetEngine executes a FleetScheduler placement through the one epoch
+ * fold every engine runs: a host loss triggers deterministic
+ * re-placement and shard rebuild, a host stall runs the retry/backoff
+ * ladder, and throughput degrades gracefully instead of erroring.
  */
 
 #ifndef HILOS_RUNTIME_FLEET_ENGINE_H_
@@ -37,9 +36,10 @@ struct FleetConfig {
     /** One-way inter-host message latency (per-step coordination). */
     Seconds inter_host_latency = usec(15);
     /**
-     * Fault schedule for the whole fleet: host-scope events drive the
-     * cluster epochs here; device-scope events fan out to every host's
-     * own injector. Empty = the zero-fault fast path.
+     * Fault schedule for the whole fleet, on one condition timeline:
+     * host-scope events re-place the batch; device-scope events apply
+     * to that device index on every host. Both cut the fleet's decode
+     * epochs. Empty = the zero-fault fast path.
      */
     FaultPlan fault_plan;
 
@@ -55,11 +55,11 @@ struct FleetConfig {
  *
  * A fleet decode step is the slowest serving host's step plus the
  * per-step coordination exchange; with one host and no faults the
- * result is bit-identical to the underlying HilosEngine. Host-scope
- * fault events partition the run into epochs; every boundary re-places
- * the batch deterministically, charges shard-rebuild traffic over the
- * (possibly degraded) inter-host link, and the run completes with
- * availability < 1 rather than failing, as long as any host survives.
+ * result is bit-identical to the underlying HilosEngine. Fault events
+ * partition the run into epochs; every boundary re-places the batch
+ * deterministically, charges shard-rebuild traffic over the (possibly
+ * degraded) inter-host link, and the run completes with availability
+ * < 1 rather than failing, as long as any host survives.
  */
 class FleetEngine : public InferenceEngine
 {
@@ -89,23 +89,36 @@ class FleetEngine : public InferenceEngine
                           std::uint64_t chunk_count,
                           StepPlan &plan) const override;
 
-    /** The epoch machine: placement, re-placement and shard rebuild. */
-    RunResult run(const RunConfig &cfg) const override;
-    /**
-     * run(), uncached: a fleet result comes from the epoch machine,
-     * not from folding the fleet's plans.
-     */
-    RunResult runCached(const RunConfig &cfg,
-                        PlanCache &cache) const override;
     /**
      * The fleet decode step at run time `now`: the placement over the
      * hosts serving at `now`, the host plan under the device conditions
-     * in force then (HilosEngine::decodeStepPlanAt) and the
-     * coordination exchange over the inter-host link's derate at
-     * `now`. Infeasible, with a note, when no host can serve.
+     * in force then and the coordination exchange over the inter-host
+     * link's derate at `now`. Infeasible, with a note, when no host can
+     * serve.
      */
-    StepPlan decodeStepPlanAt(const RunConfig &cfg,
-                              Seconds now) const override;
+    void buildDecodePlanAt(const RunConfig &cfg, Seconds now,
+                           RunResult &res, StepPlan &plan) const override;
+    /** The host prefill plan at the share of the placement at `now`. */
+    void buildPrefillPlanAt(const RunConfig &cfg, Seconds now,
+                            std::uint64_t chunk_index,
+                            std::uint64_t chunk_count,
+                            StepPlan &plan) const override;
+    /**
+     * The host engine's device rebuild at the placement held since
+     * `since`, plus the KV cache of the requests homed on hosts lost by
+     * `now` re-homed over the (possibly degraded) inter-host link.
+     */
+    StepPlan rebuildPlanAt(const RunConfig &cfg, Seconds since, Seconds now,
+                           std::uint64_t done) const override;
+    const ConditionTimeline &timeline() const override { return timeline_; }
+    /**
+     * Cluster accounting: the FleetSummary of the epochs, the host
+     * engine's FaultSummary when the plan has device-scope events, and
+     * traffic, busy time and energy of the serving hosts (each epoch
+     * weighs its serving hosts' whole-run host accounting).
+     */
+    void summarize(const RunConfig &cfg, const EpochLog &log,
+                   RunResult &res) const override;
 
     /**
      * Replay backend of the fleet decode step: simulatePlan over
@@ -137,15 +150,15 @@ class FleetEngine : public InferenceEngine
     /** The batch placed over every host (no fault in force). */
     FleetPlacement healthyPlacement(const RunConfig &cfg) const;
 
-    /** Serving mask at `now`: alive and not inside a stall window. */
-    std::vector<bool> servingMask(const HostFaultView &view,
-                                  Seconds now) const;
+    /** The batch placed over the hosts alive and not stalled at `now`. */
+    FleetPlacement placementAt(const RunConfig &cfg, Seconds now) const;
 
     SystemConfig sys_;
     FleetConfig fleet_;
     HilosOptions host_opts_;
     FleetScheduler sched_;
     HilosEngine host_engine_;
+    ConditionTimeline timeline_;
 };
 
 }  // namespace hilos

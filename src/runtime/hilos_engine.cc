@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "accel/cycle_model.h"
 #include "accel/resource_model.h"
@@ -14,7 +13,8 @@
 namespace hilos {
 
 HilosEngine::HilosEngine(const SystemConfig &sys, const HilosOptions &opts)
-    : sys_(sys), opts_(opts)
+    : sys_(sys), opts_(opts),
+      timeline_(opts.fault_plan, opts.num_devices)
 {
     HILOS_ASSERT(opts_.num_devices >= 1 && opts_.num_devices <= 16,
                  "HILOS supports 1..16 SmartSSDs");
@@ -66,6 +66,30 @@ HilosEngine::alphaFor(const RunConfig &cfg, Bandwidth fleet_read,
 }
 
 double
+HilosEngine::alphaUnder(const RunConfig &cfg,
+                        const FleetConditions &cond) const
+{
+    const Bandwidth p2p_read = sys_.smartssd.p2p_read_bw * cond.p2p_derate;
+    const Bandwidth fleet_read = static_cast<double>(cond.devices) * p2p_read;
+    return alphaFor(cfg, fleet_read,
+                    std::min(sys_.gds_effective_bw, fleet_read));
+}
+
+Seconds
+HilosEngine::retryPerLayer(const RunConfig &cfg, const FleetConditions &cond,
+                           double alpha) const
+{
+    const double slices_per_dev =
+        (1.0 - alpha) *
+        static_cast<double>(cfg.batch * cfg.model.kv_heads) /
+        static_cast<double>(cond.devices);
+    const Seconds retry_per_slice =
+        cond.retry.expectedEccPenalty(cond.nand_error_prob) +
+        cond.retry.expectedNvmePenalty(cond.nvme_timeout_prob);
+    return slices_per_dev * retry_per_slice;
+}
+
+double
 HilosEngine::selectedAlpha(const RunConfig &cfg) const
 {
     return alphaFor(cfg, internalReadBw(), gdsBw());
@@ -97,44 +121,13 @@ HilosEngine::buildPrefillPlan(const RunConfig &cfg,
                     plan);
 }
 
-RunResult
-HilosEngine::run(const RunConfig &cfg) const
-{
-    if (opts_.fault_plan.empty())
-        return InferenceEngine::run(cfg);
-    return runWithFaults(cfg);
-}
-
-RunResult
-HilosEngine::runCached(const RunConfig &cfg, PlanCache &cache) const
-{
-    if (opts_.fault_plan.empty())
-        return InferenceEngine::runCached(cfg, cache);
-    return runWithFaults(cfg);
-}
-
-RunResult
-HilosEngine::runConditioned(const RunConfig &cfg,
-                            const FleetConditions &cond) const
-{
-    return runPlans(
-        cfg, nullptr,
-        [&](const RunConfig &c, RunResult &res, StepPlan &plan) {
-            makePlan(c, cond, res, plan);
-        },
-        [&](const RunConfig &c, std::uint64_t chunk_index,
-            std::uint64_t chunk_count, StepPlan &plan) {
-            makePrefillPlan(c, cond, chunk_index, chunk_count, plan);
-        });
-}
-
 HilosEngine::FleetConditions
-HilosEngine::conditionsAt(const FaultInjector &inj, Seconds now) const
+HilosEngine::conditionsAt(Seconds now) const
 {
     const unsigned N = opts_.num_devices;
     FleetConditions c;
     c.retry = opts_.fault_plan.retry;
-    c.devices = inj.survivingDevices(now);
+    c.devices = timeline_.survivingDevices(now);
     c.failed_devices = N - c.devices;
     // The slice pipeline is statically partitioned, so the slowest
     // surviving device binds each epoch: take the worst derate and the
@@ -143,34 +136,185 @@ HilosEngine::conditionsAt(const FaultInjector &inj, Seconds now) const
     double nand_p = 0.0;
     double nvme_p = 0.0;
     for (unsigned dev = 0; dev < N; ++dev) {
-        if (inj.deviceFailed(dev, now))
+        if (timeline_.deviceFailed(dev, now))
             continue;
-        derate = std::min(derate, inj.linkDerate(dev, now));
-        nand_p = std::max(nand_p, inj.nandErrorProbability(dev));
-        nvme_p = std::max(nvme_p, inj.nvmeTimeoutProbability(dev));
+        derate = std::min(derate, timeline_.linkDerate(dev, now));
+        nand_p = std::max(nand_p, timeline_.nandErrorProbability(dev));
+        nvme_p = std::max(nvme_p, timeline_.nvmeTimeoutProbability(dev));
     }
     c.p2p_derate = derate;
-    c.uplink_derate = inj.uplinkDerate(now);
+    c.uplink_derate = timeline_.uplinkDerate(now);
     c.nand_error_prob = nand_p;
     c.nvme_timeout_prob = nvme_p;
     return c;
 }
 
-StepPlan
-HilosEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds now) const
+namespace {
+
+/** Why no plan exists once every SmartSSD has failed by `now`. */
+std::string
+noSurvivorNote(Seconds now)
 {
-    const FaultInjector inj(opts_.fault_plan, opts_.num_devices);
-    const FleetConditions cond = conditionsAt(inj, now);
-    StepPlan plan;
+    return now > 0.0 ? "all SmartSSDs failed mid-run; no surviving fleet "
+                       "to re-dispatch attention shards"
+                     : "fault plan fails every SmartSSD at run start; no "
+                       "surviving fleet to serve attention shards";
+}
+
+}  // namespace
+
+void
+HilosEngine::buildDecodePlanAt(const RunConfig &cfg, Seconds now,
+                               RunResult &res, StepPlan &plan) const
+{
+    const FleetConditions cond = conditionsAt(now);
     if (cond.devices == 0) {
         plan.feasible = false;
-        plan.note = "fault plan has failed every SmartSSD by this time; "
-                    "no surviving fleet to serve attention shards";
-        return plan;
+        plan.note = noSurvivorNote(now);
+        res.feasible = false;
+        res.note = plan.note;
+        return;
     }
-    RunResult scratch;
-    makePlan(cfg, cond, scratch, plan);
+    makePlan(cfg, cond, res, plan);
+}
+
+void
+HilosEngine::buildPrefillPlanAt(const RunConfig &cfg, Seconds now,
+                                std::uint64_t chunk_index,
+                                std::uint64_t chunk_count,
+                                StepPlan &plan) const
+{
+    const FleetConditions cond = conditionsAt(now);
+    if (cond.devices == 0) {
+        plan.phase = PlanPhase::Prefill;
+        plan.chunk_index = chunk_index;
+        plan.chunk_count = chunk_count;
+        plan.feasible = false;
+        plan.note = noSurvivorNote(now);
+        return;
+    }
+    makePrefillPlan(cfg, cond, chunk_index, chunk_count, plan);
+}
+
+StepPlan
+HilosEngine::rebuildPlanAt(const RunConfig &cfg, Seconds since, Seconds now,
+                           std::uint64_t done) const
+{
+    StepPlan plan;
+    const unsigned before = timeline_.survivingDevices(since);
+    const FleetConditions c = conditionsAt(now);
+    if (c.devices == 0 || c.devices >= before)
+        return plan;
+    // The KV/X shards of the newly failed devices re-shard onto the
+    // survivors (slices re-dispatched) before decoding resumes.
+    const ModelConfig &m = cfg.model;
+    const double alpha = alphaUnder(cfg, c);
+    std::uint64_t seq_now = cfg.context_len + done;
+    if (opts_.attention_window > 0)
+        seq_now = std::min(seq_now, opts_.attention_window);
+    const double kv_dim_bytes =
+        static_cast<double>(m.kv_heads * m.headDim() * m.dtype_bytes);
+    const double cache_per_tok_layer =
+        alpha * static_cast<double>(m.xBytesPerTokenPerLayer()) +
+        (1.0 - alpha) * 2.0 * kv_dim_bytes;
+    const double cache_now = cache_per_tok_layer *
+                             static_cast<double>(m.layers) *
+                             static_cast<double>(cfg.batch) *
+                             static_cast<double>(seq_now);
+    const double lost_bytes = cache_now *
+                              static_cast<double>(before - c.devices) /
+                              static_cast<double>(before);
+    const Bandwidth rebuild_bw =
+        std::min(sys_.chassis_uplink_bw * c.uplink_derate,
+                 static_cast<double>(c.devices) *
+                     sys_.smartssd.p2p_write_bw * c.p2p_derate);
+    plan.declareStage("shard_rebuild");
+    plan.declareResource(PlanResource::Uplink, 1);
+    plan.addTailOp(transferOp(PlanResource::Uplink, "shard_rebuild",
+                              Bytes(lost_bytes) / rebuild_bw, lost_bytes)
+                       .stageTag("shard_rebuild"));
     return plan;
+}
+
+void
+HilosEngine::summarize(const RunConfig &cfg, const EpochLog &log,
+                       RunResult &res) const
+{
+    if (timeline_.empty())
+        return;
+    const ModelConfig &m = cfg.model;
+    const unsigned N = opts_.num_devices;
+    const double L = static_cast<double>(m.layers);
+    const double out_tokens = static_cast<double>(cfg.output_len);
+    const double slices = static_cast<double>(cfg.batch * m.kv_heads);
+
+    FaultSummary fs;
+    fs.rebuild_time = log.rebuild_time;
+    double weighted_devices = 0.0;
+    double exp_nand_errors = 0.0;
+    double exp_nand_steps = 0.0;
+    double exp_nvme_timeouts = 0.0;
+    double exp_redispatch = 0.0;
+    unsigned prev_devices = timeline_.survivingDevices(0.0);
+    for (const DecodeEpoch &ep : log.epochs) {
+        if (ep.tokens == 0)
+            continue;  // no decode: nothing read or re-dispatched
+        const FleetConditions c = conditionsAt(ep.start);
+        const double alpha = alphaUnder(cfg, c);
+        if (c.devices < prev_devices) {
+            exp_redispatch += (1.0 - alpha) * slices *
+                              static_cast<double>(prev_devices - c.devices) /
+                              static_cast<double>(prev_devices);
+        }
+        const double tokens = static_cast<double>(ep.tokens);
+        fs.retry_time += tokens * (L * retryPerLayer(cfg, c, alpha));
+        // Expected discrete fault counts: one KV-slice read per slice
+        // per layer per step.
+        const double reads = tokens * (1.0 - alpha) * slices * L;
+        exp_nand_errors += reads * c.nand_error_prob;
+        exp_nand_steps +=
+            reads * c.nand_error_prob *
+            (1.0 + static_cast<double>(c.retry.ecc_max_steps)) / 2.0;
+        exp_nvme_timeouts += reads * c.nvme_timeout_prob;
+        weighted_devices += tokens * static_cast<double>(c.devices);
+        prev_devices = c.devices;
+    }
+
+    // The fleet in force at the end: after the last epoch, or where
+    // the run stopped. A run without decode keeps its t = 0 fleet.
+    const Seconds last = !res.feasible || log.epochs.empty() ? log.end
+                         : cfg.output_len == 0 ? Seconds(0.0)
+                                               : log.epochs.back().start;
+    fs.devices_surviving = timeline_.survivingDevices(last);
+    fs.devices_failed = N - fs.devices_surviving;
+    fs.availability =
+        cfg.output_len > 0
+            ? weighted_devices / (out_tokens * static_cast<double>(N))
+            : static_cast<double>(fs.devices_surviving) /
+                  static_cast<double>(N);
+    if (!res.feasible) {
+        fs.requests_failed = cfg.batch;
+        res.faults = fs;
+        return;
+    }
+    fs.degraded_step_time = log.epochs.back().step;
+    fs.slowdown = log.healthy_step > 0.0
+                      ? res.decode_step_time / log.healthy_step
+                      : 1.0;
+    fs.nand_read_errors =
+        static_cast<std::uint64_t>(std::llround(exp_nand_errors));
+    fs.nand_retry_steps =
+        static_cast<std::uint64_t>(std::llround(exp_nand_steps));
+    fs.nvme_timeouts =
+        static_cast<std::uint64_t>(std::llround(exp_nvme_timeouts));
+    fs.nvme_retries = fs.nvme_timeouts;
+    fs.redispatched_slices =
+        static_cast<std::uint64_t>(std::llround(exp_redispatch));
+    // Every in-flight request that a rebuild or retry delayed still
+    // completed: degraded, never failed, on a feasible run.
+    if (fs.rebuild_time > 0.0 || fs.retry_time > 0.0)
+        fs.requests_degraded = res.effective_batch;
+    res.faults = fs;
 }
 
 void
@@ -293,13 +437,7 @@ HilosEngine::makePlan(const RunConfig &cfg, const FleetConditions &cond,
     const Seconds kernel_per_dev =
         slices_per_dev * cm.kernelTime(s_mid, d, d_group);
 
-    // Expected ECC read-retry and NVMe timeout/backoff recovery time
-    // per layer: one KV-slice read per slice on each device's internal
-    // path. Exactly 0 under zero fault probability.
-    const Seconds retry_per_slice =
-        cond.retry.expectedEccPenalty(cond.nand_error_prob) +
-        cond.retry.expectedNvmePenalty(cond.nvme_timeout_prob);
-    const Seconds retry_extra = slices_per_dev * retry_per_slice;
+    const Seconds retry_extra = retryPerLayer(cfg, cond, alpha);
 
     // Delayed writeback / naive commit costs.
     Seconds wb_critical = 0.0;
@@ -594,242 +732,6 @@ HilosEngine::makePrefillPlan(const RunConfig &cfg,
 
     plan.busy_step_fraction.gpu = kPrefillGpuBusyFraction;
     plan.busy_step_fraction.dram = kPrefillDramBusyFractionNsp;
-}
-
-RunResult
-HilosEngine::runWithFaults(const RunConfig &cfg) const
-{
-    const ModelConfig &m = cfg.model;
-    const unsigned N = opts_.num_devices;
-    const double L = static_cast<double>(m.layers);
-    const std::uint64_t b = cfg.batch;
-    const std::uint64_t d = m.headDim();
-    const FaultInjector inj(opts_.fault_plan, N);
-    const RetryPolicy &rp = opts_.fault_plan.retry;
-
-    // The analytic model uses only closed-form fault expectations, so a
-    // plan's probabilistic events never consume RNG state here; timed
-    // events partition the run into constant-condition epochs.
-    const RunResult ideal = runConditioned(cfg, idealConditions());
-
-    const FleetConditions c0 = conditionsAt(inj, 0.0);
-    if (c0.devices == 0) {
-        RunResult res;
-        res.feasible = false;
-        res.note =
-            "fault plan fails every SmartSSD at run start; no surviving "
-            "fleet to serve attention shards";
-        res.faults.devices_failed = N;
-        res.faults.devices_surviving = 0;
-        res.faults.availability = 0.0;
-        res.faults.requests_failed = cfg.batch;
-        return res;
-    }
-
-    RunResult first = runConditioned(cfg, c0);
-    first.faults.devices_failed = c0.failed_devices;
-    first.faults.devices_surviving = c0.devices;
-    if (!first.feasible)
-        return first;
-
-    const double kv_dim_bytes =
-        static_cast<double>(m.kv_heads * d * m.dtype_bytes);
-    const auto epochAlpha = [&](const FleetConditions &c) {
-        const Bandwidth fleet_read = static_cast<double>(c.devices) *
-                                     sys_.smartssd.p2p_read_bw *
-                                     c.p2p_derate;
-        const Bandwidth gds = std::min(sys_.gds_effective_bw, fleet_read);
-        return alphaFor(cfg, fleet_read, gds);
-    };
-
-    FaultSummary fs;
-    fs.retry_time = 0.0;
-
-    RunResult res = first;
-    if (cfg.output_len == 0) {
-        fs.devices_failed = c0.failed_devices;
-        fs.devices_surviving = c0.devices;
-        fs.availability =
-            static_cast<double>(c0.devices) / static_cast<double>(N);
-        fs.degraded_step_time = first.decode_step_time;
-        fs.slowdown = ideal.decode_step_time > 0.0
-                          ? first.decode_step_time / ideal.decode_step_time
-                          : 1.0;
-        res.faults = fs;
-        return res;
-    }
-
-    // Blend per-epoch decode predictions weighted by tokens generated
-    // in each epoch; a failure boundary additionally charges the shard
-    // rebuild onto the surviving fleet.
-    res.breakdown = StageBreakdown();
-    res.traffic = TrafficCounters();
-    res.busy = ComponentBusy();
-    res.decode_step_time = 0.0;
-
-    const std::vector<Seconds> events = inj.eventTimes();
-    const double out_tokens = static_cast<double>(cfg.output_len);
-    Seconds now = first.prefill_time;
-    std::uint64_t remaining = cfg.output_len;
-    unsigned prev_devices = c0.devices;
-    unsigned last_devices = c0.devices;
-    Seconds decode_time = 0.0;
-    Seconds last_step = first.decode_step_time;
-    double weighted_devices = 0.0;
-    double exp_nand_errors = 0.0;
-    double exp_nand_steps = 0.0;
-    double exp_nvme_timeouts = 0.0;
-    double exp_redispatch = 0.0;
-
-    while (remaining > 0) {
-        const FleetConditions c = conditionsAt(inj, now);
-        if (c.devices == 0) {
-            res.feasible = false;
-            res.note =
-                "all SmartSSDs failed mid-run; no surviving fleet to "
-                "re-dispatch attention shards";
-            fs.devices_failed = N;
-            fs.devices_surviving = 0;
-            fs.availability =
-                weighted_devices / (out_tokens * static_cast<double>(N));
-            fs.requests_failed = res.effective_batch;
-            res.faults = fs;
-            return res;
-        }
-        const double alpha_k = epochAlpha(c);
-
-        if (c.devices < prev_devices) {
-            // KV/X shards of the newly failed devices rebuild onto the
-            // survivors over the uplink/GDS write path before decoding
-            // resumes (slices re-dispatched, cache re-sharded).
-            const unsigned lost = prev_devices - c.devices;
-            const std::uint64_t done = cfg.output_len - remaining;
-            std::uint64_t seq_now = cfg.context_len + done;
-            if (opts_.attention_window > 0)
-                seq_now = std::min(seq_now, opts_.attention_window);
-            const double cache_per_tok_layer =
-                alpha_k *
-                    static_cast<double>(m.xBytesPerTokenPerLayer()) +
-                (1.0 - alpha_k) * 2.0 * kv_dim_bytes;
-            const double cache_now = cache_per_tok_layer * L *
-                                     static_cast<double>(b) *
-                                     static_cast<double>(seq_now);
-            const double lost_bytes =
-                cache_now * static_cast<double>(lost) /
-                static_cast<double>(prev_devices);
-            const Bandwidth rebuild_bw = std::min(
-                sys_.chassis_uplink_bw * c.uplink_derate,
-                static_cast<double>(c.devices) *
-                    sys_.smartssd.p2p_write_bw * c.p2p_derate);
-            const Seconds rebuild = Bytes(lost_bytes) / rebuild_bw;
-            fs.rebuild_time += rebuild;
-            now += rebuild;
-            exp_redispatch += (1.0 - alpha_k) *
-                              static_cast<double>(b * m.kv_heads) *
-                              static_cast<double>(lost) /
-                              static_cast<double>(prev_devices);
-        }
-
-        const RunResult r = runConditioned(cfg, c);
-        if (!r.feasible) {
-            res.feasible = false;
-            res.note = r.note + " on the surviving fleet (" +
-                       std::to_string(c.devices) + " of " +
-                       std::to_string(N) + " SmartSSDs)";
-            fs.devices_failed = c.failed_devices;
-            fs.devices_surviving = c.devices;
-            fs.availability =
-                weighted_devices / (out_tokens * static_cast<double>(N));
-            fs.requests_failed = res.effective_batch;
-            res.faults = fs;
-            return res;
-        }
-        const Seconds step = r.decode_step_time;
-        HILOS_ASSERT(step > 0.0, "degraded decode step must be positive");
-
-        // Tokens until the next timed event flips conditions.
-        Seconds next_ev = std::numeric_limits<Seconds>::infinity();
-        for (const Seconds ev : events) {
-            if (ev > now + 1e-12) {
-                next_ev = ev;
-                break;
-            }
-        }
-        std::uint64_t tokens = remaining;
-        if (std::isfinite(next_ev)) {
-            const double span = (next_ev - now) / step;
-            const auto fit = static_cast<std::uint64_t>(std::ceil(span));
-            tokens = std::min(remaining,
-                              std::max<std::uint64_t>(1, fit));
-        }
-
-        const double w = static_cast<double>(tokens) / out_tokens;
-        accumulateWeighted(res, r, w);
-        fs.retry_time += static_cast<double>(tokens) * r.faults.retry_time;
-
-        // Expected discrete fault counts: one KV-slice read per slice
-        // per layer per step.
-        const double reads =
-            static_cast<double>(tokens) * (1.0 - alpha_k) *
-            static_cast<double>(b * m.kv_heads) * L;
-        exp_nand_errors += reads * c.nand_error_prob;
-        exp_nand_steps +=
-            reads * c.nand_error_prob *
-            (1.0 + static_cast<double>(rp.ecc_max_steps)) / 2.0;
-        exp_nvme_timeouts += reads * c.nvme_timeout_prob;
-
-        decode_time += static_cast<double>(tokens) * step;
-        weighted_devices +=
-            static_cast<double>(tokens) * static_cast<double>(c.devices);
-        now += static_cast<double>(tokens) * step;
-        remaining -= tokens;
-        prev_devices = c.devices;
-        last_devices = c.devices;
-        last_step = step;
-    }
-
-    res.total_time = res.prefill_time + decode_time + fs.rebuild_time;
-
-    fs.devices_failed = N - last_devices;
-    fs.devices_surviving = last_devices;
-    fs.availability =
-        weighted_devices / (out_tokens * static_cast<double>(N));
-    fs.degraded_step_time = last_step;
-    fs.slowdown = ideal.decode_step_time > 0.0
-                      ? res.decode_step_time / ideal.decode_step_time
-                      : 1.0;
-    fs.nand_read_errors =
-        static_cast<std::uint64_t>(std::llround(exp_nand_errors));
-    fs.nand_retry_steps =
-        static_cast<std::uint64_t>(std::llround(exp_nand_steps));
-    fs.nvme_timeouts =
-        static_cast<std::uint64_t>(std::llround(exp_nvme_timeouts));
-    fs.nvme_retries = fs.nvme_timeouts;
-    fs.redispatched_slices =
-        static_cast<std::uint64_t>(std::llround(exp_redispatch));
-    // Every in-flight request that a rebuild or retry delayed still
-    // completed — degraded, never failed, on this (feasible) path.
-    if (fs.rebuild_time > 0.0 || fs.retry_time > 0.0)
-        fs.requests_degraded = res.effective_batch;
-    res.faults = fs;
-
-    // Whole-run energy from the token-weighted busy profile plus the
-    // prefill phase's plan-derived busy time; devices that failed
-    // before the run started never power on. The storage term formerly
-    // charged a flat 0.5 x prefill_time here while the zero-fault path
-    // charged the actual per-layer KV commit time — both paths now
-    // share the prefill plan's accounting.
-    const double steps = out_tokens;
-    ComponentBusy run_busy;
-    run_busy.gpu = res.busy.gpu * steps + res.prefill_busy.gpu;
-    run_busy.cpu = res.busy.cpu * steps + res.prefill_busy.cpu;
-    run_busy.dram = res.busy.dram * steps + res.prefill_busy.dram;
-    run_busy.storage = res.busy.storage * steps + res.prefill_busy.storage;
-    run_busy.fpga = res.busy.fpga * steps + res.prefill_busy.fpga;
-    res.energy = computeEnergy(sys_, StorageKind::SmartSsds, c0.devices,
-                               res.total_time, run_busy,
-                               res.fpga_power_watts);
-    return res;
 }
 
 }  // namespace hilos

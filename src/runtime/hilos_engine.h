@@ -42,9 +42,10 @@ struct HilosOptions {
     /**
      * Injected fault schedule. An empty plan takes the zero-fault fast
      * path, which is byte-identical to the engine without this field;
-     * a non-empty plan switches run() to epoch-based degraded-mode
-     * execution (closed-form fault expectations, alpha re-selected per
-     * surviving fleet, shard rebuild on device failure).
+     * a non-empty plan runs the epoch fold over its device-scope
+     * conditions (closed-form fault expectations, alpha re-selected per
+     * surviving fleet, shard rebuild on device failure). Host-scope
+     * events are the fleet's and do not reach a single chassis.
      */
     FaultPlan fault_plan;
 };
@@ -67,21 +68,35 @@ class HilosEngine : public InferenceEngine
     void buildPrefillPlan(const RunConfig &cfg, std::uint64_t chunk_index,
                           std::uint64_t chunk_count,
                           StepPlan &plan) const override;
-    /** The base run body; a non-empty fault plan runs runWithFaults. */
-    RunResult run(const RunConfig &cfg) const override;
-    /** Plan-structure-cached run(); fault plans bypass the cache (the
-     *  degraded-mode epochs rebuild plans under varying conditions). */
-    RunResult runCached(const RunConfig &cfg,
-                        PlanCache &cache) const override;
     /**
      * The decode-step plan under the fleet conditions the FaultPlan
      * puts in force at run time `now`: surviving devices, link derates
-     * and expected retry cost, priced as runWithFaults prices that
-     * epoch. With an empty plan this is decodeStepPlan(). Infeasible,
-     * with a note, when no device survives at `now`.
+     * and expected retry cost. With an empty plan this is the ideal
+     * plan. Infeasible, with a note, when no device survives at `now`.
      */
-    StepPlan decodeStepPlanAt(const RunConfig &cfg,
-                              Seconds now) const override;
+    void buildDecodePlanAt(const RunConfig &cfg, Seconds now,
+                           RunResult &res, StepPlan &plan) const override;
+    /** The prefill plan for one chunk under the conditions at `now`. */
+    void buildPrefillPlanAt(const RunConfig &cfg, Seconds now,
+                            std::uint64_t chunk_index,
+                            std::uint64_t chunk_count,
+                            StepPlan &plan) const override;
+    /**
+     * The KV/X shards of the devices lost between `since` and `now`
+     * rebuilt onto the survivors over the narrower of the uplink and
+     * their aggregate P2P write path: one tail transfer op.
+     */
+    StepPlan rebuildPlanAt(const RunConfig &cfg, Seconds since, Seconds now,
+                           std::uint64_t done) const override;
+    const ConditionTimeline &timeline() const override { return timeline_; }
+    /**
+     * The FaultSummary of a faulted run: surviving devices,
+     * availability and slowdown, plus the closed-form expectations of
+     * retry time and discrete fault counts over the decode epochs.
+     * Nothing for an empty fault plan.
+     */
+    void summarize(const RunConfig &cfg, const EpochLog &log,
+                   RunResult &res) const override;
 
     /** Aggregate internal P2P read bandwidth of the fleet. */
     Bandwidth internalReadBw() const;
@@ -99,7 +114,7 @@ class HilosEngine : public InferenceEngine
      * count plus the fault-derived derates and per-read expected retry
      * probabilities in force during that epoch. The defaults describe a
      * healthy fleet (identity derates, zero probabilities), under which
-     * runConditioned() reproduces the zero-fault engine bit-for-bit.
+     * makePlan() reproduces the zero-fault engine bit-for-bit.
      */
     struct FleetConditions {
         unsigned devices = 0;          ///< surviving SmartSSDs
@@ -114,22 +129,26 @@ class HilosEngine : public InferenceEngine
     FleetConditions idealConditions() const;
 
     /**
-     * Conditions `inj` puts in force at run time `now`; the only place
-     * a FaultPlan turns into plan pricing.
+     * Conditions the timeline puts in force at run time `now`; the only
+     * place a FaultPlan turns into plan pricing.
      */
-    FleetConditions conditionsAt(const FaultInjector &inj,
-                                 Seconds now) const;
+    FleetConditions conditionsAt(Seconds now) const;
 
     /** Scheduler alpha for a given fleet/GDS bandwidth pair. */
     double alphaFor(const RunConfig &cfg, Bandwidth fleet_read,
                     Bandwidth gds) const;
+    /** Scheduler alpha on the fleet `cond` describes. */
+    double alphaUnder(const RunConfig &cfg,
+                      const FleetConditions &cond) const;
 
     /**
-     * The base run body over the builders bound to fixed fleet
-     * conditions.
+     * Expected ECC read-retry and NVMe timeout/backoff recovery per
+     * layer of one decode step under `cond` at X-cache ratio `alpha`:
+     * one KV-slice read per slice on each device's internal path.
+     * Exactly 0 under zero fault probability.
      */
-    RunResult runConditioned(const RunConfig &cfg,
-                             const FleetConditions &cond) const;
+    Seconds retryPerLayer(const RunConfig &cfg, const FleetConditions &cond,
+                          double alpha) const;
 
     /**
      * buildDecodePlan under the given fleet conditions: capacity
@@ -149,11 +168,9 @@ class HilosEngine : public InferenceEngine
                          std::uint64_t chunk_index,
                          std::uint64_t chunk_count, StepPlan &plan) const;
 
-    /** Epoch-based degraded-mode execution of a non-empty FaultPlan. */
-    RunResult runWithFaults(const RunConfig &cfg) const;
-
     SystemConfig sys_;
     HilosOptions opts_;
+    ConditionTimeline timeline_;
 };
 
 }  // namespace hilos

@@ -21,9 +21,9 @@ namespace {
 /**
  * Cached per-step cost oracle over one engine. Decode steps and
  * prefill chunks are costed through the engine's StepPlans; capacity
- * and the monolithic prefill come from cached whole-engine run()
- * results. Context keys are already bucket-padded by the caller, so
- * the caches stay small even for long generations.
+ * comes from cached whole-engine run() results. Context keys are
+ * already bucket-padded by the caller, so the caches stay small even
+ * for long generations.
  */
 class StepCostModel
 {
@@ -62,28 +62,16 @@ class StepCostModel
         return t;
     }
 
-    /** Batched prefill of `batch` prompts at a padded prompt length. */
-    Seconds
-    prefillTime(std::uint64_t batch, std::uint64_t context)
-    {
-        const RunResult &r = cachedRun(batch, context);
-        HILOS_ASSERT(r.feasible, "prefill infeasible at admitted batch ",
-                     batch, " context ", context, ": ", r.note);
-        return r.prefill_time;
-    }
-
     /**
      * One prefill chunk (`index` of `count`) of a group of `batch`
-     * prompts at a padded prompt length. Monolithic groups charge the
-     * engine's whole-run prefill (bit-identical to the historical
-     * path); chunked groups evaluate the engine's Prefill-phase plans.
+     * prompts at a padded prompt length, from the engine's Prefill-phase
+     * plan. A one-chunk group is the monolithic prefill, which that
+     * plan prices as run() does.
      */
     Seconds
     prefillChunkTime(std::uint64_t batch, std::uint64_t context,
                      std::uint64_t index, std::uint64_t count)
     {
-        if (count == 1)
-            return prefillTime(batch, context);
         const auto key = std::make_tuple(batch, context, index, count);
         auto it = chunk_cache_.find(key);
         if (it != chunk_cache_.end()) {

@@ -944,12 +944,18 @@ applyPlan(const StepPlan &plan, const RunConfig &cfg, RunResult &res)
     res.total_time = res.prefill_time +
                      static_cast<double>(cfg.output_len) *
                          res.decode_step_time;
-    if (!plan.energy.enabled)
+    applyRunEnergy(plan.energy, cfg, res);
+}
+
+void
+applyRunEnergy(const PlanEnergySpec &e, const RunConfig &cfg,
+               RunResult &res)
+{
+    if (!e.enabled)
         return;
     // Run-level busy = decode busy integrated over the generated tokens
     // plus the prefill phase's own plan-derived busy (already folded
     // into res.prefill_busy by applyPrefillPlan).
-    const PlanEnergySpec &e = plan.energy;
     const double steps = static_cast<double>(cfg.output_len);
     ComponentBusy rb;
     rb.gpu = res.busy.gpu * steps + res.prefill_busy.gpu;
@@ -990,35 +996,6 @@ applyPrefillPlan(const StepPlan &plan, RunResult &res)
     res.prefill_busy.storage += ev.busy.storage;
     res.prefill_busy.fpga += ev.busy.fpga;
     return true;
-}
-
-void
-propagatePrefill(const RunResult &from, RunResult &res)
-{
-    res.prefill_time = from.prefill_time;
-    res.prefill_busy = from.prefill_busy;
-}
-
-void
-accumulateWeighted(RunResult &acc, const RunResult &r, double w)
-{
-    acc.decode_step_time += w * r.decode_step_time;
-    for (const auto &[stage, secs] : r.breakdown.stages())
-        acc.breakdown.add(stage, w * secs);
-    acc.traffic.host_read_bytes += w * r.traffic.host_read_bytes;
-    acc.traffic.host_write_bytes += w * r.traffic.host_write_bytes;
-    acc.traffic.attn_host_read_bytes +=
-        w * r.traffic.attn_host_read_bytes;
-    acc.traffic.attn_host_write_bytes +=
-        w * r.traffic.attn_host_write_bytes;
-    acc.traffic.internal_bytes += w * r.traffic.internal_bytes;
-    acc.traffic.storage_write_bytes +=
-        w * r.traffic.storage_write_bytes;
-    acc.busy.gpu += w * r.busy.gpu;
-    acc.busy.cpu += w * r.busy.cpu;
-    acc.busy.dram += w * r.busy.dram;
-    acc.busy.storage += w * r.busy.storage;
-    acc.busy.fpga += w * r.busy.fpga;
 }
 
 }  // namespace hilos

@@ -499,18 +499,14 @@ void applyPlan(const StepPlan &plan, const RunConfig &cfg, RunResult &res);
 bool applyPrefillPlan(const StepPlan &plan, RunResult &res);
 
 /**
- * Copy the prefill-phase accounting (prefill_time, prefill_busy) of
- * `from` into `res` — used by wrapper engines (FleetEngine) that adopt
- * a host engine's plan-built prefill rather than building their own.
+ * The whole-run EnergyBreakdown of `res` under `spec` (nothing when it
+ * is disabled): computeEnergy over `res.total_time` with
+ *   run_busy = busy * output_len + res.prefill_busy.
+ * applyPlan ends with it; the epoch fold charges it once over the
+ * blended decode busy.
  */
-void propagatePrefill(const RunResult &from, RunResult &res);
-
-/**
- * Accumulate `w`-weighted decode-step accounting of `r` into `acc`
- * (decode step time, breakdown stages, traffic counters, busy time) —
- * the epoch-blending primitive of degraded-mode execution.
- */
-void accumulateWeighted(RunResult &acc, const RunResult &r, double w);
+void applyRunEnergy(const PlanEnergySpec &spec, const RunConfig &cfg,
+                    RunResult &res);
 
 }  // namespace hilos
 

@@ -84,6 +84,27 @@ RetryPolicy::expectedEccPenalty(double error_prob) const
     return error_prob * mean_steps * ecc_step_latency;
 }
 
+Seconds
+RetryPolicy::ladderBudget() const
+{
+    Seconds budget = 0.0;
+    for (unsigned k = 1; k < nvme_max_attempts; k++)
+        budget += nvme_timeout + backoffDelay(k);
+    return budget;
+}
+
+Seconds
+RetryPolicy::probeRecovery(Seconds duration) const
+{
+    Seconds probe = 0.0;
+    for (unsigned k = 1; k < nvme_max_attempts; k++) {
+        probe += nvme_timeout + backoffDelay(k);
+        if (probe >= duration)
+            return probe;
+    }
+    return probe;  // ladder exhausted: caller escalates instead
+}
+
 FaultPlan &
 FaultPlan::addNandReadError(double probability, unsigned device)
 {
@@ -232,7 +253,7 @@ FaultPlan::validate() const
     }
 
     // Worst-case compound derate per link: every in-range degrade event
-    // active at once, as FaultInjector and HostFaultView multiply them.
+    // active at once, as ConditionTimeline multiplies them.
     double uplink = 1.0;
     double fleet_wide = 1.0;
     double inter_host = 1.0;
@@ -270,29 +291,6 @@ FaultPlan::validate() const
         }
     }
     return out;
-}
-
-FaultPlan
-FaultPlan::deviceScope() const
-{
-    FaultPlan out;
-    out.seed = seed;
-    out.retry = retry;
-    for (const FaultEvent &ev : events) {
-        if (!isHostScope(ev.kind))
-            out.events.push_back(ev);
-    }
-    return out;
-}
-
-bool
-FaultPlan::hasHostEvents() const
-{
-    for (const FaultEvent &ev : events) {
-        if (isHostScope(ev.kind))
-            return true;
-    }
-    return false;
 }
 
 namespace {
@@ -401,369 +399,253 @@ parseFaultPlan(const std::string &spec)
     return plan;
 }
 
-bool
-FaultStats::any() const
+ConditionTimeline::ConditionTimeline() : ConditionTimeline(FaultPlan{}, 1)
 {
-    return nand_read_errors > 0 || nvme_timeouts > 0 ||
-           nvme_failures > 0 || redispatched_slices > 0 ||
-           retry_time > 0.0;
 }
 
-FaultInjector::FaultInjector() = default;
-
-FaultInjector::FaultInjector(const FaultPlan &plan, unsigned num_devices)
-    : active_(!plan.empty()), num_devices_(num_devices),
-      retry_(plan.retry),
-      nand_prob_(num_devices, 0.0), nvme_prob_(num_devices, 0.0),
-      fail_at_(num_devices, std::numeric_limits<Seconds>::infinity())
+ConditionTimeline::ConditionTimeline(const FaultPlan &plan, unsigned devices,
+                                     unsigned hosts)
+    : num_devices_(devices), num_hosts_(hosts)
 {
-    HILOS_ASSERT(num_devices >= 1, "fault injector needs >= 1 device");
+    HILOS_ASSERT(devices >= 1, "condition timeline needs >= 1 device");
+    if (plan.empty())
+        return;  // healthy forever: no per-device or per-host state
+    nand_prob_.assign(devices, 0.0);
+    nvme_prob_.assign(devices, 0.0);
+    device_fail_at_.assign(devices, std::numeric_limits<Seconds>::infinity());
+    host_fail_at_.assign(hosts, std::numeric_limits<Seconds>::infinity());
     const std::vector<std::string> diags = plan.validate();
     if (!diags.empty())
         HILOS_FATAL("invalid fault plan: ", diags.front());
     for (const FaultEvent &ev : plan.events) {
-        // Host-scope events are HostFaultView's business; a device
-        // injector sees only the device-scope subset.
-        if (isHostScope(ev.kind))
-            continue;
-        const bool fleet_wide = ev.device == kAllDevices;
-        HILOS_ASSERT(fleet_wide || ev.device == kUplinkTarget ||
-                         ev.device < num_devices,
-                     "fault event targets device ", ev.device,
-                     " but the fleet has ", num_devices);
+        const bool every = ev.device == kAllDevices;
+        if (isHostScope(ev.kind)) {
+            if (hosts == 0)
+                continue;  // one chassis: no host layer to fault
+            HILOS_ASSERT(every || ev.device < hosts,
+                         "host event targets host ", ev.device,
+                         " but the fleet has ", hosts, " hosts");
+        } else {
+            HILOS_ASSERT(every || ev.device == kUplinkTarget ||
+                             ev.device < devices,
+                         "fault event targets device ", ev.device,
+                         " but the fleet has ", devices);
+        }
+        empty_ = false;
         switch (ev.kind) {
           case FaultKind::NandReadError:
-            for (unsigned d = 0; d < num_devices; d++) {
-                if (fleet_wide || ev.device == d) {
-                    nand_prob_[d] = std::min(
-                        1.0, nand_prob_[d] + ev.probability);
-                }
+          case FaultKind::NvmeTimeout: {
+            std::vector<double> &prob =
+                ev.kind == FaultKind::NandReadError ? nand_prob_
+                                                    : nvme_prob_;
+            for (unsigned d = 0; d < devices; d++) {
+                if (every || ev.device == d)
+                    prob[d] = std::min(1.0, prob[d] + ev.probability);
             }
             break;
-          case FaultKind::NvmeTimeout:
-            for (unsigned d = 0; d < num_devices; d++) {
-                if (fleet_wide || ev.device == d) {
-                    nvme_prob_[d] = std::min(
-                        1.0, nvme_prob_[d] + ev.probability);
-                }
-            }
-            break;
+          }
           case FaultKind::LinkDegrade:
-            degrades_.push_back(ev);
+            link_degrades_.push_back(ev);
+            changes_.push_back(ev.at);
             break;
           case FaultKind::DeviceFail:
-            for (unsigned d = 0; d < num_devices; d++) {
-                if (fleet_wide || ev.device == d)
-                    fail_at_[d] = std::min(fail_at_[d], ev.at);
+            for (unsigned d = 0; d < devices; d++) {
+                if (every || ev.device == d)
+                    device_fail_at_[d] = std::min(device_fail_at_[d], ev.at);
             }
             break;
-          default:
-            break;
-        }
-    }
-    if (active_) {
-        // One independent stream per device: draws on one device never
-        // shift another device's sequence (splitmix-style seeding).
-        rng_.reserve(num_devices);
-        for (unsigned d = 0; d < num_devices; d++) {
-            std::uint64_t z =
-                plan.seed + 0x9e3779b97f4a7c15ull *
-                                (static_cast<std::uint64_t>(d) + 1);
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            rng_.emplace_back(z ^ (z >> 31));
-        }
-    }
-}
-
-std::mt19937_64 &
-FaultInjector::rngFor(unsigned dev)
-{
-    HILOS_ASSERT(dev < rng_.size(), "no RNG stream for device ", dev);
-    return rng_[dev];
-}
-
-Seconds
-FaultInjector::nandReadPenalty(unsigned dev)
-{
-    if (!active_ || nand_prob_[dev] <= 0.0)
-        return 0.0;
-    std::uniform_real_distribution<double> u(0.0, 1.0);
-    if (u(rngFor(dev)) >= nand_prob_[dev])
-        return 0.0;
-    std::uniform_int_distribution<unsigned> steps_dist(
-        1, retry_.ecc_max_steps);
-    const unsigned steps = steps_dist(rngFor(dev));
-    const Seconds penalty =
-        static_cast<double>(steps) * retry_.ecc_step_latency;
-    stats_.nand_read_errors++;
-    stats_.nand_retry_steps += steps;
-    stats_.retry_time += penalty;
-    return penalty;
-}
-
-FaultInjector::NvmeOutcome
-FaultInjector::nvmeCommand(unsigned dev)
-{
-    NvmeOutcome out;
-    if (!active_ || nvme_prob_[dev] <= 0.0)
-        return out;
-    std::uniform_real_distribution<double> u(0.0, 1.0);
-    for (unsigned attempt = 1; attempt <= retry_.nvme_max_attempts;
-         attempt++) {
-        if (u(rngFor(dev)) >= nvme_prob_[dev])
-            return out;  // this attempt completed
-        stats_.nvme_timeouts++;
-        if (attempt == retry_.nvme_max_attempts) {
-            out.failed = true;  // retries exhausted
-            stats_.nvme_failures++;
-            return out;
-        }
-        const Seconds delay =
-            retry_.nvme_timeout + retry_.backoffDelay(attempt);
-        out.extra_latency += delay;
-        out.retries++;
-        stats_.nvme_retries++;
-        stats_.retry_time += delay;
-    }
-    return out;
-}
-
-double
-FaultInjector::nandErrorProbability(unsigned dev) const
-{
-    return active_ ? nand_prob_.at(dev) : 0.0;
-}
-
-double
-FaultInjector::nvmeTimeoutProbability(unsigned dev) const
-{
-    return active_ ? nvme_prob_.at(dev) : 0.0;
-}
-
-double
-FaultInjector::linkDerate(unsigned dev, Seconds now) const
-{
-    double derate = 1.0;
-    for (const FaultEvent &ev : degrades_) {
-        if (ev.device == kUplinkTarget)
-            continue;
-        if ((ev.device == kAllDevices || ev.device == dev) &&
-            now >= ev.at) {
-            derate *= ev.bw_multiplier;
-        }
-    }
-    return derate;
-}
-
-double
-FaultInjector::uplinkDerate(Seconds now) const
-{
-    double derate = 1.0;
-    for (const FaultEvent &ev : degrades_) {
-        if (ev.device == kUplinkTarget && now >= ev.at)
-            derate *= ev.bw_multiplier;
-    }
-    return derate;
-}
-
-bool
-FaultInjector::deviceFailed(unsigned dev, Seconds now) const
-{
-    return active_ && now >= fail_at_.at(dev);
-}
-
-Seconds
-FaultInjector::deviceFailTime(unsigned dev) const
-{
-    if (!active_)
-        return std::numeric_limits<Seconds>::infinity();
-    return fail_at_.at(dev);
-}
-
-unsigned
-FaultInjector::survivingDevices(Seconds now) const
-{
-    if (!active_)
-        return num_devices_;
-    unsigned alive = 0;
-    for (unsigned d = 0; d < num_devices_; d++) {
-        if (!deviceFailed(d, now))
-            alive++;
-    }
-    return alive;
-}
-
-std::vector<Seconds>
-FaultInjector::eventTimes() const
-{
-    std::vector<Seconds> times;
-    for (Seconds t : fail_at_) {
-        if (std::isfinite(t))
-            times.push_back(t);
-    }
-    for (const FaultEvent &ev : degrades_)
-        times.push_back(ev.at);
-    std::sort(times.begin(), times.end());
-    times.erase(std::unique(times.begin(), times.end()), times.end());
-    return times;
-}
-
-HostFaultView::HostFaultView() = default;
-
-HostFaultView::HostFaultView(const FaultPlan &plan, unsigned num_hosts)
-    : num_hosts_(num_hosts),
-      fail_at_(num_hosts, std::numeric_limits<Seconds>::infinity())
-{
-    HILOS_ASSERT(num_hosts >= 1, "host fault view needs >= 1 host");
-    const std::vector<std::string> diags = plan.validate();
-    if (!diags.empty())
-        HILOS_FATAL("invalid fault plan: ", diags.front());
-    for (const FaultEvent &ev : plan.events) {
-        if (!isHostScope(ev.kind))
-            continue;
-        active_ = true;
-        const bool fleet_wide = ev.device == kAllDevices;
-        HILOS_ASSERT(fleet_wide || ev.device < num_hosts,
-                     "host event targets host ", ev.device,
-                     " but the fleet has ", num_hosts, " hosts");
-        switch (ev.kind) {
           case FaultKind::HostFail:
-            for (unsigned h = 0; h < num_hosts; h++) {
-                if (fleet_wide || ev.device == h)
-                    fail_at_[h] = std::min(fail_at_[h], ev.at);
+            for (unsigned h = 0; h < hosts; h++) {
+                if (every || ev.device == h)
+                    host_fail_at_[h] = std::min(host_fail_at_[h], ev.at);
             }
             break;
           case FaultKind::HostLinkDegrade:
-            degrades_.push_back(ev);
+            host_degrades_.push_back(ev);
+            changes_.push_back(ev.at);
             break;
           case FaultKind::HostStall:
             if (ev.duration <= 0.0)
                 break;  // a zero-length stall is unobservable
-            for (unsigned h = 0; h < num_hosts; h++) {
-                if (!fleet_wide && ev.device != h)
+            for (unsigned h = 0; h < hosts; h++) {
+                if (!every && ev.device != h)
                     continue;
                 StallWindow w;
                 w.host = h;
                 w.begin = ev.at;
-                const Seconds budget = ladderBudget(plan.retry);
+                const Seconds budget = plan.retry.ladderBudget();
                 w.escalated = ev.duration > budget;
                 w.end = ev.at + (w.escalated
                                      ? budget
-                                     : probeRecovery(plan.retry,
-                                                     ev.duration));
+                                     : plan.retry.probeRecovery(ev.duration));
                 stalls_.push_back(w);
                 if (w.escalated)
-                    fail_at_[h] = std::min(fail_at_[h], w.end);
+                    host_fail_at_[h] = std::min(host_fail_at_[h], w.end);
+                changes_.push_back(w.begin);
+                changes_.push_back(w.end);
             }
-            break;
-          default:
             break;
         }
     }
+    for (const std::vector<Seconds> *fails :
+         {&device_fail_at_, &host_fail_at_}) {
+        for (const Seconds t : *fails) {
+            if (std::isfinite(t))
+                changes_.push_back(t);
+        }
+    }
+    std::sort(changes_.begin(), changes_.end());
+    changes_.erase(std::unique(changes_.begin(), changes_.end()),
+                   changes_.end());
+}
+
+Seconds
+ConditionTimeline::nextChangeAfter(Seconds t) const
+{
+    for (const Seconds c : changes_) {
+        if (c > t + 1e-12)
+            return c;
+    }
+    return std::numeric_limits<Seconds>::infinity();
 }
 
 bool
-HostFaultView::hostFailed(unsigned host, Seconds now) const
+ConditionTimeline::deviceFailed(unsigned dev, Seconds t) const
 {
-    return active_ && now >= fail_at_.at(host);
+    return t >= deviceFailTime(dev);
+}
+
+Seconds
+ConditionTimeline::deviceFailTime(unsigned dev) const
+{
+    if (device_fail_at_.empty())
+        return std::numeric_limits<Seconds>::infinity();
+    return device_fail_at_.at(dev);
+}
+
+unsigned
+ConditionTimeline::survivingDevices(Seconds t) const
+{
+    unsigned alive = 0;
+    for (unsigned d = 0; d < num_devices_; d++)
+        alive += deviceFailed(d, t) ? 0 : 1;
+    return alive;
+}
+
+double
+ConditionTimeline::linkDerate(unsigned dev, Seconds t) const
+{
+    double derate = 1.0;
+    for (const FaultEvent &ev : link_degrades_) {
+        if (ev.device != kUplinkTarget &&
+            (ev.device == kAllDevices || ev.device == dev) && t >= ev.at)
+            derate *= ev.bw_multiplier;
+    }
+    return derate;
+}
+
+double
+ConditionTimeline::uplinkDerate(Seconds t) const
+{
+    double derate = 1.0;
+    for (const FaultEvent &ev : link_degrades_) {
+        if (ev.device == kUplinkTarget && t >= ev.at)
+            derate *= ev.bw_multiplier;
+    }
+    return derate;
+}
+
+double
+ConditionTimeline::nandErrorProbability(unsigned dev) const
+{
+    return nand_prob_.empty() ? 0.0 : nand_prob_.at(dev);
+}
+
+double
+ConditionTimeline::nvmeTimeoutProbability(unsigned dev) const
+{
+    return nvme_prob_.empty() ? 0.0 : nvme_prob_.at(dev);
 }
 
 bool
-HostFaultView::hostStalled(unsigned host, Seconds now) const
+ConditionTimeline::hostFailed(unsigned host, Seconds t) const
 {
-    if (!active_ || hostFailed(host, now))
+    return t >= hostFailTime(host);
+}
+
+bool
+ConditionTimeline::hostStalled(unsigned host, Seconds t) const
+{
+    if (hostFailed(host, t))
         return false;
     for (const StallWindow &w : stalls_) {
-        if (w.host == host && now >= w.begin && now < w.end)
+        if (w.host == host && t >= w.begin && t < w.end)
             return true;
     }
     return false;
 }
 
 Seconds
-HostFaultView::hostFailTime(unsigned host) const
+ConditionTimeline::hostFailTime(unsigned host) const
 {
-    if (!active_)
+    if (host_fail_at_.empty())
         return std::numeric_limits<Seconds>::infinity();
-    return fail_at_.at(host);
+    return host_fail_at_.at(host);
 }
 
 unsigned
-HostFaultView::servingHosts(Seconds now) const
+ConditionTimeline::servingHosts(Seconds t) const
 {
-    if (!active_)
-        return num_hosts_;
-    unsigned serving = 0;
-    for (unsigned h = 0; h < num_hosts_; h++) {
-        if (!hostFailed(h, now) && !hostStalled(h, now))
-            serving++;
-    }
-    return serving;
+    return num_hosts_ - failedHosts(t) - stalledHosts(t);
 }
 
 unsigned
-HostFaultView::stalledHosts(Seconds now) const
+ConditionTimeline::stalledHosts(Seconds t) const
 {
-    if (!active_)
-        return 0;
     unsigned stalled = 0;
-    for (unsigned h = 0; h < num_hosts_; h++) {
-        if (hostStalled(h, now))
-            stalled++;
-    }
+    for (unsigned h = 0; h < num_hosts_; h++)
+        stalled += hostStalled(h, t) ? 1 : 0;
     return stalled;
 }
 
+unsigned
+ConditionTimeline::failedHosts(Seconds t) const
+{
+    unsigned failed = 0;
+    for (unsigned h = 0; h < num_hosts_; h++)
+        failed += hostFailed(h, t) ? 1 : 0;
+    return failed;
+}
+
+bool
+ConditionTimeline::allHostsStalled(Seconds t) const
+{
+    return num_hosts_ > 0 && failedHosts(t) < num_hosts_ &&
+           servingHosts(t) == 0;
+}
+
 double
-HostFaultView::interHostDerate(Seconds now) const
+ConditionTimeline::interHostDerate(Seconds t) const
 {
     double derate = 1.0;
-    for (const FaultEvent &ev : degrades_) {
-        if (now >= ev.at)
+    for (const FaultEvent &ev : host_degrades_) {
+        if (t >= ev.at)
             derate *= ev.bw_multiplier;
     }
     return derate;
 }
 
-std::vector<Seconds>
-HostFaultView::eventTimes() const
+ConditionTimeline::StallTally
+ConditionTimeline::recoveredStallsBefore(Seconds end) const
 {
-    std::vector<Seconds> times;
-    for (Seconds t : fail_at_) {
-        if (std::isfinite(t))
-            times.push_back(t);
-    }
+    StallTally tally;
     for (const StallWindow &w : stalls_) {
-        times.push_back(w.begin);
-        times.push_back(w.end);
+        if (w.escalated || w.begin >= end)
+            continue;
+        tally.stalls++;
+        tally.time += std::min(w.end, end) - w.begin;
     }
-    for (const FaultEvent &ev : degrades_)
-        times.push_back(ev.at);
-    std::sort(times.begin(), times.end());
-    times.erase(std::unique(times.begin(), times.end()), times.end());
-    return times;
-}
-
-Seconds
-HostFaultView::ladderBudget(const RetryPolicy &retry)
-{
-    Seconds budget = 0.0;
-    for (unsigned k = 1; k < retry.nvme_max_attempts; k++)
-        budget += retry.nvme_timeout + retry.backoffDelay(k);
-    return budget;
-}
-
-Seconds
-HostFaultView::probeRecovery(const RetryPolicy &retry, Seconds duration)
-{
-    Seconds probe = 0.0;
-    for (unsigned k = 1; k < retry.nvme_max_attempts; k++) {
-        probe += retry.nvme_timeout + retry.backoffDelay(k);
-        if (probe >= duration)
-            return probe;
-    }
-    return probe;  // ladder exhausted: caller escalates instead
+    return tally;
 }
 
 }  // namespace hilos

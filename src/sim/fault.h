@@ -8,18 +8,18 @@
  * list of events — probabilistic per-operation faults (NAND read errors
  * that trigger an ECC read-retry ladder, NVMe command timeouts with
  * bounded exponential backoff) and timed state changes (P2P/uplink
- * bandwidth degradation, whole-device failure). A FaultInjector
- * evaluates the plan with one deterministic RNG stream per device, so
- * the same seed and plan always reproduce bit-identical results.
+ * bandwidth degradation, device, host and link failures, host stalls).
+ * A ConditionTimeline evaluates the plan into the conditions in force
+ * at any run time, the clock every engine's decode epochs follow.
  *
  * Invariants the rest of the stack relies on:
- *  - an empty plan injects nothing and draws no random numbers, so the
- *    zero-fault path is byte-identical to a build without this layer;
+ *  - an empty plan changes nothing, so the zero-fault path is
+ *    byte-identical to a build without this layer;
  *  - faults perturb timing, traffic, and availability only — never the
  *    attention numerics;
  *  - probabilistic penalties have closed-form expectations (used by the
- *    analytic engine) alongside the sampled draws (used by the event
- *    simulator), so the two models stay comparable under faults.
+ *    engines) alongside sampled draws (seeded per device, used by the
+ *    slice-level test oracle), so the two stay comparable under faults.
  */
 
 #ifndef HILOS_SIM_FAULT_H_
@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -66,7 +65,7 @@ enum class FaultKind {
     HostStall,        ///< timed: host pauses for `duration`, retried
 };
 
-/** True for cluster-granularity kinds consumed by HostFaultView. */
+/** True for cluster-granularity (host-scope) kinds. */
 bool isHostScope(FaultKind kind);
 
 /** Stable lower-case name of a fault kind (diagnostics, serialization). */
@@ -120,6 +119,18 @@ struct RetryPolicy {
      * `error_prob` (mean ladder depth at uniform step draws).
      */
     Seconds expectedEccPenalty(double error_prob) const;
+
+    /**
+     * Total time the retry ladder spends before declaring a silent
+     * host dead: sum of timeout + backoff over every allowed retry.
+     */
+    Seconds ladderBudget() const;
+    /**
+     * Time to observe recovery of a stall of `duration`: the first
+     * probe boundary at or after the stall ends (== ladderBudget() when
+     * the ladder would be exhausted first).
+     */
+    Seconds probeRecovery(Seconds duration) const;
 };
 
 /**
@@ -141,20 +152,10 @@ struct FaultPlan {
      * plus, over the whole plan, every link's compound derate (all its
      * degrade events active at once) at or above kMinCompoundDerate.
      * Returns one named diagnostic per violation (empty = valid), in
-     * the style of StepPlan::validate(); FaultInjector and
-     * HostFaultView construction are gated on it.
+     * the style of StepPlan::validate(); ConditionTimeline
+     * construction is gated on it.
      */
     std::vector<std::string> validate() const;
-
-    /**
-     * The device-scope subset of this plan (same seed and retry
-     * policy, host-scope events dropped): what each host's own
-     * injector sees when a fleet run fans the plan out per host.
-     */
-    FaultPlan deviceScope() const;
-
-    /** True when the plan contains at least one host-scope event. */
-    bool hasHostEvents() const;
 
     FaultPlan &addNandReadError(double probability,
                                 unsigned device = kAllDevices);
@@ -192,100 +193,25 @@ struct FaultPlan {
  */
 FaultPlan parseFaultPlan(const std::string &spec);
 
-/** Counters accumulated by a FaultInjector over one simulation. */
-struct FaultStats {
-    std::uint64_t nand_read_errors = 0;
-    std::uint64_t nand_retry_steps = 0;
-    std::uint64_t nvme_timeouts = 0;
-    std::uint64_t nvme_retries = 0;
-    std::uint64_t nvme_failures = 0;  ///< retries exhausted
-    std::uint64_t redispatched_slices = 0;
-    Seconds retry_time = 0.0;  ///< total latency added by recovery
-
-    bool any() const;
+/** One evaluated stall interval of a host. */
+struct StallWindow {
+    unsigned host = 0;
+    Seconds begin = 0.0;
+    /** Recovery-probe time, or escalation time when escalated. */
+    Seconds end = 0.0;
+    bool escalated = false;  ///< stall outlived the retry ladder
 };
 
 /**
- * Evaluates a FaultPlan against per-operation queries.
+ * The operating conditions a FaultPlan puts in force over run time, for
+ * a fleet of `hosts` hosts of `devices` SmartSSDs each: the one clock
+ * every engine cuts its decode epochs on. A pure function of (plan,
+ * shape) with no RNG state, so the analytic and replay backends share
+ * it; the sampled per-read draws live with the slice-level test oracle.
  *
- * Probabilistic queries (nandReadPenalty, nvmeCommand) consume one
- * deterministic per-device RNG stream each, so results depend only on
- * (seed, plan, per-device call order) — the slice-level test oracle
- * issues them in deterministic loop order. Timed queries (deviceFailed, linkDerate)
- * are pure functions of the plan and the supplied clock.
- */
-class FaultInjector
-{
-  public:
-    /** Null injector: nothing ever faults, no RNG state. */
-    FaultInjector();
-
-    FaultInjector(const FaultPlan &plan, unsigned num_devices);
-
-    /** True when the plan contains at least one event. */
-    bool active() const { return active_; }
-
-    /** Outcome of one NVMe command on device `dev`. */
-    struct NvmeOutcome {
-        Seconds extra_latency = 0.0;
-        unsigned retries = 0;
-        bool failed = false;  ///< retries exhausted; re-dispatch needed
-    };
-
-    /**
-     * Sample the ECC read-retry penalty of one NAND read on `dev`
-     * (0 when the read succeeds first try).
-     */
-    Seconds nandReadPenalty(unsigned dev);
-
-    /** Sample the timeout/backoff outcome of one NVMe command. */
-    NvmeOutcome nvmeCommand(unsigned dev);
-
-    /** Configured per-read ECC error probability of `dev`. */
-    double nandErrorProbability(unsigned dev) const;
-    /** Configured per-command timeout probability of `dev`. */
-    double nvmeTimeoutProbability(unsigned dev) const;
-
-    /** Product of active P2P degradations on `dev` at time `now`. */
-    double linkDerate(unsigned dev, Seconds now) const;
-    /** Product of active chassis-uplink degradations at time `now`. */
-    double uplinkDerate(Seconds now) const;
-
-    /** Whether `dev` has failed by time `now`. */
-    bool deviceFailed(unsigned dev, Seconds now) const;
-    /** Failure time of `dev` (infinity when it never fails). */
-    Seconds deviceFailTime(unsigned dev) const;
-    /** Number of devices still alive at time `now`. */
-    unsigned survivingDevices(Seconds now) const;
-    /** Sorted finite times at which any timed event activates. */
-    std::vector<Seconds> eventTimes() const;
-
-    /** Record one slice re-dispatched off a failed device. */
-    void noteRedispatch() { stats_.redispatched_slices++; }
-
-    const RetryPolicy &retryPolicy() const { return retry_; }
-    const FaultStats &stats() const { return stats_; }
-    unsigned numDevices() const { return num_devices_; }
-
-  private:
-    std::mt19937_64 &rngFor(unsigned dev);
-
-    bool active_ = false;
-    unsigned num_devices_ = 0;
-    RetryPolicy retry_;
-    std::vector<double> nand_prob_;
-    std::vector<double> nvme_prob_;
-    std::vector<Seconds> fail_at_;
-    std::vector<FaultEvent> degrades_;
-    std::vector<std::mt19937_64> rng_;
-    FaultStats stats_;
-};
-
-/**
- * Cluster-granularity companion to FaultInjector: evaluates the
- * host-scope events of a FaultPlan against a fleet of `num_hosts`
- * hosts. Pure function of (plan, num_hosts) — no RNG state — so the
- * analytic and replay fleet backends share one view.
+ * Device-scope events name a device index within a host and apply to
+ * that device on every host. A timeline with `hosts == 0` models one
+ * chassis outside any fleet and leaves host-scope events out.
  *
  * A HostStall mirrors the NVMe-timeout ladder at host granularity: the
  * scheduler probes the silent host at the ladder's timeout+backoff
@@ -293,62 +219,75 @@ class FaultInjector
  * after the stall ends, or exhausts the ladder and escalates the stall
  * to a permanent HostFail at `begin + ladderBudget`.
  */
-class HostFaultView
+class ConditionTimeline
 {
   public:
-    /** One evaluated stall interval of a host. */
-    struct StallWindow {
-        unsigned host = 0;
-        Seconds begin = 0.0;
-        /** Recovery-probe time, or escalation time when escalated. */
-        Seconds end = 0.0;
-        bool escalated = false;  ///< stall outlived the retry ladder
-    };
+    /** Empty timeline: one healthy device forever. */
+    ConditionTimeline();
 
-    /** Null view: every host healthy forever. */
-    HostFaultView();
+    ConditionTimeline(const FaultPlan &plan, unsigned devices,
+                      unsigned hosts = 0);
 
-    HostFaultView(const FaultPlan &plan, unsigned num_hosts);
+    /** True when the plan holds no event in scope: nothing ever faults. */
+    bool empty() const { return empty_; }
 
-    /** True when the plan contains at least one host-scope event. */
-    bool active() const { return active_; }
-    unsigned numHosts() const { return num_hosts_; }
+    /** Sorted, unique finite times at which any condition changes. */
+    const std::vector<Seconds> &changeTimes() const { return changes_; }
+    /** First change time after `t` (infinity when none). */
+    Seconds nextChangeAfter(Seconds t) const;
 
-    /** Whether `host` is permanently lost by time `now`. */
-    bool hostFailed(unsigned host, Seconds now) const;
-    /** Whether `host` is inside a stall window at time `now`. */
-    bool hostStalled(unsigned host, Seconds now) const;
+    /** Whether device `dev` has failed by time `t`. */
+    bool deviceFailed(unsigned dev, Seconds t) const;
+    /** Failure time of `dev` (infinity when it never fails). */
+    Seconds deviceFailTime(unsigned dev) const;
+    /** Devices still alive at time `t`. */
+    unsigned survivingDevices(Seconds t) const;
+    /** Product of active P2P degradations on `dev` at time `t`. */
+    double linkDerate(unsigned dev, Seconds t) const;
+    /** Product of active chassis-uplink degradations at time `t`. */
+    double uplinkDerate(Seconds t) const;
+    /** Per-read ECC error probability of `dev`. */
+    double nandErrorProbability(unsigned dev) const;
+    /** Per-command NVMe timeout probability of `dev`. */
+    double nvmeTimeoutProbability(unsigned dev) const;
+
+    /** Whether `host` is permanently lost by time `t`. */
+    bool hostFailed(unsigned host, Seconds t) const;
+    /** Whether `host` is inside a stall window at time `t`. */
+    bool hostStalled(unsigned host, Seconds t) const;
     /** Failure time of `host` (infinity when it never fails). */
     Seconds hostFailTime(unsigned host) const;
-    /** Hosts neither failed nor stalled at time `now`. */
-    unsigned servingHosts(Seconds now) const;
-    /** Hosts stalled (but not failed) at time `now`. */
-    unsigned stalledHosts(Seconds now) const;
-    /** Product of active inter-host degradations at time `now`. */
-    double interHostDerate(Seconds now) const;
-    /** Sorted finite times at which the fleet state changes. */
-    std::vector<Seconds> eventTimes() const;
+    /** Hosts neither failed nor stalled at time `t`. */
+    unsigned servingHosts(Seconds t) const;
+    /** Hosts stalled (but not failed) at time `t`. */
+    unsigned stalledHosts(Seconds t) const;
+    /** Hosts permanently lost by time `t`. */
+    unsigned failedHosts(Seconds t) const;
+    /** True when hosts survive at `t` but every one of them is stalled. */
+    bool allHostsStalled(Seconds t) const;
+    /** Product of active inter-host degradations at time `t`. */
+    double interHostDerate(Seconds t) const;
     const std::vector<StallWindow> &stalls() const { return stalls_; }
 
-    /**
-     * Total time the retry ladder spends before declaring a silent
-     * host dead: sum of timeout + backoff over every allowed retry.
-     */
-    static Seconds ladderBudget(const RetryPolicy &retry);
-    /**
-     * Time to observe recovery of a stall of `duration`: the first
-     * probe boundary at or after the stall ends (== ladderBudget when
-     * the ladder would be exhausted first).
-     */
-    static Seconds probeRecovery(const RetryPolicy &retry,
-                                 Seconds duration);
+    /** Recovered stalls that began before `end`, with their time up to it. */
+    struct StallTally {
+        unsigned stalls = 0;
+        Seconds time = 0.0;
+    };
+    StallTally recoveredStallsBefore(Seconds end) const;
 
   private:
-    bool active_ = false;
+    bool empty_ = true;
+    unsigned num_devices_ = 1;
     unsigned num_hosts_ = 0;
-    std::vector<Seconds> fail_at_;
+    std::vector<Seconds> changes_;
+    std::vector<double> nand_prob_;
+    std::vector<double> nvme_prob_;
+    std::vector<Seconds> device_fail_at_;
+    std::vector<FaultEvent> link_degrades_;
+    std::vector<Seconds> host_fail_at_;
     std::vector<StallWindow> stalls_;
-    std::vector<FaultEvent> degrades_;
+    std::vector<FaultEvent> host_degrades_;
 };
 
 }  // namespace hilos

@@ -246,8 +246,7 @@ ConfigFuzzer::fleetCase()
                 }
                 break;
             case 1: {
-                const Seconds budget =
-                    HostFaultView::ladderBudget(plan.retry);
+                const Seconds budget = plan.retry.ladderBudget();
                 const bool escalate =
                     chance(rng_, 0.3) && losses < max_losses;
                 const Seconds duration =

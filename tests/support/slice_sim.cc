@@ -6,6 +6,7 @@
 #include "runtime/cost_model.h"
 #include "runtime/writeback.h"
 #include "sim/bandwidth.h"
+#include "support/fault_sampler.h"
 
 namespace hilos {
 namespace test {
@@ -46,18 +47,18 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
     // plan's seeded per-device streams in deterministic loop order.
     // An empty plan allocates no RNG state and all derates are exactly
     // 1.0, keeping this path bit-identical to the fault-free build.
+    const ConditionTimeline conditions(opts_.fault_plan, N);
     FaultInjector inj(opts_.fault_plan, N);
     std::vector<unsigned> alive;
     std::vector<std::size_t> alive_idx(N, 0);
     double min_derate = 1.0;
     for (unsigned i = 0; i < N; i++) {
-        if (inj.active() && inj.deviceFailed(i, start_time))
+        if (conditions.deviceFailed(i, start_time))
             continue;
         alive_idx[i] = alive.size();
         alive.push_back(i);
-        if (inj.active())
-            min_derate = std::min(min_derate,
-                                  inj.linkDerate(i, start_time));
+        min_derate =
+            std::min(min_derate, conditions.linkDerate(i, start_time));
     }
     EventSimResult res;
     if (alive.empty()) {
@@ -68,8 +69,7 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
         return res;
     }
     const auto n_alive = static_cast<unsigned>(alive.size());
-    const double up_derate =
-        inj.active() ? inj.uplinkDerate(start_time) : 1.0;
+    const double up_derate = conditions.uplinkDerate(start_time);
 
     // Alpha re-selects for the surviving fleet.
     HilosOptions eff = opts_;
@@ -89,8 +89,7 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
     const CycleModel cm{CycleModelConfig{}};
     const Bandwidth kernel_rate = cm.kvBytesPerSec(s, d, d_group);
     for (unsigned i = 0; i < N; i++) {
-        const double derate =
-            inj.active() ? inj.linkDerate(i, start_time) : 1.0;
+        const double derate = conditions.linkDerate(i, start_time);
         internal.emplace_back("p2p" + std::to_string(i),
                               sys_.smartssd.p2p_read_bw * derate,
                               usec(80));
@@ -186,7 +185,7 @@ HilosEventSimulator::simulateDecodeStep(const RunConfig &cfg,
         for (std::uint64_t sl = 0; sl < slices; sl++) {
             const auto orig = static_cast<unsigned>(sl % N);
             unsigned dev = orig;
-            if (inj.active() && inj.deviceFailed(orig, start_time)) {
+            if (conditions.deviceFailed(orig, start_time)) {
                 dev = alive[sl % n_alive];
                 inj.noteRedispatch();
             }

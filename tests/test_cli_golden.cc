@@ -208,6 +208,16 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         {"--model NoSuch", "error: "},
         {"--engine nosuch", "error: --engine"},
         {"--fault-plan 'fail@nan=3'", "error: --fault-plan"},
+        // A fault plan an engine or serving would ignore is refused,
+        // never priced as a healthy run.
+        {"--engine flex-ssd --fault-plan 'fail@1=0;uplink@1=0.3'",
+         "error: --fault-plan requires --engine hilos"},
+        {"--serve --requests 8 --arrival-rate 0.05 --fault-plan "
+         "'fail@1=0;fail@1=1;fail@1=2;fail@1=3;uplink@1=0.3'",
+         "error: --fault-plan is not supported with --serve"},
+        {"--hosts 2 --serve --requests 8 --arrival-rate 0.05 "
+         "--fault-plan 'host-fail@1=0'",
+         "error: --fault-plan is not supported with --serve"},
         {"--alpha 2", "error: --alpha"},
         {"--alpha -0.5", "error: --alpha"},
         {"--spill 0", "error: --spill"},

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the fault-injection subsystem: retry-policy math, the
- * plan parser, injector determinism, and the BandwidthResource fault
- * hooks.
+ * plan parser, the condition timeline, the slice oracle's sampled
+ * draws, and the BandwidthResource fault hooks.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +13,12 @@
 
 #include "sim/bandwidth.h"
 #include "sim/fault.h"
+#include "support/fault_sampler.h"
 
 namespace hilos {
 namespace {
+
+using test::FaultInjector;
 
 // --- RetryPolicy ---
 
@@ -105,12 +108,11 @@ TEST(FaultPlanParse, RejectsMalformedSpecs)
 
 TEST(FaultInjector, EmptyPlanIsInactive)
 {
-    const FaultInjector inj(FaultPlan{}, 8);
+    FaultInjector inj(FaultPlan{}, 8);
     EXPECT_FALSE(inj.active());
-    EXPECT_EQ(inj.survivingDevices(1e9), 8u);
-    EXPECT_FALSE(inj.deviceFailed(0, 1e9));
-    EXPECT_DOUBLE_EQ(inj.linkDerate(0, 1e9), 1.0);
-    EXPECT_DOUBLE_EQ(inj.uplinkDerate(1e9), 1.0);
+    EXPECT_EQ(inj.nandReadPenalty(0), 0.0);
+    EXPECT_EQ(inj.nvmeCommand(0).retries, 0u);
+    EXPECT_EQ(inj.stats().retry_time, 0.0);
 }
 
 TEST(FaultInjector, SameSeedSamePlanReproducesDraws)
@@ -160,46 +162,84 @@ TEST(FaultInjector, ZeroProbabilityDrawsNothing)
     EXPECT_EQ(inj.stats().nvme_timeouts, 0u);
 }
 
-TEST(FaultInjector, FailureTimeline)
+// --- ConditionTimeline ---
+
+TEST(ConditionTimeline, EmptyTimelineNeverChanges)
+{
+    const ConditionTimeline null_timeline;
+    EXPECT_TRUE(null_timeline.empty());
+    EXPECT_TRUE(null_timeline.changeTimes().empty());
+    FaultPlan seeded;
+    seeded.seed = 42;
+    const ConditionTimeline tl(seeded, 8, 4);
+    EXPECT_TRUE(tl.empty());
+    EXPECT_EQ(tl.survivingDevices(1e9), 8u);
+    EXPECT_FALSE(tl.deviceFailed(0, 1e9));
+    EXPECT_DOUBLE_EQ(tl.linkDerate(0, 1e9), 1.0);
+    EXPECT_DOUBLE_EQ(tl.uplinkDerate(1e9), 1.0);
+    EXPECT_EQ(tl.servingHosts(1e9), 4u);
+    EXPECT_EQ(tl.interHostDerate(1e9), 1.0);
+    EXPECT_TRUE(std::isinf(tl.nextChangeAfter(0.0)));
+}
+
+TEST(ConditionTimeline, DeviceFailureTimeline)
 {
     const FaultPlan plan = FaultPlan{}
                                .addDeviceFailure(2.0, 1)
                                .addDeviceFailure(5.0, 3);
-    const FaultInjector inj(plan, 4);
-    EXPECT_EQ(inj.survivingDevices(0.0), 4u);
-    EXPECT_FALSE(inj.deviceFailed(1, 1.99));
-    EXPECT_TRUE(inj.deviceFailed(1, 2.0));
-    EXPECT_EQ(inj.survivingDevices(2.0), 3u);
-    EXPECT_EQ(inj.survivingDevices(5.0), 2u);
-    EXPECT_DOUBLE_EQ(inj.deviceFailTime(1), 2.0);
-    EXPECT_TRUE(std::isinf(inj.deviceFailTime(0)));
-    const auto times = inj.eventTimes();
+    const ConditionTimeline tl(plan, 4);
+    EXPECT_FALSE(tl.empty());
+    EXPECT_EQ(tl.survivingDevices(0.0), 4u);
+    EXPECT_FALSE(tl.deviceFailed(1, 1.99));
+    EXPECT_TRUE(tl.deviceFailed(1, 2.0));
+    EXPECT_EQ(tl.survivingDevices(2.0), 3u);
+    EXPECT_EQ(tl.survivingDevices(5.0), 2u);
+    EXPECT_DOUBLE_EQ(tl.deviceFailTime(1), 2.0);
+    EXPECT_TRUE(std::isinf(tl.deviceFailTime(0)));
+    const auto &times = tl.changeTimes();
     ASSERT_EQ(times.size(), 2u);
     EXPECT_DOUBLE_EQ(times[0], 2.0);
     EXPECT_DOUBLE_EQ(times[1], 5.0);
+    EXPECT_DOUBLE_EQ(tl.nextChangeAfter(2.0), 5.0);
 }
 
-TEST(FaultInjector, DeratesCompoundAndActivateOnTime)
+TEST(ConditionTimeline, DeratesCompoundAndActivateOnTime)
 {
     const FaultPlan plan = FaultPlan{}
                                .addLinkDegrade(1.0, 0.5, 2)
                                .addLinkDegrade(3.0, 0.5, 2)
                                .addUplinkDegrade(2.0, 0.8);
-    const FaultInjector inj(plan, 4);
-    EXPECT_DOUBLE_EQ(inj.linkDerate(2, 0.5), 1.0);
-    EXPECT_DOUBLE_EQ(inj.linkDerate(2, 1.0), 0.5);
-    EXPECT_DOUBLE_EQ(inj.linkDerate(2, 3.0), 0.25);
-    EXPECT_DOUBLE_EQ(inj.linkDerate(0, 10.0), 1.0);  // other device
-    EXPECT_DOUBLE_EQ(inj.uplinkDerate(1.0), 1.0);
-    EXPECT_DOUBLE_EQ(inj.uplinkDerate(2.0), 0.8);
+    const ConditionTimeline tl(plan, 4);
+    EXPECT_DOUBLE_EQ(tl.linkDerate(2, 0.5), 1.0);
+    EXPECT_DOUBLE_EQ(tl.linkDerate(2, 1.0), 0.5);
+    EXPECT_DOUBLE_EQ(tl.linkDerate(2, 3.0), 0.25);
+    EXPECT_DOUBLE_EQ(tl.linkDerate(0, 10.0), 1.0);  // other device
+    EXPECT_DOUBLE_EQ(tl.uplinkDerate(1.0), 1.0);
+    EXPECT_DOUBLE_EQ(tl.uplinkDerate(2.0), 0.8);
 }
 
-TEST(FaultInjector, FleetFailureKillsEveryDevice)
+TEST(ConditionTimeline, FleetFailureKillsEveryDevice)
 {
     const FaultPlan plan = FaultPlan{}.addFleetFailure(4.0);
-    const FaultInjector inj(plan, 8);
-    EXPECT_EQ(inj.survivingDevices(3.9), 8u);
-    EXPECT_EQ(inj.survivingDevices(4.0), 0u);
+    const ConditionTimeline tl(plan, 8);
+    EXPECT_EQ(tl.survivingDevices(3.9), 8u);
+    EXPECT_EQ(tl.survivingDevices(4.0), 0u);
+}
+
+TEST(ConditionTimeline, ProbabilitiesAccumulatePerDevice)
+{
+    const FaultPlan plan = FaultPlan{}
+                               .addNandReadError(1e-3)
+                               .addNandReadError(2e-3, 1)
+                               .addNvmeTimeout(0.7, 0)
+                               .addNvmeTimeout(0.7, 0);
+    const ConditionTimeline tl(plan, 2);
+    EXPECT_FALSE(tl.empty());
+    EXPECT_TRUE(tl.changeTimes().empty());  // nothing timed
+    EXPECT_DOUBLE_EQ(tl.nandErrorProbability(0), 1e-3);
+    EXPECT_DOUBLE_EQ(tl.nandErrorProbability(1), 3e-3);
+    EXPECT_DOUBLE_EQ(tl.nvmeTimeoutProbability(0), 1.0);  // capped
+    EXPECT_DOUBLE_EQ(tl.nvmeTimeoutProbability(1), 0.0);
 }
 
 // --- BandwidthResource fault hooks ---
@@ -360,9 +400,10 @@ TEST(FaultPlanValidate, GatesInjectorConstruction)
     FaultPlan bad;
     bad.addNandReadError(2.0);
     EXPECT_THROW(FaultInjector(bad, 4), std::runtime_error);
+    EXPECT_THROW(ConditionTimeline(bad, 4), std::runtime_error);
     FaultPlan bad_host;
     bad_host.addHostStall(1.0, -5.0, 0);
-    EXPECT_THROW(HostFaultView(bad_host, 4), std::runtime_error);
+    EXPECT_THROW(ConditionTimeline(bad_host, 8, 4), std::runtime_error);
 }
 
 // --- Host-scope plan surface ---
@@ -384,97 +425,110 @@ TEST(FaultPlanParse, ParsesHostScopeClauses)
     EXPECT_EQ(plan.events[3].device, kAllDevices);
 }
 
-TEST(FaultPlanHostScope, DeviceScopeDropsHostEventsOnly)
+TEST(ConditionTimeline, ChassisTimelineDropsHostEvents)
 {
     FaultPlan plan;
-    plan.seed = 77;
-    plan.addNandReadError(1e-3)
-        .addHostFailure(2.0, 1)
-        .addNvmeTimeout(1e-4)
-        .addHostStall(3.0, 0.02, 0);
-    EXPECT_TRUE(plan.hasHostEvents());
-    const FaultPlan dev = plan.deviceScope();
-    EXPECT_EQ(dev.seed, 77u);
-    ASSERT_EQ(dev.events.size(), 2u);
-    EXPECT_EQ(dev.events[0].kind, FaultKind::NandReadError);
-    EXPECT_EQ(dev.events[1].kind, FaultKind::NvmeTimeout);
-    EXPECT_FALSE(dev.hasHostEvents());
+    plan.addHostFailure(2.0, 1).addHostStall(3.0, 0.02, 0);
+    // Without a host layer the host events are out of scope: they
+    // neither change conditions nor cut epochs.
+    const ConditionTimeline chassis(plan, 4);
+    EXPECT_TRUE(chassis.empty());
+    EXPECT_TRUE(chassis.changeTimes().empty());
+    EXPECT_FALSE(chassis.allHostsStalled(3.0));
+    const ConditionTimeline fleet(plan, 4, 2);
+    EXPECT_EQ(fleet.changeTimes().size(), 3u);  // 2.0, 3.0, stall end
 }
 
-TEST(FaultPlanHostScope, InjectorIgnoresHostEvents)
+TEST(ConditionTimeline, HostEventsNeverFailDevices)
 {
     FaultPlan plan;
     plan.addHostFailure(0.0, 0).addHostStall(0.0, 5.0, 1);
-    FaultInjector inj(plan, 4);
-    // Host-scope events never fail devices at device scope.
-    EXPECT_EQ(inj.survivingDevices(100.0), 4u);
-    EXPECT_FALSE(inj.deviceFailed(0, 100.0));
+    const ConditionTimeline tl(plan, 4, 2);
+    EXPECT_EQ(tl.survivingDevices(100.0), 4u);
+    EXPECT_FALSE(tl.deviceFailed(0, 100.0));
+    EXPECT_TRUE(tl.hostFailed(0, 100.0));
 }
 
-// --- HostFaultView ---
-
-TEST(HostFaultView, NullViewAndEmptyPlanAreInactive)
+TEST(ConditionTimeline, DeviceAndHostEventsShareOneClock)
 {
-    const HostFaultView null_view;
-    EXPECT_FALSE(null_view.active());
-    const HostFaultView empty(FaultPlan{}, 4);
-    EXPECT_FALSE(empty.active());
-    EXPECT_EQ(empty.servingHosts(1e9), 4u);
-    EXPECT_EQ(empty.interHostDerate(1e9), 1.0);
+    FaultPlan plan;
+    plan.addDeviceFailure(800.0, 3).addHostFailure(400.0, 1);
+    const ConditionTimeline tl(plan, 8, 2);
+    const std::vector<Seconds> expect = {400.0, 800.0};
+    EXPECT_EQ(tl.changeTimes(), expect);
+    EXPECT_EQ(tl.survivingDevices(800.0), 7u);
+    EXPECT_EQ(tl.servingHosts(800.0), 1u);
 }
 
-TEST(HostFaultView, FailureTimeline)
+TEST(ConditionTimeline, NoHostLeftIsNotAStall)
+{
+    FaultPlan plan;
+    plan.addHostStall(10.0, 0.015, 0).addHostFailure(5.0, 1);
+    const ConditionTimeline tl(plan, 8, 2);
+    EXPECT_TRUE(tl.allHostsStalled(10.001));
+    EXPECT_FALSE(tl.allHostsStalled(9.0));
+    FaultPlan dead;
+    dead.addHostFailure(1.0, kAllDevices);
+    EXPECT_FALSE(ConditionTimeline(dead, 8, 2).allHostsStalled(2.0));
+}
+
+TEST(ConditionTimeline, HostFailureTimeline)
 {
     FaultPlan plan;
     plan.addHostFailure(5.0, 1).addHostFailure(8.0, 3);
-    const HostFaultView view(plan, 4);
-    EXPECT_TRUE(view.active());
-    EXPECT_EQ(view.servingHosts(0.0), 4u);
-    EXPECT_FALSE(view.hostFailed(1, 4.999));
-    EXPECT_TRUE(view.hostFailed(1, 5.0));
-    EXPECT_EQ(view.servingHosts(6.0), 3u);
-    EXPECT_EQ(view.servingHosts(9.0), 2u);
-    EXPECT_DOUBLE_EQ(view.hostFailTime(1), 5.0);
-    EXPECT_TRUE(std::isinf(view.hostFailTime(0)));
+    const ConditionTimeline tl(plan, 8, 4);
+    EXPECT_EQ(tl.servingHosts(0.0), 4u);
+    EXPECT_FALSE(tl.hostFailed(1, 4.999));
+    EXPECT_TRUE(tl.hostFailed(1, 5.0));
+    EXPECT_EQ(tl.servingHosts(6.0), 3u);
+    EXPECT_EQ(tl.servingHosts(9.0), 2u);
+    EXPECT_EQ(tl.failedHosts(9.0), 2u);
+    EXPECT_DOUBLE_EQ(tl.hostFailTime(1), 5.0);
+    EXPECT_TRUE(std::isinf(tl.hostFailTime(0)));
 }
 
-TEST(HostFaultView, ShortStallRecoversAtProbeBoundary)
+TEST(ConditionTimeline, ShortStallRecoversAtProbeBoundary)
 {
     FaultPlan plan;
     plan.addHostStall(10.0, 0.015, 2);  // 15 ms, inside the ladder
-    const HostFaultView view(plan, 4);
-    ASSERT_EQ(view.stalls().size(), 1u);
-    const HostFaultView::StallWindow &w = view.stalls().front();
+    const ConditionTimeline tl(plan, 8, 4);
+    ASSERT_EQ(tl.stalls().size(), 1u);
+    const StallWindow &w = tl.stalls().front();
     EXPECT_FALSE(w.escalated);
     EXPECT_DOUBLE_EQ(w.begin, 10.0);
     // Recovery is observed at the first timeout+backoff probe at or
     // after the stall's end, so the window outlasts the raw duration.
     EXPECT_GE(w.end, 10.015);
-    EXPECT_LE(w.end - 10.0,
-              HostFaultView::ladderBudget(plan.retry) + 1e-12);
-    EXPECT_TRUE(view.hostStalled(2, 10.001));
-    EXPECT_FALSE(view.hostStalled(2, w.end + 1e-9));
-    EXPECT_FALSE(view.hostFailed(2, 1e9));
-    EXPECT_EQ(view.servingHosts(10.001), 3u);
-    EXPECT_EQ(view.stalledHosts(10.001), 1u);
+    EXPECT_LE(w.end - 10.0, plan.retry.ladderBudget() + 1e-12);
+    EXPECT_TRUE(tl.hostStalled(2, 10.001));
+    EXPECT_FALSE(tl.hostStalled(2, w.end + 1e-9));
+    EXPECT_FALSE(tl.hostFailed(2, 1e9));
+    EXPECT_EQ(tl.servingHosts(10.001), 3u);
+    EXPECT_EQ(tl.stalledHosts(10.001), 1u);
+    const ConditionTimeline::StallTally tally =
+        tl.recoveredStallsBefore(1e9);
+    EXPECT_EQ(tally.stalls, 1u);
+    EXPECT_DOUBLE_EQ(tally.time, w.end - w.begin);
+    EXPECT_EQ(tl.recoveredStallsBefore(10.0).stalls, 0u);
 }
 
-TEST(HostFaultView, LongStallEscalatesToFailure)
+TEST(ConditionTimeline, LongStallEscalatesToFailure)
 {
     FaultPlan plan;
     plan.addHostStall(10.0, 60.0, 2);  // far past the retry ladder
-    const HostFaultView view(plan, 4);
-    const Seconds budget = HostFaultView::ladderBudget(plan.retry);
+    const ConditionTimeline tl(plan, 8, 4);
+    const Seconds budget = plan.retry.ladderBudget();
     EXPECT_LT(budget, 60.0);
-    ASSERT_EQ(view.stalls().size(), 1u);
-    EXPECT_TRUE(view.stalls().front().escalated);
-    EXPECT_FALSE(view.hostFailed(2, 10.0 + budget - 1e-9));
-    EXPECT_TRUE(view.hostFailed(2, 10.0 + budget + 1e-9));
+    ASSERT_EQ(tl.stalls().size(), 1u);
+    EXPECT_TRUE(tl.stalls().front().escalated);
+    EXPECT_FALSE(tl.hostFailed(2, 10.0 + budget - 1e-9));
+    EXPECT_TRUE(tl.hostFailed(2, 10.0 + budget + 1e-9));
     // Failed hosts are not additionally counted as stalled.
-    EXPECT_EQ(view.stalledHosts(10.0 + budget + 1e-9), 0u);
+    EXPECT_EQ(tl.stalledHosts(10.0 + budget + 1e-9), 0u);
+    EXPECT_EQ(tl.recoveredStallsBefore(1e9).stalls, 0u);
 }
 
-TEST(HostFaultView, LadderBudgetIsTimeoutPlusBackoffSum)
+TEST(RetryPolicy, LadderBudgetIsTimeoutPlusBackoffSum)
 {
     RetryPolicy rp;
     rp.nvme_max_attempts = 3;
@@ -483,39 +537,41 @@ TEST(HostFaultView, LadderBudgetIsTimeoutPlusBackoffSum)
     rp.backoff_multiplier = 2.0;
     rp.backoff_cap = msec(50);
     // Two retries: (10 + 1) + (10 + 2) ms.
-    EXPECT_DOUBLE_EQ(HostFaultView::ladderBudget(rp), msec(23));
+    EXPECT_DOUBLE_EQ(rp.ladderBudget(), msec(23));
+    EXPECT_DOUBLE_EQ(rp.probeRecovery(msec(5)), msec(11));
+    EXPECT_DOUBLE_EQ(rp.probeRecovery(msec(100)), msec(23));
 }
 
-TEST(HostFaultView, InterHostDeratesCompound)
+TEST(ConditionTimeline, InterHostDeratesCompound)
 {
     FaultPlan plan;
     plan.addHostLinkDegrade(2.0, 0.5).addHostLinkDegrade(4.0, 0.8);
-    const HostFaultView view(plan, 2);
-    EXPECT_DOUBLE_EQ(view.interHostDerate(1.0), 1.0);
-    EXPECT_DOUBLE_EQ(view.interHostDerate(3.0), 0.5);
-    EXPECT_DOUBLE_EQ(view.interHostDerate(5.0), 0.4);
+    const ConditionTimeline tl(plan, 8, 2);
+    EXPECT_DOUBLE_EQ(tl.interHostDerate(1.0), 1.0);
+    EXPECT_DOUBLE_EQ(tl.interHostDerate(3.0), 0.5);
+    EXPECT_DOUBLE_EQ(tl.interHostDerate(5.0), 0.4);
 }
 
-TEST(HostFaultView, EventTimesSortedAndUnique)
+TEST(ConditionTimeline, ChangeTimesSortedAndUnique)
 {
     FaultPlan plan;
     plan.addHostFailure(8.0, 1)
         .addHostLinkDegrade(2.0, 0.5)
         .addHostStall(4.0, 0.01, 0)
         .addHostLinkDegrade(2.0, 0.9);
-    const HostFaultView view(plan, 4);
-    const std::vector<Seconds> times = view.eventTimes();
+    const ConditionTimeline tl(plan, 8, 4);
+    const std::vector<Seconds> &times = tl.changeTimes();
     ASSERT_GE(times.size(), 4u);  // 2.0, 4.0, stall end, 8.0
     for (std::size_t i = 1; i < times.size(); ++i)
         EXPECT_GT(times[i], times[i - 1]);
     EXPECT_DOUBLE_EQ(times.front(), 2.0);
 }
 
-TEST(HostFaultView, RejectsHostTargetBeyondFleet)
+TEST(ConditionTimeline, RejectsHostTargetBeyondFleet)
 {
     FaultPlan plan;
     plan.addHostFailure(1.0, 7);
-    EXPECT_DEATH(HostFaultView(plan, 4), "host");
+    EXPECT_DEATH(ConditionTimeline(plan, 8, 4), "host");
 }
 
 }  // namespace

@@ -193,6 +193,49 @@ TEST(FaultIntegration, MidRunFailureMatchesSurvivingFleetModel)
     EXPECT_LT(ratio, 1.05);
 }
 
+// --- The epoch fold ---
+
+TEST(FaultIntegration, EventsAfterTheMakespanLeaveTheRunUnchanged)
+{
+    // Every timed event falls after the run ends: the fold walks one
+    // epoch under healthy conditions and serves exactly the fault-free
+    // result, apart from the fault bookkeeping.
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = makeRun();
+    const RunResult clean = HilosEngine(sys, makeOpts(8)).run(run);
+    ASSERT_TRUE(clean.feasible);
+    const Seconds late = 2.0 * clean.total_time;
+    const FaultPlan plan = FaultPlan{}
+                               .addDeviceFailure(late, 3)
+                               .addUplinkDegrade(late, 0.5)
+                               .addLinkDegrade(late, 0.5, 1);
+    RunResult r = HilosEngine(sys, makeOpts(8, plan)).run(run);
+    ASSERT_TRUE(r.feasible) << r.note;
+    EXPECT_EQ(r.faults.devices_surviving, 8u);
+    EXPECT_EQ(r.faults.slowdown, 1.0);
+    r.faults = clean.faults;
+    EXPECT_EQ(test::serialize(r), test::serialize(clean));
+}
+
+TEST(FaultIntegration, EarlyDeviceLossLengthensTheRun)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = makeRun();
+    const RunResult clean = HilosEngine(sys, makeOpts(8)).run(run);
+    // Device 0 dies during prefill: decode runs on seven after a rebuild.
+    const RunResult r =
+        HilosEngine(sys, makeOpts(8, FaultPlan{}.addDeviceFailure(1.0, 0)))
+            .run(run);
+    ASSERT_TRUE(r.feasible) << r.note;
+    EXPECT_EQ(r.faults.devices_surviving, 7u);
+    EXPECT_GT(r.faults.rebuild_time, 0.0);
+    EXPECT_GT(r.total_time, clean.total_time);
+    EXPECT_GT(r.total_time, clean.prefill_time +
+                                static_cast<double>(run.output_len) *
+                                    clean.decode_step_time +
+                                r.faults.rebuild_time - 1e-9);
+}
+
 TEST(FaultIntegration, EventSimRedispatchesSlicesOffFailedDevice)
 {
     const SystemConfig sys = defaultSystem();
@@ -238,7 +281,7 @@ TEST(FaultIntegration, DecodeStepPlanAtPricesTheSurvivingFleet)
     const StepPlan after = engine.decodeStepPlanAt(run, r.total_time);
     ASSERT_TRUE(after.feasible) << after.note;
     EXPECT_EQ(after.instancesOf(PlanResource::Storage), 7u);
-    // The plan is the one runWithFaults priced for the last epoch.
+    // The plan is the one the epoch fold priced for the last epoch.
     EXPECT_EQ(evaluatePlan(after).decode_step_time,
               r.faults.degraded_step_time);
 }

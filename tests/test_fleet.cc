@@ -420,8 +420,8 @@ TEST(FleetEngine, CascadeDuringRebuildChargesBothRebuilds)
 
 TEST(FleetEngine, DeviceFailAndLinkDegradeSameEpoch)
 {
-    // Device-scope faults fan out to every host's own injector and
-    // coexist with host-scope events in one plan.
+    // Device-scope faults apply to that device on every host and share
+    // the fleet's timeline with host-scope events.
     const SystemConfig sys = defaultSystem();
     const RunConfig run = smallRun();
     FleetConfig fc = fleetOf(2);
@@ -437,6 +437,76 @@ TEST(FleetEngine, DeviceFailAndLinkDegradeSameEpoch)
     EXPECT_GT(r.faults.rebuild_time, 0.0);
     const RunResult clean = FleetEngine(sys, fleetOf(2)).run(run);
     EXPECT_GT(r.decode_step_time, clean.decode_step_time);
+}
+
+TEST(FleetEngine, DeviceLossCutsAFleetEpochOnTheSharedClock)
+{
+    // A device-scope failure is an event on the fleet's own timeline:
+    // decode cuts at it, and the slowdown and degraded step are the
+    // fleet's, measured against the healthy fleet.
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = smallRun();
+    FleetConfig fc = fleetOf(2);
+    const Seconds mid = midDecode(sys, fc, run);
+    fc.fault_plan.addDeviceFailure(mid, 3);
+    const FleetEngine fe(sys, fc);
+    const RunResult r = fe.run(run);
+    ASSERT_TRUE(r.feasible) << r.note;
+    ASSERT_EQ(r.fleet.epochs.size(), 2u);
+    const FleetEpoch &before = r.fleet.epochs.front();
+    const FleetEpoch &after = r.fleet.epochs.back();
+    // The first epoch runs until the step that crosses the failure.
+    const double crossed =
+        before.start.value() +
+        static_cast<double>(before.tokens) * before.step_time.value();
+    EXPECT_GE(crossed, mid.value());
+    EXPECT_LT(crossed - before.step_time.value(), mid.value());
+    EXPECT_GE(after.start, mid);
+    EXPECT_GT(after.step_time, before.step_time);
+
+    const RunResult healthy = FleetEngine(sys, fleetOf(2)).run(run);
+    EXPECT_EQ(before.step_time, healthy.decode_step_time);
+    EXPECT_DOUBLE_EQ(r.fleet.slowdown,
+                     r.decode_step_time / healthy.decode_step_time);
+    EXPECT_GT(r.fleet.slowdown, 1.0);
+    EXPECT_EQ(r.fleet.degraded_step_time, after.step_time);
+    EXPECT_GT(r.fleet.rebuild_time, 0.0);
+    EXPECT_GT(r.total_time, healthy.total_time);
+}
+
+TEST(FleetEngine, EventsAfterTheMakespanLeaveTheRunUnchanged)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = smallRun();
+    const RunResult clean = FleetEngine(sys, fleetOf(3)).run(run);
+    ASSERT_TRUE(clean.feasible);
+    const Seconds late = 2.0 * clean.total_time;
+    FleetConfig fc = fleetOf(3);
+    fc.fault_plan.addHostFailure(late, 1)
+        .addHostStall(late, 0.02, 2)
+        .addHostLinkDegrade(late, 0.5)
+        .addDeviceFailure(late, 3)
+        .addUplinkDegrade(late, 0.5);
+    RunResult r = FleetEngine(sys, fc).run(run);
+    ASSERT_TRUE(r.feasible) << r.note;
+    ASSERT_EQ(r.fleet.epochs.size(), 1u);
+    r.faults = clean.faults;
+    r.fleet = clean.fleet;
+    EXPECT_EQ(test::serialize(r), test::serialize(clean));
+}
+
+TEST(FleetEngine, EarlyDeviceLossLengthensTheRun)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = smallRun();
+    const RunResult clean = FleetEngine(sys, fleetOf(2)).run(run);
+    FleetConfig fc = fleetOf(2);
+    fc.fault_plan.addDeviceFailure(1.0, 0);
+    const RunResult r = FleetEngine(sys, fc).run(run);
+    ASSERT_TRUE(r.feasible) << r.note;
+    EXPECT_EQ(r.faults.devices_surviving, 7u);
+    EXPECT_GT(r.fleet.rebuild_time, 0.0);
+    EXPECT_GT(r.total_time, clean.total_time);
 }
 
 TEST(FleetEngine, StallRecoversWithoutLosingAHost)

@@ -716,9 +716,9 @@ TEST(PlanCache, EveryEngineRunCachedMatchesRunAcrossScalarGrid)
 
 TEST(PlanCache, FaultRoutesRunCachedMatchRun)
 {
-    // A faulted HILOS and a fleet run epoch machines rather than the
-    // plan body; runCached must take the same route as run(), also over
-    // a cache that already holds the healthy plans.
+    // A faulted HILOS and a faulted fleet run the epoch fold rather
+    // than the plan body; runCached must take the same route as run(),
+    // also over a cache that already holds the healthy plans.
     const SystemConfig sys = defaultSystem();
     RunConfig run;
     run.model = opt30b();
