@@ -8,8 +8,9 @@
  *  1. engine evaluation, cold vs cached — a fresh engine + full plan
  *     build per point (a cold run()) and runCached()'s verified
  *     in-place rebuild;
- *  2. plan evaluation backends — analytic evaluatePlan and the
- *     event-driven simulatePlan over one HILOS decode plan, plus the
+ *  2. plan evaluation backends — analytic evaluatePlan, the
+ *     event-driven simulatePlan and the semantic analyzer (analyzePlan)
+ *     over one HILOS decode plan, plus the
  *     Prefill-phase plan's build/evaluate cost and the deterministic
  *     chunked-prefill overhead ratio (4 chunks vs monolithic);
  *  3. serving — ServingSimulator::run on a saturated open-loop Poisson
@@ -51,6 +52,7 @@
 #include "common/table.h"
 #include "core/hilos.h"
 #include "runtime/event_sim.h"
+#include "runtime/plan_analyzer.h"
 #include "runtime/plan_cache.h"
 #include "runtime/serving.h"
 #include "runtime/serving_workload.h"
@@ -346,6 +348,7 @@ main(int argc, char **argv)
     check(plan.feasible, "headline HILOS plan infeasible");
     const int plan_iters = 2000;
     const int replay_iters = 50;
+    const int analyze_iters = 200;
     double sink = 0.0;
     const Timing analytic = timeSeconds(
         [&] {
@@ -359,9 +362,16 @@ main(int argc, char **argv)
                 sink += simulatePlan(plan).decode_step_time;
         },
         repeats);
+    const Timing analyze = timeSeconds(
+        [&] {
+            for (int i = 0; i < analyze_iters; i++)
+                sink += analyzePlan(plan).layer_critical_path;
+        },
+        repeats);
     check(sink > 0.0, "plan evaluation produced zero time");
     reportTime("evaluate_plan_analytic", "plan", analytic, plan_iters);
     reportTime("simulate_plan_event", "plan", event_sim, replay_iters);
+    reportTime("analyze_plan", "plan", analyze, analyze_iters);
 
     // --- 2b. Prefill-phase plans: build/evaluate cost + chunk ratio ---
     const Timing prefill_build = timeSeconds(

@@ -260,7 +260,8 @@ runCli(int argc, char **argv)
                    "inject faults into an offline --engine hilos run "
                    "(any --hosts), e.g. "
                    "'seed=7;nand-err=1e-3;fail@2.5=3;uplink@1=0.8'; "
-                   "not with --serve (see sim/fault.h)")
+                   "not with --serve, --compare or --analyze-plan "
+                   "(see sim/fault.h)")
         .addOption("report", "",
                    "write a markdown evaluation report (headline grid) "
                    "to this file")
@@ -417,8 +418,9 @@ runCli(int argc, char **argv)
             std::cerr << "error: --fault-plan: " << problems.front() << "\n";
             return 2;
         }
-        // Only HILOS (and its fleet) price fault conditions, and serving
-        // prices healthy steps: a plan either would drop is an error.
+        // Only HILOS (and its fleet) price fault conditions; serving,
+        // --compare and --analyze-plan price healthy steps: a plan any
+        // of them would drop is an error.
         if (engine_kind != EngineKind::Hilos) {
             std::cerr << "error: --fault-plan requires --engine hilos\n";
             return 2;
@@ -428,6 +430,12 @@ runCli(int argc, char **argv)
                          "(serving prices healthy conditions only)\n";
             return 2;
         }
+        for (const char *mode : {"compare", "analyze-plan"})
+            if (args.getFlag(mode)) {
+                std::cerr << "error: --fault-plan is not supported with --"
+                          << mode << " (it prices every engine healthy)\n";
+                return 2;
+            }
     }
 
     if (args.getFlag("analyze-plan")) {

@@ -4,7 +4,7 @@
  *
  * The analytic evaluator (evaluatePlan in runtime/step_plan.h) prices a
  * plan with max/sum rules; simulatePlan replays the same plan op by op
- * on per-instance BandwidthPools, so ops that share a resource
+ * on per-instance resource timelines, so ops that share a resource
  * instance queue behind each other. It is the only replay in the
  * library: every engine's decode and prefill plans run through it, a
  * faulted HILOS step replays the plan HilosEngine::decodeStepPlanAt
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "runtime/step_plan.h"
-#include "sim/bandwidth.h"
 #include "sim/trace.h"
 
 namespace hilos {
@@ -49,11 +48,12 @@ struct PlanSimResult {
 };
 
 /**
- * Replay a StepPlan over contended BandwidthPools: every transfer op
- * occupies one pool instance per fanout replica (round-robin striped),
- * compute ops occupy a single-instance pool per unit, prefetch ops
- * become ready with the previous layer's start, shadow ops contribute
- * timing only, offline ops are skipped. The layered timeline divided by
+ * Replay a StepPlan over contended resource instances: every transfer
+ * op occupies one instance of its resource per fanout replica (replica
+ * k on instance k mod the declared instance count), compute ops occupy
+ * a single-instance pool per unit, prefetch ops become ready with the
+ * previous layer's start, shadow ops contribute timing only, offline
+ * ops are skipped. The layered timeline divided by
  * `layer_time_divisor` plus the serial tail gives the decode step —
  * under an uncontended plan this reproduces the analytic evaluator;
  * contention (several ops sharing one pool instance) can only delay it.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -75,27 +76,34 @@ struct PassContext {
     const PlanEvaluation &ev;
     /** Layer op i is a dep of some later layer op. */
     std::vector<char> has_dependents;
-    /** reach[i][j]: layer op j is transitively reachable from i via
-     *  dependency edges (j < i always, deps are topologically
-     *  ordered). */
-    std::vector<std::vector<char>> reach;
+    /** 64-bit words per reach row: ceil(layer ops / 64). */
+    std::size_t words = 0;
+    /** Row i (words `words * i` on) has bit j set when layer op j is
+     *  transitively reachable from i via dependency edges (j < i
+     *  always, deps are topologically ordered). */
+    std::vector<std::uint64_t> reach;
+
+    bool reaches(std::size_t i, std::size_t j) const
+    {
+        return (reach[i * words + j / 64] >> (j % 64)) & 1u;
+    }
 };
 
 PassContext
 buildContext(const StepPlan &plan, const PlanEvaluation &ev)
 {
     const std::size_t n = plan.layer_ops.size();
-    PassContext ctx{ev, std::vector<char>(n, 0),
-                    std::vector<std::vector<char>>(n)};
+    const std::size_t words = (n + 63) / 64;
+    PassContext ctx{ev, std::vector<char>(n, 0), words,
+                    std::vector<std::uint64_t>(n * words, 0)};
     for (std::size_t i = 0; i < n; ++i) {
-        const StepOpView op = plan.layer_ops[i];
-        ctx.reach[i].assign(n, 0);
-        for (const std::uint32_t d : op.deps) {
+        std::uint64_t *row = ctx.reach.data() + i * words;
+        for (const std::uint32_t d : plan.layer_ops[i].deps) {
             ctx.has_dependents[d] = 1;
-            ctx.reach[i][d] = 1;
-            for (std::size_t j = 0; j < n; ++j)
-                if (ctx.reach[d][j])
-                    ctx.reach[i][j] = 1;
+            row[d / 64] |= std::uint64_t{1} << (d % 64);
+            const std::uint64_t *dep_row = ctx.reach.data() + d * words;
+            for (std::size_t w = 0; w < words; ++w)
+                row[w] |= dep_row[w];
         }
     }
     return ctx;
@@ -116,25 +124,26 @@ passDeadOp(const StepPlan &plan, const PassContext &ctx,
 {
     for (std::size_t i = 0; i < plan.layer_ops.size(); ++i) {
         const StepOpView op = plan.layer_ops[i];
-        const std::string ref = opRef("layer", i, op.label);
+        const auto ref = [&] { return opRef("layer", i, op.label); };
         if (op.shadow) {
             if (op.seconds <= Seconds(0.0) && !ctx.has_dependents[i])
                 emitFinding(out, pass, op.label,
-                            ref + ": shadow op has zero duration and no "
-                                  "dependents — shadow ops exist only to "
-                                  "be timed");
+                            ref() + ": shadow op has zero duration and no "
+                                    "dependents — shadow ops exist only "
+                                    "to be timed");
         } else if (op.offline) {
             if (!opAccounted(op))
                 emitFinding(out, pass, op.label,
-                            ref + ": offline op contributes to no stage, "
-                                  "traffic, or busy field — offline ops "
-                                  "exist only to be accounted");
+                            ref() + ": offline op contributes to no "
+                                    "stage, traffic, or busy field — "
+                                    "offline ops exist only to be "
+                                    "accounted");
         } else {
             if (!opAccounted(op) && !ctx.has_dependents[i])
                 emitFinding(out, pass, op.label,
-                            ref + ": op contributes to no stage, "
-                                  "traffic, or busy field and nothing "
-                                  "depends on it");
+                            ref() + ": op contributes to no stage, "
+                                    "traffic, or busy field and nothing "
+                                    "depends on it");
         }
     }
     for (std::size_t i = 0; i < plan.tail_ops.size(); ++i) {
@@ -159,7 +168,7 @@ passRedundantEdge(const StepPlan &plan, const PassContext &ctx,
             continue;
         for (const std::uint32_t d : op.deps) {
             for (const std::uint32_t other : op.deps) {
-                if (other == d || !ctx.reach[other][d])
+                if (other == d || !ctx.reaches(other, d))
                     continue;
                 const StepOpView dep_op = plan.layer_ops[d];
                 const StepOpView other_op = plan.layer_ops[other];
@@ -187,7 +196,7 @@ passDefeatedPrefetch(const StepPlan &plan, const PassContext &ctx,
         if (!op.prefetch && !op.shadow)
             continue;
         for (std::size_t j = 0; j < n; ++j) {
-            if (!ctx.reach[i][j])
+            if (!ctx.reaches(i, j))
                 continue;
             const StepOpView anchor = plan.layer_ops[j];
             if (anchor.prefetch || anchor.seconds <= Seconds(0.0))

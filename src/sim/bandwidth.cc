@@ -76,64 +76,4 @@ BandwidthResource::reset()
     busy_time_ = 0.0;
 }
 
-BandwidthPool::BandwidthPool(std::string name, unsigned instances,
-                             Bandwidth rate, Seconds latency)
-    : name_(std::move(name))
-{
-    HILOS_ASSERT(instances >= 1, "pool '", name_,
-                 "' needs at least one instance");
-    links_.reserve(instances);
-    for (unsigned i = 0; i < instances; ++i)
-        links_.emplace_back(name_ + "[" + std::to_string(i) + "]", rate,
-                            latency);
-}
-
-Seconds
-BandwidthPool::occupyOn(std::uint64_t i, Seconds start, Seconds duration)
-{
-    return links_[i % links_.size()].occupy(start, duration);
-}
-
-Seconds
-BandwidthPool::occupyNext(Seconds start, Seconds duration)
-{
-    const Seconds done = links_[next_].occupy(start, duration);
-    next_ = (next_ + 1) % links_.size();
-    return done;
-}
-
-const BandwidthResource &
-BandwidthPool::instance(unsigned i) const
-{
-    HILOS_ASSERT(i < links_.size(), "pool '", name_, "' has ",
-                 links_.size(), " instances, asked for ", i);
-    return links_[i];
-}
-
-Seconds
-BandwidthPool::maxBusyUntil() const
-{
-    Seconds latest = 0.0;
-    for (const BandwidthResource &link : links_)
-        latest = std::max(latest, link.busyUntil());
-    return latest;
-}
-
-double
-BandwidthPool::meanUtilization(Seconds horizon) const
-{
-    double sum = 0.0;
-    for (const BandwidthResource &link : links_)
-        sum += link.utilization(horizon);
-    return sum / static_cast<double>(links_.size());
-}
-
-void
-BandwidthPool::reset()
-{
-    for (BandwidthResource &link : links_)
-        link.reset();
-    next_ = 0;
-}
-
 }  // namespace hilos

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/units.h"
 
@@ -95,50 +94,6 @@ class BandwidthResource
     Seconds latency_;
     Seconds busy_until_ = 0.0;
     Seconds busy_time_ = 0.0;
-};
-
-/**
- * A fleet of identical BandwidthResource instances behind one logical
- * resource kind (the SmartSSD P2P links, the NAND channels). Callers
- * address instances directly (deterministic striping) or round-robin;
- * contention within an instance serialises exactly as for a single
- * BandwidthResource.
- */
-class BandwidthPool
-{
-  public:
-    /** `instances` channels named "<name>[i]", all with `rate`. */
-    BandwidthPool(std::string name, unsigned instances, Bandwidth rate,
-                  Seconds latency = 0.0);
-
-    /** Occupy instance `i % size()` for `duration` from `start`. */
-    Seconds occupyOn(std::uint64_t i, Seconds start, Seconds duration);
-
-    /** Occupy the next instance in round-robin order. */
-    Seconds occupyNext(Seconds start, Seconds duration);
-
-    unsigned size() const
-    {
-        return static_cast<unsigned>(links_.size());
-    }
-
-    const BandwidthResource &instance(unsigned i) const;
-
-    /** Latest busy horizon across all instances. */
-    Seconds maxBusyUntil() const;
-
-    /** Mean utilisation over all instances at `horizon`. */
-    double meanUtilization(Seconds horizon) const;
-
-    /** Reset every instance and the round-robin cursor. */
-    void reset();
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::vector<BandwidthResource> links_;
-    std::size_t next_ = 0;
 };
 
 }  // namespace hilos

@@ -218,6 +218,10 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         {"--hosts 2 --serve --requests 8 --arrival-rate 0.05 "
          "--fault-plan 'host-fail@1=0'",
          "error: --fault-plan is not supported with --serve"},
+        {"--compare --fault-plan 'fail@1=0'",
+         "error: --fault-plan is not supported with --compare"},
+        {"--analyze-plan --fault-plan 'fail@1=0'",
+         "error: --fault-plan is not supported with --analyze-plan"},
         {"--alpha 2", "error: --alpha"},
         {"--alpha -0.5", "error: --alpha"},
         {"--spill 0", "error: --spill"},
