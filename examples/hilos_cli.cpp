@@ -44,6 +44,9 @@ engineNameList()
     return out;
 }
 
+/** Longest --serve Poisson stream; each request keeps a ~200 B record. */
+constexpr std::int64_t kMaxServeRequests = 10'000'000;
+
 void
 printReport(const std::string &engine_name, const RunConfig &run,
             const RunResult &r, double price)
@@ -278,7 +281,8 @@ runCli(int argc, char **argv)
         .addOption("arrival-rate", "1",
                    "serving arrival rate in requests/s (Poisson)")
         .addOption("requests", "64",
-                   "request count of the generated Poisson stream")
+                   "request count of the generated Poisson stream "
+                   "(1..10000000; each request keeps a ~200 B record)")
         .addOption("arrival-trace", "",
                    "replay arrivals from a trace file "
                    "(`<arrival_seconds> <input> <output>` per line) "
@@ -589,8 +593,9 @@ runCli(int argc, char **argv)
                 std::cerr << "error: --arrival-rate must be > 0\n";
                 return 2;
             }
-            if (count < 1) {
-                std::cerr << "error: --requests needs at least 1\n";
+            if (count < 1 || count > kMaxServeRequests) {
+                std::cerr << "error: --requests must be in 1.."
+                          << kMaxServeRequests << "\n";
                 return 2;
             }
             PoissonStreamConfig pc;

@@ -35,11 +35,12 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    // Throw instead of exit(1) so that tests can assert on fatal paths;
-    // uncaught, this still terminates the process with an error.
+    // Throw instead of exit(1) so that tests can assert on fatal paths.
+    // The exception is the report: a caller that handles it (hilos_cli
+    // prints one `error:` line) says it once, and uncaught it still
+    // terminates the process with the message.
     throw std::runtime_error("fatal: " + msg);
 }
 

@@ -32,8 +32,7 @@ namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 void debugImpl(const std::string &msg);
@@ -59,12 +58,13 @@ composeMessage(Args &&...args)
                                ::hilos::detail::composeMessage(__VA_ARGS__))
 
 /**
- * Exit with a message: the run cannot continue because of a condition
- * that is the caller's fault (bad configuration, invalid arguments).
+ * Throw a std::runtime_error "fatal: <message>": the run cannot
+ * continue because of a condition that is the caller's fault (bad
+ * configuration, invalid arguments). Nothing is printed here; whoever
+ * catches it reports it, and uncaught it ends the process.
  */
 #define HILOS_FATAL(...)                                                   \
-    ::hilos::detail::fatalImpl(__FILE__, __LINE__,                         \
-                               ::hilos::detail::composeMessage(__VA_ARGS__))
+    ::hilos::detail::fatalImpl(::hilos::detail::composeMessage(__VA_ARGS__))
 
 /** Non-fatal warning, printed at LogLevel::Warn and above. */
 #define HILOS_WARN(...)                                                    \

@@ -10,22 +10,17 @@ namespace hilos {
 double
 exactQuantile(std::vector<double> samples, double q)
 {
-    std::sort(samples.begin(), samples.end());
-    return exactQuantileSorted(samples, q);
-}
-
-double
-exactQuantileSorted(const std::vector<double> &sorted, double q)
-{
     HILOS_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range: ", q);
-    HILOS_ASSERT(!sorted.empty(), "exact quantile of an empty sample set");
-    const auto n = sorted.size();
+    HILOS_ASSERT(!samples.empty(), "exact quantile of an empty sample set");
+    const auto n = samples.size();
     // Nearest-rank: rank = ceil(q * n), clamped to [1, n].
     auto rank = static_cast<std::size_t>(
         std::ceil(q * static_cast<double>(n)));
     rank = std::max<std::size_t>(rank, 1);
     rank = std::min(rank, n);
-    return sorted[rank - 1];
+    const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(samples.begin(), nth, samples.end());
+    return *nth;
 }
 
 double

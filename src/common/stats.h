@@ -18,13 +18,12 @@ double pearson(const std::vector<double> &x, const std::vector<double> &y);
 /**
  * Exact nearest-rank quantile of a sample set: the smallest value v such
  * that at least ceil(q * n) samples are <= v. It never interpolates,
- * so tail percentiles (p99/p999) are actual observed samples. Sorts a
- * copy; O(n log n). Asserts on an empty set.
+ * so tail percentiles (p99/p999) are actual observed samples. Selects
+ * the rank with std::nth_element on the copy it takes, so a call is
+ * O(n) on average; pass an rvalue to skip the copy. Asserts on an
+ * empty set.
  */
 double exactQuantile(std::vector<double> samples, double q);
-
-/** exactQuantile for a pre-sorted (ascending) sample set; O(1). */
-double exactQuantileSorted(const std::vector<double> &sorted, double q);
 
 }  // namespace hilos
 

@@ -130,40 +130,47 @@ class StepCostModel
         chunk_cache_;
 };
 
-/** Queue-depth curve from per-request (arrival, admitted) intervals. */
+/**
+ * Queue-depth curve from two time-ordered id sequences: `arrivals` by
+ * arrival time and `admissions` by admission time. Each arrival is a +1
+ * edge and each admission a -1 edge, so the curve is one linear merge.
+ */
 void
 fillQueueDepth(const std::vector<RequestRecord> &records,
+               const std::vector<std::size_t> &arrivals,
+               const std::vector<std::size_t> &admissions,
                ServingResult &res)
 {
-    // +1 at arrival, -1 at admission; arrivals first at equal times so
-    // a request admitted the instant it arrives still counts toward
-    // the peak (it was pending when the admission decision ran).
-    struct Edge {
-        double when;
-        int delta;
+    const auto arrival = [&](std::size_t i) {
+        return records[arrivals[i]].arrival.value();
     };
-    std::vector<Edge> edges;
-    edges.reserve(records.size() * 2);
-    for (const RequestRecord &r : records) {
-        edges.push_back(Edge{r.arrival.value(), +1});
-        edges.push_back(Edge{r.admitted.value(), -1});
-    }
-    std::stable_sort(edges.begin(), edges.end(),
-                     [](const Edge &a, const Edge &b) {
-                         if (a.when != b.when)
-                             return a.when < b.when;
-                         return a.delta > b.delta;
-                     });
+    const auto admitted = [&](std::size_t i) {
+        return records[admissions[i]].admitted.value();
+    };
+    std::size_t a = 0;
+    std::size_t d = 0;
     std::uint64_t depth = 0;
-    for (std::size_t i = 0; i < edges.size(); i++) {
-        depth = static_cast<std::uint64_t>(static_cast<std::int64_t>(depth) +
-                                           edges[i].delta);
+    double last = -std::numeric_limits<double>::infinity();
+    while (a < arrivals.size() || d < admissions.size()) {
+        double when = std::numeric_limits<double>::infinity();
+        if (a < arrivals.size())
+            when = arrival(a);
+        if (d < admissions.size())
+            when = std::min(when, admitted(d));
+        // With both sequences in time order the merged times rise
+        // strictly; a step back or a stall means one was not.
+        HILOS_ASSERT(when > last, "queue-depth edge at ", when,
+                     " is out of time order");
+        last = when;
+        // Arrivals first at equal times so a request admitted the
+        // instant it arrives still counts toward the peak (it was
+        // pending when the admission decision ran).
+        for (; a < arrivals.size() && arrival(a) == when; a++)
+            depth++;
         res.peak_queue_depth = std::max(res.peak_queue_depth, depth);
-        const bool last_at_time =
-            i + 1 == edges.size() || edges[i + 1].when != edges[i].when;
-        if (last_at_time)
-            res.queue_depth.push_back(
-                QueueDepthSample{Seconds(edges[i].when), depth});
+        for (; d < admissions.size() && admitted(d) == when; d++)
+            depth--;
+        res.queue_depth.push_back(QueueDepthSample{Seconds(when), depth});
     }
 }
 
@@ -206,12 +213,11 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     // A request's context grows to input + output tokens over its
     // lifetime; admission reserves capacity at that padded peak so the
     // in-flight batch never outgrows the engine mid-generation.
-    const auto lifetimeCtx = [&](const auto &rec) {
-        return roundUp(rec.input_tokens + rec.output_tokens,
-                       cfg_.bucket_quantum);
-    };
+    std::vector<std::uint64_t> lifetime_ctx(res.records.size());
     for (const RequestRecord &rec : res.records) {
-        if (cost.capacity(lifetimeCtx(rec)) == 0) {
+        lifetime_ctx[rec.id] = roundUp(rec.input_tokens + rec.output_tokens,
+                                       cfg_.bucket_quantum);
+        if (cost.capacity(lifetime_ctx[rec.id]) == 0) {
             std::ostringstream oss;
             oss << "request " << rec.id << " (context "
                 << rec.input_tokens + rec.output_tokens
@@ -222,9 +228,12 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         }
     }
 
-    // Pending requests, kept in admission order. An arrival inserts in
-    // O(log n); since admission never leapfrogs, every admitted group is
-    // a prefix of this order and leaves with one range erase.
+    // Pending requests, kept in admission order. Arrivals come in
+    // (arrival, id) order, which is also FCFS order, so under FCFS each
+    // one sorts last and the end-hinted insert is amortised O(1); SJF
+    // and SLO insert in O(log n). Since admission never leapfrogs,
+    // every admitted group is a prefix of this order and leaves with
+    // one range erase.
     const auto admission_order = [policy = cfg_.policy](
                                      const AdmissionCandidate &a,
                                      const AdmissionCandidate &b) {
@@ -233,14 +242,17 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     std::set<AdmissionCandidate, decltype(admission_order)> pending(
         admission_order);
     // Arrivals in (arrival, id) order: a cursor hands each request to
-    // the pending set once the clock reaches its arrival time.
+    // the pending set once the clock reaches its arrival time. Streams
+    // are usually submitted in arrival order already (the Poisson
+    // generator and the trace parser both emit one), and then the
+    // identity is that order; only an out-of-order stream is sorted.
     std::vector<std::size_t> arrivals(res.records.size());
     std::iota(arrivals.begin(), arrivals.end(), std::size_t{0});
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return res.records[a].arrival <
-                                res.records[b].arrival;
-                     });
+    const auto arrives_before = [&](std::size_t a, std::size_t b) {
+        return res.records[a].arrival < res.records[b].arrival;
+    };
+    if (!std::is_sorted(arrivals.begin(), arrivals.end(), arrives_before))
+        std::stable_sort(arrivals.begin(), arrivals.end(), arrives_before);
     std::size_t next_arrival = 0;
     Seconds now = 0.0;
     const auto arriveUntil = [&](Seconds t) {
@@ -254,7 +266,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
             c.input_tokens = rec.input_tokens;
             c.output_tokens = rec.output_tokens;
             c.deadline = rec.arrival + cfg_.slo;
-            pending.insert(c);
+            pending.insert(pending.end(), c);
         }
     };
 
@@ -265,25 +277,34 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         std::uint64_t generated = 0;
     };
     std::vector<InFlight> flight;
-    const auto join = [&](std::size_t id) {
-        const RequestRecord &rec = res.records[id];
-        flight.push_back(
-            InFlight{id, rec.input_tokens, rec.output_tokens, 0});
-    };
+    // Ids in admission order; admission times never decrease along it,
+    // so the queue-depth curve merges it with the arrival order.
+    std::vector<std::size_t> admissions;
+    admissions.reserve(res.records.size());
     // Admitted groups whose prefill has not finished: the first chunk
     // was charged at admission; later chunks run one per loop turn,
     // yielding to (and overlapping) the decode batch. Requests join
-    // the decode flight only after the last chunk.
+    // the decode flight only after the last chunk. A group is the
+    // slice [first, last) of `admissions`.
     struct PrefillGroup {
-        std::vector<std::size_t> ids;
+        std::size_t first = 0;
+        std::size_t last = 0;
         std::uint64_t prompt_ctx = 0;   ///< padded longest prompt
+        std::uint64_t chunks = 1;       ///< at most prompt_ctx
         std::uint64_t next_chunk = 1;   ///< chunk 0 ran at admission
     };
     std::deque<PrefillGroup> prefilling;
+    const auto join = [&](const PrefillGroup &g) {
+        for (std::size_t i = g.first; i < g.last; i++) {
+            const RequestRecord &rec = res.records[admissions[i]];
+            flight.push_back(
+                InFlight{rec.id, rec.input_tokens, rec.output_tokens, 0});
+        }
+    };
     const auto prefillingCount = [&prefilling] {
         std::size_t n = 0;
         for (const PrefillGroup &g : prefilling)
-            n += g.ids.size();
+            n += g.last - g.first;
         return n;
     };
     std::uint64_t completed = 0;
@@ -305,51 +326,54 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         if (!pending.empty() && busy < cfg_.max_batch) {
             std::uint64_t flight_ctx = 0;
             for (const InFlight &f : flight)
-                flight_ctx = std::max(flight_ctx, lifetimeCtx(f));
+                flight_ctx = std::max(flight_ctx, lifetime_ctx[f.id]);
             for (const PrefillGroup &g : prefilling)
-                for (const std::size_t id : g.ids)
-                    flight_ctx = std::max(flight_ctx,
-                                          lifetimeCtx(res.records[id]));
+                for (std::size_t i = g.first; i < g.last; i++)
+                    flight_ctx =
+                        std::max(flight_ctx, lifetime_ctx[admissions[i]]);
 
-            std::vector<std::size_t> admitted;
+            const std::size_t first = admissions.size();
             auto stop = pending.begin();
             for (; stop != pending.end(); ++stop) {
-                const std::size_t committed = busy + admitted.size();
+                const std::size_t committed =
+                    busy + admissions.size() - first;
                 if (committed >= cfg_.max_batch)
                     break;
-                const std::uint64_t ctx = std::max(
-                    flight_ctx, lifetimeCtx(res.records[stop->id]));
+                const std::uint64_t ctx =
+                    std::max(flight_ctx, lifetime_ctx[stop->id]);
                 if (cost.capacity(ctx) < committed + 1)
                     break;
                 flight_ctx = ctx;
                 res.records[stop->id].admitted = now;
-                admitted.push_back(stop->id);
+                admissions.push_back(stop->id);
             }
-            if (!admitted.empty()) {
+            if (admissions.size() > first) {
                 pending.erase(pending.begin(), stop);
                 // The newly admitted group's first prefill chunk runs
-                // at admission, padded to its longest prompt; at
-                // prefill_chunks == 1 that is the whole prefill and
-                // the group enters the decode flight immediately.
+                // at admission, padded to its longest prompt; at one
+                // chunk that is the whole prefill and the group enters
+                // the decode flight immediately. A group never splits
+                // into more chunks than its padded prompt has tokens,
+                // the offline rule (chunks <= context).
                 std::uint64_t prompt = 0;
-                for (std::size_t id : admitted)
-                    prompt =
-                        std::max(prompt, res.records[id].input_tokens);
+                for (std::size_t i = first; i < admissions.size(); i++)
+                    prompt = std::max(prompt,
+                                      res.records[admissions[i]].input_tokens);
                 PrefillGroup g;
-                g.ids = std::move(admitted);
+                g.first = first;
+                g.last = admissions.size();
                 g.prompt_ctx = roundUp(prompt, cfg_.bucket_quantum);
+                g.chunks = std::min(cfg_.prefill_chunks, g.prompt_ctx);
                 const Seconds chunk0 = cost.prefillChunkTime(
-                    g.ids.size(), g.prompt_ctx, 0, cfg_.prefill_chunks);
+                    g.last - g.first, g.prompt_ctx, 0, g.chunks);
                 now = now + chunk0;
                 arriveUntil(now);
                 res.prefill_batches++;
                 res.prefill_chunks_run++;
-                if (cfg_.prefill_chunks == 1) {
-                    for (const std::size_t id : g.ids)
-                        join(id);
-                } else {
-                    prefilling.push_back(std::move(g));
-                }
+                if (g.chunks == 1)
+                    join(g);
+                else
+                    prefilling.push_back(g);
             }
         }
         if (flight.empty() && prefilling.empty())
@@ -362,9 +386,8 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         Seconds chunk = 0.0;
         if (!prefilling.empty()) {
             PrefillGroup &g = prefilling.front();
-            chunk = cost.prefillChunkTime(g.ids.size(), g.prompt_ctx,
-                                          g.next_chunk,
-                                          cfg_.prefill_chunks);
+            chunk = cost.prefillChunkTime(g.last - g.first, g.prompt_ctx,
+                                          g.next_chunk, g.chunks);
             g.next_chunk++;
             res.prefill_chunks_run++;
             if (!flight.empty())
@@ -394,19 +417,19 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                 : Seconds(std::numeric_limits<double>::infinity());
         // Within a run the flight is fixed and every context grows by
         // one token per step, so the step cost is looked up again only
-        // when the padded context crosses a bucket; the steps in
-        // between are the cache hits they would have been.
+        // when the longest context passes the bucket edge it was padded
+        // to (the next edge is one quantum up); the steps in between
+        // are the cache hits they would have been.
         Seconds step = 0.0;
         Seconds first_step_end = 0.0;
-        std::uint64_t bucket = 0;
+        std::uint64_t edge = 0;
         std::uint64_t steps = 0;
         do {
             if (!flight.empty()) {
-                const std::uint64_t b =
-                    roundUp(ctx + steps, cfg_.bucket_quantum);
-                if (steps == 0 || b != bucket) {
-                    step = cost.stepTime(flight.size(), b);
-                    bucket = b;
+                if (steps == 0 || ctx + steps > edge) {
+                    edge = steps == 0 ? roundUp(ctx, cfg_.bucket_quantum)
+                                      : edge + cfg_.bucket_quantum;
+                    step = cost.stepTime(flight.size(), edge);
                 } else {
                     cost.hits++;
                 }
@@ -437,9 +460,8 @@ ServingSimulator::run(const std::vector<Request> &requests) const
             flight.resize(kept);
         }
         if (!prefilling.empty() &&
-            prefilling.front().next_chunk >= cfg_.prefill_chunks) {
-            for (const std::size_t id : prefilling.front().ids)
-                join(id);
+            prefilling.front().next_chunk >= prefilling.front().chunks) {
+            join(prefilling.front());
             prefilling.pop_front();
         }
     }
@@ -463,14 +485,12 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         if (rec.met_slo)
             res.slo_met++;
     }
-    std::sort(ttft.begin(), ttft.end());
-    std::sort(e2e.begin(), e2e.end());
-    res.ttft_p50 = Seconds(exactQuantileSorted(ttft, 0.50));
-    res.ttft_p99 = Seconds(exactQuantileSorted(ttft, 0.99));
-    res.ttft_p999 = Seconds(exactQuantileSorted(ttft, 0.999));
-    res.latency_p50 = Seconds(exactQuantileSorted(e2e, 0.50));
-    res.latency_p99 = Seconds(exactQuantileSorted(e2e, 0.99));
-    res.latency_p999 = Seconds(exactQuantileSorted(e2e, 0.999));
+    res.ttft_p50 = Seconds(exactQuantile(ttft, 0.50));
+    res.ttft_p99 = Seconds(exactQuantile(ttft, 0.99));
+    res.ttft_p999 = Seconds(exactQuantile(std::move(ttft), 0.999));
+    res.latency_p50 = Seconds(exactQuantile(e2e, 0.50));
+    res.latency_p99 = Seconds(exactQuantile(e2e, 0.99));
+    res.latency_p999 = Seconds(exactQuantile(std::move(e2e), 0.999));
     res.mean_queue_wait =
         Seconds(wait / static_cast<double>(res.requests));
     res.slo_attainment = static_cast<double>(res.slo_met) /
@@ -480,7 +500,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     res.tokens_per_second = real_generated / res.makespan;
     res.mean_in_flight = residency / res.makespan;
     res.mean_queue_depth = wait / res.makespan;
-    fillQueueDepth(res.records, res);
+    fillQueueDepth(res.records, arrivals, admissions, res);
     res.cost_cache_hits = cost.hits;
     res.cost_cache_misses = cost.misses;
     return res;

@@ -29,7 +29,7 @@
  * Requests join the decode flight only after their last chunk, so TTFT
  * reflects the full (chunked) prefill honestly.
  *
- * Reported metrics follow the serving literature: exact (sorted-sample)
+ * Reported metrics follow the serving literature: exact (nearest-rank)
  * p50/p99/p999 time-to-first-token and end-to-end latency, goodput
  * under an SLO, queue depth over time, and saturation indicators
  * (time-weighted batch occupancy, peak queue depth).
@@ -64,7 +64,8 @@ struct ServingConfig {
      * Prefill chunks per admitted group (>= 1). 1 charges one
      * monolithic prefill at admission (the historical behaviour);
      * larger values split each group's prefill into equal token ranges
-     * whose later chunks run preemptably under the decode batch.
+     * whose later chunks run preemptably under the decode batch. A
+     * group never runs more chunks than its padded prompt has tokens.
      */
     std::uint64_t prefill_chunks = 1;
 };
@@ -151,7 +152,8 @@ class ServingSimulator
 
     /**
      * Serve a request stream to completion. Requests may arrive in any
-     * order; arrival times need not be sorted. Infeasible streams (a
+     * order; arrival times need not be sorted, but a stream already in
+     * non-decreasing arrival order skips the sort. Infeasible streams (a
      * request that cannot fit the engine even alone) come back with
      * `feasible == false` and the reason in `note`.
      */

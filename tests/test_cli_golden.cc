@@ -144,6 +144,10 @@ TEST(CliGolden, BadServeInputsExitTwoWithANamedError)
         EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << "\n" << out;
         EXPECT_NE(out.find(c.error), std::string::npos)
             << cmd << "\n" << out;
+        // The `error:` line is the whole report; no library `fatal:`
+        // line precedes it.
+        EXPECT_EQ(out.find("fatal:"), std::string::npos)
+            << cmd << "\n" << out;
     }
 }
 
@@ -179,6 +183,8 @@ TEST(CliGolden, BadArrivalTraceLinesExitTwoWithTheLineNumber)
         EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << "\n" << out;
         EXPECT_NE(out.find(c.error), std::string::npos)
             << cmd << "\n" << out;
+        EXPECT_EQ(out.find("fatal:"), std::string::npos)
+            << cmd << "\n" << out;
         std::remove(path.c_str());
     }
 }
@@ -205,7 +211,7 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         {"--prefill-chunks 18446744073709551615", "error: --prefill-chunks"},
         // An offline run's chunks past the prompt would be empty.
         {"--context 4 --prefill-chunks 8", "error: --prefill-chunks"},
-        {"--model NoSuch", "error: "},
+        {"--model NoSuch", "error: unknown model: NoSuch"},
         {"--engine nosuch", "error: --engine"},
         {"--fault-plan 'fail@nan=3'", "error: --fault-plan"},
         // A fault plan an engine or serving would ignore is refused,
@@ -236,6 +242,8 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
          "spare hosts leaves no server"},
         {"--jobs -1", "error: --jobs"},
         {"--gpu tpu", "error: --gpu"},
+        // Past the stated ceiling: once a std::bad_alloc (SIGABRT).
+        {"--serve --requests 100000000000", "error: --requests"},
     };
     for (const auto &c : cases) {
         const std::string cmd = std::string(HILOS_CLI_PATH) + " " + c.args;
@@ -245,6 +253,8 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         ASSERT_TRUE(WIFEXITED(status)) << cmd << "\n" << out;
         EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << "\n" << out;
         EXPECT_NE(out.find(c.error), std::string::npos)
+            << cmd << "\n" << out;
+        EXPECT_EQ(out.find("fatal:"), std::string::npos)
             << cmd << "\n" << out;
     }
 }
@@ -282,6 +292,30 @@ TEST(CliGolden, PrefillChunkBoundariesAreAccepted)
                              "--serve --requests 2 --context 4 "
                              "--prefill-chunks 8"})
         capture(std::string(HILOS_CLI_PATH) + " " + args + " >/dev/null");
+}
+
+TEST(CliGolden, ServingPrefillChunksStopAtThePaddedPrompt)
+{
+    // A serving group never splits into more chunks than its padded
+    // prompt has tokens (the offline rule, chunks <= context). These
+    // once ran 200,000 chunks (200,005 cost-cache misses) and, at
+    // 2^63-1, never finished; both now clamp to the same 1024 + 2048
+    // chunks of the stream's two admission groups.
+    for (const char *count : {"100000", "9223372036854775807"}) {
+        // `timeout` turns a run that never ends into a failed exit.
+        const std::string out = capture(
+            "timeout 60 " + std::string(HILOS_CLI_PATH) +
+            " --serve --requests 3 --prefill-chunks " + count +
+            " 2>/dev/null");
+        EXPECT_NE(out.find(std::string("prefill chunking     : ") + count +
+                           " chunk(s)/group, 3072 run, 89 decode "
+                           "preemptions\n"),
+                  std::string::npos)
+            << out;
+        EXPECT_NE(out.find("step-cost cache      : 448 hits, 3077 misses\n"),
+                  std::string::npos)
+            << out;
+    }
 }
 
 TEST(CliGolden, TraceReplaysABaselineEnginesPlanOps)

@@ -17,6 +17,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hilos.h"
@@ -563,6 +564,170 @@ TEST_F(ServingSim, ChunkedPrefillCountsChunksAndPreemptions)
         EXPECT_GT(r.first_token, r.admitted);
 }
 
+/**
+ * Serve `sorted` submitted in the order `perm` (perm[j] is the sorted
+ * index submitted at position j), then map every record back to its
+ * sorted index so the result compares with a run of `sorted`.
+ */
+ServingResult
+runPermuted(const ServingSimulator &sim, const std::vector<Request> &sorted,
+            const std::vector<std::size_t> &perm)
+{
+    std::vector<Request> submitted;
+    for (const std::size_t i : perm)
+        submitted.push_back(sorted[i]);
+    ServingResult got = sim.run(submitted);
+    std::vector<RequestRecord> mapped(got.records.size());
+    for (std::size_t j = 0; j < perm.size() && j < got.records.size();
+         j++) {
+        mapped[perm[j]] = got.records[j];
+        mapped[perm[j]].id = perm[j];
+    }
+    got.records = std::move(mapped);
+    return got;
+}
+
+/**
+ * The queue-depth curve by its definition, as a reference for the
+ * simulator's merge: a +1 edge at every arrival and a -1 edge at every
+ * admission, stable-sorted by time with arrivals first at equal times;
+ * one sample after the last edge at each time.
+ */
+void
+referenceQueueDepth(const std::vector<RequestRecord> &records,
+                    std::vector<QueueDepthSample> *curve,
+                    std::uint64_t *peak)
+{
+    std::vector<std::pair<double, int>> edges;
+    for (const RequestRecord &r : records) {
+        edges.emplace_back(r.arrival.value(), +1);
+        edges.emplace_back(r.admitted.value(), -1);
+    }
+    std::stable_sort(edges.begin(), edges.end(),
+                     [](const auto &a, const auto &b) {
+                         if (a.first != b.first)
+                             return a.first < b.first;
+                         return a.second > b.second;
+                     });
+    std::int64_t depth = 0;
+    *peak = 0;
+    for (std::size_t i = 0; i < edges.size(); i++) {
+        depth += edges[i].second;
+        *peak = std::max(*peak, static_cast<std::uint64_t>(depth));
+        if (i + 1 == edges.size() || edges[i + 1].first != edges[i].first)
+            curve->push_back(QueueDepthSample{
+                Seconds(edges[i].first), static_cast<std::uint64_t>(depth)});
+    }
+}
+
+TEST_F(ServingSim, QueueDepthMergeMatchesTheSortedEdgeReference)
+{
+    // The curve is a merge of the arrival order and the admission
+    // order; it must equal the sorted-edge definition sample for
+    // sample, under every policy, saturated and moderate, chunked.
+    const HilosEngine eng = engine();
+    const struct {
+        const char *name;
+        std::size_t count;
+        double rate;
+        std::uint64_t max_batch;
+    } loads[] = {
+        {"saturated", 48, 50.0, 2},
+        {"moderate", 24, 0.05, 8},
+    };
+    for (const auto &load : loads) {
+        const std::vector<Request> reqs = sampleStream(load.count, load.rate);
+        for (const ServingPolicy policy : {ServingPolicy::Fcfs,
+                                           ServingPolicy::Sjf,
+                                           ServingPolicy::SloAware}) {
+            for (const std::uint64_t chunks : {1, 4}) {
+                ServingConfig cfg = config(policy);
+                cfg.max_batch = load.max_batch;
+                cfg.slo = Seconds(120.0);
+                cfg.prefill_chunks = chunks;
+                const ServingResult res =
+                    ServingSimulator(eng, cfg).run(reqs);
+                ASSERT_TRUE(res.feasible) << res.note;
+                std::vector<QueueDepthSample> want;
+                std::uint64_t peak = 0;
+                referenceQueueDepth(res.records, &want, &peak);
+                const std::string what =
+                    std::string(load.name) + " " +
+                    servingPolicyName(policy) + " chunks " +
+                    std::to_string(chunks);
+                EXPECT_EQ(res.peak_queue_depth, peak) << what;
+                ASSERT_EQ(res.queue_depth.size(), want.size()) << what;
+                for (std::size_t i = 0; i < want.size(); i++) {
+                    EXPECT_EQ(res.queue_depth[i].when, want[i].when)
+                        << what << " sample " << i;
+                    EXPECT_EQ(res.queue_depth[i].depth, want[i].depth)
+                        << what << " sample " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(ServingSim, AnInstantAdmissionStillCountsTowardThePeak)
+{
+    // An idle server admits a lone arrival the instant it arrives: one
+    // sample at that time, depth back to 0, yet the peak is 1 (the
+    // request was pending when the admission decision ran).
+    const HilosEngine eng = engine();
+    std::vector<Request> reqs = {makeRequest(RequestClass::Small)};
+    reqs[0].arrival = Seconds(2.5);
+    const ServingResult res = ServingSimulator(eng, config()).run(reqs);
+    ASSERT_TRUE(res.feasible) << res.note;
+    EXPECT_EQ(res.records[0].admitted, res.records[0].arrival);
+    EXPECT_EQ(res.peak_queue_depth, 1u);
+    ASSERT_EQ(res.queue_depth.size(), 1u);
+    EXPECT_EQ(res.queue_depth[0].when, Seconds(2.5));
+    EXPECT_EQ(res.queue_depth[0].depth, 0u);
+}
+
+TEST_F(ServingSim, PrefillChunksStopAtThePaddedPrompt)
+{
+    // With one-token buckets a prompt of p tokens splits into at most p
+    // chunks: requests far apart are admitted alone, so the run charges
+    // min(8, p) chunks per request. The one-token prompt runs as a
+    // single chunk and joins the decode flight at admission.
+    const HilosEngine eng = engine();
+    ServingConfig cfg = config();
+    cfg.bucket_quantum = 1;
+    cfg.prefill_chunks = 8;
+    std::vector<Request> reqs;
+    for (const std::uint64_t prompt : {1, 4, 20}) {
+        Request r;
+        r.input_tokens = prompt;
+        r.output_tokens = 3;
+        r.arrival = Seconds(1e6 * static_cast<double>(reqs.size()));
+        reqs.push_back(r);
+    }
+    const ServingResult res = ServingSimulator(eng, cfg).run(reqs);
+    ASSERT_TRUE(res.feasible) << res.note;
+    EXPECT_EQ(res.prefill_batches, 3u);
+    EXPECT_EQ(res.prefill_chunks_run, 1u + 4u + 8u);
+    for (const RequestRecord &r : res.records) {
+        EXPECT_GT(r.first_token, r.admitted);
+        EXPECT_GT(r.completed, 0.0);
+    }
+
+    // A one-chunk group admitted while a chunked group is mid-prefill
+    // joins the flight at once; the chunked group still holds its
+    // batch slot until its last chunk.
+    reqs[0].arrival = Seconds(1e-6);
+    reqs[1].arrival = Seconds(0.0);
+    reqs[2].arrival = Seconds(0.0);
+    const ServingResult mixed = ServingSimulator(eng, cfg).run(reqs);
+    ASSERT_TRUE(mixed.feasible) << mixed.note;
+    EXPECT_EQ(mixed.prefill_batches, 2u);
+    EXPECT_EQ(mixed.prefill_chunks_run, 1u + 8u);
+    EXPECT_GT(mixed.records[0].admitted, mixed.records[1].admitted);
+    EXPECT_LT(mixed.records[0].first_token, mixed.records[1].first_token);
+    for (const RequestRecord &r : mixed.records)
+        EXPECT_GE(r.completed, r.first_token);
+}
+
 TEST_F(ServingSim, ServingIsIndependentOfSubmissionOrder)
 {
     // Arrivals reach the pending queue in (arrival, id) order whatever
@@ -594,9 +759,14 @@ TEST_F(ServingSim, ServingIsIndependentOfSubmissionOrder)
             perm[slots[k]] = members[k];
     }
     ASSERT_GT(sorted.size() - ties.size(), 5u);  // ties were made
-    std::vector<Request> shuffled;
-    for (const std::size_t i : perm)
-        shuffled.push_back(sorted[i]);
+    // A stream whose only disorder is one late pair (two untied
+    // requests near the end) must be caught and sorted too.
+    std::vector<std::size_t> late_pair(sorted.size());
+    std::iota(late_pair.begin(), late_pair.end(), std::size_t{0});
+    std::size_t j = sorted.size() - 1;
+    while (sorted[j - 1].arrival == sorted[j].arrival)
+        j--;
+    std::swap(late_pair[j - 1], late_pair[j]);
 
     for (const ServingPolicy policy :
          {ServingPolicy::Fcfs, ServingPolicy::Sjf, ServingPolicy::SloAware}) {
@@ -605,17 +775,12 @@ TEST_F(ServingSim, ServingIsIndependentOfSubmissionOrder)
             cfg.slo = Seconds(120.0);
             cfg.prefill_chunks = chunks;
             const ServingSimulator sim(eng, cfg);
-            const ServingResult want = sim.run(sorted);
-            ServingResult got = sim.run(shuffled);
-            ASSERT_EQ(got.records.size(), sorted.size());
-            std::vector<RequestRecord> mapped(got.records.size());
-            for (std::size_t j = 0; j < perm.size(); j++) {
-                mapped[perm[j]] = got.records[j];
-                mapped[perm[j]].id = perm[j];
-            }
-            got.records = std::move(mapped);
-            EXPECT_EQ(serialize(got), serialize(want))
+            const std::string want = serialize(sim.run(sorted));
+            EXPECT_EQ(serialize(runPermuted(sim, sorted, perm)), want)
                 << servingPolicyName(policy) << " chunks " << chunks;
+            EXPECT_EQ(serialize(runPermuted(sim, sorted, late_pair)), want)
+                << servingPolicyName(policy) << " chunks " << chunks
+                << " late pair";
         }
     }
 }

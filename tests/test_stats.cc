@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/random.h"
@@ -14,6 +15,17 @@
 
 namespace hilos {
 namespace {
+
+/** Nearest-rank quantile by the definition: sort, take rank ceil(q n). */
+double
+sortedNearestRank(std::vector<double> xs, double q)
+{
+    std::sort(xs.begin(), xs.end());
+    const auto n = static_cast<double>(xs.size());
+    const auto rank = std::clamp<std::size_t>(
+        static_cast<std::size_t>(std::ceil(q * n)), 1, xs.size());
+    return xs[rank - 1];
+}
 
 TEST(ExactQuantile, NearestRankOnKnownSamples)
 {
@@ -46,8 +58,24 @@ TEST(ExactQuantile, MonotoneAndAlwaysAnObservedSample)
         const double v = exactQuantile(xs, q);
         EXPECT_GE(v, prev);
         EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), v));
-        EXPECT_DOUBLE_EQ(v, exactQuantileSorted(sorted, q));
+        EXPECT_EQ(v, sortedNearestRank(xs, q));
         prev = v;
+    }
+}
+
+TEST(ExactQuantile, SelectionEqualsTheSortedRankWithDuplicates)
+{
+    // exactQuantile selects the rank in place (nth_element); it must
+    // return the very value a full sort puts at that rank, on sets
+    // with many ties and at sizes from 1 to 260.
+    Rng rng(5);
+    for (std::size_t n = 1; n <= 260; n += 7) {
+        std::vector<double> xs;
+        for (std::size_t i = 0; i < n; i++)
+            xs.push_back(static_cast<double>(rng.uniformInt(0, 9)) * 0.5);
+        for (const double q : {0.0, 1e-9, 0.5, 0.99, 0.999, 1.0})
+            EXPECT_EQ(exactQuantile(xs, q), sortedNearestRank(xs, q))
+                << "n " << n << " q " << q;
     }
 }
 
