@@ -17,7 +17,10 @@
  *     stream (HILOS, OPT-66B, batch cap 16), per request served;
  *  4. end-to-end sweep rate — runGrid and a plain loop of cold
  *     makeEngine(...)->run() on a Fig-10 style engine x batch x
- *     context grid, same binary; the two must agree bit for bit.
+ *     context grid, same binary; the two must agree bit for bit;
+ *  5. fleet — one FleetEngine::run of 8 hosts losing host 1 a third of
+ *     the way through decode (bench_fleet's node-loss scenario), per
+ *     run: epoch re-placement, shard rebuild and the epoch fold.
  *
  * Every wall-time row is the minimum over --repeats (after one
  * untimed warm-up; each repeat is the median of several runs) and
@@ -465,6 +468,33 @@ main(int argc, char **argv)
     const double pts = static_cast<double>(grid.size());
     reportTime("sweep_cold", "point", sweep_cold, pts);
     reportTime("sweep_cached", "point", sweep_cached, pts);
+
+    // --- 5. fleet: one faulted 8-host run, bench_fleet's node loss ---
+    FleetConfig fleet_cfg;
+    fleet_cfg.hosts = 8;
+    fleet_cfg.devices_per_host = 8;
+    RunConfig fleet_run = headline;
+    fleet_run.batch = 16 * fleet_cfg.hosts;
+    const RunResult fleet_healthy =
+        FleetEngine(sys, fleet_cfg).run(fleet_run);
+    check(fleet_healthy.feasible, "healthy fleet infeasible");
+    fleet_cfg.fault_plan = FaultPlan{}.addHostFailure(
+        fleet_healthy.prefill_time +
+            (static_cast<double>(fleet_run.output_len) / 3.0) *
+                fleet_healthy.decode_step_time,
+        1);
+    const FleetEngine faulted_fleet(sys, fleet_cfg);
+    const int fleet_iters = 20;
+    const Timing fleet_t = timeSeconds(
+        [&] {
+            for (int i = 0; i < fleet_iters; i++) {
+                const RunResult r = faulted_fleet.run(fleet_run);
+                check(r.feasible && r.fleet.availability < 1.0,
+                      "faulted fleet must degrade, not fail");
+            }
+        },
+        repeats);
+    reportTime("fleet_faulted", "run", fleet_t, fleet_iters);
 
     table.print(std::cout);
     std::cout << "sweep: " << grid.size() << " points, cold "

@@ -110,20 +110,25 @@ InferenceEngine::runPlans(const RunConfig &cfg, PlanCache *cache,
         fn(fresh.emplace());
         return *fresh;
     };
-    const auto keyOf = [&](PlanPhase phase) -> std::uint64_t {
-        return cache ? PlanCache::keyOf(name(), cfg.model.name, phase) : 0;
-    };
+    // name() builds a string, so the run asks for it once.
+    std::uint64_t decode_key = 0;
+    std::uint64_t prefill_key = 0;
+    if (cache != nullptr) {
+        const std::string engine = name();
+        decode_key =
+            PlanCache::keyOf(engine, cfg.model.name, PlanPhase::Decode);
+        prefill_key =
+            PlanCache::keyOf(engine, cfg.model.name, PlanPhase::Prefill);
+    }
 
     RunResult res;
     std::optional<StepPlan> decode_plan;
-    const StepPlan &plan =
-        build(keyOf(PlanPhase::Decode), decode_plan, [&](StepPlan &p) {
-            res = RunResult{};
-            decode(cfg, res, p);
-        });
+    const StepPlan &plan = build(decode_key, decode_plan, [&](StepPlan &p) {
+        res = RunResult{};
+        decode(cfg, res, p);
+    });
     if (!plan.feasible)
         return res;
-    const std::uint64_t prefill_key = keyOf(PlanPhase::Prefill);
     for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
         std::optional<StepPlan> chunk;
         const StepPlan &pre = build(prefill_key, chunk, [&](StepPlan &p) {

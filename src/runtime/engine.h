@@ -140,6 +140,12 @@ class StageBreakdown
     /** Sum of all stages (>= the critical-path step time with overlap). */
     Seconds sum() const;
 
+    /** Make room for `n` stages, so adding them allocates once. */
+    void reserve(std::size_t n) { stages_.reserve(n); }
+
+    /** Drop every stage; keeps capacity. */
+    void clear() { stages_.clear(); }
+
     const std::vector<std::pair<std::string, Seconds>> &stages() const
     {
         return stages_;

@@ -93,17 +93,24 @@ prefillChunkRange(std::uint64_t context, std::uint64_t index,
     return {index * context / count, (index + 1) * context / count};
 }
 
+void
+detail::inlineCapacityExceeded(std::size_t capacity)
+{
+    HILOS_PANIC("step-op inline array of ", capacity, " entries is full");
+}
+
 StepOp &
 StepOp::dep(std::size_t id)
 {
-    deps.push_back(id);
+    HILOS_ASSERT(id <= UINT32_MAX, "step-op dependency id overflow: ", id);
+    deps.push_back(static_cast<std::uint32_t>(id));
     return *this;
 }
 
 StepOp &
-StepOp::stageTag(std::string name)
+StepOp::stageTag(std::string_view name)
 {
-    stage = std::move(name);
+    stage = name;
     return *this;
 }
 
@@ -150,25 +157,25 @@ StepOp::asOffline()
 }
 
 StepOp
-transferOp(PlanResource resource, std::string label, Seconds seconds,
+transferOp(PlanResource resource, std::string_view label, Seconds seconds,
            Bytes bytes)
 {
     StepOp op;
     op.op_kind = StepOp::Kind::Transfer;
     op.resource = resource;
-    op.label = std::move(label);
+    op.label = label;
     op.seconds = seconds;
     op.bytes = bytes;
     return op;
 }
 
 StepOp
-computeOp(ComputeUnit unit, std::string label, Seconds seconds)
+computeOp(ComputeUnit unit, std::string_view label, Seconds seconds)
 {
     StepOp op;
     op.op_kind = StepOp::Kind::Compute;
     op.unit = unit;
-    op.label = std::move(label);
+    op.label = label;
     op.seconds = seconds;
     return op;
 }
@@ -237,14 +244,16 @@ StepOpArray::get(std::size_t i) const
     op.seconds = v.seconds;
     op.bytes = v.bytes;
     op.fanout = v.fanout;
-    op.label = std::string(v.label);
-    op.stage = std::string(v.stage);
+    op.label = v.label;
+    op.stage = v.stage;
     op.busy = v.busy;
     op.prefetch = v.prefetch;
     op.shadow = v.shadow;
     op.offline = v.offline;
-    op.traffic.assign(v.traffic.begin(), v.traffic.end());
-    op.deps.assign(v.deps.begin(), v.deps.end());
+    for (const TrafficShare &t : v.traffic)
+        op.traffic.push_back(t);
+    for (const std::uint32_t d : v.deps)
+        op.deps.push_back(d);
     return op;
 }
 
@@ -263,13 +272,12 @@ StepOpArray::push(const StepOp &op)
     stage_.push_back(intern(op.stage));
     Span d{static_cast<std::uint32_t>(dep_pool_.size()),
            static_cast<std::uint32_t>(op.deps.size())};
-    for (const std::size_t dep : op.deps)
-        dep_pool_.push_back(static_cast<std::uint32_t>(dep));
+    dep_pool_.insert(dep_pool_.end(), op.deps.begin(), op.deps.end());
     deps_.push_back(d);
     Span t{static_cast<std::uint32_t>(traffic_pool_.size()),
            static_cast<std::uint32_t>(op.traffic.size())};
-    for (const TrafficShare &s : op.traffic)
-        traffic_pool_.push_back(s);
+    traffic_pool_.insert(traffic_pool_.end(), op.traffic.begin(),
+                         op.traffic.end());
     traffic_.push_back(t);
 }
 
@@ -285,30 +293,34 @@ StepOpArray::set(std::size_t i, const StepOp &op)
     seconds_[i] = op.seconds;
     bytes_[i] = op.bytes;
     fanout_[i] = op.fanout;
-    if (arenaView(label_[i]) != op.label)
-        label_[i] = intern(op.label);
-    if (arenaView(stage_[i]) != op.stage)
-        stage_[i] = intern(op.stage);
+    const bool new_label = arenaView(label_[i]) != op.label;
+    const bool new_stage = arenaView(stage_[i]) != op.stage;
+    if (new_label || new_stage) {
+        // An op read back with get() views this arena, and interning
+        // can move it: copy both strings out before appending either.
+        const std::string label(op.label);
+        const std::string stage(op.stage);
+        if (new_label)
+            label_[i] = intern(label);
+        if (new_stage)
+            stage_[i] = intern(stage);
+    }
     if (deps_[i].len == op.deps.size()) {
-        for (std::size_t k = 0; k < op.deps.size(); ++k)
-            dep_pool_[deps_[i].pos + k] =
-                static_cast<std::uint32_t>(op.deps[k]);
+        std::copy(op.deps.begin(), op.deps.end(),
+                  dep_pool_.begin() + deps_[i].pos);
     } else {
-        Span d{static_cast<std::uint32_t>(dep_pool_.size()),
-               static_cast<std::uint32_t>(op.deps.size())};
-        for (const std::size_t dep : op.deps)
-            dep_pool_.push_back(static_cast<std::uint32_t>(dep));
-        deps_[i] = d;
+        deps_[i] = Span{static_cast<std::uint32_t>(dep_pool_.size()),
+                        static_cast<std::uint32_t>(op.deps.size())};
+        dep_pool_.insert(dep_pool_.end(), op.deps.begin(), op.deps.end());
     }
     if (traffic_[i].len == op.traffic.size()) {
-        for (std::size_t k = 0; k < op.traffic.size(); ++k)
-            traffic_pool_[traffic_[i].pos + k] = op.traffic[k];
+        std::copy(op.traffic.begin(), op.traffic.end(),
+                  traffic_pool_.begin() + traffic_[i].pos);
     } else {
-        Span t{static_cast<std::uint32_t>(traffic_pool_.size()),
-               static_cast<std::uint32_t>(op.traffic.size())};
-        for (const TrafficShare &s : op.traffic)
-            traffic_pool_.push_back(s);
-        traffic_[i] = t;
+        traffic_[i] = Span{static_cast<std::uint32_t>(traffic_pool_.size()),
+                           static_cast<std::uint32_t>(op.traffic.size())};
+        traffic_pool_.insert(traffic_pool_.end(), op.traffic.begin(),
+                             op.traffic.end());
     }
 }
 
@@ -374,7 +386,7 @@ StepOpArray::clear()
 // --- StepPlan builder --------------------------------------------------
 
 void
-StepPlan::declareStage(const std::string &name)
+StepPlan::declareStage(std::string_view name)
 {
     if (mode_ == BuildMode::Rebuild) {
         if (mismatch_)
@@ -389,7 +401,7 @@ StepPlan::declareStage(const std::string &name)
     }
     for (const std::string &s : stage_order)
         HILOS_ASSERT(s != name, "stage declared twice: ", name);
-    stage_order.push_back(name);
+    stage_order.emplace_back(name);
 }
 
 void
@@ -442,13 +454,13 @@ validateOp(const StepOp &op, std::size_t id)
         HILOS_ASSERT(std::isfinite(s.bytes) && s.bytes >= 0.0,
                      "traffic share must be finite and non-negative: ",
                      op.label);
-    for (const std::size_t d : op.deps)
+    for (const std::uint32_t d : op.deps)
         HILOS_ASSERT(d < id, "op deps must reference earlier ops: ",
                      op.label);
 }
 
 bool
-stageDeclared(const StepPlan &plan, const std::string &name)
+stageDeclared(const StepPlan &plan, std::string_view name)
 {
     for (const std::string &s : plan.stage_order)
         if (s == name)
@@ -459,7 +471,7 @@ stageDeclared(const StepPlan &plan, const std::string &name)
 }  // namespace
 
 std::size_t
-StepPlan::addOp(StepOp op)
+StepPlan::addOp(const StepOp &op)
 {
     if (mode_ == BuildMode::Rebuild) {
         const std::size_t id = op_cursor_++;
@@ -485,7 +497,7 @@ StepPlan::addOp(StepOp op)
 }
 
 std::size_t
-StepPlan::addTailOp(StepOp op)
+StepPlan::addTailOp(const StepOp &op)
 {
     HILOS_ASSERT(op.deps.empty(), "tail ops are a serial chain: ",
                  op.label);
@@ -592,48 +604,50 @@ void
 validateOpStatic(const StepPlan &plan, const char *kind, std::size_t id,
                  const StepOpView &op, std::vector<std::string> &out)
 {
-    const std::string ref = opRef(kind, id, op.label);
+    // The op reference is built only for a diagnostic: a valid plan
+    // validates without allocating per op.
+    const auto ref = [&] { return opRef(kind, id, op.label); };
     if (!(std::isfinite(op.seconds) && op.seconds >= Seconds(0.0)))
-        out.push_back(ref + ": duration " + std::to_string(op.seconds) +
+        out.push_back(ref() + ": duration " + std::to_string(op.seconds) +
                       "s is not finite and non-negative");
     if (!(std::isfinite(op.bytes) && op.bytes >= Bytes(0.0)))
-        out.push_back(ref + ": payload " + std::to_string(op.bytes) +
+        out.push_back(ref() + ": payload " + std::to_string(op.bytes) +
                       " bytes is not finite and non-negative");
     if (op.fanout < 1)
-        out.push_back(ref + ": fanout must be >= 1");
+        out.push_back(ref() + ": fanout must be >= 1");
     const auto res_raw = static_cast<unsigned>(op.resource);
     if (res_raw > static_cast<unsigned>(PlanResource::InterNode))
-        out.push_back(ref + ": resource index " + std::to_string(res_raw) +
+        out.push_back(ref() + ": resource index " + std::to_string(res_raw) +
                       " names no known resource kind");
     const auto unit_raw = static_cast<unsigned>(op.unit);
     if (unit_raw > static_cast<unsigned>(ComputeUnit::Fpga))
-        out.push_back(ref + ": compute-unit index " +
+        out.push_back(ref() + ": compute-unit index " +
                       std::to_string(unit_raw) + " names no known unit");
     if (op.op_kind == StepOp::Kind::Transfer &&
         op.resource == PlanResource::None)
-        out.push_back(ref + ": transfer op occupies no resource");
+        out.push_back(ref() + ": transfer op occupies no resource");
     if (op.op_kind == StepOp::Kind::Compute &&
         op.unit == ComputeUnit::None)
-        out.push_back(ref + ": compute op runs on no unit");
+        out.push_back(ref() + ": compute op runs on no unit");
     if ((op.busy & ~kBusyAll) != 0)
-        out.push_back(ref + ": busy mask " + std::to_string(op.busy) +
+        out.push_back(ref() + ": busy mask " + std::to_string(op.busy) +
                       " sets bits beyond the declared kBusy* tags");
-    if (!op.stage.empty() && !stageDeclared(plan, std::string(op.stage)))
-        out.push_back(ref + ": stage '" + std::string(op.stage) +
+    if (!op.stage.empty() && !stageDeclared(plan, op.stage))
+        out.push_back(ref() + ": stage '" + std::string(op.stage) +
                       "' is not declared");
     for (const TrafficShare &s : op.traffic) {
         if (static_cast<unsigned>(s.field) >
             static_cast<unsigned>(TrafficField::StorageWrite))
-            out.push_back(ref + ": traffic share names no known field");
+            out.push_back(ref() + ": traffic share names no known field");
         if (!(std::isfinite(s.bytes) && s.bytes >= Bytes(0.0)))
-            out.push_back(ref + ": traffic share of " +
+            out.push_back(ref() + ": traffic share of " +
                           std::to_string(s.bytes) +
                           " bytes is not finite and non-negative");
     }
     if (op.shadow && op.offline)
-        out.push_back(ref + ": an op cannot be both shadow and offline");
+        out.push_back(ref() + ": an op cannot be both shadow and offline");
     if (op.offline && !op.deps.empty())
-        out.push_back(ref + ": offline ops are dependency-free");
+        out.push_back(ref() + ": offline ops are dependency-free");
 }
 
 }  // namespace
@@ -697,31 +711,39 @@ StepPlan::validate() const
     // op left unprocessed sits on or downstream of a dependency cycle.
     // The forward-reference check above already rejects cyclic plans,
     // but a cycle is a distinct defect and gets its own diagnostic.
-    std::vector<std::size_t> indegree(layer_ops.size(), 0);
-    std::vector<std::vector<std::size_t>> dependents(layer_ops.size());
-    for (std::size_t i = 0; i < layer_ops.size(); ++i)
-        for (const std::size_t d : layer_ops[i].deps)
-            if (d < layer_ops.size() && d != i) {
-                indegree[i]++;
-                dependents[d].push_back(i);
-            } else if (d == i) {
-                indegree[i]++;  // self-loop: never becomes ready
+    // Op d's dependents sit in one flat array at [first[d], first[d+1]).
+    const std::size_t n = layer_ops.size();
+    std::vector<std::uint32_t> indegree(n, 0);
+    std::vector<std::uint32_t> first(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (const std::uint32_t d : layer_ops[i].deps)
+            if (d < n) {
+                indegree[i]++;  // a self-loop never becomes ready
+                first[d] += d != i ? 1 : 0;
             }
-    std::vector<std::size_t> ready;
-    for (std::size_t i = 0; i < layer_ops.size(); ++i)
+    for (std::size_t d = 1; d <= n; ++d)
+        first[d] += first[d - 1];  // first[d] = end of d's range
+    std::vector<std::uint32_t> dependents(first[n]);
+    for (std::size_t i = 0; i < n; ++i)
+        for (const std::uint32_t d : layer_ops[i].deps)
+            if (d < n && d != i)
+                dependents[--first[d]] = static_cast<std::uint32_t>(i);
+    std::vector<std::uint32_t> ready;
+    ready.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
         if (indegree[i] == 0)
-            ready.push_back(i);
+            ready.push_back(static_cast<std::uint32_t>(i));
     std::size_t processed = 0;
     while (!ready.empty()) {
-        const std::size_t i = ready.back();
+        const std::uint32_t i = ready.back();
         ready.pop_back();
         processed++;
-        for (const std::size_t j : dependents[i])
-            if (--indegree[j] == 0)
-                ready.push_back(j);
+        for (std::uint32_t k = first[i]; k < first[i + 1]; ++k)
+            if (--indegree[dependents[k]] == 0)
+                ready.push_back(dependents[k]);
     }
-    if (processed < layer_ops.size())
-        for (std::size_t i = 0; i < layer_ops.size(); ++i)
+    if (processed < n)
+        for (std::size_t i = 0; i < n; ++i)
             if (indegree[i] != 0)
                 out.push_back(opRef("layer", i, layer_ops[i].label) +
                               ": sits on a dependency cycle");
@@ -743,12 +765,18 @@ StepPlan::validate() const
 PlanEvaluation
 evaluatePlan(const StepPlan &plan)
 {
+    PlanEvaluation ev;
+    evaluatePlan(plan, ev);
+    return ev;
+}
+
+void
+evaluatePlan(const StepPlan &plan, PlanEvaluation &ev)
+{
     HILOS_ASSERT(plan.layers >= 1, "plan needs >= 1 layer");
     HILOS_ASSERT(plan.layer_time_divisor > 0.0,
                  "layer_time_divisor must be positive");
     const double L = static_cast<double>(plan.layers);
-
-    PlanEvaluation ev;
 
     const std::size_t n = plan.layer_ops.size();
     const std::size_t n_stages = plan.stage_order.size();
@@ -786,12 +814,18 @@ evaluatePlan(const StepPlan &plan)
                                             kBusyStorage, kBusyFpga};
     constexpr std::size_t kFields = 6;
 
+    // Per-stage sums and per-op busy-lane paths live in one scratch
+    // buffer this thread reuses across calls: they never leave the
+    // evaluation, so no call allocates them afresh.
+    thread_local std::vector<Seconds> scratch;
+    scratch.assign(2 * n_stages + n * kLanes, 0.0);
+    Seconds *const stage_layer = scratch.data();
+    Seconds *const stage_tail = stage_layer + n_stages;
+    Seconds *const path = stage_tail + n_stages;
+
     ev.op_finish.assign(n, 0.0);
-    std::vector<Seconds> stage_layer(n_stages, 0.0);
-    std::vector<Seconds> stage_tail(n_stages, 0.0);
     double layer_bytes[kFields] = {0, 0, 0, 0, 0, 0};
     double tail_bytes[kFields] = {0, 0, 0, 0, 0, 0};
-    std::vector<Seconds> path(n * kLanes, 0.0);
     Seconds lane_best[kLanes] = {0.0, 0.0, 0.0, 0.0, 0.0};
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -804,7 +838,7 @@ evaluatePlan(const StepPlan &plan)
         // Offline ops never gate it (their finish stays 0).
         if (!op.offline) {
             Seconds ready = 0.0;
-            for (const std::size_t d : op.deps)
+            for (const std::uint32_t d : op.deps)
                 ready = std::max(ready, ev.op_finish[d]);
             ev.op_finish[i] = ready + op.seconds;
         }
@@ -827,7 +861,7 @@ evaluatePlan(const StepPlan &plan)
         // tagged branches max — the same composition the engines
         // hand-rolled.
         Seconds pre[kLanes] = {0.0, 0.0, 0.0, 0.0, 0.0};
-        for (const std::size_t d : op.deps) {
+        for (const std::uint32_t d : op.deps) {
             const Seconds *dp = &path[d * kLanes];
             for (std::size_t c = 0; c < kLanes; ++c)
                 pre[c] = std::max(pre[c], dp[c]);
@@ -861,6 +895,8 @@ evaluatePlan(const StepPlan &plan)
     // Stage breakdown: per-layer sums accumulated in op-insertion order
     // (the order engines historically summed their terms), scaled by
     // the layer count, landing in declared-stage order.
+    ev.breakdown.clear();
+    ev.breakdown.reserve(n_stages);
     if (stage_dup) {
         for (const std::string &name : plan.stage_order) {
             Seconds lsum = 0.0;
@@ -915,8 +951,23 @@ evaluatePlan(const StepPlan &plan)
     for (const auto &c : kComponents)
         ev.busy.*(c.comp) = L * lane_best[c.lane] +
                             plan.busy_step_fraction.*(c.frac) * step;
+}
+
+namespace {
+
+/**
+ * The evaluation applyPlan and applyPrefillPlan fold from, reused per
+ * thread: a warm fold allocates only the breakdown applyPlan moves into
+ * its RunResult.
+ */
+PlanEvaluation &
+foldEvaluation()
+{
+    thread_local PlanEvaluation ev;
     return ev;
 }
+
+}  // namespace
 
 void
 applyPlan(const StepPlan &plan, const RunConfig &cfg, RunResult &res)
@@ -936,9 +987,10 @@ applyPlan(const StepPlan &plan, const RunConfig &cfg, RunResult &res)
                      "plan analysis (HILOS_ANALYZE_PLANS) ",
                      firstUnwaivedError(analysis));
     }
-    const PlanEvaluation ev = evaluatePlan(plan);
+    PlanEvaluation &ev = foldEvaluation();
+    evaluatePlan(plan, ev);
     res.decode_step_time = ev.decode_step_time;
-    res.breakdown = ev.breakdown;
+    res.breakdown = std::move(ev.breakdown);
     res.traffic = ev.traffic;
     res.busy = ev.busy;
     res.total_time = res.prefill_time +
@@ -988,7 +1040,8 @@ applyPrefillPlan(const StepPlan &plan, RunResult &res)
                      "prefill plan analysis (HILOS_ANALYZE_PLANS) ",
                      firstUnwaivedError(analysis));
     }
-    const PlanEvaluation ev = evaluatePlan(plan);
+    PlanEvaluation &ev = foldEvaluation();
+    evaluatePlan(plan, ev);
     res.prefill_time += ev.decode_step_time;
     res.prefill_busy.gpu += ev.busy.gpu;
     res.prefill_busy.cpu += ev.busy.cpu;

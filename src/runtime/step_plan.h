@@ -49,11 +49,27 @@
  * emit transferOp()/computeOp() chains); reads go through the
  * StepOpView proxy, which exposes the same field names over the flat
  * storage without materialising per-op heap allocations.
+ *
+ * StepOp is a fixed-size value that owns no heap memory, so building
+ * one, copying it and handing it to addOp never allocates:
+ *
+ *  - `label` and `stage` are string views. A view only has to outlive
+ *    the addOp/addTailOp call it is passed to: append mode copies the
+ *    bytes into the plan's arena, rebuild mode only compares them.
+ *    Engines pass string literals.
+ *  - `deps` and `traffic` are inline arrays of at most kMaxOpDeps
+ *    edges and kMaxOpShares shares. Adding one more is a library bug
+ *    and panics.
+ *
+ * With both, a PlanCache hit (a verified rebuild) allocates nothing
+ * unless the builder writes a `note`.
  */
 
 #ifndef HILOS_RUNTIME_STEP_PLAN_H_
 #define HILOS_RUNTIME_STEP_PLAN_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -135,10 +151,51 @@ struct TrafficShare {
     Bytes bytes = 0;
 };
 
+/** Most dependency edges one op carries (HILOS's qkv_upload has 7). */
+constexpr std::size_t kMaxOpDeps = 8;
+/** Most traffic shares one op carries: one per TrafficField. */
+constexpr std::size_t kMaxOpShares = 6;
+
+namespace detail {
+/** Panics: an InlineVector of `capacity` entries is full. */
+[[noreturn]] void inlineCapacityExceeded(std::size_t capacity);
+}  // namespace detail
+
+/**
+ * A vector of at most N entries stored inline: the part of std::vector
+ * a StepOp's deps and traffic use, with no heap allocation. Pushing
+ * past N panics.
+ */
+template <typename T, std::size_t N>
+class InlineVector
+{
+  public:
+    void push_back(const T &value)
+    {
+        if (size_ == N)
+            detail::inlineCapacityExceeded(N);
+        items_[size_++] = value;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    T &operator[](std::size_t i) { return items_[i]; }
+    const T &operator[](std::size_t i) const { return items_[i]; }
+    const T *begin() const { return items_.data(); }
+    const T *end() const { return items_.data() + size_; }
+
+  private:
+    std::array<T, N> items_{};
+    std::size_t size_ = 0;
+};
+
 /**
  * One typed op of a step plan, as an addressable builder value. Build
  * with transferOp()/computeOp() and the fluent setters; add to a plan
  * with StepPlan::addOp (which flattens it into the plan's SoA storage).
+ * A fixed-size value: see the file comment for its view and capacity
+ * rules.
  */
 struct StepOp {
     enum class Kind : std::uint8_t { Transfer, Compute };
@@ -157,20 +214,21 @@ struct StepOp {
      */
     std::uint64_t fanout = 1;
 
-    std::string label;  ///< trace/serialisation name
-    std::string stage;  ///< breakdown stage ("" = unattributed)
+    std::string_view label;  ///< trace/serialisation name
+    std::string_view stage;  ///< breakdown stage ("" = unattributed)
     unsigned busy = 0;  ///< kBusy* component mask
 
     bool prefetch = false;  ///< replay issues it one layer ahead
     bool shadow = false;    ///< timed only (no accounting, no replay)
     bool offline = false;   ///< accounted only (off the critical path)
 
-    std::vector<TrafficShare> traffic;
-    std::vector<std::size_t> deps;  ///< earlier op ids this op waits on
+    InlineVector<TrafficShare, kMaxOpShares> traffic;
+    /** Earlier op ids this op waits on. */
+    InlineVector<std::uint32_t, kMaxOpDeps> deps;
 
     // Fluent builder setters.
     StepOp &dep(std::size_t id);
-    StepOp &stageTag(std::string name);
+    StepOp &stageTag(std::string_view name);
     StepOp &busyTag(unsigned mask);
     StepOp &share(TrafficField field, Bytes bytes_contributed);
     StepOp &withFanout(std::uint64_t n);
@@ -180,11 +238,11 @@ struct StepOp {
 };
 
 /** A priced transfer op on a named resource. */
-StepOp transferOp(PlanResource resource, std::string label, Seconds seconds,
-                  Bytes bytes);
+StepOp transferOp(PlanResource resource, std::string_view label,
+                  Seconds seconds, Bytes bytes);
 
 /** A priced compute op on a unit. */
-StepOp computeOp(ComputeUnit unit, std::string label, Seconds seconds);
+StepOp computeOp(ComputeUnit unit, std::string_view label, Seconds seconds);
 
 /**
  * Read-only proxy over one op of a StepOpArray: the same field names as
@@ -226,7 +284,8 @@ class StepOpArray
     StepOpView operator[](std::size_t i) const;
 
     /** Materialise op `i` back into an addressable StepOp (for tests
-     *  and targeted mutation via set()). */
+     *  and targeted mutation via set()). Its label and stage view this
+     *  array's arena, so they are valid until the array mutates. */
     StepOp get(std::size_t i) const;
 
     /**
@@ -402,16 +461,16 @@ struct StepPlan {
     bool structure_validated = false;
 
     /** Register a breakdown stage; entry order = declaration order. */
-    void declareStage(const std::string &name);
+    void declareStage(std::string_view name);
     /** Register replay instances for a resource kind. */
     void declareResource(PlanResource kind, unsigned instances);
     /** Declared instance count for a resource kind (default 1). */
     unsigned instancesOf(PlanResource kind) const;
 
     /** Append a per-layer op; validates deps; returns its id. */
-    std::size_t addOp(StepOp op);
+    std::size_t addOp(const StepOp &op);
     /** Append a once-per-step tail op (serial, dependency-free). */
-    std::size_t addTailOp(StepOp op);
+    std::size_t addTailOp(const StepOp &op);
 
     /** Reset to an empty plan, keeping allocated capacity. */
     void clear();
@@ -477,6 +536,14 @@ struct PlanEvaluation {
  * same plan twice yields identical doubles.
  */
 PlanEvaluation evaluatePlan(const StepPlan &plan);
+
+/**
+ * evaluatePlan written into `ev`, reusing its storage: a caller that
+ * evaluates plan after plan into one PlanEvaluation allocates only when
+ * a plan outgrows its op_finish or breakdown (or names a stage too long
+ * for a short string).
+ */
+void evaluatePlan(const StepPlan &plan, PlanEvaluation &ev);
 
 /**
  * Fill the decode-step fields of `res` from a Decode-phase plan (decode

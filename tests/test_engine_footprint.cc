@@ -1,11 +1,14 @@
 /**
  * @file
- * Heap footprint of a cold plan build, counted deterministically.
+ * Heap footprint of plan builds and runs, counted deterministically.
  *
  * Every engine is cheap to construct: building one and asking it for
  * its decode and prefill plans allocates kilobytes, not the megabytes
- * a device model with a functional FTL would cost. The bound is a byte
- * count, not a wall time, so it cannot flake on a loaded host.
+ * a device model with a functional FTL would cost. A warm sweep point
+ * is cheaper still: a PlanCache hit re-prices the cached topology in
+ * place without touching the heap, and a whole runCached() point
+ * allocates only a handful of times. The bounds are byte and call
+ * counts, not wall times, so they cannot flake on a loaded host.
  *
  * This binary replaces the global operator new with a counting one;
  * it is its own executable so the counter affects nothing else.
@@ -17,19 +20,24 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "core/hilos.h"
+#include "runtime/plan_cache.h"
 
 namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_bytes{0};
+std::atomic<std::uint64_t> g_calls{0};
 
 void *
 countedAlloc(std::size_t size)
 {
-    if (g_counting.load(std::memory_order_relaxed))
+    if (g_counting.load(std::memory_order_relaxed)) {
         g_bytes.fetch_add(size, std::memory_order_relaxed);
+        g_calls.fetch_add(1, std::memory_order_relaxed);
+    }
     if (void *p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc();
@@ -47,7 +55,36 @@ void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 namespace hilos {
 namespace {
 
+/**
+ * The counts are of the production path. The opt-in analyzer gate
+ * (HILOS_ANALYZE_PLANS, which CI sets for the whole suite) adds its own
+ * allocations to every applyPlan, so it is scrubbed before main, ahead
+ * of the first plan evaluation that caches the flag. Other binaries
+ * analyze the same plans.
+ */
+const bool kAnalyzerGateOff = [] {
+    unsetenv("HILOS_ANALYZE_PLANS");
+    return true;
+}();
+
 constexpr std::uint64_t kFootprintBound = 64 * 1024;
+
+constexpr EngineKind kAllEngines[] = {
+    EngineKind::FlexDram,        EngineKind::FlexSsd,
+    EngineKind::FlexSmartSsdRaw, EngineKind::DeepSpeedUvm,
+    EngineKind::VllmMultiGpu,    EngineKind::Hilos};
+
+/** Calls to operator new made by fn(). */
+template <typename Fn>
+std::uint64_t
+allocationsOf(const Fn &fn)
+{
+    g_calls.store(0);
+    g_counting.store(true);
+    fn();
+    g_counting.store(false);
+    return g_calls.load();
+}
 
 /** Bytes allocated by makeEngine plus a decode and a prefill plan. */
 std::uint64_t
@@ -74,15 +111,101 @@ TEST(EngineFootprint, ColdPlanBuildAllocatesUnder64KiB)
     run.batch = 16;
     run.context_len = 16384;
     run.output_len = 64;
-    for (const EngineKind kind :
-         {EngineKind::FlexDram, EngineKind::FlexSsd,
-          EngineKind::FlexSmartSsdRaw, EngineKind::DeepSpeedUvm,
-          EngineKind::VllmMultiGpu, EngineKind::Hilos}) {
+    for (const EngineKind kind : kAllEngines) {
         const std::uint64_t bytes = coldPlanBytes(kind, sys, run);
         EXPECT_GT(bytes, 0u) << "the allocation counter is not wired";
         EXPECT_LT(bytes, kFootprintBound)
             << makeEngine(kind, sys)->name() << " allocated " << bytes
             << " B for one engine and its two plans";
+    }
+}
+
+/**
+ * The point the allocation counts are taken at: small enough that no
+ * engine shrinks the batch, since a shrink writes a `note` (a string
+ * the run owns).
+ */
+RunConfig
+allocationPoint()
+{
+    RunConfig run;
+    run.model = opt66b();
+    run.batch = 2;
+    run.context_len = 8192;
+    run.output_len = 64;
+    return run;
+}
+
+TEST(EngineFootprint, PlanCacheHitAllocatesNothing)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = allocationPoint();
+    for (const EngineKind kind : kAllEngines) {
+        const auto engine = makeEngine(kind, sys);
+        const std::string name = engine->name();
+        PlanCache cache;
+        RunResult res;
+        const auto decode = [&](StepPlan &p) {
+            res = RunResult{};
+            engine->buildDecodePlan(run, res, p);
+        };
+        const auto prefill = [&](StepPlan &p) {
+            engine->buildPrefillPlan(run, 0, 1, p);
+        };
+        const std::uint64_t decode_key =
+            PlanCache::keyOf(name, run.model.name, PlanPhase::Decode);
+        const std::uint64_t prefill_key =
+            PlanCache::keyOf(name, run.model.name, PlanPhase::Prefill);
+        (void)cache.build(decode_key, decode);
+        (void)cache.build(prefill_key, prefill);
+        const std::uint64_t hits = cache.stats().hits;
+
+        const std::uint64_t decode_allocs =
+            allocationsOf([&] { (void)cache.build(decode_key, decode); });
+        const std::uint64_t prefill_allocs =
+            allocationsOf([&] { (void)cache.build(prefill_key, prefill); });
+        EXPECT_EQ(cache.stats().hits, hits + 2) << name;
+        EXPECT_TRUE(res.feasible && res.note.empty()) << name << res.note;
+        EXPECT_EQ(decode_allocs, 0u) << name << " decode plan rebuild";
+        EXPECT_EQ(prefill_allocs, 0u) << name << " prefill plan rebuild";
+    }
+}
+
+TEST(EngineFootprint, WarmRunCachedPointAllocatesAtMostFiveTimes)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = allocationPoint();
+    for (const EngineKind kind : kAllEngines) {
+        const auto engine = makeEngine(kind, sys);
+        PlanCache cache;
+        (void)engine->runCached(run, cache);
+        RunResult res;
+        const std::uint64_t allocs =
+            allocationsOf([&] { res = engine->runCached(run, cache); });
+        EXPECT_TRUE(res.feasible && res.note.empty())
+            << engine->name() << res.note;
+        EXPECT_EQ(cache.stats().misses, 2u) << engine->name();
+        EXPECT_EQ(cache.stats().hits, 2u) << engine->name();
+        EXPECT_LE(allocs, 5u) << engine->name() << " warm runCached point";
+    }
+}
+
+TEST(EngineFootprint, ValidPlanValidatesInAtMostFiveAllocations)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = allocationPoint();
+    for (const EngineKind kind : kAllEngines) {
+        const StepPlan decode = decodeStepPlanFor(kind, sys, run);
+        const StepPlan prefill = prefillStepPlanFor(kind, sys, run);
+        std::size_t problems = 0;
+        const std::uint64_t decode_allocs =
+            allocationsOf([&] { problems += decode.validate().size(); });
+        const std::uint64_t prefill_allocs =
+            allocationsOf([&] { problems += prefill.validate().size(); });
+        const std::string name = makeEngine(kind, sys)->name();
+        EXPECT_EQ(problems, 0u) << name;
+        EXPECT_LE(decode_allocs, 5u) << name << " decode plan validate()";
+        EXPECT_LE(prefill_allocs, 5u) << name << " prefill plan validate()";
     }
 }
 

@@ -152,6 +152,72 @@ TEST(EvaluatePlan, OfflineOpsAccountButDoNotTime)
     EXPECT_EQ(ev.busy.cpu, 2.0 * 9.0);  // but the occupancy counts
 }
 
+TEST(EvaluatePlan, ReusedEvaluationMatchesAFreshOne)
+{
+    // A bigger plan first, so the reused op_finish and breakdown carry
+    // stale entries the second evaluation must not keep.
+    const StepPlan big = smallPlan();
+    StepPlan small;
+    small.layers = 3;
+    small.declareStage("s");
+    small.addOp(computeOp(ComputeUnit::Gpu, "only", 2.0)
+                    .stageTag("s")
+                    .busyTag(kBusyGpu)
+                    .share(TrafficField::Internal, 8.0));
+    PlanEvaluation reused;
+    evaluatePlan(big, reused);
+    evaluatePlan(small, reused);
+    const PlanEvaluation fresh = evaluatePlan(small);
+    EXPECT_EQ(reused.layer_critical_path, fresh.layer_critical_path);
+    EXPECT_EQ(reused.decode_step_time, fresh.decode_step_time);
+    EXPECT_EQ(reused.op_finish, fresh.op_finish);
+    EXPECT_EQ(reused.breakdown.stages(), fresh.breakdown.stages());
+    EXPECT_EQ(reused.traffic.internal_bytes, 3.0 * 8.0);
+    EXPECT_EQ(reused.traffic.host_read_bytes, 0.0);
+    EXPECT_EQ(reused.busy.gpu, fresh.busy.gpu);
+    EXPECT_EQ(reused.busy.storage, 0.0);
+}
+
+TEST(StepOp, PlanArenaOwnsLabelsOfDestroyedStrings)
+{
+    // Labels and stages are views that only outlive addOp: the plan
+    // must copy the bytes, not keep the view. The strings are longer
+    // than any short-string buffer, so they live on the heap, and the
+    // sanitizer builds catch a view into freed memory.
+    StepPlan plan;
+    {
+        const std::string stage(40, 's');
+        plan.declareStage(stage);
+        std::string label = "transient_label_" + std::string(40, 'x');
+        plan.addOp(transferOp(PlanResource::HostPcie, label, 1.0, 2.0)
+                       .stageTag(stage));
+        label.assign(label.size(), '#');  // overwrite the source bytes
+        std::string tail = "transient_tail_" + std::string(40, 'y');
+        plan.addTailOp(computeOp(ComputeUnit::Gpu, tail, 0.5));
+    }
+    const std::string reuse(64, '!');  // likely lands on a freed block
+    EXPECT_EQ(plan.layer_ops[0].label,
+              "transient_label_" + std::string(40, 'x'));
+    EXPECT_EQ(plan.layer_ops[0].stage, std::string(40, 's'));
+    EXPECT_EQ(plan.tail_ops[0].label,
+              "transient_tail_" + std::string(40, 'y'));
+    EXPECT_TRUE(plan.validate().empty());
+    EXPECT_EQ(evaluatePlan(plan).breakdown.get(std::string(40, 's')), 1.0);
+}
+
+TEST(StepOp, InlineArraysHoldTheirCapacityAndPanicPastIt)
+{
+    StepOp op = computeOp(ComputeUnit::Gpu, "wide", 1.0);
+    for (std::size_t d = 0; d < kMaxOpDeps; ++d)
+        op.dep(d);
+    for (std::size_t s = 0; s < kMaxOpShares; ++s)
+        op.share(TrafficField::HostRead, 1.0);
+    EXPECT_EQ(op.deps.size(), kMaxOpDeps);
+    EXPECT_EQ(op.traffic.size(), kMaxOpShares);
+    EXPECT_DEATH(op.dep(kMaxOpDeps), "inline array");
+    EXPECT_DEATH(op.share(TrafficField::HostRead, 1.0), "inline array");
+}
+
 TEST(SimulatePlan, UncontendedPlanMatchesAnalytic)
 {
     const StepPlan plan = smallPlan();
