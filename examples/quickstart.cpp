@@ -39,11 +39,12 @@ main()
                 "step time (s)", "energy (kJ)");
     std::printf("%-24s %12.3f %14.3f %12.1f\n", base.feasible
                     ? baseline->name().c_str() : "FLEX(SSD) [infeasible]",
-                base.decodeThroughput(), base.decode_step_time,
-                base.energy.total() / 1e3);
+                base.decodeThroughput(), base.decode_step_time.value(),
+                (base.energy.total() / 1e3).value());
     std::printf("%-24s %12.3f %14.3f %12.1f\n",
                 hilos_engine->name().c_str(), ours.decodeThroughput(),
-                ours.decode_step_time, ours.energy.total() / 1e3);
+                ours.decode_step_time.value(),
+                (ours.energy.total() / 1e3).value());
     std::printf("speedup over FLEX(SSD): %.2fx\n",
                 normalizedThroughput(ours, base));
     std::printf("energy reduction: %.0f%%\n",

@@ -30,7 +30,7 @@ CycleBreakdown::bottleneckName() const
 
 CycleModel::CycleModel(const CycleModelConfig &cfg) : cfg_(cfg)
 {
-    HILOS_ASSERT(cfg_.clock_hz > 0 && cfg_.dram_bandwidth > 0,
+    HILOS_ASSERT(cfg_.clock_hz > 0.0 && cfg_.dram_bandwidth > 0.0,
                  "invalid cycle-model config");
     HILOS_ASSERT(cfg_.mac_units > 0 && cfg_.exp_unroll > 0,
                  "invalid unit counts");

@@ -11,7 +11,7 @@ namespace hilos {
 
 KernelSimulator::KernelSimulator(const KernelSimConfig &cfg) : cfg_(cfg)
 {
-    HILOS_ASSERT(cfg_.hw.clock_hz > 0, "invalid clock");
+    HILOS_ASSERT(cfg_.hw.clock_hz > 0.0, "invalid clock");
 }
 
 Seconds

@@ -8,7 +8,7 @@ namespace hilos {
 
 Cpu::Cpu(const CpuConfig &cfg) : cfg_(cfg)
 {
-    HILOS_ASSERT(cfg_.fp32_peak > 0 && cfg_.dram_bandwidth > 0,
+    HILOS_ASSERT(cfg_.fp32_peak > 0.0 && cfg_.dram_bandwidth > 0.0,
                  "invalid CPU config");
 }
 

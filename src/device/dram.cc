@@ -6,7 +6,7 @@ namespace hilos {
 
 Dram::Dram(const DramConfig &cfg) : cfg_(cfg)
 {
-    HILOS_ASSERT(cfg_.capacity > 0 && cfg_.bandwidth > 0,
+    HILOS_ASSERT(cfg_.capacity > 0 && cfg_.bandwidth > 0.0,
                  "invalid DRAM config");
 }
 

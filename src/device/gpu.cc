@@ -8,7 +8,7 @@ namespace hilos {
 
 Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
 {
-    HILOS_ASSERT(cfg_.memory_bandwidth > 0 && cfg_.fp16_peak > 0,
+    HILOS_ASSERT(cfg_.memory_bandwidth > 0.0 && cfg_.fp16_peak > 0.0,
                  "invalid GPU config");
     HILOS_ASSERT(cfg_.gemm_efficiency > 0 && cfg_.gemm_efficiency <= 1.0,
                  "invalid gemm efficiency");

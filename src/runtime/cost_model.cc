@@ -32,11 +32,11 @@ Seconds
 weightLoadTime(const ModelConfig &model, std::uint64_t batch,
                WeightHome home, Bandwidth pci_bw, Bandwidth storage_bw)
 {
-    HILOS_ASSERT(pci_bw > 0, "invalid PCIe bandwidth");
+    HILOS_ASSERT(pci_bw > 0.0, "invalid PCIe bandwidth");
     const Bytes bytes = model.loadedWeightBytesPerLayer(batch);
     if (home == WeightHome::HostDram)
         return bytes / pci_bw;
-    HILOS_ASSERT(storage_bw > 0, "invalid storage bandwidth");
+    HILOS_ASSERT(storage_bw > 0.0, "invalid storage bandwidth");
     // Storage -> host -> GPU: hops pipeline, the slower one binds.
     return bytes / std::min(pci_bw, storage_bw);
 }

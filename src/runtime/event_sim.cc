@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <span>
+#include <string>
 #include <string_view>
 
 #include "common/logging.h"
@@ -17,6 +17,27 @@ constexpr std::size_t kResourceKinds =
     static_cast<std::size_t>(PlanResource::InterNode) + 1;
 constexpr std::size_t kUnitKinds =
     static_cast<std::size_t>(ComputeUnit::Fpga) + 1;
+
+/**
+ * std::max of two times, returned by value: the same `a < b ? b : a`.
+ * std::max returns a reference, so in the replay loop g++ stores its
+ * operand to the stack and loads the result back through a selected
+ * address instead of using one max instruction.
+ */
+inline Seconds
+later(Seconds a, Seconds b)
+{
+    return a < b ? b : a;
+}
+
+/**
+ * One resource instance: its busy horizon and its accumulated busy
+ * time, the state of a BandwidthResource that only ever occupies.
+ */
+struct Slot {
+    Seconds busy_until = 0;
+    Seconds busy_time = 0;
+};
 
 /** One resource or compute-unit pool: `size` consecutive slots. */
 struct Pool {
@@ -35,9 +56,8 @@ struct Pool {
  * The timelines a plan replay runs over: one pool per referenced
  * transfer resource (with the plan's declared instance count) and one
  * single-instance pool per referenced compute unit, laid out in
- * PlanResource then ComputeUnit order. Each instance is a slot in two
- * flat vectors, its busy horizon and its accumulated busy time — the
- * state of a BandwidthResource that only ever occupies.
+ * PlanResource then ComputeUnit order. Each instance is one Slot of a
+ * flat vector.
  */
 class PlanTimelines
 {
@@ -81,8 +101,7 @@ class PlanTimelines
             if (unit_used[u])
                 unit_pool_[u] =
                     add(computeUnitName(static_cast<ComputeUnit>(u)), 1);
-        busy_until_.assign(slots, 0.0);
-        busy_time_.assign(slots, 0.0);
+        slots_.assign(slots, Slot{});
     }
 
     /** The pool `op` occupies, or kNoPool for a pure delay. */
@@ -101,10 +120,8 @@ class PlanTimelines
         if (!p.symmetric)
             return;
         p.symmetric = false;
-        std::fill_n(busy_until_.begin() + p.first + 1, p.size - 1,
-                    busy_until_[p.first]);
-        std::fill_n(busy_time_.begin() + p.first + 1, p.size - 1,
-                    busy_time_[p.first]);
+        std::fill_n(slots_.begin() + p.first + 1, p.size - 1,
+                    slots_[p.first]);
     }
 
     /**
@@ -113,19 +130,20 @@ class PlanTimelines
      */
     Seconds occupy(std::uint32_t s, Seconds start, Seconds duration)
     {
+        Slot &slot = slots_[s];
         if (duration == 0.0)
-            return std::max(start, busy_until_[s]);
-        const Seconds begin = std::max(start, busy_until_[s]);
-        busy_until_[s] = begin + duration;
-        busy_time_[s] += duration;
-        return busy_until_[s];
+            return later(start, slot.busy_until);
+        const Seconds end = later(start, slot.busy_until) + duration;
+        slot.busy_until = end;
+        slot.busy_time += duration;
+        return end;
     }
 
     /** "<pool>[i]", the trace track of every slot. */
     std::vector<std::string> slotNames() const
     {
         std::vector<std::string> names;
-        names.reserve(busy_until_.size());
+        names.reserve(slots_.size());
         for (const Pool &p : pools_)
             for (std::uint32_t i = 0; i < p.size; ++i)
                 names.push_back(instanceName(p, i));
@@ -144,10 +162,11 @@ class PlanTimelines
             expand(p);
             Seconds pool_latest = 0.0;
             for (std::uint32_t i = 0; i < p.size; ++i)
-                pool_latest = std::max(pool_latest, busy_until_[p.first + i]);
-            latest = std::max(latest, pool_latest);
+                pool_latest =
+                    later(pool_latest, slots_[p.first + i].busy_until);
+            latest = later(latest, pool_latest);
         }
-        const Seconds horizon = std::max(tail_end, latest);
+        const Seconds horizon = later(tail_end, latest);
         out.resource_utilization.reserve(resource_pools_);
         out.unit_utilization.reserve(pools_.size() - resource_pools_);
         for (std::size_t k = 0; k < pools_.size(); ++k) {
@@ -172,12 +191,12 @@ class PlanTimelines
     {
         if (horizon <= 0.0)
             return 0.0;
-        const std::uint32_t s = p.first + i;
-        const double util = busy_time_[s] / horizon;
+        const Slot &s = slots_[p.first + i];
+        const double util = s.busy_time / horizon;
         HILOS_ASSERT(util <= 1.0 + 1e-9, "utilization of '",
-                     instanceName(p, i), "' exceeds 1: busy ", busy_time_[s],
+                     instanceName(p, i), "' exceeds 1: busy ", s.busy_time,
                      " s over horizon ", horizon, " s (busy until ",
-                     busy_until_[s], " s); query after the window completes");
+                     s.busy_until, " s); query after the window completes");
         return util;
     }
 
@@ -185,8 +204,7 @@ class PlanTimelines
     std::size_t resource_pools_ = 0;  ///< pools_[0, this) are resources
     std::array<std::uint32_t, kResourceKinds> resource_pool_{};
     std::array<std::uint32_t, kUnitKinds> unit_pool_{};
-    std::vector<Seconds> busy_until_;
-    std::vector<Seconds> busy_time_;
+    std::vector<Slot> slots_;
 };
 
 /** How a layer op takes part in the replay. */
@@ -196,51 +214,127 @@ enum class Role : std::uint8_t {
     Pooled,   ///< occupies `fanout` instances of its pool
 };
 
-/** A layer op resolved once, before the layer loop. */
+/**
+ * A layer op resolved once, before the layer loop: only what the loop
+ * reads. Its dependencies are `dep_len` entries from `dep_pos` of the
+ * replay's flat dependency array; the traced replay reads the label
+ * from the plan.
+ */
 struct ResolvedOp {
+    Seconds seconds = 0;
+    std::uint64_t fanout = 1;
+    /**
+     * Pooled and collapsible (see `collapsible`): on a symmetric pool
+     * the op occupies the representative `rep_occupies` times, each
+     * standing for `rep_replicas` replicas.
+     */
+    std::uint64_t rep_occupies = 0;
+    std::uint64_t rep_replicas = 0;
+    std::uint32_t pool = kNoPool;
+    std::uint32_t dep_pos = 0;
+    std::uint32_t dep_len = 0;
     Role role = Role::Delay;
     bool prefetch = false;
     /**
      * Pooled: the replicas cover every instance of the pool equally
      * (fanout a multiple of the instance count) or last zero time and
-     * so change nothing. On a symmetric pool the op then occupies the
-     * representative `rep_occupies` times, each standing for
-     * `rep_replicas` replicas.
+     * so change nothing.
      */
     bool collapsible = false;
-    Seconds seconds = 0;
-    std::span<const std::uint32_t> deps;
-    std::uint32_t pool = kNoPool;
-    std::uint64_t fanout = 1;
-    std::uint64_t rep_occupies = 0;
-    std::uint64_t rep_replicas = 0;
-    std::string_view label;
 };
 
-}  // namespace
+/** The untraced replay's recorder: records nothing. */
+struct NoRecorder {
+    static constexpr bool kTracing = false;
+};
 
-PlanSimResult
-simulatePlan(const StepPlan &plan, TraceRecorder *trace)
+/**
+ * The traced replay's recorder: writes every replica's busy interval to
+ * the "<pool>[i]" track of its slot, named "layer<l>/<label>", and every
+ * tail op's interval named "tail/<label>" (on track "delay" when it
+ * occupies no pool).
+ */
+class TraceSink
 {
-    HILOS_ASSERT(plan.feasible, "cannot replay an infeasible plan: ",
-                 plan.note);
-    HILOS_ASSERT(plan.layers >= 1, "plan has no layers");
-    PlanTimelines lines(plan);
-    const std::vector<std::string> names =
-        trace != nullptr ? lines.slotNames() : std::vector<std::string>();
+  public:
+    static constexpr bool kTracing = true;
+
+    TraceSink(TraceRecorder &rec, const StepPlan &plan,
+              const PlanTimelines &lines)
+        : rec_(rec), plan_(plan), names_(lines.slotNames())
+    {
+    }
+
+    /** Name the spans of op `i` in layer `l`. */
+    void beginOp(std::uint64_t l, std::size_t i)
+    {
+        label_ = "layer" + std::to_string(l) + "/" +
+                 std::string(plan_.layer_ops[i].label);
+    }
+
+    /** One replica on `slot`. */
+    void replica(std::uint32_t slot, Seconds begin, Seconds end)
+    {
+        rec_.record(names_[slot], label_, begin, end);
+    }
+
+    /**
+     * `count` replicas of one collapsed occupy, on instances 0, 1, ...
+     * of `pool`, wrapping at its size. A collapsed op's occupies each
+     * stand for `size` replicas or it has at most one, so every occupy
+     * starts again at instance 0.
+     */
+    void replicas(const Pool &pool, std::uint64_t count, Seconds begin,
+                  Seconds end)
+    {
+        std::uint32_t i = 0;
+        for (std::uint64_t r = 0; r < count; ++r) {
+            replica(pool.first + i, begin, end);
+            if (++i == pool.size)
+                i = 0;
+        }
+    }
+
+    /** A tail op on `slot`, or on no pool when `slot` is kNoPool. */
+    void tail(std::uint32_t slot, std::string_view label, Seconds begin,
+              Seconds end)
+    {
+        rec_.record(slot != kNoPool ? names_[slot] : std::string("delay"),
+                    "tail/" + std::string(label), begin, end);
+    }
+
+  private:
+    TraceRecorder &rec_;
+    const StepPlan &plan_;
+    std::vector<std::string> names_;
+    std::string label_;
+};
+
+/**
+ * The one replay body. `Recorder` is NoRecorder or TraceSink; every
+ * trace statement sits behind `if constexpr`, so the untraced
+ * instantiation's layer loop does no trace work at all.
+ */
+template <typename Recorder>
+PlanSimResult
+replay(const StepPlan &plan, PlanTimelines &lines, Recorder &rec)
+{
     PlanSimResult out;
     out.layer_times.reserve(plan.layers);
 
     const std::size_t n = plan.layer_ops.size();
     std::vector<ResolvedOp> ops(n);
+    std::vector<std::uint32_t> deps;
+    deps.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         const StepOpView op = plan.layer_ops[i];
         ResolvedOp &r = ops[i];
         r.prefetch = op.prefetch;
         r.seconds = op.seconds;
-        r.deps = op.deps;
+        r.dep_pos = static_cast<std::uint32_t>(deps.size());
+        r.dep_len = static_cast<std::uint32_t>(op.deps.size());
+        deps.insert(deps.end(), op.deps.begin(), op.deps.end());
         r.fanout = op.fanout;
-        r.label = op.label;
         r.pool = op.shadow ? kNoPool : lines.poolOf(op);
         r.role = op.offline           ? Role::Offline
                  : r.pool == kNoPool ? Role::Delay
@@ -258,7 +352,6 @@ simulatePlan(const StepPlan &plan, TraceRecorder *trace)
     }
 
     std::vector<Seconds> finish(n, 0.0);
-    std::string label;  // trace span name, built only when tracing
     Seconds layer_start = 0.0;
     Seconds prev_layer_start = 0.0;
     for (std::uint64_t l = 0; l < plan.layers; ++l) {
@@ -270,47 +363,44 @@ simulatePlan(const StepPlan &plan, TraceRecorder *trace)
                 continue;
             }
             Seconds ready = op.prefetch ? prev_layer_start : layer_start;
-            for (const std::size_t d : op.deps)
-                ready = std::max(ready, finish[d]);
+            const std::uint32_t dep_end = op.dep_pos + op.dep_len;
+            for (std::uint32_t d = op.dep_pos; d < dep_end; ++d)
+                ready = later(ready, finish[deps[d]]);
             if (op.role == Role::Delay) {
                 finish[i] = ready + op.seconds;
-                layer_end = std::max(layer_end, finish[i]);
+                layer_end = later(layer_end, finish[i]);
                 continue;
             }
-            // Replica k occupies instance k % size from `ready`. On a
-            // symmetric pool a collapsible op would run the same IEEE
-            // operations on every instance, so the representative
-            // stands for all of them.
+            if constexpr (Recorder::kTracing)
+                rec.beginOp(l, i);
+            // Replica k occupies instance k % size from `ready`.
             Pool &pool = lines.pool(op.pool);
-            const bool collapse = pool.symmetric && op.collapsible;
-            if (!collapse)
-                lines.expand(pool);
-            const std::uint64_t occupies =
-                collapse ? op.rep_occupies : op.fanout;
-            const std::uint64_t per = collapse ? op.rep_replicas : 1;
-            if (trace != nullptr)
-                label = "layer" + std::to_string(l) + "/" +
-                        std::string(op.label);
             Seconds done = ready;
-            std::uint32_t slot = 0;   // instance the next occupy lands on
-            std::uint32_t track = 0;  // instance of the next traced replica
-            for (std::uint64_t k = 0; k < occupies; ++k) {
-                const Seconds end =
-                    lines.occupy(pool.first + slot, ready, op.seconds);
-                if (!collapse && ++slot == pool.size)
-                    slot = 0;
-                done = std::max(done, end);
-                if (trace == nullptr)
-                    continue;
-                for (std::uint64_t r = 0; r < per; ++r) {
-                    trace->record(names[pool.first + track], label,
-                                  end - op.seconds, end);
-                    if (++track == pool.size)
-                        track = 0;
+            if (pool.symmetric && op.collapsible) {
+                // Every instance would run the same IEEE operations, so
+                // the representative stands for all of them.
+                for (std::uint64_t k = 0; k < op.rep_occupies; ++k) {
+                    const Seconds end =
+                        lines.occupy(pool.first, ready, op.seconds);
+                    done = later(done, end);
+                    if constexpr (Recorder::kTracing)
+                        rec.replicas(pool, op.rep_replicas, end - op.seconds,
+                                     end);
+                }
+            } else {
+                lines.expand(pool);
+                const std::uint32_t last = pool.first + pool.size - 1;
+                std::uint32_t slot = pool.first;
+                for (std::uint64_t k = 0; k < op.fanout; ++k) {
+                    const Seconds end = lines.occupy(slot, ready, op.seconds);
+                    done = later(done, end);
+                    if constexpr (Recorder::kTracing)
+                        rec.replica(slot, end - op.seconds, end);
+                    slot = slot == last ? pool.first : slot + 1;
                 }
             }
             finish[i] = done;
-            layer_end = std::max(layer_end, done);
+            layer_end = later(layer_end, done);
         }
         if (l == 0)
             out.first_layer_finish = finish;
@@ -324,18 +414,18 @@ simulatePlan(const StepPlan &plan, TraceRecorder *trace)
     for (const StepOpView op : plan.tail_ops) {
         const std::uint32_t p = lines.poolOf(op);
         const Seconds begin = tail_end;
+        std::uint32_t slot = kNoPool;
         if (p != kNoPool) {
             Pool &pool = lines.pool(p);
             lines.expand(pool);
             HILOS_ASSERT(op.seconds >= 0.0, "negative stall duration");
-            tail_end = lines.occupy(pool.first, tail_end, op.seconds);
+            slot = pool.first;
+            tail_end = lines.occupy(slot, tail_end, op.seconds);
         } else {
             tail_end = tail_end + op.seconds;
         }
-        if (trace != nullptr)
-            trace->record(p != kNoPool ? names[lines.pool(p).first]
-                                       : std::string("delay"),
-                          "tail/" + std::string(op.label), begin, tail_end);
+        if constexpr (Recorder::kTracing)
+            rec.tail(slot, op.label, begin, tail_end);
     }
 
     HILOS_ASSERT(plan.layer_time_divisor > 0.0,
@@ -346,6 +436,23 @@ simulatePlan(const StepPlan &plan, TraceRecorder *trace)
     // Utilisations over the pre-divisor timeline.
     lines.fillUtilization(tail_end, out);
     return out;
+}
+
+}  // namespace
+
+PlanSimResult
+simulatePlan(const StepPlan &plan, TraceRecorder *trace)
+{
+    HILOS_ASSERT(plan.feasible, "cannot replay an infeasible plan: ",
+                 plan.note);
+    HILOS_ASSERT(plan.layers >= 1, "plan has no layers");
+    PlanTimelines lines(plan);
+    if (trace == nullptr) {
+        NoRecorder none;
+        return replay(plan, lines, none);
+    }
+    TraceSink sink(*trace, plan, lines);
+    return replay(plan, lines, sink);
 }
 
 }  // namespace hilos

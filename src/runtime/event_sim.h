@@ -9,8 +9,11 @@
  * library: every engine's decode and prefill plans run through it, a
  * faulted HILOS step replays the plan HilosEngine::decodeStepPlanAt
  * prices under that time's fleet conditions, and its per-pool tracks
- * are what `hilos_cli --trace` writes. The independent slice-level
- * oracle that both backends are checked against lives in
+ * are what `hilos_cli --trace` writes. The traced and untraced replays
+ * are one loop compiled twice, with a trace sink and with a recorder
+ * that does nothing, so recording a trace never changes a result bit
+ * and the untraced replay does no trace work. The independent
+ * slice-level oracle that both backends are checked against lives in
  * tests/support/slice_sim.h.
  */
 

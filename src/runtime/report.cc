@@ -88,7 +88,7 @@ evaluateCell(const SystemConfig &sys, const ReportConfig &cfg,
         if (e.feasible) {
             cell.max_speedup =
                 std::max(cell.max_speedup, e.speedup_vs_flex_ssd);
-            if (base.feasible && base.energy.total() > 0) {
+            if (base.feasible && base.energy.total() > 0.0) {
                 cell.max_energy_saving = std::max(
                     cell.max_energy_saving,
                     1.0 - hil.energy.total() / base.energy.total());

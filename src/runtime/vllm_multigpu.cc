@@ -154,8 +154,8 @@ VllmMultiGpuEngine::buildDecodePlan(const RunConfig &cfg,
     cluster_sys.gpu = cluster_.gpu;
     cluster_sys.gpu.tdp = cluster_.gpu.tdp * gpus;
     cluster_sys.gpu.idle_power = cluster_.gpu.idle_power * gpus;
-    cluster_sys.cpu.tdp = sys_.cpu.tdp * cluster_.nodes;
-    cluster_sys.cpu.idle_power = sys_.cpu.idle_power * cluster_.nodes;
+    cluster_sys.cpu.tdp = sys_.cpu.tdp * static_cast<double>(cluster_.nodes);
+    cluster_sys.cpu.idle_power = sys_.cpu.idle_power * static_cast<double>(cluster_.nodes);
     plan.energy.enabled = true;
     plan.energy.sys = cluster_sys;
 }

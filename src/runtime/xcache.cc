@@ -17,7 +17,7 @@ XCacheScheduler::XCacheScheduler(Bandwidth ssd_bw, Bandwidth pci_bw,
                                  FlopRate gpu_flops)
     : ssd_bw_(ssd_bw), pci_bw_(pci_bw), gpu_flops_(gpu_flops)
 {
-    HILOS_ASSERT(ssd_bw_ > 0 && pci_bw_ > 0 && gpu_flops_ > 0,
+    HILOS_ASSERT(ssd_bw_ > 0.0 && pci_bw_ > 0.0 && gpu_flops_ > 0.0,
                  "invalid X-cache scheduler bandwidths");
 }
 

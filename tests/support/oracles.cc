@@ -184,13 +184,13 @@ checkAgreement(const RunResult &analytic, Seconds sim_step,
         chk.ok = false;
         return chk;
     }
-    if (!(analytic.decode_step_time > 0) ||
+    if (!(analytic.decode_step_time > 0.0) ||
         !std::isfinite(analytic.decode_step_time)) {
         chk.ok = false;
         chk.detail = "analytic decode step not positive/finite";
         return chk;
     }
-    if (!(sim_step > 0) || !std::isfinite(sim_step)) {
+    if (!(sim_step > 0.0) || !std::isfinite(sim_step)) {
         chk.ok = false;
         chk.detail = "sim decode step not positive/finite";
         return chk;

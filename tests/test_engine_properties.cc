@@ -197,9 +197,10 @@ TEST(HilosProperties, SpillIntervalDoesNotChangeResultsOnlySpeed)
         opts.spill_interval = c;
         const RunResult r = HilosEngine(sys, opts).run(run);
         EXPECT_TRUE(r.feasible);
-        if (prev_tput > 0)
+        if (prev_tput > 0) {
             EXPECT_NEAR(r.decodeThroughput(), prev_tput,
                         prev_tput * 0.05);  // small perturbations only
+        }
         prev_tput = r.decodeThroughput();
     }
 }

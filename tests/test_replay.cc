@@ -255,6 +255,21 @@ TEST(ReplayDifferential, TailOpOnACollapsedPoolMatchesTheReference)
     expectMatchesReference(plan, "tail on a collapsed pool");
 }
 
+/**
+ * Whether a timed transfer op's fanout does not fill its pool evenly,
+ * so the replay expands that pool instead of collapsing it.
+ */
+bool
+expandsAPool(const StepPlan &plan)
+{
+    for (const StepOpView op : plan.layer_ops)
+        if (op.op_kind == StepOp::Kind::Transfer && !op.offline &&
+            !op.shadow && op.seconds > 0.0 &&
+            op.fanout % plan.instancesOf(op.resource) != 0)
+            return true;
+    return false;
+}
+
 /** Replica intervals the replay records for `plan`. */
 std::size_t
 expectedEvents(const StepPlan &plan)
@@ -272,24 +287,47 @@ expectedEvents(const StepPlan &plan)
 
 TEST(ReplayTrace, RecordingLeavesEveryResultBitUnchanged)
 {
+    // The traced and untraced replays are one body compiled with two
+    // recorders: compare them on collapsed pools (every engine's decode
+    // and prefill plans, a healthy fleet) and on expanded ones (HILOS
+    // prefill; a HILOS step after two device losses and a fleet step
+    // after a host loss, each with NAND errors, whose timed fanout-1
+    // retry op no longer collapses).
     const SystemConfig sys = defaultSystem();
     const RunConfig run = runOf(opt66b(), 16, 32768);
-    std::vector<std::pair<std::string, std::unique_ptr<InferenceEngine>>>
-        engines;
-    for (const EngineName &e : kEngineNames)
-        engines.emplace_back(e.name, makeEngine(e.kind, sys));
+    std::vector<std::pair<std::string, StepPlan>> plans;
+    for (const EngineName &e : kEngineNames) {
+        const auto engine = makeEngine(e.kind, sys);
+        plans.emplace_back(std::string(e.name) + " decode",
+                           engine->decodeStepPlanAt(run, 0.0));
+        plans.emplace_back(std::string(e.name) + " prefill",
+                           engine->prefillStepPlan(run, 0, 1));
+    }
+    HilosOptions opts;
+    opts.fault_plan = parseFaultPlan("nand-err=1e-3;fail@0=0;fail@0=5");
+    plans.emplace_back(
+        "hilos after fail@0",
+        makeEngine(EngineKind::Hilos, sys, opts)->decodeStepPlanAt(run, 1.0));
     FleetConfig fc;
     fc.hosts = 2;
     fc.devices_per_host = 8;
-    engines.emplace_back("fleet x2", makeFleetEngine(sys, fc));
-    for (const auto &[name, engine] : engines) {
-        const StepPlan plan = engine->decodeStepPlanAt(run, 0.0);
-        if (!plan.feasible)
-            continue;
+    plans.emplace_back("fleet x2",
+                       makeFleetEngine(sys, fc)->decodeStepPlanAt(run, 0.0));
+    fc.fault_plan = parseFaultPlan("nand-err=1e-3;host-fail@0=1");
+    plans.emplace_back("fleet x2 after host-fail@0",
+                       makeFleetEngine(sys, fc)->decodeStepPlanAt(run, 1.0));
+
+    int expanded = 0, tails = 0;
+    for (const auto &[name, plan] : plans) {
+        ASSERT_TRUE(plan.feasible) << name << ": " << plan.note;
         TraceRecorder rec;
         expectSameResult(simulatePlan(plan, &rec), simulatePlan(plan), name);
         EXPECT_EQ(rec.size(), expectedEvents(plan)) << name;
+        expanded += expandsAPool(plan) ? 1 : 0;
+        tails += plan.tail_ops.empty() ? 0 : 1;
     }
+    EXPECT_EQ(expanded, 3) << "HILOS prefill and the two faulted plans";
+    EXPECT_EQ(tails, 4) << "vLLM's two plans and the two fleet plans";
 }
 
 }  // namespace

@@ -167,7 +167,7 @@ TEST(NaiveWriteback, SerialisesPerDevice)
     const Seconds eight_dev =
         naiveWritebackTime(128, 8, 512, usec(20), usec(230));
     EXPECT_NEAR(one_dev / eight_dev, 8.0, 0.01);
-    EXPECT_NEAR(one_dev, 128 * usec(250), 1e-9);
+    EXPECT_NEAR(one_dev, 128.0 * usec(250), 1e-9);
 }
 
 TEST(NaiveWriteback, ExceedsDelayedCriticalPath)
