@@ -7,20 +7,32 @@
 
 namespace hilos {
 
-double
-exactQuantile(std::vector<double> samples, double q)
+void
+exactQuantiles(std::span<double> samples, std::span<const double> qs,
+               std::span<double> out)
 {
-    HILOS_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range: ", q);
-    HILOS_ASSERT(!samples.empty(), "exact quantile of an empty sample set");
-    const auto n = samples.size();
-    // Nearest-rank: rank = ceil(q * n), clamped to [1, n].
-    auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(n)));
-    rank = std::max<std::size_t>(rank, 1);
-    rank = std::min(rank, n);
-    const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
-    std::nth_element(samples.begin(), nth, samples.end());
-    return *nth;
+    HILOS_ASSERT(!samples.empty(), "exact quantiles of an empty sample set");
+    HILOS_ASSERT(qs.size() == out.size(), "quantile count ", qs.size(),
+                 " != output count ", out.size());
+    const std::size_t n = samples.size();
+    // Everything from a selected rank up is >= its value, so the next
+    // (higher) rank is the same order statistic of that tail.
+    auto from = samples.begin();
+    for (std::size_t i = 0; i < qs.size(); i++) {
+        const double q = qs[i];
+        HILOS_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range: ", q);
+        HILOS_ASSERT(i == 0 || qs[i - 1] <= q,
+                     "quantiles must not decrease: ", q);
+        // Nearest-rank: rank = ceil(q * n), clamped to [1, n].
+        auto rank = static_cast<std::size_t>(
+            std::ceil(q * static_cast<double>(n)));
+        rank = std::min(std::max<std::size_t>(rank, 1), n);
+        const auto nth =
+            samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+        std::nth_element(from, nth, samples.end());
+        out[i] = *nth;
+        from = nth;
+    }
 }
 
 double

@@ -8,6 +8,7 @@
 #ifndef HILOS_COMMON_STATS_H_
 #define HILOS_COMMON_STATS_H_
 
+#include <span>
 #include <vector>
 
 namespace hilos {
@@ -16,14 +17,17 @@ namespace hilos {
 double pearson(const std::vector<double> &x, const std::vector<double> &y);
 
 /**
- * Exact nearest-rank quantile of a sample set: the smallest value v such
- * that at least ceil(q * n) samples are <= v. It never interpolates,
- * so tail percentiles (p99/p999) are actual observed samples. Selects
- * the rank with std::nth_element on the copy it takes, so a call is
- * O(n) on average; pass an rvalue to skip the copy. Asserts on an
- * empty set.
+ * Exact nearest-rank quantiles of a sample set: for each q of `qs`
+ * (non-decreasing), the smallest value v such that at least
+ * ceil(q * n) samples are <= v, written to `out` (as long as `qs`).
+ * They never interpolate, so tail percentiles (p99/p999) are actual
+ * observed samples. Each rank is selected with std::nth_element on the
+ * tail the previous selection left above its rank, so the whole set
+ * costs about one O(n) selection and no copy. Reorders `samples`;
+ * asserts on an empty set.
  */
-double exactQuantile(std::vector<double> samples, double q);
+void exactQuantiles(std::span<double> samples, std::span<const double> qs,
+                    std::span<double> out);
 
 }  // namespace hilos
 

@@ -300,6 +300,18 @@ InferenceEngine::decodeStepPlan(const RunConfig &cfg) const
     return plan;
 }
 
+const StepPlan &
+InferenceEngine::decodeStepPlan(const RunConfig &cfg, PlanCache &cache) const
+{
+    RunResult scratch;
+    return cache.build(
+        PlanCache::keyOf(name(), cfg.model.name, PlanPhase::Decode),
+        [&](StepPlan &plan) {
+            scratch = RunResult{};
+            buildDecodePlan(cfg, scratch, plan);
+        });
+}
+
 StepPlan
 InferenceEngine::decodeStepPlanAt(const RunConfig &cfg, Seconds now) const
 {
@@ -317,6 +329,19 @@ InferenceEngine::prefillStepPlan(const RunConfig &cfg,
     StepPlan plan;
     buildPrefillPlan(cfg, chunk_index, chunk_count, plan);
     return plan;
+}
+
+const StepPlan &
+InferenceEngine::prefillStepPlan(const RunConfig &cfg,
+                                 std::uint64_t chunk_index,
+                                 std::uint64_t chunk_count,
+                                 PlanCache &cache) const
+{
+    return cache.build(
+        PlanCache::keyOf(name(), cfg.model.name, PlanPhase::Prefill),
+        [&](StepPlan &plan) {
+            buildPrefillPlan(cfg, chunk_index, chunk_count, plan);
+        });
 }
 
 void

@@ -344,6 +344,15 @@ class InferenceEngine
     /** The decode-step plan for one run configuration (a cold build). */
     StepPlan decodeStepPlan(const RunConfig &cfg) const;
 
+    /**
+     * decodeStepPlan rebuilt through `cache` under the Decode key
+     * runCached() uses, so it shares that entry: it serializes
+     * byte-identically to the cold build. The reference stays valid
+     * until the entry is next built.
+     */
+    const StepPlan &decodeStepPlan(const RunConfig &cfg,
+                                   PlanCache &cache) const;
+
     /** The decode-step plan under the conditions in force at `now`. */
     StepPlan decodeStepPlanAt(const RunConfig &cfg, Seconds now) const;
 
@@ -351,6 +360,15 @@ class InferenceEngine
     StepPlan prefillStepPlan(const RunConfig &cfg,
                              std::uint64_t chunk_index = 0,
                              std::uint64_t chunk_count = 1) const;
+
+    /**
+     * prefillStepPlan rebuilt through `cache` under runCached()'s
+     * Prefill key; the same contract as the cached decodeStepPlan.
+     */
+    const StepPlan &prefillStepPlan(const RunConfig &cfg,
+                                    std::uint64_t chunk_index,
+                                    std::uint64_t chunk_count,
+                                    PlanCache &cache) const;
 
   protected:
     using DecodeBuilder =

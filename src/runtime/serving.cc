@@ -3,27 +3,141 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
-#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/stats.h"
+#include "runtime/plan_cache.h"
 #include "runtime/step_plan.h"
 
 namespace hilos {
 
 namespace {
 
+/** Exact (batch, padded context) key of a decode-step cost. */
+struct StepKey {
+    std::uint64_t batch = 0;
+    std::uint64_t context = 0;
+    bool operator==(const StepKey &) const = default;
+};
+
+/** Exact (batch, padded prompt, chunk index, chunk count) key. */
+struct ChunkKey {
+    std::uint64_t batch = 0;
+    std::uint64_t context = 0;
+    std::uint64_t index = 0;
+    std::uint64_t count = 0;
+    bool operator==(const ChunkKey &) const = default;
+};
+
+/** Hash of the exact cost keys: each field through a 64-bit mix. */
+struct CostKeyHash {
+    static std::uint64_t
+    mix(std::uint64_t h, std::uint64_t v)
+    {
+        h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+        return h ^ (h >> 32);
+    }
+    std::size_t operator()(std::uint64_t k) const { return mix(0, k); }
+    std::size_t
+    operator()(const StepKey &k) const
+    {
+        return mix(mix(0, k.batch), k.context);
+    }
+    std::size_t
+    operator()(const ChunkKey &k) const
+    {
+        return mix(mix(mix(mix(0, k.batch), k.context), k.index), k.count);
+    }
+};
+
 /**
- * Cached per-step cost oracle over one engine. Decode steps and
- * prefill chunks are costed through the engine's StepPlans; capacity
- * comes from cached whole-engine run() results. Context keys are
- * already bucket-padded by the caller, so the caches stay small even
- * for long generations.
+ * Open-addressing hash table of step costs under exact keys: linear
+ * probing over a power-of-two slot array kept at most half full, so a
+ * hit is one multiply-mix, one mask and usually one compare, with no
+ * bucket division and no node to chase. A run holds a few dozen keys
+ * and looks them up tens of thousands of times. Never erases.
+ */
+template <typename Key, typename Value>
+class CostTable
+{
+  public:
+    /** The cached value, or null. */
+    const Value *
+    find(const Key &key) const
+    {
+        if (slots_.empty())
+            return nullptr;
+        for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+            const Slot &slot = slots_[i];
+            if (!slot.used)
+                return nullptr;
+            if (slot.key == key)
+                return &slot.value;
+        }
+    }
+
+    /** Add a key that find() did not return. */
+    void
+    insert(const Key &key, const Value &value)
+    {
+        if (2 * (size_ + 1) > slots_.size())
+            grow();
+        place(Slot{key, value, true});
+        size_++;
+    }
+
+  private:
+    struct Slot {
+        Key key{};
+        Value value{};
+        bool used = false;
+    };
+
+    std::size_t mask() const { return slots_.size() - 1; }
+    std::size_t
+    home(const Key &key) const
+    {
+        return CostKeyHash{}(key) & mask();
+    }
+
+    void
+    place(const Slot &entry)
+    {
+        std::size_t i = home(entry.key);
+        while (slots_[i].used)
+            i = (i + 1) & mask();
+        slots_[i] = entry;
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+        old.swap(slots_);
+        for (const Slot &slot : old)
+            if (slot.used)
+                place(slot);
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+};
+
+/**
+ * Cached per-step cost oracle over one engine, for one run. Decode
+ * steps and prefill chunks are costed through the engine's StepPlans,
+ * rebuilt in place in a per-run PlanCache (a miss after the first
+ * rewrites only the priced annotations of that phase's entry) and
+ * evaluated into one reused PlanEvaluation; capacity comes from
+ * runCached() over the same cache, bit-identical to run(). Costs live
+ * in hashed tables under exact keys. Context keys are already
+ * bucket-padded by the caller, so the tables stay small even for long
+ * generations.
  */
 class StepCostModel
 {
@@ -33,33 +147,44 @@ class StepCostModel
     {
     }
 
-    /** Engine batch capacity at a padded context (0 = unserveable). */
+    /**
+     * Engine batch capacity at a padded context (0 = unserveable). The
+     * capacity run is always at the configured batch cap, so the
+     * context alone is its exact key.
+     */
     std::uint64_t
     capacity(std::uint64_t context)
     {
-        const RunResult &r = cachedRun(cfg_.max_batch, context);
-        return r.feasible ? r.effective_batch : 0;
+        if (const std::uint64_t *cached = capacity_.find(context)) {
+            hits++;
+            return *cached;
+        }
+        misses++;
+        const RunResult r =
+            engine_.runCached(runConfig(cfg_.max_batch, context), plans_);
+        const std::uint64_t batch = r.feasible ? r.effective_batch : 0;
+        capacity_.insert(context, batch);
+        return batch;
     }
 
     /** One decode step of `batch` requests at a padded context. */
     Seconds
     stepTime(std::uint64_t batch, std::uint64_t context)
     {
-        const auto key = std::make_pair(batch, context);
-        auto it = step_cache_.find(key);
-        if (it != step_cache_.end()) {
+        const StepKey key{batch, context};
+        if (const Seconds *cached = step_.find(key)) {
             hits++;
-            return it->second;
+            return *cached;
         }
         misses++;
-        const StepPlan plan =
-            engine_.decodeStepPlan(runConfig(batch, context));
+        const StepPlan &plan =
+            engine_.decodeStepPlan(runConfig(batch, context), plans_);
         HILOS_ASSERT(plan.feasible,
                      "decode plan infeasible at admitted batch ", batch,
                      " context ", context, ": ", plan.note);
-        const Seconds t = evaluatePlan(plan).decode_step_time;
-        step_cache_.emplace(key, t);
-        return t;
+        evaluatePlan(plan, ev_);
+        step_.insert(key, ev_.decode_step_time);
+        return ev_.decode_step_time;
     }
 
     /**
@@ -72,22 +197,22 @@ class StepCostModel
     prefillChunkTime(std::uint64_t batch, std::uint64_t context,
                      std::uint64_t index, std::uint64_t count)
     {
-        const auto key = std::make_tuple(batch, context, index, count);
-        auto it = chunk_cache_.find(key);
-        if (it != chunk_cache_.end()) {
+        const ChunkKey key{batch, context, index, count};
+        if (const Seconds *cached = chunk_.find(key)) {
             hits++;
-            return it->second;
+            return *cached;
         }
         misses++;
         RunConfig run = runConfig(batch, context);
         run.prefill_chunks = count;
-        const StepPlan plan = engine_.prefillStepPlan(run, index, count);
+        const StepPlan &plan =
+            engine_.prefillStepPlan(run, index, count, plans_);
         HILOS_ASSERT(plan.feasible,
                      "prefill plan infeasible at admitted batch ", batch,
                      " context ", context, ": ", plan.note);
-        const Seconds t = evaluatePlan(plan).decode_step_time;
-        chunk_cache_.emplace(key, t);
-        return t;
+        evaluatePlan(plan, ev_);
+        chunk_.insert(key, ev_.decode_step_time);
+        return ev_.decode_step_time;
     }
 
     std::uint64_t hits = 0;
@@ -105,29 +230,13 @@ class StepCostModel
         return run;
     }
 
-    const RunResult &
-    cachedRun(std::uint64_t batch, std::uint64_t context)
-    {
-        const auto key = std::make_pair(batch, context);
-        auto it = run_cache_.find(key);
-        if (it != run_cache_.end()) {
-            hits++;
-            return it->second;
-        }
-        misses++;
-        return run_cache_
-            .emplace(key, engine_.run(runConfig(batch, context)))
-            .first->second;
-    }
-
     const InferenceEngine &engine_;
     const ServingConfig &cfg_;
-    std::map<std::pair<std::uint64_t, std::uint64_t>, Seconds> step_cache_;
-    std::map<std::pair<std::uint64_t, std::uint64_t>, RunResult> run_cache_;
-    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
-                        std::uint64_t>,
-             Seconds>
-        chunk_cache_;
+    PlanCache plans_;
+    PlanEvaluation ev_;
+    CostTable<std::uint64_t, std::uint64_t> capacity_;
+    CostTable<StepKey, Seconds> step_;
+    CostTable<ChunkKey, Seconds> chunk_;
 };
 
 /**
@@ -228,21 +337,8 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         }
     }
 
-    // Pending requests, kept in admission order. Arrivals come in
-    // (arrival, id) order, which is also FCFS order, so under FCFS each
-    // one sorts last and the end-hinted insert is amortised O(1); SJF
-    // and SLO insert in O(log n). Since admission never leapfrogs,
-    // every admitted group is a prefix of this order and leaves with
-    // one range erase.
-    const auto admission_order = [policy = cfg_.policy](
-                                     const AdmissionCandidate &a,
-                                     const AdmissionCandidate &b) {
-        return admitsBefore(policy, a, b);
-    };
-    std::set<AdmissionCandidate, decltype(admission_order)> pending(
-        admission_order);
     // Arrivals in (arrival, id) order: a cursor hands each request to
-    // the pending set once the clock reaches its arrival time. Streams
+    // the pending queue once the clock reaches its arrival time. Streams
     // are usually submitted in arrival order already (the Poisson
     // generator and the trace parser both emit one), and then the
     // identity is that order; only an out-of-order stream is sorted.
@@ -254,12 +350,33 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     if (!std::is_sorted(arrivals.begin(), arrivals.end(), arrives_before))
         std::stable_sort(arrivals.begin(), arrivals.end(), arrives_before);
     std::size_t next_arrival = 0;
+
+    // Pending requests, kept in admission order. Since admission never
+    // leapfrogs, every admitted group is a prefix of that order. Under
+    // FCFS the order is the (arrival, id) order of `arrivals`, so the
+    // pending queue is the slice arrivals[fcfs_head, next_arrival) and
+    // an admitted group just moves fcfs_head. SJF and SLO keep an
+    // ordered set (O(log n) insert) and erase each admitted prefix.
+    const bool fcfs = cfg_.policy == ServingPolicy::Fcfs;
+    std::size_t fcfs_head = 0;
+    const auto admission_order = [policy = cfg_.policy](
+                                     const AdmissionCandidate &a,
+                                     const AdmissionCandidate &b) {
+        return admitsBefore(policy, a, b);
+    };
+    std::set<AdmissionCandidate, decltype(admission_order)> pending(
+        admission_order);
+    const auto anyPending = [&] {
+        return fcfs ? fcfs_head < next_arrival : !pending.empty();
+    };
     Seconds now = 0.0;
     const auto arriveUntil = [&](Seconds t) {
         for (; next_arrival < arrivals.size(); next_arrival++) {
             const RequestRecord &rec = res.records[arrivals[next_arrival]];
             if (rec.arrival > t)
                 break;
+            if (fcfs)
+                continue;
             AdmissionCandidate c;
             c.id = rec.id;
             c.arrival = rec.arrival;
@@ -310,7 +427,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     std::uint64_t completed = 0;
 
     while (completed < res.requests) {
-        if (flight.empty() && pending.empty() && prefilling.empty()) {
+        if (flight.empty() && !anyPending() && prefilling.empty()) {
             // Idle: jump straight to the next arrival.
             now = res.records[arrivals[next_arrival]].arrival;
             arriveUntil(now);
@@ -323,7 +440,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         // cannot starve anyone. Requests still mid-prefill hold their
         // batch and capacity reservations (their KV is materializing).
         const std::size_t busy = flight.size() + prefillingCount();
-        if (!pending.empty() && busy < cfg_.max_batch) {
+        if (anyPending() && busy < cfg_.max_batch) {
             std::uint64_t flight_ctx = 0;
             for (const InFlight &f : flight)
                 flight_ctx = std::max(flight_ctx, lifetime_ctx[f.id]);
@@ -332,23 +449,39 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                     flight_ctx =
                         std::max(flight_ctx, lifetime_ctx[admissions[i]]);
 
+            // Admit from the front of the queue [it, end) and return
+            // where admission stopped.
             const std::size_t first = admissions.size();
-            auto stop = pending.begin();
-            for (; stop != pending.end(); ++stop) {
-                const std::size_t committed =
-                    busy + admissions.size() - first;
-                if (committed >= cfg_.max_batch)
-                    break;
-                const std::uint64_t ctx =
-                    std::max(flight_ctx, lifetime_ctx[stop->id]);
-                if (cost.capacity(ctx) < committed + 1)
-                    break;
-                flight_ctx = ctx;
-                res.records[stop->id].admitted = now;
-                admissions.push_back(stop->id);
+            const auto admitFront = [&](auto it, auto end, auto id_of) {
+                for (; it != end; ++it) {
+                    const std::size_t committed =
+                        busy + admissions.size() - first;
+                    if (committed >= cfg_.max_batch)
+                        break;
+                    const std::size_t id = id_of(*it);
+                    const std::uint64_t ctx =
+                        std::max(flight_ctx, lifetime_ctx[id]);
+                    if (cost.capacity(ctx) < committed + 1)
+                        break;
+                    flight_ctx = ctx;
+                    res.records[id].admitted = now;
+                    admissions.push_back(id);
+                }
+                return it;
+            };
+            if (fcfs) {
+                admitFront(arrivals.begin() + fcfs_head,
+                           arrivals.begin() + next_arrival,
+                           [](std::size_t id) { return id; });
+                fcfs_head += admissions.size() - first;
+            } else {
+                pending.erase(pending.begin(),
+                              admitFront(pending.begin(), pending.end(),
+                                         [](const AdmissionCandidate &c) {
+                                             return c.id;
+                                         }));
             }
             if (admissions.size() > first) {
-                pending.erase(pending.begin(), stop);
                 // The newly admitted group's first prefill chunk runs
                 // at admission, padded to its longest prompt; at one
                 // chunk that is the whole prefill and the group enters
@@ -409,35 +542,41 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         }
         const bool room = flight.size() < cfg_.max_batch;
         if (flight.empty() || !prefilling.empty() ||
-            (room && !pending.empty()))
+            (room && anyPending()))
             max_steps = 1;
         const Seconds stop_at =
             room && next_arrival < arrivals.size()
                 ? res.records[arrivals[next_arrival]].arrival
                 : Seconds(std::numeric_limits<double>::infinity());
         // Within a run the flight is fixed and every context grows by
-        // one token per step, so the step cost is looked up again only
-        // when the longest context passes the bucket edge it was padded
-        // to (the next edge is one quantum up); the steps in between
-        // are the cache hits they would have been.
-        Seconds step = 0.0;
+        // one token per step, so the run splits into segments at the
+        // bucket edges the longest context passes: a segment's steps
+        // all pad to one edge (the next is one quantum up) and share
+        // one step cost, looked up once; the segment's other steps are
+        // the cache hits they would have been, counted in one go. The
+        // clock still advances one step at a time.
         Seconds first_step_end = 0.0;
-        std::uint64_t edge = 0;
+        std::uint64_t edge = roundUp(ctx, cfg_.bucket_quantum);
         std::uint64_t steps = 0;
         do {
+            Seconds step = 0.0;
+            std::uint64_t segment_end = max_steps;
             if (!flight.empty()) {
-                if (steps == 0 || ctx + steps > edge) {
-                    edge = steps == 0 ? roundUp(ctx, cfg_.bucket_quantum)
-                                      : edge + cfg_.bucket_quantum;
-                    step = cost.stepTime(flight.size(), edge);
-                } else {
-                    cost.hits++;
-                }
+                step = cost.stepTime(flight.size(), edge);
+                // Step s pads to `edge` while ctx + s <= edge.
+                segment_end = std::min(max_steps, edge - ctx + 1);
             }
-            now = now + std::max(step, chunk);
+            const Seconds dt = std::max(step, chunk);
             if (steps == 0)
-                first_step_end = now;
-            steps++;
+                first_step_end = now + dt;
+            const std::uint64_t segment_start = steps;
+            do {
+                now = now + dt;
+                steps++;
+            } while (steps < segment_end && now < stop_at);
+            if (!flight.empty())
+                cost.hits += steps - segment_start - 1;
+            edge += cfg_.bucket_quantum;
         } while (steps < max_steps && now < stop_at);
         arriveUntil(now);
 
@@ -485,12 +624,16 @@ ServingSimulator::run(const std::vector<Request> &requests) const
         if (rec.met_slo)
             res.slo_met++;
     }
-    res.ttft_p50 = Seconds(exactQuantile(ttft, 0.50));
-    res.ttft_p99 = Seconds(exactQuantile(ttft, 0.99));
-    res.ttft_p999 = Seconds(exactQuantile(std::move(ttft), 0.999));
-    res.latency_p50 = Seconds(exactQuantile(e2e, 0.50));
-    res.latency_p99 = Seconds(exactQuantile(e2e, 0.99));
-    res.latency_p999 = Seconds(exactQuantile(std::move(e2e), 0.999));
+    static constexpr double kTails[] = {0.50, 0.99, 0.999};
+    double tail[3];
+    exactQuantiles(ttft, kTails, tail);
+    res.ttft_p50 = Seconds(tail[0]);
+    res.ttft_p99 = Seconds(tail[1]);
+    res.ttft_p999 = Seconds(tail[2]);
+    exactQuantiles(e2e, kTails, tail);
+    res.latency_p50 = Seconds(tail[0]);
+    res.latency_p99 = Seconds(tail[1]);
+    res.latency_p999 = Seconds(tail[2]);
     res.mean_queue_wait =
         Seconds(wait / static_cast<double>(res.requests));
     res.slo_attainment = static_cast<double>(res.slo_met) /
@@ -500,6 +643,7 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     res.tokens_per_second = real_generated / res.makespan;
     res.mean_in_flight = residency / res.makespan;
     res.mean_queue_depth = wait / res.makespan;
+    res.queue_depth.reserve(arrivals.size() + admissions.size());
     fillQueueDepth(res.records, arrivals, admissions, res);
     res.cost_cache_hits = cost.hits;
     res.cost_cache_misses = cost.misses;

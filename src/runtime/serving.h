@@ -9,14 +9,18 @@
  * `runtime/serving_workload`, admits pending requests under a
  * `ServingPolicy` at every step boundary, and grows/shrinks the
  * in-flight batch between decode steps. Each step is costed through the
- * engine's StepPlan IR (`InferenceEngine::decodeStepPlan` +
- * `evaluatePlan`) rather than re-running whole-engine `run()` calls;
- * every engine, the fleet included, emits plans. Arrivals reach the
- * pending queue from a cursor over the stream sorted by (arrival, id),
- * so they interleave with decode steps deterministically, and each
- * loop turn advances the batch through every decode step up to the
- * next boundary where it can change (a completion, or an admission
- * with room in the batch).
+ * engine's StepPlan IR: a cost miss rebuilds that phase's plan in place
+ * in a PlanCache that lives for one run() and evaluates it into one
+ * reused PlanEvaluation, and capacity comes from runCached() over the
+ * same cache; every engine, the fleet included, emits plans. Costs are
+ * kept in hashed tables under exact keys. Arrivals reach the pending
+ * queue from a cursor over the stream sorted by (arrival, id), so they
+ * interleave with decode steps deterministically; under FCFS that
+ * cursor order is the admission order and the queue is a slice of it.
+ * Each loop turn advances the batch through every decode step up to
+ * the next boundary where it can change (a completion, or an admission
+ * with room in the batch), in segments that each share one step cost
+ * between two bucket edges.
  *
  * Prefill is admitted as chunked steps (`ServingConfig::prefill_chunks`)
  * interleaved with decode: a newly admitted group's first chunk is
@@ -30,7 +34,8 @@
  * reflects the full (chunked) prefill honestly.
  *
  * Reported metrics follow the serving literature: exact (nearest-rank)
- * p50/p99/p999 time-to-first-token and end-to-end latency, goodput
+ * p50/p99/p999 time-to-first-token and end-to-end latency (selected
+ * in one buffer per series by exactQuantiles), goodput
  * under an SLO, queue depth over time, and saturation indicators
  * (time-weighted batch occupancy, peak queue depth).
  */
@@ -130,7 +135,8 @@ struct ServingResult {
     double mean_queue_depth = 0.0;
     std::uint64_t peak_queue_depth = 0;
 
-    /** Step-cost cache effectiveness (plan evaluations + engine runs). */
+    /** Step-cost cache effectiveness over this run alone (plan
+     *  evaluations + capacity runs; no cost state outlives run()). */
     std::uint64_t cost_cache_hits = 0;
     std::uint64_t cost_cache_misses = 0;
 

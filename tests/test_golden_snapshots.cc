@@ -241,6 +241,48 @@ TEST(GoldenSnapshots, ServingModerateLoadOpt66b)
     expectGolden("serving_moderate_load_opt66b.txt", os.str());
 }
 
+TEST(GoldenSnapshots, ServingSmallQuantumOpt66b)
+{
+    // A 64-token bucket quantum: every decode run crosses many bucket
+    // edges, so the step-cost hit/miss counts pin how a run is split
+    // at edges, and each engine's capacity probes pin the cached-run
+    // path. A batch cap of 4 under a 2 req/s stream keeps the batch
+    // full, so runs go on until the first completion.
+    const HilosEngine hilos(defaultSystem(), HilosOptions{});
+    const VllmMultiGpuEngine vllm(defaultSystem(), VllmClusterConfig{});
+    FleetConfig fleet;
+    fleet.hosts = 2;
+    const FleetEngine fleet_engine(defaultSystem(), fleet);
+    PoissonStreamConfig pc;
+    pc.arrival_rate = 2.0;
+    pc.count = 16;
+    Rng rng(5);
+    const std::vector<Request> stream = makePoissonArrivals(pc, rng);
+
+    std::ostringstream os;
+    for (const InferenceEngine *engine :
+         {static_cast<const InferenceEngine *>(&hilos),
+          static_cast<const InferenceEngine *>(&vllm),
+          static_cast<const InferenceEngine *>(&fleet_engine)}) {
+        for (const ServingPolicy policy :
+             {ServingPolicy::Fcfs, ServingPolicy::Sjf}) {
+            for (const std::uint64_t chunks : {1, 3}) {
+                ServingConfig cfg;
+                cfg.model = modelByName("OPT-66B");
+                cfg.max_batch = 4;
+                cfg.bucket_quantum = 64;
+                cfg.policy = policy;
+                cfg.prefill_chunks = chunks;
+                os << "==== " << engine->name() << ' '
+                   << servingPolicyName(policy)
+                   << " prefill_chunks=" << chunks << " ====\n"
+                   << serialize(ServingSimulator(*engine, cfg).run(stream));
+            }
+        }
+    }
+    expectGolden("serving_small_quantum_opt66b.txt", os.str());
+}
+
 TEST(GoldenSnapshots, BatcherTokenAccountingOpt66b)
 {
     // Pins the corrected serve() accounting: tokens_per_second counts

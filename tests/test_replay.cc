@@ -125,22 +125,34 @@ TEST(ReplayDifferential, EveryEnginePlanMatchesTheReference)
     EXPECT_GE(replayed, 18);
 }
 
+/**
+ * True when a timed op (seconds > 0) fans out over a count that is not
+ * a multiple of its pool's instances: the plan replays that pool
+ * expanded, one slot per instance.
+ */
+bool
+hasUnevenTimedOp(const StepPlan &plan)
+{
+    for (const StepOpView op : plan.layer_ops)
+        if (op.seconds > 0.0 &&
+            op.fanout % plan.instancesOf(op.resource) != 0)
+            return true;
+    return false;
+}
+
 TEST(ReplayDifferential, FaultedHilosPlanMatchesTheReference)
 {
-    // Two of eight devices lost at t = 0: the survivors' ops fan out
-    // over a count that no longer fills the declared instances evenly.
+    // Two of eight devices lost at t = 0 plus NAND read errors: the
+    // survivors' timed ops fan out 6-wide over the 6 remaining
+    // instances, and the read-retry op (timed once errors occur) fans
+    // out over one of them, so its pool replays expanded.
     HilosOptions opts;
-    opts.fault_plan = parseFaultPlan("fail@0=0;fail@0=5");
+    opts.fault_plan = parseFaultPlan("nand-err=1e-3;fail@0=0;fail@0=5");
     const auto engine = makeEngine(EngineKind::Hilos, defaultSystem(), opts);
     const StepPlan plan =
         engine->decodeStepPlanAt(runOf(opt66b(), 16, 32768), 1.0);
     ASSERT_TRUE(plan.feasible) << plan.note;
-    bool uneven = false;
-    for (const StepOpView op : plan.layer_ops)
-        if (op.op_kind == StepOp::Kind::Transfer &&
-            op.fanout % plan.instancesOf(op.resource) != 0)
-            uneven = true;
-    EXPECT_TRUE(uneven) << "no op fans out unevenly";
+    EXPECT_TRUE(hasUnevenTimedOp(plan)) << "no timed op fans out unevenly";
     expectMatchesReference(plan, "hilos after fail@0");
 }
 

@@ -27,6 +27,16 @@ sortedNearestRank(std::vector<double> xs, double q)
     return xs[rank - 1];
 }
 
+/** One quantile, selected by exactQuantiles on a copy of `xs`. */
+double
+exactQuantile(std::vector<double> xs, double q)
+{
+    const double qs[] = {q};
+    double out[1];
+    exactQuantiles(xs, qs, out);
+    return out[0];
+}
+
 TEST(ExactQuantile, NearestRankOnKnownSamples)
 {
     const std::vector<double> xs = {9.0, 1.0, 5.0, 3.0, 7.0};
@@ -82,6 +92,34 @@ TEST(ExactQuantile, SelectionEqualsTheSortedRankWithDuplicates)
 TEST(ExactQuantile, EmptySampleSetDies)
 {
     EXPECT_DEATH(exactQuantile({}, 0.5), "empty");
+}
+
+TEST(ExactQuantiles, MatchEachSingleQuantileWithTies)
+{
+    // The nested selections over one buffer must return, for every q,
+    // the value a one-quantile selection returns, on tied random
+    // samples around the p999 rank boundaries (n = 999, 1000, 1001).
+    Rng rng(11);
+    const std::vector<double> qs = {0.0, 0.5, 0.5, 0.99, 0.999, 1.0};
+    for (const std::size_t n : {1, 2, 999, 1000, 1001}) {
+        std::vector<double> xs;
+        for (std::size_t i = 0; i < n; i++)
+            xs.push_back(static_cast<double>(rng.uniformInt(0, 40)) * 0.25);
+        std::vector<double> buffer = xs;
+        std::vector<double> out(qs.size());
+        exactQuantiles(buffer, qs, out);
+        for (std::size_t i = 0; i < qs.size(); i++)
+            EXPECT_EQ(out[i], exactQuantile(xs, qs[i]))
+                << "n " << n << " q " << qs[i];
+    }
+}
+
+TEST(ExactQuantiles, DecreasingQuantilesDie)
+{
+    std::vector<double> xs = {1.0, 2.0};
+    const double down[] = {0.9, 0.1};
+    double out[2];
+    EXPECT_DEATH(exactQuantiles(xs, down, out), "must not decrease");
 }
 
 TEST(Pearson, PerfectPositiveCorrelation)

@@ -780,6 +780,61 @@ TEST(PlanCache, EveryEngineRunCachedMatchesRunAcrossScalarGrid)
     }
 }
 
+TEST(PlanCache, CachedStepPlansSerializeLikeColdBuilds)
+{
+    // The engine's cached plan getters rebuild under runCached()'s
+    // keys. Over a batch x context grid (each context at several
+    // batches, some points past the FLEX(DRAM), DS+UVM and HILOS
+    // capacities) each plan serializes exactly like the cold build,
+    // and runCached() shares their two entries.
+    const SystemConfig sys = defaultSystem();
+    const EngineKind kinds[] = {
+        EngineKind::FlexDram,        EngineKind::FlexSsd,
+        EngineKind::FlexSmartSsdRaw, EngineKind::DeepSpeedUvm,
+        EngineKind::VllmMultiGpu,    EngineKind::Hilos,
+    };
+    std::size_t infeasible = 0;
+    for (const EngineKind kind : kinds) {
+        const auto engine = makeEngine(kind, sys);
+        PlanCache cache;
+        RunConfig run;
+        run.model = opt66b();
+        run.output_len = 1;
+        for (const std::uint64_t context : {1024ull, 8192ull, 1ull << 21}) {
+            for (const std::uint64_t batch : {1ull, 4ull, 16ull, 4096ull}) {
+                run.batch = batch;
+                run.context_len = context;
+                const StepPlan &decode = engine->decodeStepPlan(run, cache);
+                infeasible += decode.feasible ? 0 : 1;
+                EXPECT_EQ(test::serialize(decode),
+                          test::serialize(engine->decodeStepPlan(run)))
+                    << engine->name() << " batch=" << batch
+                    << " context=" << context;
+                for (const std::uint64_t count : {1ull, 3ull}) {
+                    run.prefill_chunks = count;
+                    for (std::uint64_t i = 0; i < count; i++)
+                        EXPECT_EQ(test::serialize(engine->prefillStepPlan(
+                                      run, i, count, cache)),
+                                  test::serialize(
+                                      engine->prefillStepPlan(run, i, count)))
+                            << engine->name() << " batch=" << batch
+                            << " context=" << context << " chunk " << i
+                            << "/" << count;
+                }
+                run.prefill_chunks = 1;
+            }
+        }
+        // One entry per phase, the same two runCached() rebuilds.
+        EXPECT_EQ(cache.size(), 2u) << engine->name();
+        run.batch = 16;
+        run.context_len = 8192;
+        EXPECT_EQ(test::serialize(engine->runCached(run, cache)),
+                  test::serialize(engine->run(run)));
+        EXPECT_EQ(cache.size(), 2u) << engine->name();
+    }
+    EXPECT_GT(infeasible, 0u);
+}
+
 TEST(PlanCache, FaultRoutesRunCachedMatchRun)
 {
     // A faulted HILOS and a faulted fleet run the epoch fold rather
