@@ -166,9 +166,13 @@ InferenceEngine::runEpochs(const RunConfig &cfg) const
     const ConditionTimeline &tl = timeline();
     std::vector<DecodeEpoch> epochs;
     EpochLog log;
+    // Every plan of the run evaluates into this one evaluation.
+    PlanEvaluation ev;
     const StepPlan healthy = decodeStepPlan(cfg);
-    if (healthy.feasible)
-        log.healthy_step = evaluatePlan(healthy).decode_step_time;
+    if (healthy.feasible) {
+        evaluatePlan(healthy, ev);
+        log.healthy_step = ev.decode_step_time;
+    }
 
     // Capacity decisions and the prefill phase under the conditions in
     // force when the run starts.
@@ -213,7 +217,8 @@ InferenceEngine::runEpochs(const RunConfig &cfg) const
         if (!rebuild.tail_ops.empty()) {
             // Decode pauses for the rebuild; a change inside the pause
             // is read (and charged) on the next pass.
-            const Seconds pause = evaluatePlan(rebuild).decode_step_time;
+            evaluatePlan(rebuild, ev);
+            const Seconds pause = ev.decode_step_time;
             log.rebuild_time += pause;
             for (const StepOpView op : rebuild.tail_ops)
                 log.rebuild_bytes += op.bytes;
@@ -234,7 +239,7 @@ InferenceEngine::runEpochs(const RunConfig &cfg) const
             res.note = plan.note;
             break;
         }
-        const PlanEvaluation ev = evaluatePlan(plan);
+        evaluatePlan(plan, ev);
         const Seconds step = ev.decode_step_time;
         HILOS_ASSERT(step > 0.0, "decode step must be positive");
 

@@ -141,17 +141,16 @@ FleetEngine::coordinationTime(std::uint64_t placed_batch,
 FleetPlacement
 FleetEngine::healthyPlacement(const RunConfig &cfg) const
 {
-    return sched_.place(cfg, cfg.batch,
-                        std::vector<bool>(fleet_.hosts, true));
+    return sched_.place(cfg, cfg.batch, allHostsMask(fleet_.hosts));
 }
 
 FleetPlacement
 FleetEngine::placementAt(const RunConfig &cfg, Seconds now) const
 {
-    std::vector<bool> serving(fleet_.hosts, true);
+    std::uint64_t serving = allHostsMask(fleet_.hosts);
     for (unsigned h = 0; h < fleet_.hosts; h++) {
         if (timeline_.hostFailed(h, now) || timeline_.hostStalled(h, now))
-            serving[h] = false;
+            serving &= ~(std::uint64_t{1} << h);
     }
     return sched_.place(cfg, cfg.batch, serving);
 }

@@ -1,6 +1,7 @@
 #include "runtime/fleet_scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/logging.h"
@@ -74,17 +75,12 @@ FleetScheduler::hostCapacity(const RunConfig &cfg) const
 
 FleetPlacement
 FleetScheduler::place(const RunConfig &cfg, std::uint64_t batch,
-                      const std::vector<bool> &alive) const
+                      std::uint64_t alive) const
 {
     FleetPlacement out;
     const std::uint64_t capacity = hostCapacity(cfg);
-
-    std::vector<unsigned> alive_hosts;
-    for (unsigned h = 0; h < alive.size(); h++) {
-        if (alive[h])
-            alive_hosts.push_back(h);
-    }
-    if (alive_hosts.empty() || capacity == 0) {
+    const auto alive_hosts = static_cast<unsigned>(std::popcount(alive));
+    if (alive_hosts == 0 || capacity == 0) {
         out.dropped_batch = batch;
         return out;
     }
@@ -93,49 +89,37 @@ FleetScheduler::place(const RunConfig &cfg, std::uint64_t batch,
     // promote a warm spare instead of re-packing the survivors; it
     // never reserves the whole alive set.
     unsigned spares = 0;
-    if (policy_ == PlacementPolicy::FaultAware) {
-        spares = std::min(spare_hosts_,
-                          static_cast<unsigned>(alive_hosts.size()) - 1);
-    }
-    const auto servers =
-        static_cast<unsigned>(alive_hosts.size()) - spares;
+    if (policy_ == PlacementPolicy::FaultAware)
+        spares = std::min(spare_hosts_, alive_hosts - 1);
+    const unsigned servers = alive_hosts - spares;
 
-    std::vector<std::uint64_t> shares(alive_hosts.size(), 0);
-    std::uint64_t placed = 0;
-    if (policy_ == PlacementPolicy::Pack) {
-        // Fill hosts in index order to capacity; later hosts stay idle
-        // (implicit spares, but not counted as reserved).
-        std::uint64_t left = batch;
-        for (std::size_t i = 0; i < alive_hosts.size() && left > 0; i++) {
-            shares[i] = std::min(left, capacity);
-            left -= shares[i];
-        }
-        placed = batch - left;
-    } else {
-        // Spread / FaultAware: even split over the serving hosts, the
-        // first `batch % servers` hosts taking one extra request.
-        const std::uint64_t base = batch / servers;
-        const std::uint64_t extra = batch % servers;
-        for (unsigned i = 0; i < servers; i++) {
-            const std::uint64_t want = base + (i < extra ? 1 : 0);
-            shares[i] = std::min(want, capacity);
-            placed += shares[i];
-        }
-    }
-
-    out.placed_batch = placed;
-    out.dropped_batch = batch - placed;
-    for (std::size_t i = 0; i < alive_hosts.size(); i++) {
+    // Pack fills hosts in index order to capacity; later hosts stay
+    // idle (implicit spares, but not counted as reserved). Spread and
+    // FaultAware split evenly over the serving hosts, the first
+    // `batch % servers` hosts taking one extra request.
+    std::uint64_t left = batch;
+    const std::uint64_t base = batch / servers;
+    const std::uint64_t extra = batch % servers;
+    out.assignments.reserve(alive_hosts);
+    unsigned i = 0;
+    for (std::uint64_t rest = alive; rest != 0; rest &= rest - 1, i++) {
         HostAssignment a;
-        a.host = alive_hosts[i];
-        a.batch = shares[i];
+        a.host = static_cast<unsigned>(std::countr_zero(rest));
+        if (policy_ == PlacementPolicy::Pack) {
+            a.batch = std::min(left, capacity);
+            left -= a.batch;
+        } else if (i < servers) {
+            a.batch = std::min(base + (i < extra ? 1 : 0), capacity);
+        }
         a.spare = policy_ == PlacementPolicy::FaultAware && i >= servers;
+        out.placed_batch += a.batch;
         if (a.batch > 0)
             out.serving_hosts++;
         if (a.spare)
             out.spare_hosts++;
         out.assignments.push_back(a);
     }
+    out.dropped_batch = batch - out.placed_batch;
     return out;
 }
 

@@ -33,6 +33,14 @@ const char *placementPolicyName(PlacementPolicy policy);
 /** Parse a policy name; raises a fatal error on unknown input. */
 PlacementPolicy parsePlacementPolicy(const std::string &name);
 
+/** The host mask with hosts 0..hosts-1 set (hosts <= 64). */
+constexpr std::uint64_t
+allHostsMask(unsigned hosts)
+{
+    return hosts >= 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << hosts) - 1;
+}
+
 /** Share of the batch one host serves under a placement. */
 struct HostAssignment {
     unsigned host = 0;
@@ -66,13 +74,15 @@ class FleetScheduler
                    PlacementPolicy policy, unsigned spare_hosts);
 
     /**
-     * Place `batch` requests over the hosts with `alive[h] == true`.
-     * FaultAware reserves up to `spare_hosts` alive hosts (highest
-     * indices first) as long as at least one host keeps serving;
-     * requests beyond the serving capacity are dropped, not queued.
+     * Place `batch` requests over the hosts whose bit is set in the
+     * host mask `alive` (bit h is host h; a fleet has at most 64
+     * hosts). FaultAware reserves up to `spare_hosts` alive hosts
+     * (highest indices first) as long as at least one host keeps
+     * serving; requests beyond the serving capacity are dropped, not
+     * queued. Allocates only the assignments.
      */
     FleetPlacement place(const RunConfig &cfg, std::uint64_t batch,
-                         const std::vector<bool> &alive) const;
+                         std::uint64_t alive) const;
 
     /** Requests one host can decode for this workload (may be 0). */
     std::uint64_t hostCapacity(const RunConfig &cfg) const;

@@ -182,22 +182,6 @@ computeOp(ComputeUnit unit, std::string_view label, Seconds seconds)
 
 // --- StepOpArray -------------------------------------------------------
 
-namespace {
-
-constexpr std::uint8_t kFlagPrefetch = 1u << 0;
-constexpr std::uint8_t kFlagShadow = 1u << 1;
-constexpr std::uint8_t kFlagOffline = 1u << 2;
-
-std::uint8_t
-packFlags(const StepOp &op)
-{
-    return static_cast<std::uint8_t>((op.prefetch ? kFlagPrefetch : 0u) |
-                                     (op.shadow ? kFlagShadow : 0u) |
-                                     (op.offline ? kFlagOffline : 0u));
-}
-
-}  // namespace
-
 StepOpArray::Span
 StepOpArray::intern(std::string_view s)
 {
@@ -209,132 +193,92 @@ StepOpArray::intern(std::string_view s)
     return out;
 }
 
-StepOpView
-StepOpArray::operator[](std::size_t i) const
-{
-    HILOS_ASSERT(i < size(), "step-op index out of range: ", i);
-    StepOpView v;
-    v.op_kind = static_cast<StepOp::Kind>(kind_[i]);
-    v.resource = static_cast<PlanResource>(resource_[i]);
-    v.unit = static_cast<ComputeUnit>(unit_[i]);
-    v.seconds = seconds_[i];
-    v.bytes = bytes_[i];
-    v.fanout = fanout_[i];
-    v.label = arenaView(label_[i]);
-    v.stage = arenaView(stage_[i]);
-    v.busy = busy_[i];
-    v.prefetch = (flags_[i] & kFlagPrefetch) != 0;
-    v.shadow = (flags_[i] & kFlagShadow) != 0;
-    v.offline = (flags_[i] & kFlagOffline) != 0;
-    v.deps = std::span<const std::uint32_t>(
-        dep_pool_.data() + deps_[i].pos, deps_[i].len);
-    v.traffic = std::span<const TrafficShare>(
-        traffic_pool_.data() + traffic_[i].pos, traffic_[i].len);
-    return v;
-}
-
 StepOp
 StepOpArray::get(std::size_t i) const
 {
-    const StepOpView v = (*this)[i];
+    HILOS_ASSERT(i < size(), "step-op index out of range: ", i);
+    const Record &r = ops_[i];
     StepOp op;
-    op.op_kind = v.op_kind;
-    op.resource = v.resource;
-    op.unit = v.unit;
-    op.seconds = v.seconds;
-    op.bytes = v.bytes;
-    op.fanout = v.fanout;
-    op.label = v.label;
-    op.stage = v.stage;
-    op.busy = v.busy;
-    op.prefetch = v.prefetch;
-    op.shadow = v.shadow;
-    op.offline = v.offline;
-    for (const TrafficShare &t : v.traffic)
-        op.traffic.push_back(t);
-    for (const std::uint32_t d : v.deps)
-        op.deps.push_back(d);
+    op.op_kind = r.kind;
+    op.resource = r.resource;
+    op.unit = r.unit;
+    op.seconds = r.seconds;
+    op.bytes = r.bytes;
+    op.fanout = r.fanout;
+    op.label = arenaView(r.label);
+    op.stage = arenaView(r.stage);
+    op.busy = r.busy;
+    op.prefetch = (r.flags & kFlagPrefetch) != 0;
+    op.shadow = (r.flags & kFlagShadow) != 0;
+    op.offline = (r.flags & kFlagOffline) != 0;
+    op.traffic = r.traffic;
+    op.deps = r.deps;
     return op;
 }
 
 void
 StepOpArray::push(const StepOp &op)
 {
-    kind_.push_back(static_cast<std::uint8_t>(op.op_kind));
-    resource_.push_back(static_cast<std::uint8_t>(op.resource));
-    unit_.push_back(static_cast<std::uint8_t>(op.unit));
-    flags_.push_back(packFlags(op));
-    busy_.push_back(op.busy);
-    seconds_.push_back(op.seconds);
-    bytes_.push_back(op.bytes);
-    fanout_.push_back(op.fanout);
-    label_.push_back(intern(op.label));
-    stage_.push_back(intern(op.stage));
-    Span d{static_cast<std::uint32_t>(dep_pool_.size()),
-           static_cast<std::uint32_t>(op.deps.size())};
-    dep_pool_.insert(dep_pool_.end(), op.deps.begin(), op.deps.end());
-    deps_.push_back(d);
-    Span t{static_cast<std::uint32_t>(traffic_pool_.size()),
-           static_cast<std::uint32_t>(op.traffic.size())};
-    traffic_pool_.insert(traffic_pool_.end(), op.traffic.begin(),
-                         op.traffic.end());
-    traffic_.push_back(t);
+    if (ops_.capacity() == 0) {
+        ops_.reserve(kRecordReserve);
+        arena_.reserve(kArenaReserve);
+    }
+    Record &r = ops_.emplace_back();
+    r.kind = op.op_kind;
+    r.resource = op.resource;
+    r.unit = op.unit;
+    r.flags = packFlags(op);
+    r.busy = op.busy;
+    r.seconds = op.seconds;
+    r.bytes = op.bytes;
+    r.fanout = op.fanout;
+    r.label = intern(op.label);
+    r.stage = intern(op.stage);
+    r.deps = op.deps;
+    r.traffic = op.traffic;
 }
 
 void
 StepOpArray::set(std::size_t i, const StepOp &op)
 {
     HILOS_ASSERT(i < size(), "step-op index out of range: ", i);
-    kind_[i] = static_cast<std::uint8_t>(op.op_kind);
-    resource_[i] = static_cast<std::uint8_t>(op.resource);
-    unit_[i] = static_cast<std::uint8_t>(op.unit);
-    flags_[i] = packFlags(op);
-    busy_[i] = op.busy;
-    seconds_[i] = op.seconds;
-    bytes_[i] = op.bytes;
-    fanout_[i] = op.fanout;
-    const bool new_label = arenaView(label_[i]) != op.label;
-    const bool new_stage = arenaView(stage_[i]) != op.stage;
+    Record &r = ops_[i];
+    r.kind = op.op_kind;
+    r.resource = op.resource;
+    r.unit = op.unit;
+    r.flags = packFlags(op);
+    r.busy = op.busy;
+    r.seconds = op.seconds;
+    r.bytes = op.bytes;
+    r.fanout = op.fanout;
+    const bool new_label = arenaView(r.label) != op.label;
+    const bool new_stage = arenaView(r.stage) != op.stage;
     if (new_label || new_stage) {
         // An op read back with get() views this arena, and interning
         // can move it: copy both strings out before appending either.
         const std::string label(op.label);
         const std::string stage(op.stage);
         if (new_label)
-            label_[i] = intern(label);
+            r.label = intern(label);
         if (new_stage)
-            stage_[i] = intern(stage);
+            r.stage = intern(stage);
     }
-    if (deps_[i].len == op.deps.size()) {
-        std::copy(op.deps.begin(), op.deps.end(),
-                  dep_pool_.begin() + deps_[i].pos);
-    } else {
-        deps_[i] = Span{static_cast<std::uint32_t>(dep_pool_.size()),
-                        static_cast<std::uint32_t>(op.deps.size())};
-        dep_pool_.insert(dep_pool_.end(), op.deps.begin(), op.deps.end());
-    }
-    if (traffic_[i].len == op.traffic.size()) {
-        std::copy(op.traffic.begin(), op.traffic.end(),
-                  traffic_pool_.begin() + traffic_[i].pos);
-    } else {
-        traffic_[i] = Span{static_cast<std::uint32_t>(traffic_pool_.size()),
-                           static_cast<std::uint32_t>(op.traffic.size())};
-        traffic_pool_.insert(traffic_pool_.end(), op.traffic.begin(),
-                             op.traffic.end());
-    }
+    r.deps = op.deps;
+    r.traffic = op.traffic;
 }
 
 void
 StepOpArray::annotate(std::size_t i, const StepOp &op)
 {
     HILOS_ASSERT(i < size(), "step-op index out of range: ", i);
-    HILOS_ASSERT(traffic_[i].len == op.traffic.size(),
+    Record &r = ops_[i];
+    HILOS_ASSERT(r.traffic.size() == op.traffic.size(),
                  "annotate with mismatched traffic shape: ", op.label);
-    seconds_[i] = op.seconds;
-    bytes_[i] = op.bytes;
-    fanout_[i] = op.fanout;
+    r.seconds = op.seconds;
+    r.bytes = op.bytes;
+    r.fanout = op.fanout;
     for (std::size_t k = 0; k < op.traffic.size(); ++k)
-        traffic_pool_[traffic_[i].pos + k].bytes = op.traffic[k].bytes;
+        r.traffic[k].bytes = op.traffic[k].bytes;
 }
 
 bool
@@ -342,23 +286,20 @@ StepOpArray::structureMatches(std::size_t i, const StepOp &op) const
 {
     if (i >= size())
         return false;
-    if (kind_[i] != static_cast<std::uint8_t>(op.op_kind) ||
-        resource_[i] != static_cast<std::uint8_t>(op.resource) ||
-        unit_[i] != static_cast<std::uint8_t>(op.unit) ||
-        flags_[i] != packFlags(op) || busy_[i] != op.busy)
+    const Record &r = ops_[i];
+    if (r.kind != op.op_kind || r.resource != op.resource ||
+        r.unit != op.unit || r.flags != packFlags(op) || r.busy != op.busy)
         return false;
-    if (arenaView(label_[i]) != op.label ||
-        arenaView(stage_[i]) != op.stage)
+    if (arenaView(r.label) != op.label || arenaView(r.stage) != op.stage)
         return false;
-    if (deps_[i].len != op.deps.size() ||
-        traffic_[i].len != op.traffic.size())
+    if (r.deps.size() != op.deps.size() ||
+        r.traffic.size() != op.traffic.size())
         return false;
     for (std::size_t k = 0; k < op.deps.size(); ++k)
-        if (dep_pool_[deps_[i].pos + k] != op.deps[k])
+        if (r.deps[k] != op.deps[k])
             return false;
     for (std::size_t k = 0; k < op.traffic.size(); ++k)
-        if (traffic_pool_[traffic_[i].pos + k].field !=
-            op.traffic[k].field)
+        if (r.traffic[k].field != op.traffic[k].field)
             return false;
     return true;
 }
@@ -366,21 +307,8 @@ StepOpArray::structureMatches(std::size_t i, const StepOp &op) const
 void
 StepOpArray::clear()
 {
-    kind_.clear();
-    resource_.clear();
-    unit_.clear();
-    flags_.clear();
-    busy_.clear();
-    seconds_.clear();
-    bytes_.clear();
-    fanout_.clear();
-    label_.clear();
-    stage_.clear();
-    deps_.clear();
-    traffic_.clear();
+    ops_.clear();
     arena_.clear();
-    dep_pool_.clear();
-    traffic_pool_.clear();
 }
 
 // --- StepPlan builder --------------------------------------------------
@@ -784,8 +712,8 @@ evaluatePlan(const StepPlan &plan, PlanEvaluation &ev)
     // The evaluator runs twice per grid point on the cached sweep hot
     // path (once per phase), so it fuses every consumer — critical
     // path, per-stage sums, traffic totals, and all five busy
-    // components — into one traversal that materialises each op's SoA
-    // view exactly once. Every accumulator still sees the historical
+    // components — into one traversal that reads each op's record
+    // exactly once. Every accumulator still sees the historical
     // multi-pass addition/max sequence (per stage, per traffic field,
     // and per busy lane the values arrive in op-insertion order), so
     // the fusion is bit-identical.

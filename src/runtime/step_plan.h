@@ -41,14 +41,15 @@
  *    gates the critical path (e.g. the CPU driving synchronous I/O).
  *
  * Storage layout: plans sit on the sweep driver's hottest path (one
- * build → validate → apply per grid point), so ops live in a
- * structure-of-arrays StepOpArray — parallel flat vectors for the
- * scalar fields, one shared string arena for labels/stages, and flat
- * pools for dependency edges and traffic shares addressed by (pos, len)
- * spans. StepOp remains the addressable builder value (engines still
- * emit transferOp()/computeOp() chains); reads go through the
- * StepOpView proxy, which exposes the same field names over the flat
- * storage without materialising per-op heap allocations.
+ * build → validate → apply per grid point), so a StepOpArray keeps its
+ * ops as one vector of fixed-size records plus one string arena for
+ * labels and stages. A record carries the op's deps and traffic inline,
+ * so a cold build grows one vector and one arena per op array (a small
+ * plan fits the first reservation) instead of one allocation per field.
+ * StepOp remains the addressable builder value (engines still emit
+ * transferOp()/computeOp() chains); reads go through the StepOpView
+ * proxy, which exposes the same field names over the record and the
+ * arena without materialising per-op heap allocations.
  *
  * StepOp is a fixed-size value that owns no heap memory, so building
  * one, copying it and handing it to addOp never allocates:
@@ -77,6 +78,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/units.h"
 #include "runtime/energy.h"
 #include "runtime/engine.h"
@@ -193,7 +195,7 @@ class InlineVector
 /**
  * One typed op of a step plan, as an addressable builder value. Build
  * with transferOp()/computeOp() and the fluent setters; add to a plan
- * with StepPlan::addOp (which flattens it into the plan's SoA storage).
+ * with StepPlan::addOp (which stores it as one record of the plan).
  * A fixed-size value: see the file comment for its view and capacity
  * rules.
  */
@@ -247,7 +249,7 @@ StepOp computeOp(ComputeUnit unit, std::string_view label, Seconds seconds);
 /**
  * Read-only proxy over one op of a StepOpArray: the same field names as
  * StepOp, but labels/stages are views into the shared arena and
- * deps/traffic are spans into the flat pools — no per-access
+ * deps/traffic are spans over the op's record — no per-access
  * allocation. Cheap to copy; valid until the owning array mutates.
  */
 struct StepOpView {
@@ -268,20 +270,43 @@ struct StepOpView {
 };
 
 /**
- * Structure-of-arrays op storage: parallel vectors per scalar field,
- * one string arena for labels/stages, and flat dependency/traffic pools
- * addressed by (pos, len) spans. Appending an op performs at most a few
- * amortised vector growths instead of three per-op heap allocations,
- * and iterating touches contiguous memory.
+ * Op storage: one vector of fixed-size op records plus one string
+ * arena for labels and stages. A record holds an op's scalar fields,
+ * its label and stage as arena spans, and its deps and traffic inline
+ * (the InlineVectors StepOp uses), so appending an op grows one vector
+ * and the arena, and the first append reserves room for a small plan
+ * in one allocation each.
  */
 class StepOpArray
 {
   public:
-    std::size_t size() const { return kind_.size(); }
-    bool empty() const { return kind_.empty(); }
+    std::size_t size() const { return ops_.size(); }
+    bool empty() const { return ops_.empty(); }
 
     /** Proxy view of op `i`. */
-    StepOpView operator[](std::size_t i) const;
+    StepOpView operator[](std::size_t i) const
+    {
+        HILOS_ASSERT(i < size(), "step-op index out of range: ", i);
+        const Record &r = ops_[i];
+        StepOpView v;
+        v.op_kind = r.kind;
+        v.resource = r.resource;
+        v.unit = r.unit;
+        v.seconds = r.seconds;
+        v.bytes = r.bytes;
+        v.fanout = r.fanout;
+        v.label = arenaView(r.label);
+        v.stage = arenaView(r.stage);
+        v.busy = r.busy;
+        v.prefetch = (r.flags & kFlagPrefetch) != 0;
+        v.shadow = (r.flags & kFlagShadow) != 0;
+        v.offline = (r.flags & kFlagOffline) != 0;
+        v.deps = std::span<const std::uint32_t>(r.deps.begin(),
+                                                r.deps.size());
+        v.traffic = std::span<const TrafficShare>(r.traffic.begin(),
+                                                  r.traffic.size());
+        return v;
+    }
 
     /** Materialise op `i` back into an addressable StepOp (for tests
      *  and targeted mutation via set()). Its label and stage view this
@@ -291,12 +316,12 @@ class StepOpArray
     /**
      * Overwrite op `i` with `op`, unchecked: no dependency or stage
      * validation runs (tests use this to assemble deliberately broken
-     * plans for validate()). Variable-length fields that grow are
-     * re-appended to the pools; the abandoned spans stay as slack.
+     * plans for validate()). A changed label or stage is appended to
+     * the arena; the abandoned bytes stay as slack.
      */
     void set(std::size_t i, const StepOp &op);
 
-    /** Append `op`, flattening it into the parallel arrays. */
+    /** Append `op` as one record. */
     void push(const StepOp &op);
 
     /** Overwrite only the priced annotations of op `i` (seconds, bytes,
@@ -342,10 +367,47 @@ class StepOpArray
     const_iterator end() const { return const_iterator(this, size()); }
 
   private:
+    /**
+     * Records and arena bytes the first append reserves: room for every
+     * engine's prefill plan and all but HILOS's decode plan (14 ops)
+     * without a regrowth. Kept small because every op array pays it,
+     * and tails hold at most a few ops.
+     */
+    static constexpr std::size_t kRecordReserve = 8;
+    static constexpr std::size_t kArenaReserve = 256;
+
+    static constexpr std::uint8_t kFlagPrefetch = 1u << 0;
+    static constexpr std::uint8_t kFlagShadow = 1u << 1;
+    static constexpr std::uint8_t kFlagOffline = 1u << 2;
+
     struct Span {
         std::uint32_t pos = 0;
         std::uint32_t len = 0;
     };
+
+    /** One op: StepOp's fields with the strings as arena spans. */
+    struct Record {
+        StepOp::Kind kind = StepOp::Kind::Compute;
+        PlanResource resource = PlanResource::None;
+        ComputeUnit unit = ComputeUnit::None;
+        std::uint8_t flags = 0;  ///< kFlag* role bits
+        unsigned busy = 0;
+        Seconds seconds = 0;
+        Bytes bytes = 0;
+        std::uint64_t fanout = 1;
+        Span label;
+        Span stage;
+        InlineVector<std::uint32_t, kMaxOpDeps> deps;
+        InlineVector<TrafficShare, kMaxOpShares> traffic;
+    };
+
+    static std::uint8_t packFlags(const StepOp &op)
+    {
+        return static_cast<std::uint8_t>(
+            (op.prefetch ? kFlagPrefetch : 0u) |
+            (op.shadow ? kFlagShadow : 0u) |
+            (op.offline ? kFlagOffline : 0u));
+    }
 
     std::string_view arenaView(Span s) const
     {
@@ -353,21 +415,8 @@ class StepOpArray
     }
     Span intern(std::string_view s);
 
-    std::vector<std::uint8_t> kind_;
-    std::vector<std::uint8_t> resource_;
-    std::vector<std::uint8_t> unit_;
-    std::vector<std::uint8_t> flags_;  // bit 0 prefetch, 1 shadow, 2 offline
-    std::vector<unsigned> busy_;
-    std::vector<Seconds> seconds_;
-    std::vector<Bytes> bytes_;
-    std::vector<std::uint64_t> fanout_;
-    std::vector<Span> label_;
-    std::vector<Span> stage_;
-    std::vector<Span> deps_;
-    std::vector<Span> traffic_;
+    std::vector<Record> ops_;
     std::string arena_;
-    std::vector<std::uint32_t> dep_pool_;
-    std::vector<TrafficShare> traffic_pool_;
 };
 
 /** Resource instances available to the replay backend. */

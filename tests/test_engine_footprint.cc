@@ -7,8 +7,10 @@
  * a device model with a functional FTL would cost. A warm sweep point
  * is cheaper still: a PlanCache hit re-prices the cached topology in
  * place without touching the heap, and a whole runCached() point
- * allocates only a handful of times. The bounds are byte and call
- * counts, not wall times, so they cannot flake on a loaded host.
+ * allocates only a handful of times. A cold plan build allocates a
+ * handful of times too, and a whole faulted fleet run a few hundred.
+ * The bounds are byte and call counts, not wall times, so they cannot
+ * flake on a loaded host.
  *
  * This binary replaces the global operator new with a counting one;
  * it is its own executable so the counter affects nothing else.
@@ -134,6 +136,87 @@ allocationPoint()
     run.context_len = 8192;
     run.output_len = 64;
     return run;
+}
+
+/**
+ * A cold plan build stores its ops as one vector of records plus a
+ * string arena per op array, so it allocates a handful of times, not
+ * once per field per growth step.
+ */
+TEST(EngineFootprint, ColdPlanBuildAllocatesAtMostSixteenTimes)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = allocationPoint();
+    for (const EngineKind kind : kAllEngines) {
+        const auto engine = makeEngine(kind, sys);
+        RunResult res;
+        StepPlan decode;
+        StepPlan prefill;
+        const std::uint64_t decode_allocs = allocationsOf(
+            [&] { engine->buildDecodePlan(run, res, decode); });
+        const std::uint64_t prefill_allocs = allocationsOf(
+            [&] { engine->buildPrefillPlan(run, 0, 1, prefill); });
+        EXPECT_TRUE(decode.feasible && prefill.feasible) << engine->name();
+        EXPECT_LE(decode_allocs, 16u)
+            << engine->name() << " cold decode plan build";
+        EXPECT_LE(prefill_allocs, 16u)
+            << engine->name() << " cold prefill plan build";
+    }
+}
+
+/** A placement over a host mask allocates only its assignments. */
+TEST(EngineFootprint, FleetPlacementAllocatesAtMostOnce)
+{
+    HilosOptions opts;
+    opts.num_devices = 8;
+    RunConfig run = allocationPoint();
+    run.batch = 100;
+    for (const PlacementPolicy policy :
+         {PlacementPolicy::Spread, PlacementPolicy::Pack,
+          PlacementPolicy::FaultAware}) {
+        const FleetScheduler sched(defaultSystem(), opts, policy, 2);
+        FleetPlacement place;
+        const std::uint64_t allocs = allocationsOf(
+            [&] { place = sched.place(run, run.batch, 0xF0F0F0F0F0F0F0F0); });
+        EXPECT_EQ(place.assignments.size(), 32u);
+        EXPECT_EQ(place.placed_batch, run.batch);
+        EXPECT_LE(allocs, 1u) << placementPolicyName(policy);
+    }
+}
+
+/**
+ * One faulted fleet run: eight hosts of eight SmartSSDs, NAND read
+ * errors on every device and one host lost a third of the way into
+ * decode. The fleet re-places the batch and rebuilds the lost shards;
+ * a placement allocates only its assignments, and the epoch fold
+ * evaluates every plan into one PlanEvaluation.
+ */
+TEST(EngineFootprint, FaultedFleetRunAllocatesAtMost250Times)
+{
+    const SystemConfig sys = defaultSystem();
+    FleetConfig fleet;
+    fleet.hosts = 8;
+    fleet.devices_per_host = 8;
+    RunConfig run;
+    run.model = opt66b();
+    run.batch = 16 * fleet.hosts;
+    run.context_len = 16384;
+    run.output_len = 64;
+    const RunResult healthy = FleetEngine(sys, fleet).run(run);
+    ASSERT_TRUE(healthy.feasible) << healthy.note;
+    fleet.fault_plan.addNandReadError(1e-3).addHostFailure(
+        healthy.prefill_time + (static_cast<double>(run.output_len) / 3.0) *
+                                   healthy.decode_step_time,
+        3);
+    const FleetEngine engine(sys, fleet);
+    RunResult res;
+    const std::uint64_t allocs =
+        allocationsOf([&] { res = engine.run(run); });
+    ASSERT_TRUE(res.feasible) << res.note;
+    EXPECT_EQ(res.fleet.hosts_failed, 1u);
+    EXPECT_GE(res.fleet.epochs.size(), 2u);
+    EXPECT_GT(res.fleet.rebuild_time, 0.0);
+    EXPECT_LE(allocs, 250u) << "faulted 8-host fleet run";
 }
 
 TEST(EngineFootprint, PlanCacheHitAllocatesNothing)

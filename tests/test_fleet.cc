@@ -130,8 +130,7 @@ TEST(FleetScheduler, SpreadSplitsEvenlyWithRemainderFirst)
     HilosOptions opts;
     opts.num_devices = 8;
     const FleetScheduler sched(sys, opts, PlacementPolicy::Spread, 0);
-    const FleetPlacement p =
-        sched.place(smallRun(), 14, {true, true, true, true});
+    const FleetPlacement p = sched.place(smallRun(), 14, 0b1111);
     EXPECT_EQ(p.placed_batch, 14u);
     EXPECT_EQ(p.serving_hosts, 4u);
     ASSERT_EQ(p.assignments.size(), 4u);
@@ -153,8 +152,7 @@ TEST(FleetScheduler, PackFillsHostsInIndexOrder)
     ASSERT_GT(cap, 0u);
     // More work than one host's capacity: host 0 fills, host 1 takes
     // the spill, later hosts idle.
-    const FleetPlacement p =
-        sched.place(run, cap + 1, {true, true, true});
+    const FleetPlacement p = sched.place(run, cap + 1, 0b111);
     EXPECT_EQ(p.assignments[0].batch, cap);
     EXPECT_EQ(p.assignments[1].batch, 1u);
     EXPECT_EQ(p.assignments[2].batch, 0u);
@@ -167,8 +165,7 @@ TEST(FleetScheduler, FaultAwareReservesHighestIndexSpares)
     HilosOptions opts;
     opts.num_devices = 8;
     const FleetScheduler sched(sys, opts, PlacementPolicy::FaultAware, 1);
-    const FleetPlacement p =
-        sched.place(smallRun(), 12, {true, true, true, true});
+    const FleetPlacement p = sched.place(smallRun(), 12, 0b1111);
     EXPECT_EQ(p.spare_hosts, 1u);
     EXPECT_EQ(p.serving_hosts, 3u);
     ASSERT_EQ(p.assignments.size(), 4u);
@@ -184,8 +181,7 @@ TEST(FleetScheduler, FaultAwareNeverReservesTheLastHost)
     opts.num_devices = 8;
     const FleetScheduler sched(sys, opts, PlacementPolicy::FaultAware, 2);
     // Only one host alive: it must serve, spares notwithstanding.
-    const FleetPlacement p =
-        sched.place(smallRun(), 8, {false, true, false});
+    const FleetPlacement p = sched.place(smallRun(), 8, 0b010);
     EXPECT_EQ(p.spare_hosts, 0u);
     EXPECT_EQ(p.serving_hosts, 1u);
     EXPECT_EQ(p.placed_batch, 8u);
@@ -199,7 +195,7 @@ TEST(FleetScheduler, DropsBeyondFleetCapacity)
     const FleetScheduler sched(sys, opts, PlacementPolicy::Spread, 0);
     const RunConfig run = smallRun();
     const std::uint64_t cap = sched.hostCapacity(run);
-    const FleetPlacement p = sched.place(run, 2 * cap + 5, {true, true});
+    const FleetPlacement p = sched.place(run, 2 * cap + 5, 0b11);
     EXPECT_EQ(p.placed_batch, 2 * cap);
     EXPECT_EQ(p.dropped_batch, 5u);
 }

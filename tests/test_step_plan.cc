@@ -218,6 +218,119 @@ TEST(StepOp, InlineArraysHoldTheirCapacityAndPanicPastIt)
     EXPECT_DEATH(op.share(TrafficField::HostRead, 1.0), "inline array");
 }
 
+/** One source op of buildFanIn. */
+StepOp
+fanInSource(double scale)
+{
+    return computeOp(ComputeUnit::Gpu, "src", 1e-3 * scale)
+        .stageTag("src")
+        .busyTag(kBusyGpu);
+}
+
+/** The sink of buildFanIn: one dep and one traffic share. */
+StepOp
+fanInSink(double scale)
+{
+    return transferOp(PlanResource::HostPcie, "sink", 2e-3 * scale,
+                      10.0 * scale)
+        .stageTag("sink")
+        .share(TrafficField::HostRead, 10.0 * scale)
+        .dep(0);
+}
+
+/** kMaxOpDeps source ops, then a sink (op kMaxOpDeps) on source 0. */
+void
+buildFanIn(StepPlan &plan, double scale)
+{
+    plan.declareStage("src");
+    plan.declareStage("sink");
+    plan.declareResource(PlanResource::HostPcie, 1);
+    for (std::size_t i = 0; i < kMaxOpDeps; ++i)
+        plan.addOp(fanInSource(scale));
+    plan.addOp(fanInSink(scale));
+}
+
+/** The sink grown to every dep and share slot, relabelled and
+ *  re-staged: still a valid op of buildFanIn's plan. */
+StepOp
+grownSink()
+{
+    StepOp op = fanInSink(1.0);
+    op.deps = {};
+    for (std::size_t d = 0; d < kMaxOpDeps; ++d)
+        op.dep(d);
+    op.traffic = {};
+    for (std::size_t f = 0; f < kMaxOpShares; ++f)
+        op.share(static_cast<TrafficField>(f), 1.0 + static_cast<double>(f));
+    op.label = "sink_grown_past_any_short_string_buffer";
+    op.stage = "src";
+    op.seconds = 5e-3;
+    op.bytes = 64.0;
+    op.fanout = 3;
+    return op;
+}
+
+/** Every field of `got` equals `want`'s. */
+void
+expectSameOp(const StepOp &got, const StepOp &want)
+{
+    EXPECT_EQ(got.op_kind, want.op_kind);
+    EXPECT_EQ(got.resource, want.resource);
+    EXPECT_EQ(got.unit, want.unit);
+    EXPECT_EQ(got.seconds, want.seconds);
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.fanout, want.fanout);
+    EXPECT_EQ(got.label, want.label);
+    EXPECT_EQ(got.stage, want.stage);
+    EXPECT_EQ(got.busy, want.busy);
+    EXPECT_EQ(got.prefetch, want.prefetch);
+    EXPECT_EQ(got.shadow, want.shadow);
+    EXPECT_EQ(got.offline, want.offline);
+    ASSERT_EQ(got.deps.size(), want.deps.size());
+    for (std::size_t k = 0; k < want.deps.size(); ++k)
+        EXPECT_EQ(got.deps[k], want.deps[k]) << "dep " << k;
+    ASSERT_EQ(got.traffic.size(), want.traffic.size());
+    for (std::size_t k = 0; k < want.traffic.size(); ++k) {
+        EXPECT_EQ(got.traffic[k].field, want.traffic[k].field);
+        EXPECT_EQ(got.traffic[k].bytes, want.traffic[k].bytes);
+    }
+}
+
+TEST(StepOpArray, SetRoundTripsAnOpGrownToFullCapacity)
+{
+    StepPlan plan;
+    buildFanIn(plan, 1.0);
+    const std::size_t sink = kMaxOpDeps;
+    const StepOp grown = grownSink();
+
+    plan.layer_ops.set(sink, grown);
+    expectSameOp(plan.layer_ops.get(sink), grown);
+    EXPECT_EQ(plan.layer_ops[sink].deps.size(), kMaxOpDeps);
+    EXPECT_EQ(plan.layer_ops[sink].traffic.size(), kMaxOpShares);
+    EXPECT_TRUE(plan.layer_ops.structureMatches(sink, grown));
+    EXPECT_FALSE(plan.layer_ops.structureMatches(sink, fanInSink(1.0)));
+    for (std::size_t i = 0; i < sink; ++i) {
+        EXPECT_TRUE(plan.layer_ops.structureMatches(i, fanInSource(1.0)));
+        expectSameOp(plan.layer_ops.get(i), fanInSource(1.0));
+    }
+    EXPECT_TRUE(plan.validate().empty());
+
+    // Shrinking back restores the original op exactly.
+    plan.layer_ops.set(sink, fanInSink(1.0));
+    expectSameOp(plan.layer_ops.get(sink), fanInSink(1.0));
+    EXPECT_TRUE(plan.layer_ops.structureMatches(sink, fanInSink(1.0)));
+
+    // An op read back with get() views the arena the new label and
+    // stage are appended to.
+    StepOp renamed = plan.layer_ops.get(0);
+    renamed.label = plan.layer_ops.get(sink).label;
+    renamed.stage = "sink";
+    plan.layer_ops.set(0, renamed);
+    EXPECT_EQ(plan.layer_ops[0].label, "sink");
+    EXPECT_EQ(plan.layer_ops[0].stage, "sink");
+    EXPECT_EQ(plan.layer_ops[sink].label, "sink");
+}
+
 TEST(SimulatePlan, UncontendedPlanMatchesAnalytic)
 {
     const StepPlan plan = smallPlan();
@@ -724,6 +837,32 @@ TEST(PlanCache, AnnotationOnlyDivergencePassesVerification)
     StepPlan fresh;
     build(fresh, 8, 1024.0);
     EXPECT_EQ(test::serialize(hit), test::serialize(fresh));
+}
+
+TEST(PlanCache, RebuildOverASetMutatedPlanFallsBackCold)
+{
+    PlanCache cache;
+    const std::size_t sink = kMaxOpDeps;
+    const StepPlan &mutated = cache.build(3, [&](StepPlan &p) {
+        buildFanIn(p, 1.0);
+        p.layer_ops.set(sink, grownSink());
+    });
+    ASSERT_TRUE(mutated.structure_validated);
+    EXPECT_TRUE(mutated.layer_ops.structureMatches(sink, grownSink()));
+
+    // The builder re-traces the unmutated sink: a structure mismatch,
+    // so the cache rebuilds cold and hands out the fresh-build plan.
+    const StepPlan &rebuilt =
+        cache.build(3, [](StepPlan &p) { buildFanIn(p, 2.0); });
+    EXPECT_EQ(cache.stats().mismatches, 1u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    StepPlan fresh;
+    buildFanIn(fresh, 2.0);
+    EXPECT_EQ(test::serialize(rebuilt), test::serialize(fresh));
+    EXPECT_TRUE(rebuilt.structure_validated);
+
+    cache.build(3, [](StepPlan &p) { buildFanIn(p, 3.0); });
+    EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 /** Engine x workload scalar grid, all feasible with a fixed topology. */
