@@ -49,12 +49,10 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("bench_crossval_eventsim");
-    args.addOption("jobs", "1",
-                   "worker threads for the sweep (0 = all cores)");
-    if (!args.parse(argc, argv) || args.helpRequested()) {
-        std::cerr << args.usage();
-        return args.helpRequested() ? 0 : 2;
-    }
+    args.addCount("jobs", "1",
+                  "worker threads for the sweep (0 = all cores)", 0,
+                  ArgParser::kUnsignedMax);
+    args.parseOrExit(argc, argv);
 
     SystemConfig sys = defaultSystem();
 
@@ -73,12 +71,7 @@ main(int argc, char **argv)
         RunResult analytic;
         test::EventSimResult sim;
     };
-    const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
-    SweepDriver driver(jobs);
+    SweepDriver driver(static_cast<unsigned>(args.getCount("jobs")));
     const std::vector<PairResult> results =
         driver.map(points, [&sys](const Point &p) {
             RunConfig run;

@@ -57,22 +57,14 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("bench_fault_resilience");
-    args.addOption("jobs", "1",
-                   "worker threads for the scenario sweep (0 = all "
-                   "cores)");
+    args.addCount("jobs", "1",
+                  "worker threads for the scenario sweep (0 = all cores)",
+                  0, ArgParser::kUnsignedMax);
     args.addOption("json-dir", ".",
                    "where BENCH_fault_resilience.json goes (empty = "
                    "skip)");
-    if (!args.parse(argc, argv) || args.helpRequested()) {
-        std::cerr << args.usage();
-        return args.helpRequested() ? 0 : 2;
-    }
-    const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
-    SweepDriver driver(jobs);
+    args.parseOrExit(argc, argv);
+    SweepDriver driver(static_cast<unsigned>(args.getCount("jobs")));
 
     SystemConfig sys = defaultSystem();
     RunConfig run;

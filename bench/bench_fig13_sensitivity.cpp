@@ -27,17 +27,11 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("bench_fig13_sensitivity");
-    args.addOption("jobs", "1",
-                   "worker threads for the sweep (0 = all cores)");
-    if (!args.parse(argc, argv) || args.helpRequested()) {
-        std::cerr << args.usage();
-        return args.helpRequested() ? 0 : 2;
-    }
-    const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
+    args.addCount("jobs", "1",
+                  "worker threads for the sweep (0 = all cores)", 0,
+                  ArgParser::kUnsignedMax);
+    args.parseOrExit(argc, argv);
+    const auto jobs = static_cast<unsigned>(args.getCount("jobs"));
 
     SystemConfig sys = defaultSystem();
     RunConfig run;

@@ -157,17 +157,19 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("bench_fleet");
-    args.addOption("hosts", "4", "fleet size for the node-loss study");
-    args.addOption("devices", "8", "SmartSSDs per host");
-    args.addOption("policy", "spread",
-                   "placement policy (spread|pack|fault-aware)");
-    args.addOption("spares", "1", "spare hosts under fault-aware");
-    args.addOption("max-hosts", "8", "scaling-sweep upper bound");
-    args.addOption("batch-per-host", "16", "requests per host in the sweep");
-    args.addOption("context", "32768", "context length (tokens)");
-    args.addOption("output", "64", "decode tokens per request");
-    args.addOption("target-step", "0",
-                   "per-step latency budget in ms (0 = report only)");
+    args.addCount("hosts", "4", "fleet size for the node-loss study", 1, 64);
+    args.addCount("devices", "8", "SmartSSDs per host", 1, 16);
+    args.addChoice("policy", "spread", "placement policy",
+                   {"spread", "pack", "fault-aware"});
+    args.addCount("spares", "1", "spare hosts under fault-aware", 0,
+                  ArgParser::kUnsignedMax);
+    args.addCount("max-hosts", "8", "scaling-sweep upper bound", 1, 64);
+    args.addCount("batch-per-host", "16", "requests per host in the sweep",
+                  1, ArgParser::kUnsignedMax);
+    args.addCount("context", "32768", "context length (tokens)", 1);
+    args.addCount("output", "64", "decode tokens per request", 1);
+    args.addReal("target-step", "0",
+                 "per-step latency budget in ms (0 = report only)", 0.0);
     args.addOption("fault-plan", "",
                    "node-loss scenario (default: host 1 fails mid-run)");
     args.addOption("replay-dir", "",
@@ -175,33 +177,25 @@ main(int argc, char **argv)
                    "exit non-zero on a recovery-invariant violation");
     args.addOption("json-dir", ".",
                    "where BENCH_fleet.json goes (empty = skip)");
-    args.addOption("jobs", "1",
-                   "worker threads for the scaling sweep (0 = all cores)");
-    if (!args.parse(argc, argv) || args.helpRequested()) {
-        std::cerr << args.usage();
-        return args.helpRequested() ? 0 : 2;
-    }
-    const unsigned hosts = static_cast<unsigned>(args.getInt("hosts"));
-    const unsigned devices = static_cast<unsigned>(args.getInt("devices"));
-    const unsigned max_hosts =
-        static_cast<unsigned>(args.getInt("max-hosts"));
-    const std::uint64_t per_host =
-        static_cast<std::uint64_t>(args.getInt("batch-per-host"));
+    args.addCount("jobs", "1",
+                  "worker threads for the scaling sweep (0 = all cores)", 0,
+                  ArgParser::kUnsignedMax);
+    args.parseOrExit(argc, argv);
+    const auto hosts = static_cast<unsigned>(args.getCount("hosts"));
+    const auto devices = static_cast<unsigned>(args.getCount("devices"));
+    const auto max_hosts = static_cast<unsigned>(args.getCount("max-hosts"));
+    const std::uint64_t per_host = args.getCount("batch-per-host");
     const PlacementPolicy policy =
         parsePlacementPolicy(args.get("policy"));
-    const unsigned spares = static_cast<unsigned>(args.getInt("spares"));
-    const Seconds target_step = msec(args.getDouble("target-step"));
-    const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
+    const auto spares = static_cast<unsigned>(args.getCount("spares"));
+    const Seconds target_step = msec(args.getReal("target-step"));
+    const auto jobs = static_cast<unsigned>(args.getCount("jobs"));
 
     SystemConfig sys = defaultSystem();
     RunConfig run;
     run.model = opt66b();
-    run.context_len = static_cast<std::uint64_t>(args.getInt("context"));
-    run.output_len = static_cast<std::uint64_t>(args.getInt("output"));
+    run.context_len = args.getCount("context");
+    run.output_len = args.getCount("output");
 
     FleetConfig shape;
     shape.hosts = hosts;

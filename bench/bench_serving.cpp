@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -70,51 +69,41 @@ pointStream(double rate, std::size_t rate_index, std::size_t count)
 int
 main(int argc, char **argv)
 {
+    std::vector<std::string> models;
+    for (const ModelConfig &m : allModels())
+        models.push_back(m.name);
     ArgParser args("bench_serving");
-    args.addOption("model", "OPT-66B", "model to serve");
-    args.addOption("devices", "8", "SmartSSDs on the host");
-    args.addOption("max-batch", "16", "scheduler cap on in-flight batch");
-    args.addOption("requests", "48", "requests per sweep point");
+    args.addChoice("model", "OPT-66B", "model to serve", models);
+    args.addCount("devices", "8", "SmartSSDs on the host", 1, 16);
+    args.addCount("max-batch", "16", "scheduler cap on in-flight batch", 1);
+    args.addCount("requests", "48", "requests per sweep point", 1,
+                  kMaxStreamRequests);
     // Default SLO sits between the unloaded (~10 min) and saturated
     // (hours) end-to-end latency of the headline config, so the
     // attainment column actually separates the sweep points.
-    args.addOption("slo-ms", "1800000",
-                   "end-to-end latency SLO in ms (0 = no SLO)");
-    args.addOption("rates", "0.002,0.01,0.05,0.25",
-                   "comma-separated arrival rates (req/s)");
+    args.addReal("slo-ms", "1800000",
+                 "end-to-end latency SLO in ms (0 = no SLO)", 0.0);
+    args.addRealList("rates", "0.002,0.01,0.05,0.25",
+                     "arrival rates (req/s)", kMinArrivalRate);
     args.addOption("json-dir", ".",
                    "where BENCH_serving.json goes (empty = skip)");
-    args.addOption("jobs", "1",
-                   "worker threads for the sweep (0 = all cores)");
-    if (!args.parse(argc, argv) || args.helpRequested()) {
-        std::cerr << args.usage();
-        return args.helpRequested() ? 0 : 2;
-    }
-    const std::size_t requests =
-        static_cast<std::size_t>(args.getInt("requests"));
-    const Seconds slo = msec(args.getDouble("slo-ms"));
-    const unsigned jobs = static_cast<unsigned>(args.getInt("jobs"));
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
-
-    std::vector<double> rates;
-    std::stringstream rate_list(args.get("rates"));
-    std::string tok;
-    while (std::getline(rate_list, tok, ','))
-        if (!tok.empty())
-            rates.push_back(std::stod(tok));
-    check(!rates.empty(), "at least one arrival rate is required");
+    args.addCount("jobs", "1",
+                  "worker threads for the sweep (0 = all cores)", 0,
+                  ArgParser::kUnsignedMax);
+    args.parseOrExit(argc, argv);
+    const std::size_t requests = args.getCount("requests");
+    const Seconds slo = msec(args.getReal("slo-ms"));
+    const auto jobs = static_cast<unsigned>(args.getCount("jobs"));
+    const std::vector<double> rates = args.getReals("rates");
 
     SystemConfig sys = defaultSystem();
     HilosOptions opts;
-    opts.num_devices = static_cast<unsigned>(args.getInt("devices"));
+    opts.num_devices = static_cast<unsigned>(args.getCount("devices"));
     const HilosEngine engine(sys, opts);
 
     ServingConfig base;
     base.model = modelByName(args.get("model"));
-    base.max_batch = static_cast<std::uint64_t>(args.getInt("max-batch"));
+    base.max_batch = args.getCount("max-batch");
     base.slo = slo;
 
     const ServingPolicy policies[] = {

@@ -44,6 +44,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -232,26 +233,15 @@ main(int argc, char **argv)
     // first plan evaluation caches the flag.
     unsetenv("HILOS_ANALYZE_PLANS");
     ArgParser args("bench_sim_perf");
-    args.addOption("grid-repeats", "3",
-                   "repetitions of the base sweep grid");
-    args.addOption("repeats", "5", "timing repeats (minimum taken)");
+    args.addCount("grid-repeats", "3", "repetitions of the base sweep grid",
+                  1);
+    args.addCount("repeats", "5", "timing repeats (minimum taken)", 1,
+                  std::numeric_limits<int>::max());
     args.addOption("json-dir", ".",
                    "where BENCH_sim_perf.json goes (empty = skip)");
-    if (!args.parse(argc, argv) || args.helpRequested()) {
-        std::cerr << args.usage();
-        return args.helpRequested() ? 0 : 2;
-    }
-    const std::size_t grid_repeats =
-        static_cast<std::size_t>(args.getInt("grid-repeats"));
-    const int repeats = static_cast<int>(args.getInt("repeats"));
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
-    if (repeats < 1) {
-        std::cerr << "error: --repeats must be at least 1\n";
-        return 2;
-    }
+    args.parseOrExit(argc, argv);
+    const std::size_t grid_repeats = args.getCount("grid-repeats");
+    const auto repeats = static_cast<int>(args.getCount("repeats"));
 
     const SystemConfig sys = defaultSystem();
     const ModelConfig model = opt66b();

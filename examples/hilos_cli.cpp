@@ -19,10 +19,10 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "common/cli.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "core/hilos.h"
+#include "hilos_cli_options.h"
 #include "runtime/event_sim.h"
 #include "runtime/plan_analyzer.h"
 #include "runtime/report.h"
@@ -30,22 +30,6 @@
 using namespace hilos;
 
 namespace {
-
-/** "flex-dram, flex-ssd, ..." for help and error text. */
-std::string
-engineNameList()
-{
-    std::string out;
-    for (const EngineName &e : kEngineNames) {
-        if (!out.empty())
-            out += ", ";
-        out += e.name;
-    }
-    return out;
-}
-
-/** Longest --serve Poisson stream; each request keeps a ~200 B record. */
-constexpr std::int64_t kMaxServeRequests = 10'000'000;
 
 void
 printReport(const std::string &engine_name, const RunConfig &run,
@@ -234,181 +218,42 @@ priceFor(EngineKind kind, const SystemConfig &sys, unsigned devices)
 int
 runCli(int argc, char **argv)
 {
-    ArgParser args("hilos_cli");
-    args.addOption("engine", "hilos", "engine: " + engineNameList())
-        .addOption("model", "OPT-66B",
-                   "Table 2 model name (e.g. OPT-175B, Qwen2.5-32B)")
-        .addOption("batch", "16", "batch size")
-        .addOption("context", "32768", "prompt length in tokens")
-        .addOption("output", "64", "generated tokens")
-        .addOption("devices", "8", "SmartSSD count for HILOS (1..16)")
-        .addOption("hosts", "1",
-                   "scale HILOS out to a fleet of this many hosts "
-                   "(>1 selects the fleet engine)")
-        .addOption("policy", "spread",
-                   "fleet placement policy: spread, pack, fault-aware")
-        .addOption("spares", "1",
-                   "hosts the fault-aware policy holds in reserve")
-        .addOption("alpha", "-1",
-                   "X-cache ratio override (-1 = scheduler-selected)")
-        .addOption("spill", "16", "delayed-writeback spill interval c")
-        .addOption("window", "0",
-                   "sliding attention window in tokens (0 = full)")
-        .addOption("gpu", "a100", "gpu: a100 or h100")
-        .addFlag("no-xcache", "disable cooperative X-cache")
-        .addFlag("no-writeback", "disable delayed KV writeback")
-        .addFlag("cxl", "model a CXL.mem-coherent accelerator (7.3)")
-        .addFlag("compare", "run every engine on the workload")
-        .addOption("fault-plan", "",
-                   "inject faults into an offline --engine hilos run "
-                   "(any --hosts), e.g. "
-                   "'seed=7;nand-err=1e-3;fail@2.5=3;uplink@1=0.8'; "
-                   "not with --serve, --compare or --analyze-plan "
-                   "(see sim/fault.h)")
-        .addOption("report", "",
-                   "write a markdown evaluation report (headline grid) "
-                   "to this file")
-        .addOption("jobs", "1",
-                   "worker threads for the --report grid sweep "
-                   "(0 = all cores; output is identical at any value)")
-        .addOption("trace", "",
-                   "write a chrome://tracing JSON of one replayed "
-                   "decode step (any engine or fleet) to this file")
-        .addFlag("serve",
-                 "online serving simulation: continuous batching over "
-                 "an arrival stream (uses --batch as the batch cap; "
-                 "--policy selects fcfs, sjf, or slo)")
-        .addOption("arrival-rate", "1",
-                   "serving arrival rate in requests/s (Poisson)")
-        .addOption("requests", "64",
-                   "request count of the generated Poisson stream "
-                   "(1..10000000; each request keeps a ~200 B record)")
-        .addOption("arrival-trace", "",
-                   "replay arrivals from a trace file "
-                   "(`<arrival_seconds> <input> <output>` per line) "
-                   "instead of generating a Poisson stream")
-        .addOption("slo-ms", "0",
-                   "end-to-end latency SLO in milliseconds (0 = none)")
-        .addOption("prefill-chunks", "1",
-                   "split each prefill into this many chunks (offline "
-                   "run and --serve; later chunks yield to the decode "
-                   "batch)")
-        .addFlag("analyze-plan",
-                 "run the semantic plan analyzer over every engine's "
-                 "decode and prefill plans for this workload and print "
-                 "the findings/slack report (exits 1 on unwaivered "
-                 "error findings)")
-        .addOption("plan-waivers", "",
-                   "waiver file for --analyze-plan (one 'PAnnn "
-                   "<op-label|*>' per line; see tests/plan_waivers.txt)");
+    ArgParser args = hilosCliOptions();
+    args.parseOrExit(argc, argv);
 
-    if (!args.parse(argc, argv) || args.helpRequested()) {
-        std::cout << args.usage();
-        if (!args.ok())
-            std::cerr << "error: " << args.error() << "\n";
-        return args.ok() ? 0 : 2;
-    }
-
-    const std::string gpu = args.get("gpu");
-    if (gpu != "a100" && gpu != "h100") {
-        std::cerr << "error: --gpu must be a100 or h100, not '" << gpu
-                  << "'\n";
-        return 2;
-    }
-    const std::string engine_name = args.get("engine");
     EngineKind engine_kind = EngineKind::Hilos;
-    if (!parseEngineKind(engine_name, &engine_kind)) {
-        std::cerr << "error: --engine must be one of " << engineNameList()
-                  << ", not '" << engine_name << "'\n";
-        return 2;
-    }
-    SystemConfig sys = gpu == "h100" ? h100System() : defaultSystem();
+    parseEngineKind(args.get("engine"), &engine_kind);
+    SystemConfig sys =
+        args.get("gpu") == "h100" ? h100System() : defaultSystem();
     RunConfig run;
     run.model = modelByName(args.get("model"));
-    // Every count is range-checked as parsed, before any unsigned cast
-    // can wrap a negative or oversized value into a valid-looking one.
-    const std::int64_t batch = args.getInt("batch");
-    const std::int64_t context = args.getInt("context");
-    const std::int64_t output = args.getInt("output");
-    const std::int64_t chunks = args.getInt("prefill-chunks");
-    if (args.ok() && chunks < 1) {
-        std::cerr << "error: --prefill-chunks needs at least 1\n";
-        return 2;
-    }
-    if (args.ok() && batch < 1) {
-        std::cerr << "error: --batch needs at least 1\n";
-        return 2;
-    }
-    if (args.ok() && context < 1) {
-        std::cerr << "error: --context needs at least 1 token\n";
-        return 2;
-    }
-    // --output 0 is a prefill-only run, which every engine models.
-    if (args.ok() && output < 0) {
-        std::cerr << "error: --output must be >= 0\n";
-        return 2;
-    }
+    run.batch = args.getCount("batch");
+    run.context_len = args.getCount("context");
+    run.output_len = args.getCount("output");
+    run.prefill_chunks = args.getCount("prefill-chunks");
     // A chunk past the prompt's last token is empty yet still streams
     // the weights. Serving splits each request's own prompt instead.
-    if (args.ok() && !args.getFlag("serve") && chunks > context) {
+    if (!args.getFlag("serve") && run.prefill_chunks > run.context_len) {
         std::cerr << "error: --prefill-chunks must be at most --context ("
-                  << context << ")\n";
+                  << run.context_len << ")\n";
         return 2;
     }
-    run.batch = static_cast<std::uint64_t>(batch);
-    run.context_len = static_cast<std::uint64_t>(context);
-    run.output_len = static_cast<std::uint64_t>(output);
-    run.prefill_chunks = static_cast<std::uint64_t>(chunks);
 
     HilosOptions opts;
-    const std::int64_t devices = args.getInt("devices");
+    opts.num_devices = static_cast<unsigned>(args.getCount("devices"));
     opts.xcache = !args.getFlag("no-xcache");
     opts.delayed_writeback = !args.getFlag("no-writeback");
-    opts.alpha_override = args.getDouble("alpha");
-    const std::int64_t spill = args.getInt("spill");
-    opts.cxl_mode = args.getFlag("cxl");
-    const std::int64_t window = args.getInt("window");
-    const std::int64_t hosts_arg = args.getInt("hosts");
-    const std::int64_t spares_arg = args.getInt("spares");
-    const std::int64_t jobs = args.getInt("jobs");
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
-    if (window < 0) {
-        std::cerr << "error: --window must be >= 0 (0 = full attention)\n";
-        return 2;
-    }
-    opts.attention_window = static_cast<std::uint64_t>(window);
-    if (hosts_arg < 1 || hosts_arg > 64) {
-        std::cerr << "error: --hosts must be in 1..64\n";
-        return 2;
-    }
-    if (spares_arg < 0) {
-        std::cerr << "error: --spares must be >= 0\n";
-        return 2;
-    }
-    if (jobs < 0) {
-        std::cerr << "error: --jobs must be >= 0 (0 = all cores)\n";
-        return 2;
-    }
-    if (devices < 1 || devices > 16) {
-        std::cerr << "error: --devices must be in 1..16\n";
-        return 2;
-    }
-    opts.num_devices = static_cast<unsigned>(devices);
-    if (opts.alpha_override != -1.0 &&
-        !(opts.alpha_override >= 0.0 && opts.alpha_override <= 1.0)) {
+    opts.alpha_override = args.getReal("alpha");
+    // The declaration bounds --alpha to [-1, 1]; -1 is the one value
+    // below 0 it may take.
+    if (opts.alpha_override < 0.0 && opts.alpha_override != -1.0) {
         std::cerr << "error: --alpha must be -1 (scheduler-selected) or "
                      "in [0, 1]\n";
         return 2;
     }
-    if (spill < 1 || spill > std::numeric_limits<unsigned>::max()) {
-        std::cerr << "error: --spill must be in 1.."
-                  << std::numeric_limits<unsigned>::max() << "\n";
-        return 2;
-    }
-    opts.spill_interval = static_cast<unsigned>(spill);
+    opts.spill_interval = static_cast<unsigned>(args.getCount("spill"));
+    opts.cxl_mode = args.getFlag("cxl");
+    opts.attention_window = args.getCount("window");
     const std::string fault_spec = args.get("fault-plan");
     if (!fault_spec.empty()) {
         try {
@@ -480,15 +325,11 @@ runCli(int argc, char **argv)
         return failed ? 1 : 0;
     }
 
-    const auto hosts = static_cast<unsigned>(hosts_arg);
+    const auto hosts = static_cast<unsigned>(args.getCount("hosts"));
     const std::string policy_name = args.get("policy");
     // A count past unsigned range acts like any count past the fleet.
-    const auto spares = static_cast<unsigned>(std::min<std::int64_t>(
-        spares_arg, std::numeric_limits<unsigned>::max()));
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
+    const auto spares = static_cast<unsigned>(std::min<std::uint64_t>(
+        args.getCount("spares"), std::numeric_limits<unsigned>::max()));
 
     const std::string report_path = args.get("report");
     if (!report_path.empty()) {
@@ -496,7 +337,7 @@ runCli(int argc, char **argv)
         rc.fault_plan = opts.fault_plan;
         rc.hosts = hosts;
         rc.fleet_policy = parsePlacementPolicy(policy_name);
-        rc.jobs = static_cast<unsigned>(jobs);
+        rc.jobs = static_cast<unsigned>(args.getCount("jobs"));
         const EvaluationReport rep = runEvaluation(sys, rc);
         std::ofstream out(report_path);
         if (!out) {
@@ -555,21 +396,12 @@ runCli(int argc, char **argv)
         scfg.max_batch = run.batch;
         if (policy_name != "spread" &&
             !parseServingPolicy(policy_name, &scfg.policy)) {
-            std::cerr << "error: unknown serving policy '" << policy_name
-                      << "' (fcfs, sjf, slo)\n";
+            std::cerr << "error: --policy " << policy_name
+                      << " is a fleet placement policy, not a serving "
+                         "policy\n";
             return 2;
         }
-        const double slo_ms = args.getDouble("slo-ms");
-        if (!args.ok()) {
-            std::cerr << "error: " << args.error() << "\n";
-            return 2;
-        }
-        if (!(slo_ms >= 0.0)) {
-            std::cerr << "error: --slo-ms must be >= 0 (0 disables the "
-                         "SLO)\n";
-            return 2;
-        }
-        scfg.slo = Seconds(slo_ms / 1e3);
+        scfg.slo = Seconds(args.getReal("slo-ms") / 1e3);
         scfg.prefill_chunks = run.prefill_chunks;
         std::vector<Request> stream;
         const std::string trace_file = args.get("arrival-trace");
@@ -583,24 +415,9 @@ runCli(int argc, char **argv)
             text << in.rdbuf();
             stream = parseArrivalTrace(text.str());
         } else {
-            const double rate = args.getDouble("arrival-rate");
-            const std::int64_t count = args.getInt("requests");
-            if (!args.ok()) {
-                std::cerr << "error: " << args.error() << "\n";
-                return 2;
-            }
-            if (!(rate > 0.0)) {
-                std::cerr << "error: --arrival-rate must be > 0\n";
-                return 2;
-            }
-            if (count < 1 || count > kMaxServeRequests) {
-                std::cerr << "error: --requests must be in 1.."
-                          << kMaxServeRequests << "\n";
-                return 2;
-            }
             PoissonStreamConfig pc;
-            pc.arrival_rate = rate;
-            pc.count = static_cast<std::size_t>(count);
+            pc.arrival_rate = args.getReal("arrival-rate");
+            pc.count = args.getCount("requests");
             Rng rng;  // fixed default seed: streams replay exactly
             stream = makePoissonArrivals(pc, rng);
         }

@@ -61,67 +61,59 @@ const std::vector<OracleSpec> kOracles = {
     {"serving", &runServingOracle},
 };
 
-Perturbation
-perturbByName(const std::string &name)
-{
-    if (name == "none")
-        return Perturbation::None;
-    if (name == "drop-padding-mask")
-        return Perturbation::DropPaddingMask;
-    if (name == "skew-analytic")
-        return Perturbation::SkewAnalytic;
-    if (name == "reverse-admission-order")
-        return Perturbation::ReverseAdmissionOrder;
-    std::cerr << "error: unknown --perturb '" << name
-              << "' (none, drop-padding-mask, skew-analytic, "
-                 "reverse-admission-order)\n";
-    std::exit(2);
-}
+const struct {
+    const char *name;
+    Perturbation perturbation;
+} kPerturbations[] = {
+    {"none", Perturbation::None},
+    {"drop-padding-mask", Perturbation::DropPaddingMask},
+    {"skew-analytic", Perturbation::SkewAnalytic},
+    {"reverse-admission-order", Perturbation::ReverseAdmissionOrder},
+};
 
 }  // namespace
 
 int
 main(int argc, char **argv)
 {
+    std::vector<std::string> oracle_names = {"all"};
+    for (const OracleSpec &o : kOracles)
+        oracle_names.push_back(o.name);
+    std::vector<std::string> perturb_names;
+    for (const auto &p : kPerturbations)
+        perturb_names.emplace_back(p.name);
     ArgParser args("hilos_fuzz");
-    args.addOption("oracle", "all",
-                   "which oracle to run: attention, engine, "
-                   "flexgen-plan, fleet, serving, all")
-        .addOption("iters", "200", "fuzz iterations per oracle")
-        .addOption("seed", "4994579712861519", "base seed for the run")
-        .addOption("replay", "",
-                   "re-execute one failure from its repro seed "
-                   "(requires --oracle attention|engine)")
-        .addOption("perturb", "none",
-                   "deliberately break one side: none, "
-                   "drop-padding-mask (attention), skew-analytic "
-                   "(engine), reverse-admission-order (serving)");
-    if (!args.parse(argc, argv) || args.helpRequested()) {
-        std::cerr << args.usage();
-        return args.helpRequested() ? 0 : 2;
-    }
+    args.addChoice("oracle", "all", "which oracle to run", oracle_names)
+        .addCount("iters", "200", "fuzz iterations per oracle", 0)
+        .addCount("seed", "4994579712861519", "base seed for the run", 0)
+        .addCount("replay", "",
+                  "re-execute one failure from its repro seed "
+                  "(requires a single --oracle)",
+                  0)
+        .addChoice("perturb", "none",
+                   "deliberately break one side: drop-padding-mask "
+                   "(attention), skew-analytic (engine), "
+                   "reverse-admission-order (serving)",
+                   perturb_names);
+    args.parseOrExit(argc, argv);
 
     const std::string which = args.get("oracle");
     std::vector<OracleSpec> oracles;
     for (const OracleSpec &o : kOracles)
         if (which == "all" || which == o.name)
             oracles.push_back(o);
-    if (oracles.empty()) {
-        std::cerr << "error: unknown --oracle '" << which
-                  << "' (attention, engine, flexgen-plan, fleet, "
-                     "serving, all)\n";
-        return 2;
-    }
-    const Perturbation perturb = perturbByName(args.get("perturb"));
+    Perturbation perturb = Perturbation::None;
+    for (const auto &p : kPerturbations)
+        if (args.get("perturb") == p.name)
+            perturb = p.perturbation;
 
-    const std::string replay = args.get("replay");
-    if (!replay.empty()) {
+    if (!args.get("replay").empty()) {
         if (oracles.size() != 1) {
             std::cerr << "error: --replay needs a single --oracle "
                          "(the repro line names it)\n";
             return 2;
         }
-        const std::uint64_t seed = std::stoull(replay);
+        const std::uint64_t seed = args.getCount("replay");
         const OracleOutcome out = oracles[0].run(seed, perturb);
         std::cout << "replay oracle=" << oracles[0].name
                   << " seed=" << seed << " cfg={" << out.cfg << "}\n";
@@ -133,14 +125,8 @@ main(int argc, char **argv)
         return out.ok ? 0 : 1;
     }
 
-    const std::uint64_t base =
-        static_cast<std::uint64_t>(args.getInt("seed"));
-    const std::uint64_t iters =
-        static_cast<std::uint64_t>(args.getInt("iters"));
-    if (!args.ok()) {
-        std::cerr << "error: " << args.error() << "\n";
-        return 2;
-    }
+    const std::uint64_t base = args.getCount("seed");
+    const std::uint64_t iters = args.getCount("iters");
 
     int total_failures = 0;
     for (const OracleSpec &o : oracles) {

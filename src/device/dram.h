@@ -1,6 +1,6 @@
 /**
  * @file
- * Host DRAM model: capacity and bandwidth of the server's main memory
+ * Host DRAM parameters: capacity and bandwidth of the server's main memory
  * (16 x 32 GB DDR4-3200 in the paper's testbed), used both as the
  * FLEX(DRAM) KV-cache tier and as the staging buffer for delayed KV
  * writeback.
@@ -24,33 +24,6 @@ struct DramConfig {
     Watts active_power = 40.0;
     Watts idle_power = 15.0;
     double price_per_gb_usd = 3.0;  ///< DRAM $/GB (§8.2)
-};
-
-/** Host DRAM capacity/bandwidth oracle with an allocation ledger. */
-class Dram
-{
-  public:
-    explicit Dram(const DramConfig &cfg);
-
-    /** Time to stream `bytes` through memory once. */
-    Seconds accessTime(Bytes bytes) const;
-
-    /**
-     * Reserve `bytes`; returns false (and reserves nothing) when the
-     * remaining capacity is insufficient.
-     */
-    bool reserve(std::uint64_t bytes);
-
-    /** Release a prior reservation. */
-    void release(std::uint64_t bytes);
-
-    std::uint64_t reserved() const { return reserved_; }
-    std::uint64_t available() const { return cfg_.capacity - reserved_; }
-    const DramConfig &config() const { return cfg_; }
-
-  private:
-    DramConfig cfg_;
-    std::uint64_t reserved_ = 0;
 };
 
 /** Testbed host memory: 16 x 32 GB DDR4-3200 (Table 1). */

@@ -287,8 +287,11 @@ FleetEngine::summarize(const RunConfig &cfg, const EpochLog &log,
     const std::vector<Seconds> &host_changes =
         host_engine_.timeline().changeTimes();
     std::map<std::pair<std::uint64_t, std::ptrdiff_t>, RunResult> host_runs;
+    const RunResult idle;  // an epoch with nothing placed runs no host
     const auto hostRun = [&](std::uint64_t b,
                              Seconds t) -> const RunResult & {
+        if (b == 0)
+            return idle;
         const std::ptrdiff_t seen =
             std::upper_bound(host_changes.begin(), host_changes.end(), t) -
             host_changes.begin();

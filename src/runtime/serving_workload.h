@@ -23,10 +23,19 @@
 namespace hilos {
 
 /** Parameters of a Poisson arrival stream. */
+/**
+ * The slowest rate a generated stream may use (requests/s): the last of
+ * `count` arrivals lands near count / rate seconds, and the serving
+ * report sums such times, so a slower rate can push a report to inf.
+ */
+inline constexpr double kMinArrivalRate = 1e-9;
+/** The longest generated stream; each request keeps a ~200 B record. */
+inline constexpr std::size_t kMaxStreamRequests = 10'000'000;
+
 struct PoissonStreamConfig {
-    /** Mean arrival rate in requests per second (> 0). */
+    /** Mean arrival rate in requests per second (>= kMinArrivalRate). */
     double arrival_rate = 1.0;
-    /** Number of requests to generate. */
+    /** Number of requests to generate (<= kMaxStreamRequests). */
     std::size_t count = 64;
     /**
      * Relative class-mix weights (need not sum to 1; all-zero draws

@@ -425,11 +425,14 @@ ConditionTimeline::ConditionTimeline(const FaultPlan &plan, unsigned devices,
             HILOS_ASSERT(every || ev.device < hosts,
                          "host event targets host ", ev.device,
                          " but the fleet has ", hosts, " hosts");
-        } else {
-            HILOS_ASSERT(every || ev.device == kUplinkTarget ||
-                             ev.device < devices,
-                         "fault event targets device ", ev.device,
-                         " but the fleet has ", devices);
+        } else if (!every && ev.device != kUplinkTarget &&
+                   ev.device >= devices) {
+            // FleetConfig::validate() checks host targets first; nothing
+            // checks a device target against the engine's device count,
+            // so one past it is the plan author's error, not a bug.
+            HILOS_FATAL("fault plan: ", faultKindName(ev.kind),
+                        " targets device ", ev.device, " but the fleet has ",
+                        devices);
         }
         empty_ = false;
         switch (ev.kind) {

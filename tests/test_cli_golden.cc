@@ -134,6 +134,9 @@ TEST(CliGolden, BadServeInputsExitTwoWithANamedError)
         {"--serve --batch 0", "error: --batch"},
         {"--serve --slo-ms -1", "error: --slo-ms"},
         {"--serve --requests -5", "error: --requests"},
+        // Once accepted, and priced with no SLO deadline or no arrivals.
+        {"--serve --arrival-rate inf", "error: --arrival-rate"},
+        {"--serve --slo-ms inf", "error: --slo-ms"},
     };
     for (const auto &c : cases) {
         const std::string cmd = std::string(HILOS_CLI_PATH) + " " + c.args;
@@ -214,6 +217,11 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         {"--model NoSuch", "error: unknown model: NoSuch"},
         {"--engine nosuch", "error: --engine"},
         {"--fault-plan 'fail@nan=3'", "error: --fault-plan"},
+        // Past --devices: once a library panic, also under --report.
+        {"--fault-plan 'fail@1=12'",
+         "error: fault plan: device-fail targets device 12"},
+        {"--report /dev/null --fault-plan 'fail@1=9'",
+         "error: fault plan: device-fail targets device 9"},
         // A fault plan an engine or serving would ignore is refused,
         // never priced as a healthy run.
         {"--engine flex-ssd --fault-plan 'fail@1=0;uplink@1=0.3'",
@@ -242,6 +250,8 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
          "spare hosts leaves no server"},
         {"--jobs -1", "error: --jobs"},
         {"--gpu tpu", "error: --gpu"},
+        // Once ignored on a single-host run.
+        {"--policy bogus", "error: --policy"},
         // Past the stated ceiling: once a std::bad_alloc (SIGABRT).
         {"--serve --requests 100000000000", "error: --requests"},
     };

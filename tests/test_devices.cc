@@ -67,24 +67,6 @@ TEST(Cpu, SlowerThanGpuAtAttention)
     EXPECT_GT(cpu.memoryTime(1e9), gpu.memoryTime(1e9));
 }
 
-TEST(Dram, ReserveAndRelease)
-{
-    Dram dram(hostDramConfig());
-    const std::uint64_t half = dram.config().capacity / 2;
-    EXPECT_TRUE(dram.reserve(half));
-    EXPECT_EQ(dram.reserved(), half);
-    EXPECT_TRUE(dram.reserve(half));
-    EXPECT_FALSE(dram.reserve(1));  // full
-    dram.release(half);
-    EXPECT_TRUE(dram.reserve(half));
-}
-
-TEST(Dram, OverReleaseDies)
-{
-    Dram dram(hostDramConfig());
-    EXPECT_DEATH(dram.release(1), "more than reserved");
-}
-
 TEST(Dram, TestbedCapacityIs512GiB)
 {
     EXPECT_EQ(hostDramConfig().capacity, 512ull * GiB);

@@ -567,6 +567,16 @@ TEST(ConditionTimeline, ChangeTimesSortedAndUnique)
     EXPECT_DOUBLE_EQ(times.front(), 2.0);
 }
 
+TEST(ConditionTimeline, DeviceTargetBeyondTheFleetIsAUserError)
+{
+    // Nothing upstream checks a device index against the engine's
+    // device count, so the plan's author hears of it, not a panic.
+    FaultPlan plan;
+    plan.addDeviceFailure(1.0, 8);
+    EXPECT_THROW(ConditionTimeline(plan, 8, 0), std::runtime_error);
+    EXPECT_NO_THROW(ConditionTimeline(plan, 9, 0));
+}
+
 TEST(ConditionTimeline, RejectsHostTargetBeyondFleet)
 {
     FaultPlan plan;

@@ -565,6 +565,19 @@ TEST(FleetEngine, AllHostsFailedIsAClearErrorNotANan)
     EXPECT_EQ(fe.simulatedDecodeStep(run, mid + 1.0), 0.0);
 }
 
+TEST(FleetEngine, ARunNoHostCanHoldRunsNoHost)
+{
+    // Past every host's capacity nothing is placed: the whole-run
+    // accounting once priced a batch-0 host run and panicked in the
+    // writeback model.
+    const SystemConfig sys = defaultSystem();
+    RunConfig run = smallRun();
+    run.output_len = 30'000'000;
+    const RunResult r = FleetEngine(sys, fleetOf(2)).run(run);
+    EXPECT_EQ(r.effective_batch, 0u);
+    EXPECT_EQ(r.energy.total(), 0.0);
+}
+
 TEST(FleetEngine, FaultAwareSpareAbsorbsALoss)
 {
     // Two hosts, one in reserve: losing the serving host promotes the
