@@ -27,7 +27,9 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_json.h"
@@ -203,6 +205,30 @@ main(int argc, char **argv)
     shape.policy = policy;
     shape.spare_hosts = spares;
 
+    // The node-loss study runs `shape` under --fault-plan or, by
+    // default, a loss of host 1; a combination the fleet refuses is a
+    // user error, reported before any run.
+    FleetConfig studied = shape;
+    if (args.get("replay-dir").empty()) {
+        try {
+            studied.fault_plan =
+                args.get("fault-plan").empty()
+                    ? FaultPlan{}.addHostFailure(0.0, 1)
+                    : parseFaultPlan(args.get("fault-plan"));
+        } catch (const std::runtime_error &e) {
+            std::string_view what = e.what();
+            if (what.starts_with("fatal: "))
+                what.remove_prefix(std::string_view("fatal: ").size());
+            std::cerr << "error: --fault-plan: " << what << "\n";
+            return 2;
+        }
+    }
+    const std::vector<std::string> problems = studied.validate();
+    if (!problems.empty()) {
+        std::cerr << "error: " << problems.front() << "\n";
+        return 2;
+    }
+
     if (!args.get("replay-dir").empty()) {
         run.batch = per_host * hosts;
         const int violations =
@@ -296,7 +322,7 @@ main(int argc, char **argv)
             (run.output_len / 3.0) * healthy.decode_step_time;
         faulted.fault_plan = FaultPlan{}.addHostFailure(mid, 1);
     } else {
-        faulted.fault_plan = parseFaultPlan(args.get("fault-plan"));
+        faulted.fault_plan = studied.fault_plan;
     }
     const FleetEngine fe(sys, faulted);
     const RunResult lost = fe.run(run);

@@ -50,66 +50,68 @@ struct Pool {
      * it out before an op can make the instances differ.
      */
     bool symmetric = true;
+    /** Some op that is not offline names this pool. */
+    bool used = false;
 };
 
 /**
- * The timelines a plan replay runs over: one pool per referenced
- * transfer resource (with the plan's declared instance count) and one
- * single-instance pool per referenced compute unit, laid out in
- * PlanResource then ComputeUnit order. Each instance is one Slot of a
- * flat vector.
+ * The timelines a plan replay runs over: one pool per transfer
+ * resource kind (with the plan's declared instance count) and one
+ * single-instance pool per compute unit, at fixed positions in
+ * PlanResource then ComputeUnit order, so an op's pool is known from
+ * its kind alone. Each instance is one Slot of a flat vector. Only the
+ * pools some op marks used take part in the utilisation vectors; the
+ * slots of the others stay idle.
  */
 class PlanTimelines
 {
   public:
-    explicit PlanTimelines(const StepPlan &plan)
+    /** Lay out the pools of `plan`, none of them used yet. */
+    void reset(const StepPlan &plan)
     {
-        std::array<bool, kResourceKinds> resource_used{};
-        std::array<bool, kUnitKinds> unit_used{};
-        auto visit = [&](const StepOpView &op) {
-            if (op.offline)
-                return;
-            if (op.op_kind == StepOp::Kind::Transfer)
-                resource_used[static_cast<std::size_t>(op.resource)] = true;
-            else
-                unit_used[static_cast<std::size_t>(op.unit)] = true;
-        };
-        for (const StepOpView op : plan.layer_ops)
-            visit(op);
-        for (const StepOpView op : plan.tail_ops)
-            visit(op);
-
-        resource_pool_.fill(kNoPool);
-        unit_pool_.fill(kNoPool);
-        pools_.reserve(kResourceKinds + kUnitKinds);
         std::uint32_t slots = 0;
-        const auto add = [&](const char *name, unsigned instances) {
-            HILOS_ASSERT(instances >= 1, "pool '", name,
-                         "' needs at least one instance");
-            pools_.push_back(Pool{name, slots, instances, true});
+        const auto lay = [&](std::size_t p, const char *name,
+                             std::uint32_t instances) {
+            pools_[p] = Pool{name, slots, instances, true, false};
             slots += instances;
-            return static_cast<std::uint32_t>(pools_.size() - 1);
         };
-        for (std::size_t r = 1; r < kResourceKinds; ++r)
-            if (resource_used[r]) {
-                const auto kind = static_cast<PlanResource>(r);
-                resource_pool_[r] =
-                    add(planResourceName(kind), plan.instancesOf(kind));
-            }
-        resource_pools_ = pools_.size();
+        // PlanResource::None and ComputeUnit::None are no pool at all.
+        lay(0, planResourceName(PlanResource::None), 0);
+        for (std::size_t r = 1; r < kResourceKinds; ++r) {
+            const auto kind = static_cast<PlanResource>(r);
+            lay(r, planResourceName(kind), plan.instancesOf(kind));
+        }
+        lay(kResourceKinds, computeUnitName(ComputeUnit::None), 0);
         for (std::size_t u = 1; u < kUnitKinds; ++u)
-            if (unit_used[u])
-                unit_pool_[u] =
-                    add(computeUnitName(static_cast<ComputeUnit>(u)), 1);
+            lay(kResourceKinds + u,
+                computeUnitName(static_cast<ComputeUnit>(u)), 1);
         slots_.assign(slots, Slot{});
     }
 
-    /** The pool `op` occupies, or kNoPool for a pure delay. */
-    std::uint32_t poolOf(const StepOpView &op) const
+    /** The pool `op` names, or kNoPool for a pure delay. */
+    static std::uint32_t poolOf(const StepOpView &op)
     {
-        return op.op_kind == StepOp::Kind::Transfer
-                   ? resource_pool_[static_cast<std::size_t>(op.resource)]
-                   : unit_pool_[static_cast<std::size_t>(op.unit)];
+        if (op.op_kind == StepOp::Kind::Transfer)
+            return op.resource == PlanResource::None
+                       ? kNoPool
+                       : static_cast<std::uint32_t>(op.resource);
+        return op.unit == ComputeUnit::None
+                   ? kNoPool
+                   : static_cast<std::uint32_t>(kResourceKinds +
+                                                static_cast<std::size_t>(
+                                                    op.unit));
+    }
+
+    /** Mark pool `p` used (a no-op for kNoPool); returns `p`. */
+    std::uint32_t use(std::uint32_t p)
+    {
+        if (p == kNoPool)
+            return p;
+        Pool &pool = pools_[p];
+        HILOS_ASSERT(pool.size >= 1, "pool '", pool.name,
+                     "' needs at least one instance");
+        pool.used = true;
+        return p;
     }
 
     Pool &pool(std::uint32_t p) { return pools_[p]; }
@@ -151,14 +153,20 @@ class PlanTimelines
     }
 
     /**
-     * Expand every pool, then fill the result's utilisation vectors
-     * over the horizon that covers both `tail_end` and every busy span
-     * (so the per-instance <= 1 check holds).
+     * Expand every used pool, then fill the result's utilisation
+     * vectors over the horizon that covers both `tail_end` and every
+     * busy span (so the per-instance <= 1 check holds).
      */
     void fillUtilization(Seconds tail_end, PlanSimResult &out)
     {
         Seconds latest = 0.0;
-        for (Pool &p : pools_) {
+        std::size_t resources = 0;
+        std::size_t units = 0;
+        for (std::size_t k = 0; k < kPools; ++k) {
+            Pool &p = pools_[k];
+            if (!p.used)
+                continue;
+            ++(k < kResourceKinds ? resources : units);
             expand(p);
             Seconds pool_latest = 0.0;
             for (std::uint32_t i = 0; i < p.size; ++i)
@@ -167,20 +175,24 @@ class PlanTimelines
             latest = later(latest, pool_latest);
         }
         const Seconds horizon = later(tail_end, latest);
-        out.resource_utilization.reserve(resource_pools_);
-        out.unit_utilization.reserve(pools_.size() - resource_pools_);
-        for (std::size_t k = 0; k < pools_.size(); ++k) {
+        out.resource_utilization.reserve(resources);
+        out.unit_utilization.reserve(units);
+        for (std::size_t k = 0; k < kPools; ++k) {
             const Pool &p = pools_[k];
+            if (!p.used)
+                continue;
             double sum = 0.0;
             for (std::uint32_t i = 0; i < p.size; ++i)
                 sum += utilization(p, i, horizon);
-            auto &into = k < resource_pools_ ? out.resource_utilization
-                                             : out.unit_utilization;
+            auto &into = k < kResourceKinds ? out.resource_utilization
+                                            : out.unit_utilization;
             into.emplace_back(p.name, sum / static_cast<double>(p.size));
         }
     }
 
   private:
+    static constexpr std::size_t kPools = kResourceKinds + kUnitKinds;
+
     static std::string instanceName(const Pool &p, std::uint32_t i)
     {
         return std::string(p.name) + "[" + std::to_string(i) + "]";
@@ -200,10 +212,7 @@ class PlanTimelines
         return util;
     }
 
-    std::vector<Pool> pools_;
-    std::size_t resource_pools_ = 0;  ///< pools_[0, this) are resources
-    std::array<std::uint32_t, kResourceKinds> resource_pool_{};
-    std::array<std::uint32_t, kUnitKinds> unit_pool_{};
+    std::array<Pool, kPools> pools_{};
     std::vector<Slot> slots_;
 };
 
@@ -242,6 +251,65 @@ struct ResolvedOp {
      */
     bool collapsible = false;
 };
+
+/**
+ * What a replay works in besides its result, kept per thread: a warm
+ * call reuses the capacity the previous call on this thread left, so
+ * it allocates only the vectors it returns.
+ */
+struct ReplayScratch {
+    PlanTimelines lines;
+    std::vector<ResolvedOp> ops;     ///< indexed like plan.layer_ops
+    std::vector<std::uint32_t> deps; ///< every op's deps, back to back
+    std::vector<Seconds> finish;     ///< per op, in the current layer
+};
+
+/**
+ * Lay out the timelines of `plan` and resolve its layer ops in one
+ * walk, marking each pool an op that is not offline names as used
+ * (shadow ops too: they occupy nothing, but their pool still reports
+ * a utilisation); the tail ops then mark theirs.
+ */
+void
+resolve(const StepPlan &plan, ReplayScratch &s)
+{
+    PlanTimelines &lines = s.lines;
+    lines.reset(plan);
+    const std::size_t n = plan.layer_ops.size();
+    s.ops.assign(n, ResolvedOp{});
+    s.deps.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+        const StepOpView op = plan.layer_ops[i];
+        ResolvedOp &r = s.ops[i];
+        r.prefetch = op.prefetch;
+        r.seconds = op.seconds;
+        r.dep_pos = static_cast<std::uint32_t>(s.deps.size());
+        r.dep_len = static_cast<std::uint32_t>(op.deps.size());
+        s.deps.insert(s.deps.end(), op.deps.begin(), op.deps.end());
+        r.fanout = op.fanout;
+        if (op.offline) {
+            r.role = Role::Offline;
+            continue;
+        }
+        const std::uint32_t pool = lines.use(PlanTimelines::poolOf(op));
+        r.pool = op.shadow ? kNoPool : pool;
+        r.role = r.pool == kNoPool ? Role::Delay : Role::Pooled;
+        if (r.role != Role::Pooled)
+            continue;
+        if (r.fanout > 0)
+            HILOS_ASSERT(r.seconds >= 0.0, "negative stall duration");
+        const std::uint64_t size = lines.pool(r.pool).size;
+        const bool zero = r.seconds == 0.0;
+        r.collapsible = zero || r.fanout % size == 0;
+        r.rep_occupies =
+            zero ? std::min<std::uint64_t>(r.fanout, 1) : r.fanout / size;
+        r.rep_replicas = zero ? r.fanout : size;
+    }
+    for (const StepOpView op : plan.tail_ops)
+        if (!op.offline)
+            lines.use(PlanTimelines::poolOf(op));
+    s.finish.assign(n, 0.0);
+}
 
 /** The untraced replay's recorder: records nothing. */
 struct NoRecorder {
@@ -317,41 +385,16 @@ class TraceSink
  */
 template <typename Recorder>
 PlanSimResult
-replay(const StepPlan &plan, PlanTimelines &lines, Recorder &rec)
+replay(const StepPlan &plan, ReplayScratch &s, Recorder &rec)
 {
     PlanSimResult out;
     out.layer_times.reserve(plan.layers);
 
-    const std::size_t n = plan.layer_ops.size();
-    std::vector<ResolvedOp> ops(n);
-    std::vector<std::uint32_t> deps;
-    deps.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const StepOpView op = plan.layer_ops[i];
-        ResolvedOp &r = ops[i];
-        r.prefetch = op.prefetch;
-        r.seconds = op.seconds;
-        r.dep_pos = static_cast<std::uint32_t>(deps.size());
-        r.dep_len = static_cast<std::uint32_t>(op.deps.size());
-        deps.insert(deps.end(), op.deps.begin(), op.deps.end());
-        r.fanout = op.fanout;
-        r.pool = op.shadow ? kNoPool : lines.poolOf(op);
-        r.role = op.offline           ? Role::Offline
-                 : r.pool == kNoPool ? Role::Delay
-                                     : Role::Pooled;
-        if (r.role != Role::Pooled)
-            continue;
-        if (r.fanout > 0)
-            HILOS_ASSERT(r.seconds >= 0.0, "negative stall duration");
-        const std::uint64_t size = lines.pool(r.pool).size;
-        const bool zero = r.seconds == 0.0;
-        r.collapsible = zero || r.fanout % size == 0;
-        r.rep_occupies =
-            zero ? std::min<std::uint64_t>(r.fanout, 1) : r.fanout / size;
-        r.rep_replicas = zero ? r.fanout : size;
-    }
-
-    std::vector<Seconds> finish(n, 0.0);
+    PlanTimelines &lines = s.lines;
+    const std::size_t n = s.ops.size();
+    const ResolvedOp *const ops = s.ops.data();
+    const std::uint32_t *const deps = s.deps.data();
+    Seconds *const finish = s.finish.data();
     Seconds layer_start = 0.0;
     Seconds prev_layer_start = 0.0;
     for (std::uint64_t l = 0; l < plan.layers; ++l) {
@@ -403,7 +446,7 @@ replay(const StepPlan &plan, PlanTimelines &lines, Recorder &rec)
             layer_end = later(layer_end, done);
         }
         if (l == 0)
-            out.first_layer_finish = finish;
+            out.first_layer_finish = s.finish;
         out.layer_times.push_back(layer_end - layer_start);
         prev_layer_start = layer_start;
         layer_start = layer_end;
@@ -412,10 +455,12 @@ replay(const StepPlan &plan, PlanTimelines &lines, Recorder &rec)
 
     Seconds tail_end = out.layered_end;
     for (const StepOpView op : plan.tail_ops) {
-        const std::uint32_t p = lines.poolOf(op);
+        // An offline tail op is timed on its pool only if another op
+        // uses that pool.
+        const std::uint32_t p = PlanTimelines::poolOf(op);
         const Seconds begin = tail_end;
         std::uint32_t slot = kNoPool;
-        if (p != kNoPool) {
+        if (p != kNoPool && lines.pool(p).used) {
             Pool &pool = lines.pool(p);
             lines.expand(pool);
             HILOS_ASSERT(op.seconds >= 0.0, "negative stall duration");
@@ -446,13 +491,14 @@ simulatePlan(const StepPlan &plan, TraceRecorder *trace)
     HILOS_ASSERT(plan.feasible, "cannot replay an infeasible plan: ",
                  plan.note);
     HILOS_ASSERT(plan.layers >= 1, "plan has no layers");
-    PlanTimelines lines(plan);
+    thread_local ReplayScratch scratch;
+    resolve(plan, scratch);
     if (trace == nullptr) {
         NoRecorder none;
-        return replay(plan, lines, none);
+        return replay(plan, scratch, none);
     }
-    TraceSink sink(*trace, plan, lines);
-    return replay(plan, lines, sink);
+    TraceSink sink(*trace, plan, scratch.lines);
+    return replay(plan, scratch, sink);
 }
 
 }  // namespace hilos

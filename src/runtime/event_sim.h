@@ -60,6 +60,13 @@ struct PlanSimResult {
  * `layer_time_divisor` plus the serial tail gives the decode step —
  * under an uncontended plan this reproduces the analytic evaluator;
  * contention (several ops sharing one pool instance) can only delay it.
+ *
+ * The resolved ops, their flat dependency array, the per-op finish
+ * times and the pool slots live in scratch this thread keeps across
+ * calls, so a warm call allocates only the result's four vectors
+ * (layer_times, first_layer_finish and the two utilisation vectors).
+ * A call is therefore not reentrant on one thread: `trace` must not
+ * replay another plan from inside a record().
  */
 PlanSimResult simulatePlan(const StepPlan &plan,
                            TraceRecorder *trace = nullptr);

@@ -45,15 +45,18 @@ scaleTraffic(TrafficCounters &t, double factor)
     t.storage_write_bytes *= factor;
 }
 
-/** The infeasible plan of a fleet with no host to place work on. */
-StepPlan
-unplacedPlan(PlanPhase phase)
+/**
+ * Mark `plan` the infeasible plan of a fleet with no host to place
+ * work on. In place, like every engine's infeasible exit: assigning a
+ * fresh plan would also reset the build mode a PlanCache rebuild runs
+ * the builder under.
+ */
+void
+markUnplaced(StepPlan &plan, PlanPhase phase)
 {
-    StepPlan plan;
     plan.phase = phase;
     plan.feasible = false;
     plan.note = "no host can serve a share of this workload";
-    return plan;
 }
 
 /** `cfg` narrowed to the largest per-host share of `place`. */
@@ -176,7 +179,9 @@ FleetEngine::buildDecodePlan(const RunConfig &cfg, RunResult &res,
 {
     const FleetPlacement place = healthyPlacement(cfg);
     if (place.placed_batch == 0) {
-        plan = unplacedPlan(PlanPhase::Decode);
+        markUnplaced(plan, PlanPhase::Decode);
+        res.feasible = false;
+        res.note = plan.note;
         return;
     }
     host_engine_.buildDecodePlan(hostShare(cfg, place), res, plan);
@@ -191,7 +196,7 @@ FleetEngine::buildPrefillPlan(const RunConfig &cfg,
 {
     const FleetPlacement place = healthyPlacement(cfg);
     if (place.placed_batch == 0) {
-        plan = unplacedPlan(PlanPhase::Prefill);
+        markUnplaced(plan, PlanPhase::Prefill);
         return;
     }
     host_engine_.buildPrefillPlan(hostShare(cfg, place), chunk_index,
@@ -204,7 +209,7 @@ FleetEngine::buildDecodePlanAt(const RunConfig &cfg, Seconds now,
 {
     const FleetPlacement place = placementAt(cfg, now);
     if (place.placed_batch == 0) {
-        plan = unplacedPlan(PlanPhase::Decode);
+        markUnplaced(plan, PlanPhase::Decode);
         if (now > 0.0 && timeline_.failedHosts(now) >= fleet_.hosts) {
             plan.note = "every host failed mid-run; no surviving fleet to "
                         "re-place requests";
@@ -226,7 +231,7 @@ FleetEngine::buildPrefillPlanAt(const RunConfig &cfg, Seconds now,
 {
     const FleetPlacement place = placementAt(cfg, now);
     if (place.placed_batch == 0) {
-        plan = unplacedPlan(PlanPhase::Prefill);
+        markUnplaced(plan, PlanPhase::Prefill);
         return;
     }
     host_engine_.buildPrefillPlanAt(hostShare(cfg, place), now, chunk_index,

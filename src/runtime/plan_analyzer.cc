@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <string_view>
 
@@ -24,64 +25,132 @@ findingSeverityName(FindingSeverity s)
     return "unknown";
 }
 
-namespace {
-
-/** Shortest round-trippable float rendering, matching the golden
- *  serialiser (tests/support/serialize.cc): %.9g with nan/inf/-0
- *  folded to stable spellings. */
-std::string
-fmt9(double v)
+void
+appendFindingNumber(std::string &out, double v)
 {
-    if (std::isnan(v))
-        return "nan";
-    if (std::isinf(v))
-        return v > 0 ? "inf" : "-inf";
+    if (std::isnan(v)) {
+        out += "nan";
+        return;
+    }
+    if (std::isinf(v)) {
+        out += v > 0 ? "inf" : "-inf";
+        return;
+    }
     if (v == 0.0)
         v = 0.0;  // fold -0 into 0
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
+    // to_chars' general format at precision 9 is printf's "%.9g" in the
+    // C locale; 32 bytes hold its longest output, "-1.23456789e-308".
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, 9);
+    out.append(buf, r.ptr);
+}
+
+namespace {
+
+/** Append the decimal digits of `v`. */
+void
+appendCount(std::string &out, std::uint64_t v)
+{
+    char buf[20];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, r.ptr);
 }
 
 /** "layer op #3 'kv_fetch'" — the prefix every diagnostic starts with
  *  (same shape as StepPlan::validate()). */
-std::string
-opRef(const char *kind, std::size_t id, std::string_view label)
+struct OpRef {
+    const char *kind;
+    std::size_t id;
+    std::string_view label;
+};
+
+/** The pieces a diagnostic is written from: text, numbers, op refs. */
+void
+appendPart(std::string &out, std::string_view text)
 {
-    std::string s = std::string(kind) + " op #" + std::to_string(id);
-    if (!label.empty())
-        s += " '" + std::string(label) + "'";
-    return s;
+    out += text;
 }
+
+void
+appendPart(std::string &out, double v)
+{
+    appendFindingNumber(out, v);
+}
+
+void
+appendPart(std::string &out, const OpRef &ref)
+{
+    out += ref.kind;
+    out += " op #";
+    appendCount(out, ref.id);
+    if (!ref.label.empty()) {
+        out += " '";
+        out += ref.label;
+        out += '\'';
+    }
+}
+
+/**
+ * The findings of one analysis in emission order, and the buffer each
+ * message is rendered into before it is copied out at its exact size.
+ */
+struct Findings {
+    std::vector<PlanFinding> findings;
+    std::string message;
+};
 
 /**
  * The single construction point for findings: stamps the pass's
  * stable ID and severity so no diagnostic can ship without one
- * (scripts/lint_hilos.py check 7 pins this).
+ * (scripts/lint_hilos.py check 7 pins this). The message is `parts`
+ * appended in order.
  */
+template <typename... Parts>
 void
-emitFinding(PlanAnalysis &out, const AnalyzerPassInfo &pass,
-            std::string_view op_label, std::string message)
+emitFinding(Findings &out, const AnalyzerPassInfo &pass,
+            std::string_view op_label, const Parts &...parts)
 {
+    out.message.clear();
+    (appendPart(out.message, parts), ...);
     PlanFinding f;
     f.id = pass.id;
     f.severity = pass.severity;
-    f.op = std::string(op_label);
-    f.message = std::move(message);
+    f.op = op_label;
+    f.message = out.message;
     out.findings.push_back(std::move(f));
 }
 
-/** Derived DAG facts shared by the passes. */
+/**
+ * What an analysis works in besides its result, kept per thread so a
+ * warm analysis allocates only what it returns.
+ */
+struct AnalyzerScratch {
+    PlanEvaluation ev;  ///< analyzePlan(plan)'s own evaluation
+    std::vector<char> has_dependents;
+    std::vector<std::uint64_t> reach;
+    std::vector<double> late;  ///< annotateSlack's latest finishes
+    Findings findings;
+};
+
+AnalyzerScratch &
+analyzerScratch()
+{
+    thread_local AnalyzerScratch scratch;
+    return scratch;
+}
+
+/** Derived DAG facts shared by the passes, over the scratch rows. */
 struct PassContext {
     const PlanEvaluation &ev;
     /** Layer op i is a dep of some later layer op. */
-    std::vector<char> has_dependents;
+    const char *has_dependents;
     /** 64-bit words per reach row: ceil(layer ops / 64). */
-    std::size_t words = 0;
+    std::size_t words;
     /** Row i (words `words * i` on) has bit j set when layer op j is
      *  transitively reachable from i via dependency edges (j < i
      *  always, deps are topologically ordered). */
-    std::vector<std::uint64_t> reach;
+    const std::uint64_t *reach;
 
     bool reaches(std::size_t i, std::size_t j) const
     {
@@ -90,23 +159,24 @@ struct PassContext {
 };
 
 PassContext
-buildContext(const StepPlan &plan, const PlanEvaluation &ev)
+buildContext(const StepPlan &plan, const PlanEvaluation &ev,
+             AnalyzerScratch &s)
 {
     const std::size_t n = plan.layer_ops.size();
     const std::size_t words = (n + 63) / 64;
-    PassContext ctx{ev, std::vector<char>(n, 0), words,
-                    std::vector<std::uint64_t>(n * words, 0)};
+    s.has_dependents.assign(n, 0);
+    s.reach.assign(n * words, 0);
     for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t *row = ctx.reach.data() + i * words;
+        std::uint64_t *row = s.reach.data() + i * words;
         for (const std::uint32_t d : plan.layer_ops[i].deps) {
-            ctx.has_dependents[d] = 1;
+            s.has_dependents[d] = 1;
             row[d / 64] |= std::uint64_t{1} << (d % 64);
-            const std::uint64_t *dep_row = ctx.reach.data() + d * words;
+            const std::uint64_t *dep_row = s.reach.data() + d * words;
             for (std::size_t w = 0; w < words; ++w)
                 row[w] |= dep_row[w];
         }
     }
-    return ctx;
+    return PassContext{ev, s.has_dependents.data(), words, s.reach.data()};
 }
 
 bool
@@ -120,39 +190,36 @@ opAccounted(const StepOpView &op)
 
 void
 passDeadOp(const StepPlan &plan, const PassContext &ctx,
-           const AnalyzerPassInfo &pass, PlanAnalysis &out)
+           const AnalyzerPassInfo &pass, Findings &out)
 {
     for (std::size_t i = 0; i < plan.layer_ops.size(); ++i) {
         const StepOpView op = plan.layer_ops[i];
-        const auto ref = [&] { return opRef("layer", i, op.label); };
+        const OpRef ref{"layer", i, op.label};
         if (op.shadow) {
             if (op.seconds <= Seconds(0.0) && !ctx.has_dependents[i])
-                emitFinding(out, pass, op.label,
-                            ref() + ": shadow op has zero duration and no "
-                                    "dependents — shadow ops exist only "
-                                    "to be timed");
+                emitFinding(out, pass, op.label, ref,
+                            ": shadow op has zero duration and no "
+                            "dependents — shadow ops exist only to be "
+                            "timed");
         } else if (op.offline) {
             if (!opAccounted(op))
-                emitFinding(out, pass, op.label,
-                            ref() + ": offline op contributes to no "
-                                    "stage, traffic, or busy field — "
-                                    "offline ops exist only to be "
-                                    "accounted");
+                emitFinding(out, pass, op.label, ref,
+                            ": offline op contributes to no stage, "
+                            "traffic, or busy field — offline ops exist "
+                            "only to be accounted");
         } else {
             if (!opAccounted(op) && !ctx.has_dependents[i])
-                emitFinding(out, pass, op.label,
-                            ref() + ": op contributes to no stage, "
-                                    "traffic, or busy field and nothing "
-                                    "depends on it");
+                emitFinding(out, pass, op.label, ref,
+                            ": op contributes to no stage, traffic, or "
+                            "busy field and nothing depends on it");
         }
     }
     for (std::size_t i = 0; i < plan.tail_ops.size(); ++i) {
         const StepOpView op = plan.tail_ops[i];
         if (!opAccounted(op) && op.seconds <= Seconds(0.0))
-            emitFinding(out, pass, op.label,
-                        opRef("tail", i, op.label) +
-                            ": tail op contributes no time, stage, "
-                            "traffic, or busy");
+            emitFinding(out, pass, op.label, OpRef{"tail", i, op.label},
+                        ": tail op contributes no time, stage, traffic, "
+                        "or busy");
     }
 }
 
@@ -160,7 +227,7 @@ passDeadOp(const StepPlan &plan, const PassContext &ctx,
 
 void
 passRedundantEdge(const StepPlan &plan, const PassContext &ctx,
-                  const AnalyzerPassInfo &pass, PlanAnalysis &out)
+                  const AnalyzerPassInfo &pass, Findings &out)
 {
     for (std::size_t i = 0; i < plan.layer_ops.size(); ++i) {
         const StepOpView op = plan.layer_ops[i];
@@ -170,14 +237,12 @@ passRedundantEdge(const StepPlan &plan, const PassContext &ctx,
             for (const std::uint32_t other : op.deps) {
                 if (other == d || !ctx.reaches(other, d))
                     continue;
-                const StepOpView dep_op = plan.layer_ops[d];
-                const StepOpView other_op = plan.layer_ops[other];
-                emitFinding(
-                    out, pass, op.label,
-                    opRef("layer", i, op.label) + ": dependency on " +
-                        opRef("layer", d, dep_op.label) +
-                        " is already implied by the dependency on " +
-                        opRef("layer", other, other_op.label));
+                emitFinding(out, pass, op.label, OpRef{"layer", i, op.label},
+                            ": dependency on ",
+                            OpRef{"layer", d, plan.layer_ops[d].label},
+                            " is already implied by the dependency on ",
+                            OpRef{"layer", other,
+                                  plan.layer_ops[other].label});
                 break;
             }
         }
@@ -188,7 +253,7 @@ passRedundantEdge(const StepPlan &plan, const PassContext &ctx,
 
 void
 passDefeatedPrefetch(const StepPlan &plan, const PassContext &ctx,
-                     const AnalyzerPassInfo &pass, PlanAnalysis &out)
+                     const AnalyzerPassInfo &pass, Findings &out)
 {
     const std::size_t n = plan.layer_ops.size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -208,11 +273,9 @@ passDefeatedPrefetch(const StepPlan &plan, const PassContext &ctx,
                       "overlaps nothing"
                     : "the race it models is serialized behind the work "
                       "it should overlap";
-            emitFinding(out, pass, op.label,
-                        opRef("layer", i, op.label) + ": " + role +
-                            " op waits on timed " +
-                            opRef("layer", j, anchor.label) + ", so " +
-                            why);
+            emitFinding(out, pass, op.label, OpRef{"layer", i, op.label},
+                        ": ", role, " op waits on timed ",
+                        OpRef{"layer", j, anchor.label}, ", so ", why);
             break;
         }
     }
@@ -222,7 +285,7 @@ passDefeatedPrefetch(const StepPlan &plan, const PassContext &ctx,
 
 void
 passEnergyCoverage(const StepPlan &plan, const PassContext &,
-                   const AnalyzerPassInfo &pass, PlanAnalysis &out)
+                   const AnalyzerPassInfo &pass, Findings &out)
 {
     if (!plan.energy.enabled)
         return;
@@ -232,12 +295,10 @@ passEnergyCoverage(const StepPlan &plan, const PassContext &,
             return;
         if (op.seconds <= Seconds(0.0) && op.bytes <= Bytes(0.0))
             return;
-        emitFinding(out, pass, op.label,
-                    opRef(kind, i, op.label) + ": op carries " +
-                        fmt9(op.seconds) + " s / " + fmt9(op.bytes) +
-                        " bytes with no kBusy* tag; computeEnergy prices "
-                        "busy lanes only, so this work is billed at idle "
-                        "power");
+        emitFinding(out, pass, op.label, OpRef{kind, i, op.label},
+                    ": op carries ", op.seconds, " s / ", op.bytes,
+                    " bytes with no kBusy* tag; computeEnergy prices busy "
+                    "lanes only, so this work is billed at idle power");
     };
     for (std::size_t i = 0; i < plan.layer_ops.size(); ++i)
         check("layer", i, plan.layer_ops[i]);
@@ -249,7 +310,7 @@ passEnergyCoverage(const StepPlan &plan, const PassContext &,
 
 void
 passAccountingConservation(const StepPlan &plan, const PassContext &,
-                           const AnalyzerPassInfo &pass, PlanAnalysis &out)
+                           const AnalyzerPassInfo &pass, Findings &out)
 {
     const auto check = [&](const char *kind, std::size_t i,
                            const StepOpView &op) {
@@ -274,23 +335,19 @@ passAccountingConservation(const StepPlan &plan, const PassContext &,
             return attn > host + (1e-6 + 1e-9 * host);
         };
         if (exceeds(attn_read, host_read))
-            emitFinding(out, pass, op.label,
-                        opRef(kind, i, op.label) +
-                            ": attention host-read share (" +
-                            fmt9(attn_read) +
-                            " bytes) exceeds the op's host-read share (" +
-                            fmt9(host_read) +
-                            " bytes); attention traffic must be a subset "
-                            "of host traffic");
+            emitFinding(out, pass, op.label, OpRef{kind, i, op.label},
+                        ": attention host-read share (", attn_read,
+                        " bytes) exceeds the op's host-read share (",
+                        host_read,
+                        " bytes); attention traffic must be a subset of "
+                        "host traffic");
         if (exceeds(attn_write, host_write))
-            emitFinding(out, pass, op.label,
-                        opRef(kind, i, op.label) +
-                            ": attention host-write share (" +
-                            fmt9(attn_write) +
-                            " bytes) exceeds the op's host-write share (" +
-                            fmt9(host_write) +
-                            " bytes); attention traffic must be a subset "
-                            "of host traffic");
+            emitFinding(out, pass, op.label, OpRef{kind, i, op.label},
+                        ": attention host-write share (", attn_write,
+                        " bytes) exceeds the op's host-write share (",
+                        host_write,
+                        " bytes); attention traffic must be a subset of "
+                        "host traffic");
     };
     for (std::size_t i = 0; i < plan.layer_ops.size(); ++i)
         check("layer", i, plan.layer_ops[i]);
@@ -308,7 +365,7 @@ containsWord(std::string_view haystack, std::string_view needle)
 
 void
 passPhaseMismatch(const StepPlan &plan, const PassContext &,
-                  const AnalyzerPassInfo &pass, PlanAnalysis &out)
+                  const AnalyzerPassInfo &pass, Findings &out)
 {
     const bool decode = plan.phase == PlanPhase::Decode;
     const std::string_view foreign = decode ? "prefill" : "decode";
@@ -317,10 +374,9 @@ passPhaseMismatch(const StepPlan &plan, const PassContext &,
                            const StepOpView &op) {
         if (containsWord(op.label, foreign) ||
             containsWord(op.stage, foreign))
-            emitFinding(out, pass, op.label,
-                        opRef(kind, i, op.label) +
-                            ": op named for the " + std::string(foreign) +
-                            " phase inside a " + own + " plan");
+            emitFinding(out, pass, op.label, OpRef{kind, i, op.label},
+                        ": op named for the ", foreign,
+                        " phase inside a ", own, " plan");
     };
     for (std::size_t i = 0; i < plan.layer_ops.size(); ++i)
         check("layer", i, plan.layer_ops[i]);
@@ -328,17 +384,16 @@ passPhaseMismatch(const StepPlan &plan, const PassContext &,
         check("tail", i, plan.tail_ops[i]);
     for (const std::string &stage : plan.stage_order)
         if (containsWord(stage, foreign))
-            emitFinding(out, pass, "",
-                        "declared stage '" + stage + "' names the " +
-                            std::string(foreign) + " phase inside a " +
-                            own + " plan");
+            emitFinding(out, pass, "", "declared stage '", stage,
+                        "' names the ", foreign, " phase inside a ", own,
+                        " plan");
 }
 
 // --- PA007: prefill plans must not carry an enabled energy spec -----------
 
 void
 passPrefillEnergySpec(const StepPlan &plan, const PassContext &,
-                      const AnalyzerPassInfo &pass, PlanAnalysis &out)
+                      const AnalyzerPassInfo &pass, Findings &out)
 {
     if (plan.phase == PlanPhase::Prefill && plan.energy.enabled)
         emitFinding(out, pass, "",
@@ -352,7 +407,7 @@ passPrefillEnergySpec(const StepPlan &plan, const PassContext &,
 // --- registry -------------------------------------------------------------
 
 using PassFn = void (*)(const StepPlan &, const PassContext &,
-                        const AnalyzerPassInfo &, PlanAnalysis &);
+                        const AnalyzerPassInfo &, Findings &);
 
 struct Pass {
     AnalyzerPassInfo info;
@@ -397,9 +452,22 @@ passRegistry()
 
 // --- critical-path / slack annotator --------------------------------------
 
+/** The dependency of layer op `i` that finishes last (ties toward the
+ *  first in dependency order); `i` must have one. */
+std::size_t
+latestDep(const StepPlan &plan, const PlanEvaluation &ev, std::size_t i)
+{
+    const StepOpView op = plan.layer_ops[i];
+    std::size_t best = op.deps[0];
+    for (const std::uint32_t d : op.deps)
+        if (ev.op_finish[d] > ev.op_finish[best])
+            best = d;
+    return best;
+}
+
 void
 annotateSlack(const StepPlan &plan, const PlanEvaluation &ev,
-              PlanAnalysis &out)
+              std::vector<double> &late, PlanAnalysis &out)
 {
     const std::size_t n = plan.layer_ops.size();
     const double cp = ev.layer_critical_path;
@@ -410,7 +478,7 @@ annotateSlack(const StepPlan &plan, const PlanEvaluation &ev,
 
     // Backward pass: late_finish[i] = min over dependents c of
     // (late_finish[c] - seconds[c]); sinks finish at the critical path.
-    std::vector<double> late(n, cp);
+    late.assign(n, cp);
     for (std::size_t i = n; i-- > 0;) {
         const StepOpView op = plan.layer_ops[i];
         if (op.offline)
@@ -429,24 +497,24 @@ annotateSlack(const StepPlan &plan, const PlanEvaluation &ev,
     }
 
     // Bottleneck chain: walk back from the latest finisher through the
-    // dependency with the maximal finish (ties toward the lowest id).
+    // dependency with the maximal finish (ties toward the lowest id),
+    // once to size the chain and once to fill it sink first.
     if (cp <= 0.0)
         return;
-    std::size_t cur = 0;
+    std::size_t sink = 0;
     for (std::size_t i = 1; i < n; ++i)
-        if (ev.op_finish[i] > ev.op_finish[cur])
-            cur = i;
-    std::vector<std::size_t> chain{cur};
-    while (!plan.layer_ops[cur].deps.empty()) {
-        const StepOpView op = plan.layer_ops[cur];
-        std::size_t best = op.deps[0];
-        for (const std::uint32_t d : op.deps)
-            if (ev.op_finish[d] > ev.op_finish[best])
-                best = d;
-        chain.push_back(best);
-        cur = best;
+        if (ev.op_finish[i] > ev.op_finish[sink])
+            sink = i;
+    std::size_t len = 1;
+    for (std::size_t cur = sink; !plan.layer_ops[cur].deps.empty(); ++len)
+        cur = latestDep(plan, ev, cur);
+    out.bottleneck_chain.resize(len);
+    std::size_t cur = sink;
+    for (std::size_t k = len; k-- > 0;) {
+        out.bottleneck_chain[k] = cur;
+        if (k > 0)
+            cur = latestDep(plan, ev, cur);
     }
-    out.bottleneck_chain.assign(chain.rbegin(), chain.rend());
 }
 
 }  // namespace
@@ -464,17 +532,32 @@ analyzerPasses()
 }
 
 PlanAnalysis
-analyzePlan(const StepPlan &plan)
+analyzePlan(const StepPlan &plan, const PlanEvaluation &ev)
 {
     PlanAnalysis out;
     if (!plan.feasible)
         return out;
-    const PlanEvaluation ev = evaluatePlan(plan);
-    const PassContext ctx = buildContext(plan, ev);
+    HILOS_ASSERT(ev.op_finish.size() == plan.layer_ops.size(),
+                 "analyzePlan: the evaluation is not of this plan");
+    AnalyzerScratch &s = analyzerScratch();
+    s.findings.findings.clear();
+    const PassContext ctx = buildContext(plan, ev, s);
     for (const Pass &p : passRegistry())
-        p.fn(plan, ctx, p.info, out);
-    annotateSlack(plan, ev, out);
+        p.fn(plan, ctx, p.info, s.findings);
+    out.findings.assign(std::make_move_iterator(s.findings.findings.begin()),
+                        std::make_move_iterator(s.findings.findings.end()));
+    annotateSlack(plan, ev, s.late, out);
     return out;
+}
+
+PlanAnalysis
+analyzePlan(const StepPlan &plan)
+{
+    if (!plan.feasible)
+        return PlanAnalysis{};
+    PlanEvaluation &ev = analyzerScratch().ev;
+    evaluatePlan(plan, ev);
+    return analyzePlan(plan, ev);
 }
 
 std::vector<PlanWaiver>
@@ -563,45 +646,60 @@ std::string
 serializeAnalysis(const StepPlan &plan, const PlanAnalysis &analysis)
 {
     std::string out;
-    out += std::string("phase = ") + planPhaseName(plan.phase) + "\n";
+    out += "phase = ";
+    out += planPhaseName(plan.phase);
+    out += "\n";
     if (!plan.feasible) {
         out += "infeasible = " + plan.note + "\n";
         return out;
     }
-    out += "layer_critical_path = " +
-           fmt9(analysis.layer_critical_path) + "\n";
-    out += "bottleneck = ";
+    out += "layer_critical_path = ";
+    appendFindingNumber(out, analysis.layer_critical_path);
+    out += "\nbottleneck = ";
     if (analysis.bottleneck_chain.empty()) {
         out += "(none)";
     } else {
         for (std::size_t k = 0; k < analysis.bottleneck_chain.size(); ++k) {
-            const std::size_t id = analysis.bottleneck_chain[k];
             if (k > 0)
                 out += " -> ";
-            out += "'" + std::string(plan.layer_ops[id].label) + "'";
+            out += '\'';
+            out += plan.layer_ops[analysis.bottleneck_chain[k]].label;
+            out += '\'';
         }
     }
+    out += "\nops = ";
+    appendCount(out, plan.layer_ops.size());
     out += "\n";
-    out += "ops = " + std::to_string(plan.layer_ops.size()) + "\n";
     for (std::size_t i = 0; i < plan.layer_ops.size(); ++i) {
         const StepOpView op = plan.layer_ops[i];
-        out += "slack[" + std::to_string(i) + "] = '" +
-               std::string(op.label) + "' ";
+        out += "slack[";
+        appendCount(out, i);
+        out += "] = '";
+        out += op.label;
+        out += "' ";
         if (op.offline) {
             out += "offline";
         } else {
-            out += fmt9(analysis.op_slack[i]);
+            appendFindingNumber(out, analysis.op_slack[i]);
             if (analysis.op_slack[i] == Seconds(0.0))
                 out += " (critical)";
         }
         out += "\n";
     }
-    out += "findings = " + std::to_string(analysis.findings.size()) + "\n";
+    out += "findings = ";
+    appendCount(out, analysis.findings.size());
+    out += "\n";
     for (std::size_t i = 0; i < analysis.findings.size(); ++i) {
         const PlanFinding &f = analysis.findings[i];
-        out += "finding[" + std::to_string(i) + "] = " + f.id + " " +
-               findingSeverityName(f.severity) +
-               (f.waived ? " (waived): " : ": ") + f.message + "\n";
+        out += "finding[";
+        appendCount(out, i);
+        out += "] = ";
+        out += f.id;
+        out += ' ';
+        out += findingSeverityName(f.severity);
+        out += f.waived ? " (waived): " : ": ";
+        out += f.message;
+        out += "\n";
     }
     return out;
 }

@@ -82,12 +82,33 @@ struct PlanAnalysis {
 };
 
 /**
- * Run every registered pass plus the slack annotator over `plan`.
- * The plan must already be structurally valid (validate() empty);
- * the analyzer checks semantics, not structure. Infeasible plans
- * yield an empty analysis — there is nothing to analyse.
+ * Run every registered pass plus the slack annotator over `plan`,
+ * whose analytic evaluation `ev` (evaluatePlan(plan)) the caller
+ * already holds. The plan must already be structurally valid
+ * (validate() empty); the analyzer checks semantics, not structure.
+ * Infeasible plans yield an empty analysis — there is nothing to
+ * analyse.
+ *
+ * The reach rows, the slack pass's latest finishes, the findings and
+ * the buffer each message is rendered into live in scratch this
+ * thread keeps across calls, so a warm call allocates only what it
+ * returns: op_slack, bottleneck_chain, findings and each finding's
+ * strings. A call is not reentrant on one thread.
+ */
+PlanAnalysis analyzePlan(const StepPlan &plan, const PlanEvaluation &ev);
+
+/**
+ * analyzePlan(plan, evaluatePlan(plan)), with the evaluation written
+ * into this thread's scratch instead of a fresh PlanEvaluation.
  */
 PlanAnalysis analyzePlan(const StepPlan &plan);
+
+/**
+ * Append `v` as findings and serializeAnalysis render numbers: what
+ * printf's "%.9g" prints in the C locale, whatever the process locale,
+ * with nan, the infinities and -0 spelled "nan", "inf"/"-inf" and "0".
+ */
+void appendFindingNumber(std::string &out, double v);
 
 /** One waiver: finding `id` on op label `op` ("*" matches any op). */
 struct PlanWaiver {
@@ -118,8 +139,8 @@ std::string firstUnwaivedError(const PlanAnalysis &analysis);
 
 /**
  * Canonical report serialisation (findings, slack table, bottleneck
- * chain), byte-stable and golden-comparable: floats render as %.9g
- * like tests/support/serialize.cc.
+ * chain), byte-stable and golden-comparable: floats render through
+ * appendFindingNumber, as %.9g like tests/support/serialize.cc.
  */
 std::string serializeAnalysis(const StepPlan &plan,
                               const PlanAnalysis &analysis);

@@ -329,6 +329,8 @@ StepPlan::declareStage(std::string_view name)
     }
     for (const std::string &s : stage_order)
         HILOS_ASSERT(s != name, "stage declared twice: ", name);
+    if (stage_order.capacity() == 0)
+        stage_order.reserve(kStageReserve);
     stage_order.emplace_back(name);
 }
 
@@ -351,6 +353,8 @@ StepPlan::declareResource(PlanResource kind, unsigned instances)
     for (const PlanResourceDecl &d : resources)
         HILOS_ASSERT(d.kind != kind, "resource declared twice: ",
                      planResourceName(kind));
+    if (resources.capacity() == 0)
+        resources.reserve(kResourceReserve);
     resources.push_back(PlanResourceDecl{kind, instances});
 }
 
@@ -909,14 +913,14 @@ applyPlan(const StepPlan &plan, const RunConfig &cfg, RunResult &res)
         HILOS_ASSERT(problems.empty(), "invalid step plan: ",
                      problems.empty() ? std::string() : problems.front());
     }
+    PlanEvaluation &ev = foldEvaluation();
+    evaluatePlan(plan, ev);
     if (analyzePlansEnabled()) {
-        const PlanAnalysis analysis = analyzePlan(plan);
+        const PlanAnalysis analysis = analyzePlan(plan, ev);
         HILOS_ASSERT(!hasUnwaivedErrors(analysis),
                      "plan analysis (HILOS_ANALYZE_PLANS) ",
                      firstUnwaivedError(analysis));
     }
-    PlanEvaluation &ev = foldEvaluation();
-    evaluatePlan(plan, ev);
     res.decode_step_time = ev.decode_step_time;
     res.breakdown = std::move(ev.breakdown);
     res.traffic = ev.traffic;
@@ -962,14 +966,14 @@ applyPrefillPlan(const StepPlan &plan, RunResult &res)
         HILOS_ASSERT(problems.empty(), "invalid prefill plan: ",
                      problems.empty() ? std::string() : problems.front());
     }
+    PlanEvaluation &ev = foldEvaluation();
+    evaluatePlan(plan, ev);
     if (analyzePlansEnabled()) {
-        const PlanAnalysis analysis = analyzePlan(plan);
+        const PlanAnalysis analysis = analyzePlan(plan, ev);
         HILOS_ASSERT(!hasUnwaivedErrors(analysis),
                      "prefill plan analysis (HILOS_ANALYZE_PLANS) ",
                      firstUnwaivedError(analysis));
     }
-    PlanEvaluation &ev = foldEvaluation();
-    evaluatePlan(plan, ev);
     res.prefill_time += ev.decode_step_time;
     res.prefill_busy.gpu += ev.busy.gpu;
     res.prefill_busy.cpu += ev.busy.cpu;

@@ -554,6 +554,15 @@ struct StepPlan {
     std::vector<std::string> validate() const;
 
   private:
+    /**
+     * Entries the first declaration reserves: room for every stage an
+     * engine declares (a faulted fleet decode plan declares 10, the
+     * most) and for every resource kind, so neither list regrows
+     * during a build.
+     */
+    static constexpr std::size_t kStageReserve = 16;
+    static constexpr std::size_t kResourceReserve = 8;
+
     enum class BuildMode : std::uint8_t { Append, Rebuild };
 
     BuildMode mode_ = BuildMode::Append;

@@ -500,13 +500,13 @@ runFlexGenPlanOracle(std::uint64_t seed, Perturbation perturb)
     // Semantic gate: zero error-severity analyzer findings on every
     // fuzzed plan (warn-severity findings are modelling choices the
     // waiver file pins; errors are builder bugs).
-    const PlanAnalysis analysis = analyzePlan(plan);
+    const PlanEvaluation ev = evaluatePlan(plan);
+    const PlanAnalysis analysis = analyzePlan(plan, ev);
     if (hasUnwaivedErrors(analysis)) {
         out.ok = false;
         out.detail = "plan analysis: " + firstUnwaivedError(analysis);
         return out;
     }
-    const PlanEvaluation ev = evaluatePlan(plan);
     const PlanSimResult ps = simulatePlan(plan);
 
     // Structural per-op invariant: the replay adds only queueing, so a
@@ -572,14 +572,14 @@ runFlexGenPlanOracle(std::uint64_t seed, Perturbation perturb)
             out.detail = "prefill plan validation: " + pre_problems.front();
             return out;
         }
-        const PlanAnalysis pre_analysis = analyzePlan(pre);
+        const PlanEvaluation pe = evaluatePlan(pre);
+        const PlanAnalysis pre_analysis = analyzePlan(pre, pe);
         if (hasUnwaivedErrors(pre_analysis)) {
             out.ok = false;
             out.detail =
                 "prefill plan analysis: " + firstUnwaivedError(pre_analysis);
             return out;
         }
-        const PlanEvaluation pe = evaluatePlan(pre);
         const PlanSimResult pps = simulatePlan(pre);
         for (std::size_t i = 0; i < pre.layer_ops.size(); ++i) {
             const StepOpView op = pre.layer_ops[i];

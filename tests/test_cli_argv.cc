@@ -77,6 +77,11 @@ TEST(CliBoundary, BadValuesExitTwoWithTheOptionNamed)
         {bench, "bench_fleet", "--hosts 0", "error: --hosts"},
         {bench, "bench_fleet", "--policy bogus", "error: --policy"},
         {bench, "bench_fleet", "--bogus", "error: unknown option --bogus"},
+        // Each option is in range but the fleet they make is not.
+        {bench, "bench_fleet", "--hosts 1",
+         "error: fleet: host-fail targets host 1 but the fleet has 1 hosts"},
+        {bench, "bench_fleet", "--policy fault-aware --spares 4 --hosts 4",
+         "error: fleet: 4 spare hosts leaves no server in a fleet of 4"},
         {bench, "bench_sim_perf", "--repeats 0", "error: --repeats"},
         {bench, "bench_fig10_throughput", "--jobs -1", "error: --jobs"},
         {bench, "bench_fig13_sensitivity", "--jobs 4294967296",

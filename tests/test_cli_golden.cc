@@ -192,6 +192,44 @@ TEST(CliGolden, BadArrivalTraceLinesExitTwoWithTheLineNumber)
     }
 }
 
+TEST(CliGolden, UnplaceableFleetIsInfeasibleLikeOneHost)
+{
+    // Work no host can hold is infeasible on one host and on a fleet
+    // alike: an `infeasible:` line and exit 1. The fleet once panicked
+    // under --serve (a PlanCache rebuild) and reported a feasible run
+    // with batch 0 and a 0 s decode step offline.
+    const std::string trace = ::testing::TempDir() + "unplaceable.trace";
+    {
+        std::ofstream out(trace);
+        out << "0 1000 10\n1 30000000 10\n";
+    }
+    const struct {
+        const char *args;
+        const char *line;
+    } cases[] = {
+        {"--serve --arrival-trace ",
+         "infeasible: request 1 (context 30000010) does not fit"},
+        {"--hosts 2 --serve --arrival-trace ",
+         "infeasible: request 1 (context 30000010) does not fit"},
+        {"--output 30000000", "infeasible: "},
+        {"--hosts 2 --output 30000000",
+         "infeasible: no host can serve a share of this workload"},
+    };
+    for (const auto &c : cases) {
+        std::string cmd = std::string(HILOS_CLI_PATH) + " " + c.args;
+        if (cmd.back() == ' ')
+            cmd += trace;
+        std::string out;
+        const int status = runStatus(cmd, &out);
+        EXPECT_FALSE(WIFSIGNALED(status)) << cmd << "\n" << out;
+        ASSERT_TRUE(WIFEXITED(status)) << cmd << "\n" << out;
+        EXPECT_EQ(WEXITSTATUS(status), 1) << cmd << "\n" << out;
+        EXPECT_NE(out.find(c.line), std::string::npos) << cmd << "\n" << out;
+        EXPECT_EQ(out.find("panic:"), std::string::npos) << cmd << "\n" << out;
+    }
+    std::remove(trace.c_str());
+}
+
 TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
 {
     // Out-of-range devices, negative or zero sizes, unknown names and a

@@ -9,6 +9,8 @@
  * place without touching the heap, and a whole runCached() point
  * allocates only a handful of times. A cold plan build allocates a
  * handful of times too, and a whole faulted fleet run a few hundred.
+ * Once warm, a replay allocates only the vectors it returns, and an
+ * analysis only its slack, chain and findings.
  * The bounds are byte and call counts, not wall times, so they cannot
  * flake on a loaded host.
  *
@@ -25,6 +27,8 @@
 #include <string>
 
 #include "core/hilos.h"
+#include "runtime/event_sim.h"
+#include "runtime/plan_analyzer.h"
 #include "runtime/plan_cache.h"
 
 namespace {
@@ -140,16 +144,25 @@ allocationPoint()
 
 /**
  * A cold plan build stores its ops as one vector of records plus a
- * string arena per op array, so it allocates a handful of times, not
- * once per field per growth step.
+ * string arena per op array, and its stage and resource lists reserve
+ * room on their first declaration, so it allocates a handful of times,
+ * not once per field per growth step. HILOS's decode plan is the most:
+ * its 14 ops outgrow the first record reserve.
  */
-TEST(EngineFootprint, ColdPlanBuildAllocatesAtMostSixteenTimes)
+TEST(EngineFootprint, ColdPlanBuildAllocatesAtMostSevenTimes)
 {
     const SystemConfig sys = defaultSystem();
     const RunConfig run = allocationPoint();
     for (const EngineKind kind : kAllEngines) {
         const auto engine = makeEngine(kind, sys);
         RunResult res;
+        // A first pair of builds fills what the process keeps across
+        // builds (HILOS's alpha candidates are a function-local static),
+        // so the counts do not depend on which test ran first.
+        StepPlan first;
+        engine->buildDecodePlan(run, res, first);
+        first.clear();
+        engine->buildPrefillPlan(run, 0, 1, first);
         StepPlan decode;
         StepPlan prefill;
         const std::uint64_t decode_allocs = allocationsOf(
@@ -157,11 +170,100 @@ TEST(EngineFootprint, ColdPlanBuildAllocatesAtMostSixteenTimes)
         const std::uint64_t prefill_allocs = allocationsOf(
             [&] { engine->buildPrefillPlan(run, 0, 1, prefill); });
         EXPECT_TRUE(decode.feasible && prefill.feasible) << engine->name();
-        EXPECT_LE(decode_allocs, 16u)
+        EXPECT_LE(decode_allocs, 7u)
             << engine->name() << " cold decode plan build";
-        EXPECT_LE(prefill_allocs, 16u)
+        EXPECT_LE(prefill_allocs, 7u)
             << engine->name() << " cold prefill plan build";
     }
+}
+
+/** Whether `s` holds its characters on the heap. */
+bool
+onHeap(const std::string &s)
+{
+    return s.capacity() > std::string().capacity();
+}
+
+/**
+ * A replay keeps its resolved ops, dependency array, finish times and
+ * pool slots in per-thread scratch: once warm, a call allocates only
+ * the result vectors it returns.
+ */
+TEST(EngineFootprint, WarmSimulatePlanAllocatesOnlyItsResultVectors)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = allocationPoint();
+    for (const EngineKind kind : kAllEngines) {
+        const std::string name = makeEngine(kind, sys)->name();
+        for (const StepPlan &plan : {decodeStepPlanFor(kind, sys, run),
+                                     prefillStepPlanFor(kind, sys, run)}) {
+            ASSERT_TRUE(plan.feasible) << name << plan.note;
+            (void)simulatePlan(plan);
+            PlanSimResult sim;
+            const std::uint64_t allocs =
+                allocationsOf([&] { sim = simulatePlan(plan); });
+            std::uint64_t results = 0;
+            results += sim.layer_times.empty() ? 0 : 1;
+            results += sim.first_layer_finish.empty() ? 0 : 1;
+            results += sim.resource_utilization.empty() ? 0 : 1;
+            results += sim.unit_utilization.empty() ? 0 : 1;
+            for (const auto &entries :
+                 {sim.resource_utilization, sim.unit_utilization})
+                for (const auto &[pool, util] : entries)
+                    results += onHeap(pool) ? 1 : 0;
+            EXPECT_GE(results, 3u) << name;
+            EXPECT_EQ(allocs, results)
+                << name << " warm " << planPhaseName(plan.phase)
+                << " simulatePlan";
+        }
+    }
+}
+
+/**
+ * An analysis keeps its reach rows, latest finishes and findings in
+ * per-thread scratch and renders every message into one buffer: once
+ * warm, a call given the caller's evaluation allocates only op_slack,
+ * bottleneck_chain, findings and each finding's strings. Without one
+ * it evaluates into per-thread scratch too.
+ */
+TEST(EngineFootprint, WarmAnalyzePlanAllocatesOnlyItsResults)
+{
+    const SystemConfig sys = defaultSystem();
+    const RunConfig run = allocationPoint();
+    std::size_t findings = 0;
+    for (const EngineKind kind : kAllEngines) {
+        const std::string name = makeEngine(kind, sys)->name();
+        for (const StepPlan &plan : {decodeStepPlanFor(kind, sys, run),
+                                     prefillStepPlanFor(kind, sys, run)}) {
+            ASSERT_TRUE(plan.feasible) << name << plan.note;
+            const PlanEvaluation ev = evaluatePlan(plan);
+            (void)analyzePlan(plan);
+            PlanAnalysis with_ev;
+            PlanAnalysis own_ev;
+            const std::uint64_t with_ev_allocs =
+                allocationsOf([&] { with_ev = analyzePlan(plan, ev); });
+            const std::uint64_t own_ev_allocs =
+                allocationsOf([&] { own_ev = analyzePlan(plan); });
+            std::uint64_t results = 0;
+            results += with_ev.op_slack.empty() ? 0 : 1;
+            results += with_ev.bottleneck_chain.empty() ? 0 : 1;
+            results += with_ev.findings.empty() ? 0 : 1;
+            for (const PlanFinding &f : with_ev.findings)
+                results += (onHeap(f.op) ? 1 : 0) + (onHeap(f.message) ? 1 : 0);
+            findings += with_ev.findings.size();
+            // The analyzer's own evaluation re-creates its breakdown,
+            // so a stage name too long for a short string allocates.
+            std::uint64_t long_stages = 0;
+            for (const std::string &stage : plan.stage_order)
+                long_stages += onHeap(stage) ? 1 : 0;
+            const char *phase = planPhaseName(plan.phase);
+            EXPECT_EQ(with_ev_allocs, results)
+                << name << " warm " << phase << " analyzePlan(plan, ev)";
+            EXPECT_EQ(own_ev_allocs, results + long_stages)
+                << name << " warm " << phase << " analyzePlan(plan)";
+        }
+    }
+    EXPECT_GT(findings, 0u) << "no plan exercised the finding renderer";
 }
 
 /** A placement over a host mask allocates only its assignments. */

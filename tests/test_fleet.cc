@@ -16,6 +16,7 @@
 
 #include "core/hilos.h"
 #include "runtime/fleet_engine.h"
+#include "runtime/plan_cache.h"
 #include "support/oracles.h"
 #include "support/serialize.h"
 
@@ -576,6 +577,46 @@ TEST(FleetEngine, ARunNoHostCanHoldRunsNoHost)
     const RunResult r = FleetEngine(sys, fleetOf(2)).run(run);
     EXPECT_EQ(r.effective_batch, 0u);
     EXPECT_EQ(r.energy.total(), 0.0);
+    // It is reported infeasible, as a single host reports it, not as a
+    // feasible run with a 0 s decode step.
+    EXPECT_FALSE(r.feasible);
+    EXPECT_EQ(r.note, "no host can serve a share of this workload");
+}
+
+TEST(FleetEngine, UnplaceableRebuildInAPlanCacheIsInfeasible)
+{
+    // Serving rebuilds a fleet's plans in a PlanCache. A request no
+    // host can hold once replaced the cached plan wholesale, which
+    // left rebuild mode and panicked in finishRebuild.
+    const SystemConfig sys = defaultSystem();
+    const FleetEngine fe(sys, fleetOf(2));
+    const RunConfig fits = smallRun();
+    RunConfig huge = fits;
+    huge.context_len = 30'000'000;
+    for (const PlanPhase phase : {PlanPhase::Decode, PlanPhase::Prefill}) {
+        PlanCache cache;
+        const std::uint64_t key =
+            PlanCache::keyOf(fe.name(), fits.model.name, phase);
+        const auto build = [&](const RunConfig &run) -> const StepPlan & {
+            return cache.build(key, [&](StepPlan &plan) {
+                RunResult res;
+                if (phase == PlanPhase::Decode)
+                    fe.buildDecodePlan(run, res, plan);
+                else
+                    fe.buildPrefillPlan(run, 0, 1, plan);
+            });
+        };
+        EXPECT_TRUE(build(fits).feasible);
+        const StepPlan &unplaced = build(huge);
+        EXPECT_FALSE(unplaced.feasible);
+        EXPECT_EQ(unplaced.phase, phase);
+        EXPECT_EQ(unplaced.note, "no host can serve a share of this workload");
+        EXPECT_EQ(cache.stats().mismatches, 1u);
+        // The infeasible plan is itself a cached topology to rebuild.
+        EXPECT_FALSE(build(huge).feasible);
+        EXPECT_EQ(cache.stats().hits, 1u);
+        EXPECT_TRUE(build(fits).feasible);
+    }
 }
 
 TEST(FleetEngine, FaultAwareSpareAbsorbsALoss)

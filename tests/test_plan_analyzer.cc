@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -617,6 +619,123 @@ TEST(PlanAnalyzer, SerialisedFindingsAreByteIdentical)
         // Same plan analysed twice is byte-identical too.
         EXPECT_EQ(s1, serializeAnalysis(p1, analyzePlan(p1)));
     }
+}
+
+TEST(PlanAnalyzer, CallersEvaluationGivesTheSameAnalysis)
+{
+    // analyzePlan(plan) is analyzePlan(plan, evaluatePlan(plan)) with
+    // the evaluation in per-thread scratch: the two serialise alike on
+    // every engine's plans and on hand-built plans with findings.
+    RunConfig run;
+    run.model = modelByName("OPT-66B");
+    run.batch = 16;
+    run.context_len = 32768;
+    run.output_len = 64;
+    const SystemConfig sys = defaultSystem();
+    std::vector<StepPlan> plans;
+    for (const EngineKind kind :
+         {EngineKind::FlexDram, EngineKind::FlexSsd,
+          EngineKind::FlexSmartSsdRaw, EngineKind::DeepSpeedUvm,
+          EngineKind::VllmMultiGpu, EngineKind::Hilos}) {
+        plans.push_back(decodeStepPlanFor(kind, sys, run));
+        plans.push_back(prefillStepPlanFor(kind, sys, run));
+    }
+    StepPlan untagged = cleanPlan();
+    untagged.addOp(computeOp(ComputeUnit::Cpu, "untagged_compute", 0.5)
+                       .stageTag("commit"));
+    untagged.energy.enabled = true;
+    plans.push_back(untagged);
+    plans.push_back(cleanPlan());
+    std::size_t findings = 0;
+    for (const StepPlan &plan : plans) {
+        ASSERT_TRUE(plan.feasible) << plan.note;
+        const PlanAnalysis own = analyzePlan(plan);
+        const PlanAnalysis given = analyzePlan(plan, evaluatePlan(plan));
+        EXPECT_EQ(serializeAnalysis(plan, own),
+                  serializeAnalysis(plan, given));
+        EXPECT_EQ(own.op_slack, given.op_slack);
+        EXPECT_EQ(own.bottleneck_chain, given.bottleneck_chain);
+        findings += own.findings.size();
+    }
+    EXPECT_GT(findings, 0u);
+}
+
+TEST(PlanAnalyzer, FindingNumbersRenderAsPrintfG9)
+{
+    // Finding and serialisation numbers go through to_chars; they must
+    // read as "%.9g" does, with -0 folded to 0 and nan/inf spelled out.
+    const double values[] = {
+        0.0,
+        1.0,
+        -1.0,
+        0.1,
+        1.0 / 3.0,
+        -2.0 / 3.0,
+        184320.0,
+        6144.0,
+        0.000123456789,
+        0.0001,
+        0.00001,
+        123456789.0,
+        999999999.0,
+        999999999.5,
+        1e9,
+        1234567890.0,
+        4294967296.0,
+        1e15 + 1.0,
+        1e300,
+        -1e300,
+        1e-300,
+        -1e-300,
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        2.2250738585072009e-308,  // largest subnormal
+        1e-310,
+        -1e-320,
+    };
+    for (const double v : values) {
+        char expected[64];
+        std::snprintf(expected, sizeof(expected), "%.9g", v);
+        std::string out = "x=";
+        appendFindingNumber(out, v);
+        EXPECT_EQ(out, std::string("x=") + expected) << v;
+    }
+    const auto render = [](double v) {
+        std::string out;
+        appendFindingNumber(out, v);
+        return out;
+    };
+    EXPECT_EQ(render(-0.0), "0");
+    EXPECT_EQ(render(std::numeric_limits<double>::quiet_NaN()), "nan");
+    EXPECT_EQ(render(-std::numeric_limits<double>::quiet_NaN()), "nan");
+    EXPECT_EQ(render(std::numeric_limits<double>::infinity()), "inf");
+    EXPECT_EQ(render(-std::numeric_limits<double>::infinity()), "-inf");
+}
+
+TEST(PlanAnalyzer, FindingMessagesRenderTheirNumbersAndOps)
+{
+    // One PA004 finding per untagged op: its op reference and both
+    // numbers, byte for byte.
+    StepPlan plan = cleanPlan();
+    plan.addOp(computeOp(ComputeUnit::Cpu, "untagged_compute", 184320.0)
+                   .stageTag("commit"));
+    plan.addOp(transferOp(PlanResource::HostPcie, "tiny", 1e-300, 1e15 + 1)
+                   .stageTag("commit"));
+    plan.energy.enabled = true;
+    ASSERT_TRUE(plan.validate().empty());
+    const auto hits = findingsWithId(analyzePlan(plan), "PA004");
+    ASSERT_EQ(hits.size(), 2u);
+    const std::string tail =
+        " bytes with no kBusy* tag; computeEnergy prices busy lanes only, "
+        "so this work is billed at idle power";
+    EXPECT_EQ(hits[0].message,
+              "layer op #3 'untagged_compute': op carries 184320 s / 0" +
+                  tail);
+    EXPECT_EQ(hits[1].message,
+              "layer op #4 'tiny': op carries 1e-300 s / 1e+15" + tail);
 }
 
 // --- the repo-level contract: every engine analyses clean -----------------
