@@ -228,14 +228,46 @@ main(int argc, char **argv)
         std::cerr << "error: " << problems.front() << "\n";
         return 2;
     }
-
+    run.batch = per_host * hosts;
     if (!args.get("replay-dir").empty()) {
-        run.batch = per_host * hosts;
         const int violations =
             replayPlanLibrary(args.get("replay-dir"), sys, shape, run);
         std::cout << (violations ? "replay FAILED: " : "replay OK: ")
                   << violations << " violated plan(s)\n";
         return violations ? 1 : 0;
+    }
+
+    // The node-loss study's runs go first: a --fault-plan that loses or
+    // stalls no host while the run lasts, or leaves no host to serve,
+    // cannot show a node loss and is refused before any output.
+    const RunResult healthy = FleetEngine(sys, shape).run(run);
+    check(healthy.feasible, "healthy fleet must be feasible");
+    FleetConfig faulted = shape;
+    if (args.get("fault-plan").empty()) {
+        // Default scenario: one host lost a third of the way through.
+        const Seconds mid =
+            healthy.prefill_time +
+            (run.output_len / 3.0) * healthy.decode_step_time;
+        faulted.fault_plan = FaultPlan{}.addHostFailure(mid, 1);
+    } else {
+        faulted.fault_plan = studied.fault_plan;
+    }
+    const FleetEngine fe(sys, faulted);
+    const RunResult lost = fe.run(run);
+    if (!args.get("fault-plan").empty()) {
+        if (!lost.feasible) {
+            std::cerr << "error: --fault-plan: the node-loss study needs a "
+                         "host left to serve: "
+                      << lost.note << "\n";
+            return 2;
+        }
+        if (!lost.fleet.any() || lost.fleet.availability >= 1.0) {
+            std::cerr << "error: --fault-plan: the node-loss study needs a "
+                         "host lost or stalled before the run's last "
+                         "decode step (the healthy run ends at "
+                      << healthy.total_time << " s)\n";
+            return 2;
+        }
     }
 
     bench::BenchJson json("fleet");
@@ -310,22 +342,6 @@ main(int argc, char **argv)
     }
 
     // --- Node-loss cost at the requested fleet size ---
-    run.batch = per_host * hosts;
-    const RunResult healthy = FleetEngine(sys, shape).run(run);
-    check(healthy.feasible, "healthy fleet must be feasible");
-
-    FleetConfig faulted = shape;
-    if (args.get("fault-plan").empty()) {
-        // Default scenario: one host lost a third of the way through.
-        const Seconds mid =
-            healthy.prefill_time +
-            (run.output_len / 3.0) * healthy.decode_step_time;
-        faulted.fault_plan = FaultPlan{}.addHostFailure(mid, 1);
-    } else {
-        faulted.fault_plan = studied.fault_plan;
-    }
-    const FleetEngine fe(sys, faulted);
-    const RunResult lost = fe.run(run);
     const RunResult lost2 = fe.run(run);
     check(fingerprint(lost) == fingerprint(lost2),
           "node-loss run must be deterministic per seed");

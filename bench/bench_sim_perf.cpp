@@ -20,7 +20,10 @@
  *     context grid, same binary; the two must agree bit for bit;
  *  5. fleet — one FleetEngine::run of 8 hosts losing host 1 a third of
  *     the way through decode (bench_fleet's node-loss scenario), per
- *     run: epoch re-placement, shard rebuild and the epoch fold.
+ *     run: epoch re-placement, shard rebuild and the epoch fold. The
+ *     repeated run() re-prices its plans in run()'s per-thread
+ *     PlanCache (fleet_faulted); the same run through a fresh cache
+ *     builds every plan cold (fleet_faulted_first).
  *
  * Every wall-time row is the minimum over --repeats (after one
  * untimed warm-up; each repeat is the median of several runs) and
@@ -485,6 +488,20 @@ main(int argc, char **argv)
         },
         repeats);
     reportTime("fleet_faulted", "run", fleet_t, fleet_iters);
+    // run() re-prices a repeated faulted run through its per-thread
+    // PlanCache, so fleet_faulted times warm repeats; a fresh cache per
+    // run times the cold fold a one-shot run pays.
+    const Timing fleet_first_t = timeSeconds(
+        [&] {
+            for (int i = 0; i < fleet_iters; i++) {
+                PlanCache fresh;
+                const RunResult r = faulted_fleet.runCached(fleet_run, fresh);
+                check(r.feasible && r.fleet.availability < 1.0,
+                      "faulted fleet must degrade, not fail");
+            }
+        },
+        repeats);
+    reportTime("fleet_faulted_first", "run", fleet_first_t, fleet_iters);
 
     table.print(std::cout);
     std::cout << "sweep: " << grid.size() << " points, cold "

@@ -256,12 +256,8 @@ runCli(int argc, char **argv)
     opts.attention_window = args.getCount("window");
     const std::string fault_spec = args.get("fault-plan");
     if (!fault_spec.empty()) {
-        try {
-            opts.fault_plan = parseFaultPlan(fault_spec);
-        } catch (const std::exception &e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return 2;
-        }
+        // A malformed plan is a HILOS_FATAL; main reports it.
+        opts.fault_plan = parseFaultPlan(fault_spec);
         const std::vector<std::string> problems = opts.fault_plan.validate();
         if (!problems.empty()) {
             std::cerr << "error: --fault-plan: " << problems.front() << "\n";

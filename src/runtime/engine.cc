@@ -24,6 +24,19 @@ StageBreakdown::add(const std::string &name, Seconds t)
     stages_.emplace_back(name, t);
 }
 
+void
+StageBreakdown::assign(std::span<const std::string> names,
+                       std::span<const Seconds> secs)
+{
+    HILOS_ASSERT(names.size() == secs.size(), "one time per stage name");
+    stages_.resize(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        HILOS_ASSERT(secs[i] >= 0.0, "negative stage time for ", names[i]);
+        stages_[i].first = names[i];
+        stages_[i].second = secs[i];
+    }
+}
+
 Seconds
 StageBreakdown::get(const std::string &name) const
 {
@@ -65,6 +78,34 @@ struct OwnPrefill {
 };
 
 /**
+ * What a plan of a run is for, mixed with its condition segment into its
+ * PlanCache key (see roleKey): the plans of one faulted run each keep an
+ * entry of their own, so a repeated run rebuilds every one in place. A
+ * healthy run keeps the plain phase keys (role 0).
+ */
+enum PlanRole : std::uint64_t {
+    kRoleFirst = 1,  ///< the fold's decode and prefill at t = 0
+    kRoleEpoch = 2,  ///< an epoch's decode, per segment
+    kRoleRunAt = 3,  ///< runAt()'s decode and prefill, per segment
+};
+
+/** The role word of a plan of `role` in condition segment `segment`. */
+std::uint64_t
+roleKey(PlanRole role, std::size_t segment = 0)
+{
+    return (static_cast<std::uint64_t>(segment) << 2) | role;
+}
+
+/**
+ * Entries the per-thread cache of run() holds before it is cleared
+ * wholesale: above the plans of a few faulted fleet configurations, so
+ * a repeated run stays warm, while config churn keeps memory bounded.
+ * A run adds its plans before the next check, so the cache peaks at
+ * this many plus one run's plans (a few per condition segment).
+ */
+constexpr std::size_t kRunCacheEntries = 128;
+
+/**
  * Accumulate the `w`-weighted decode-step accounting of `ev` into `acc`
  * (decode step time, breakdown stages, traffic counters, busy time):
  * the epoch-blending primitive of the fold.
@@ -95,7 +136,8 @@ accumulateWeighted(RunResult &acc, const PlanEvaluation &ev, double w)
 
 RunResult
 InferenceEngine::runPlans(const RunConfig &cfg, PlanCache *cache,
-                          DecodeBuilder decode, PrefillBuilder prefill) const
+                          std::uint64_t role, DecodeBuilder decode,
+                          PrefillBuilder prefill) const
 {
     HILOS_ASSERT(cfg.prefill_chunks >= 1,
                  "a run needs at least one prefill chunk");
@@ -119,6 +161,10 @@ InferenceEngine::runPlans(const RunConfig &cfg, PlanCache *cache,
             PlanCache::keyOf(engine, cfg.model.name, PlanPhase::Decode);
         prefill_key =
             PlanCache::keyOf(engine, cfg.model.name, PlanPhase::Prefill);
+        if (role != 0) {
+            decode_key = PlanCache::mixKey(decode_key, role);
+            prefill_key = PlanCache::mixKey(prefill_key, role);
+        }
     }
 
     RunResult res;
@@ -145,10 +191,11 @@ RunResult
 InferenceEngine::runHealthy(const RunConfig &cfg, PlanCache *cache) const
 {
     RunResult res =
-        runPlans(cfg, cache, OwnDecode{*this}, OwnPrefill{*this});
+        runPlans(cfg, cache, 0, OwnDecode{*this}, OwnPrefill{*this});
     const DecodeEpoch only{res.prefill_time, res.decode_step_time,
                            cfg.output_len, 1.0};
     EpochLog log;
+    log.cache = cache;
     if (res.feasible) {
         log.epochs = {&only, 1};
         log.healthy_step = res.decode_step_time;
@@ -159,16 +206,30 @@ InferenceEngine::runHealthy(const RunConfig &cfg, PlanCache *cache) const
 }
 
 RunResult
-InferenceEngine::runEpochs(const RunConfig &cfg) const
+InferenceEngine::runEpochs(const RunConfig &cfg, PlanCache &cache) const
 {
     HILOS_ASSERT(cfg.prefill_chunks >= 1,
                  "a run needs at least one prefill chunk");
     const ConditionTimeline &tl = timeline();
+    // name() builds a string, so the run asks for it once. The healthy
+    // decode shares runCached()'s Decode entry; every other plan keys
+    // its role (and its segment) in, so no build below rebuilds an
+    // entry the fold still holds.
+    const std::string engine = name();
+    const std::uint64_t decode_key =
+        PlanCache::keyOf(engine, cfg.model.name, PlanPhase::Decode);
+    const std::uint64_t prefill_key =
+        PlanCache::keyOf(engine, cfg.model.name, PlanPhase::Prefill);
     std::vector<DecodeEpoch> epochs;
     EpochLog log;
+    log.cache = &cache;
     // Every plan of the run evaluates into this one evaluation.
     PlanEvaluation ev;
-    const StepPlan healthy = decodeStepPlan(cfg);
+    RunResult scratch;
+    const StepPlan &healthy = cache.build(decode_key, [&](StepPlan &p) {
+        scratch = RunResult{};
+        buildDecodePlan(cfg, scratch, p);
+    });
     if (healthy.feasible) {
         evaluatePlan(healthy, ev);
         log.healthy_step = ev.decode_step_time;
@@ -178,17 +239,24 @@ InferenceEngine::runEpochs(const RunConfig &cfg) const
     // force when the run starts.
     const Seconds run_start = 0.0;
     RunResult res;
-    StepPlan first;
-    buildDecodePlanAt(cfg, run_start, res, first);
+    const StepPlan &first = cache.build(
+        PlanCache::mixKey(decode_key, roleKey(kRoleFirst)),
+        [&](StepPlan &p) {
+            res = RunResult{};
+            buildDecodePlanAt(cfg, run_start, res, p);
+        });
     if (!first.feasible) {
         res.feasible = false;
         res.note = first.note;
         summarize(cfg, log, res);
         return res;
     }
+    const std::uint64_t first_prefill_key =
+        PlanCache::mixKey(prefill_key, roleKey(kRoleFirst));
     for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
-        StepPlan pre;
-        buildPrefillPlanAt(cfg, run_start, i, cfg.prefill_chunks, pre);
+        const StepPlan &pre = cache.build(first_prefill_key, [&](StepPlan &p) {
+            buildPrefillPlanAt(cfg, run_start, i, cfg.prefill_chunks, p);
+        });
         if (!applyPrefillPlan(pre, res)) {
             summarize(cfg, log, res);
             return res;
@@ -233,7 +301,13 @@ InferenceEngine::runEpochs(const RunConfig &cfg) const
                          "stalled fleet with no recovery event");
             continue;
         }
-        const StepPlan plan = decodeStepPlanAt(cfg, now);
+        const StepPlan &plan = cache.build(
+            PlanCache::mixKey(decode_key,
+                              roleKey(kRoleEpoch, tl.segmentAt(now))),
+            [&](StepPlan &p) {
+                scratch = RunResult{};
+                buildDecodePlanAt(cfg, now, scratch, p);
+            });
         if (!plan.feasible) {
             res.feasible = false;
             res.note = plan.note;
@@ -264,6 +338,7 @@ InferenceEngine::runEpochs(const RunConfig &cfg) const
     log.stall_time = tl.recoveredStallsBefore(now).time;
     res.total_time = res.prefill_time + decode_time + log.rebuild_time +
                      log.stall_time;
+    // Before summarize, whose own builds may share the cache.
     if (res.feasible)
         applyRunEnergy(first.energy, cfg, res);
     summarize(cfg, log, res);
@@ -273,20 +348,28 @@ InferenceEngine::runEpochs(const RunConfig &cfg) const
 RunResult
 InferenceEngine::run(const RunConfig &cfg) const
 {
-    return timeline().empty() ? runHealthy(cfg, nullptr) : runEpochs(cfg);
+    if (timeline().empty())
+        return runHealthy(cfg, nullptr);
+    // Cleared only here, between runs: a fold holds references into it.
+    thread_local PlanCache cache;
+    if (cache.size() >= kRunCacheEntries)
+        cache.clear();
+    return runEpochs(cfg, cache);
 }
 
 RunResult
 InferenceEngine::runCached(const RunConfig &cfg, PlanCache &cache) const
 {
-    return timeline().empty() ? runHealthy(cfg, &cache) : runEpochs(cfg);
+    return timeline().empty() ? runHealthy(cfg, &cache)
+                              : runEpochs(cfg, cache);
 }
 
 RunResult
-InferenceEngine::runAt(const RunConfig &cfg, Seconds now) const
+InferenceEngine::runAt(const RunConfig &cfg, Seconds now,
+                       PlanCache *cache) const
 {
     return runPlans(
-        cfg, nullptr,
+        cfg, cache, roleKey(kRoleRunAt, timeline().segmentAt(now)),
         [&](const RunConfig &c, RunResult &res, StepPlan &plan) {
             buildDecodePlanAt(c, now, res, plan);
         },

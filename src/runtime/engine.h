@@ -140,6 +140,14 @@ class StageBreakdown
     /** Sum of all stages (>= the critical-path step time with overlap). */
     Seconds sum() const;
 
+    /**
+     * Replace the stages with `names[i]` at `secs[i]` (names unique).
+     * Each entry keeps its string's storage, so refilling a breakdown
+     * with the same stage order overwrites its values in place.
+     */
+    void assign(std::span<const std::string> names,
+                std::span<const Seconds> secs);
+
     /** Make room for `n` stages, so adding them allocates once. */
     void reserve(std::size_t n) { stages_.reserve(n); }
 
@@ -216,6 +224,12 @@ struct EpochLog {
     Bytes rebuild_bytes = 0;   ///< bytes their transfer ops moved
     Seconds stall_time = 0;    ///< recovered host stalls before `end`
     Seconds end = 0;           ///< run time the decode phase stopped at
+    /**
+     * The run's plan cache, for plans the hook builds itself (null:
+     * build cold). The fold reads none of its cached plans once the
+     * hook is called, so the hook's builds may rebuild any entry.
+     */
+    PlanCache *cache = nullptr;
 };
 
 /**
@@ -323,7 +337,16 @@ class InferenceEngine
      * Model the full run analytically. With an empty timeline() the
      * decode plan and every prefill chunk are built cold and folded
      * into one result, the uncached reference runCached() is checked
-     * against; otherwise the run is the epoch fold (see engine.cc).
+     * against; otherwise the run is the epoch fold (see engine.cc)
+     * through a per-thread PlanCache. That cache pays off only when a
+     * thread repeats a faulted run of one engine and model whose plans
+     * keep their topology (a benchmark loop, a sweep over rates): those
+     * plans re-price in place. A one-shot faulted run instead builds
+     * each plan cold into a new entry and validates it; a run whose
+     * topology differs from the cached one also pays the failed
+     * rebuild. The cache is cleared only between runs, once it holds
+     * 128 entries, so it holds at most that many plus one run's plans:
+     * a few per condition segment of its timeline.
      */
     RunResult run(const RunConfig &cfg) const;
 
@@ -331,15 +354,18 @@ class InferenceEngine
      * run() with plan-structure reuse: the builders rebuild only the
      * priced annotations when `cache` already holds their topology
      * (see runtime/plan_cache.h). Results are bit-identical to run()
-     * for every engine and cache state; the epoch fold builds cold.
+     * for every engine and cache state.
      */
     RunResult runCached(const RunConfig &cfg, PlanCache &cache) const;
 
     /**
      * The run held at the conditions in force at `now` for its whole
      * length: decode and prefill built by the `At` builders, no epochs.
+     * With a `cache` (null: build cold), the plans rebuild in place
+     * under keys of the timeline() segment `now` falls in.
      */
-    RunResult runAt(const RunConfig &cfg, Seconds now) const;
+    RunResult runAt(const RunConfig &cfg, Seconds now,
+                    PlanCache *cache) const;
 
     /** The decode-step plan for one run configuration (a cold build). */
     StepPlan decodeStepPlan(const RunConfig &cfg) const;
@@ -379,12 +405,14 @@ class InferenceEngine
     /**
      * The one run body: build the decode plan and each prefill chunk
      * with the given builders (cold when `cache` is null, else through
-     * `cache` under this engine's keys) and fold them with
-     * applyPrefillPlan/applyPlan. run() and runCached() pass the
-     * engine's own builders, runAt() the builders at one time.
+     * `cache` under this engine's phase keys, mixed with `role` unless
+     * it is 0) and fold them with applyPrefillPlan/applyPlan. run() and
+     * runCached() pass the engine's own builders, runAt() the builders
+     * at one time.
      */
     RunResult runPlans(const RunConfig &cfg, PlanCache *cache,
-                       DecodeBuilder decode, PrefillBuilder prefill) const;
+                       std::uint64_t role, DecodeBuilder decode,
+                       PrefillBuilder prefill) const;
 
     /** run() and runCached() over runPlans plus the summary hook. */
     RunResult runHealthy(const RunConfig &cfg, PlanCache *cache) const;
@@ -393,8 +421,10 @@ class InferenceEngine
      * The epoch fold of a run under a non-empty timeline(): prefill at
      * t = 0, decode cut at the timeline's change times, each boundary
      * charged through rebuildPlanAt, epochs blended by token weight.
+     * The healthy decode, the t = 0 decode and prefill and each epoch's
+     * decode rebuild through `cache`, each under its own key.
      */
-    RunResult runEpochs(const RunConfig &cfg) const;
+    RunResult runEpochs(const RunConfig &cfg, PlanCache &cache) const;
 };
 
 /**

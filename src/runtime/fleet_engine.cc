@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "runtime/event_sim.h"
@@ -286,30 +287,34 @@ FleetEngine::summarize(const RunConfig &cfg, const EpochLog &log,
     fl.hosts = fleet_.hosts;
     fl.devices_per_host = fleet_.devices_per_host;
     fl.policy = placementPolicyName(fleet_.policy);
+    fl.epochs.reserve(log.epochs.size());
 
     // Whole-run host accounting per (share, host conditions): a host's
-    // conditions change only at its own timeline's change times.
-    const std::vector<Seconds> &host_changes =
-        host_engine_.timeline().changeTimes();
-    std::map<std::pair<std::uint64_t, std::ptrdiff_t>, RunResult> host_runs;
+    // conditions change only at its own timeline's change times. A run
+    // prices a few such pairs, so a linear scan finds them.
+    struct HostRun {
+        std::uint64_t batch;
+        std::size_t segment;
+        RunResult result;
+    };
+    std::vector<HostRun> host_runs;
+    host_runs.reserve(log.epochs.size());
     const RunResult idle;  // an epoch with nothing placed runs no host
     const auto hostRun = [&](std::uint64_t b,
                              Seconds t) -> const RunResult & {
         if (b == 0)
             return idle;
-        const std::ptrdiff_t seen =
-            std::upper_bound(host_changes.begin(), host_changes.end(), t) -
-            host_changes.begin();
-        auto it = host_runs.find({b, seen});
-        if (it == host_runs.end()) {
-            RunConfig host_cfg = cfg;
-            host_cfg.batch = b;
-            it = host_runs
-                     .emplace(std::make_pair(b, seen),
-                              host_engine_.runAt(host_cfg, t))
-                     .first;
+        const std::size_t seen = host_engine_.timeline().segmentAt(t);
+        for (const HostRun &run : host_runs) {
+            if (run.batch == b && run.segment == seen)
+                return run.result;
         }
-        return it->second;
+        RunConfig host_cfg = cfg;
+        host_cfg.batch = b;
+        return host_runs
+            .emplace_back(b, seen,
+                          host_engine_.runAt(host_cfg, t, log.cache))
+            .result;
     };
 
     // Serving hosts carry the traffic and energy of their share; the
@@ -379,7 +384,7 @@ FleetEngine::summarize(const RunConfig &cfg, const EpochLog &log,
         fl.degraded_step_time = log.epochs.back().step;
     if (!res.feasible) {
         res.faults.requests_failed = cfg.batch;
-        res.fleet = fl;
+        res.fleet = std::move(fl);
         return;
     }
     fl.slowdown = log.healthy_step > 0.0
@@ -395,7 +400,7 @@ FleetEngine::summarize(const RunConfig &cfg, const EpochLog &log,
             std::max(res.faults.requests_degraded, prev.placed_batch);
     }
     res.faults.requests_failed += max_dropped;
-    res.fleet = fl;
+    res.fleet = std::move(fl);
 }
 
 Seconds

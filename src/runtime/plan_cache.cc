@@ -2,6 +2,13 @@
 
 namespace hilos {
 
+namespace {
+
+/** The 64-bit FNV-1a prime. */
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+}  // namespace
+
 std::uint64_t
 PlanCache::keyOf(std::string_view engine_name, std::string_view model_name,
                  PlanPhase phase)
@@ -11,7 +18,7 @@ PlanCache::keyOf(std::string_view engine_name, std::string_view model_name,
     const auto mix = [&h](std::string_view s) {
         for (const char c : s) {
             h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
+            h *= kFnvPrime;
         }
     };
     mix(engine_name);
@@ -20,6 +27,16 @@ PlanCache::keyOf(std::string_view engine_name, std::string_view model_name,
     mix("|");
     mix(planPhaseName(phase));
     return h;
+}
+
+std::uint64_t
+PlanCache::mixKey(std::uint64_t key, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i) {
+        key ^= (value >> (8 * i)) & 0xffu;
+        key *= kFnvPrime;
+    }
+    return key;
 }
 
 }  // namespace hilos

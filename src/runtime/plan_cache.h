@@ -104,6 +104,13 @@ class PlanCache
                                std::string_view model_name,
                                PlanPhase phase = PlanPhase::Decode);
 
+    /**
+     * `key` with `value` mixed in (FNV-1a over its bytes): narrows a
+     * phase key to one use of the plan, such as one condition segment
+     * of a faulted run, so each entry keeps one topology.
+     */
+    static std::uint64_t mixKey(std::uint64_t key, std::uint64_t value);
+
   private:
     struct Entry {
         std::unique_ptr<StepPlan> plan;  ///< stable address across rehash

@@ -582,6 +582,53 @@ validateOpStatic(const StepPlan &plan, const char *kind, std::size_t id,
         out.push_back(ref() + ": offline ops are dependency-free");
 }
 
+/**
+ * Cycle detection over the in-range edges of `layer_ops` (Kahn's
+ * algorithm): every op left unprocessed sits on or downstream of a
+ * dependency cycle and gets a diagnostic in `out`.
+ */
+void
+appendCycleDiagnostics(const StepOpArray &layer_ops,
+                       std::vector<std::string> &out)
+{
+    // Op d's dependents sit in one flat array at [first[d], first[d+1]).
+    const std::size_t n = layer_ops.size();
+    std::vector<std::uint32_t> indegree(n, 0);
+    std::vector<std::uint32_t> first(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (const std::uint32_t d : layer_ops[i].deps)
+            if (d < n) {
+                indegree[i]++;  // a self-loop never becomes ready
+                first[d] += d != i ? 1 : 0;
+            }
+    for (std::size_t d = 1; d <= n; ++d)
+        first[d] += first[d - 1];  // first[d] = end of d's range
+    std::vector<std::uint32_t> dependents(first[n]);
+    for (std::size_t i = 0; i < n; ++i)
+        for (const std::uint32_t d : layer_ops[i].deps)
+            if (d < n && d != i)
+                dependents[--first[d]] = static_cast<std::uint32_t>(i);
+    std::vector<std::uint32_t> ready;
+    ready.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        if (indegree[i] == 0)
+            ready.push_back(static_cast<std::uint32_t>(i));
+    std::size_t processed = 0;
+    while (!ready.empty()) {
+        const std::uint32_t i = ready.back();
+        ready.pop_back();
+        processed++;
+        for (std::uint32_t k = first[i]; k < first[i + 1]; ++k)
+            if (--indegree[dependents[k]] == 0)
+                ready.push_back(dependents[k]);
+    }
+    if (processed < n)
+        for (std::size_t i = 0; i < n; ++i)
+            if (indegree[i] != 0)
+                out.push_back(opRef("layer", i, layer_ops[i].label) +
+                              ": sits on a dependency cycle");
+}
+
 }  // namespace
 
 std::vector<std::string>
@@ -623,6 +670,7 @@ StepPlan::validate() const
                               " declared twice");
     }
 
+    bool backward_deps = true;
     for (std::size_t i = 0; i < layer_ops.size(); ++i) {
         const StepOpView op = layer_ops[i];
         validateOpStatic(*this, "layer", i, op, out);
@@ -636,49 +684,14 @@ StepPlan::validate() const
                               std::to_string(d) +
                               " references a later op (the evaluator "
                               "requires topological order)");
+            backward_deps = backward_deps && d < i;
         }
     }
 
-    // Cycle detection over the in-range edges (Kahn's algorithm): every
-    // op left unprocessed sits on or downstream of a dependency cycle.
-    // The forward-reference check above already rejects cyclic plans,
-    // but a cycle is a distinct defect and gets its own diagnostic.
-    // Op d's dependents sit in one flat array at [first[d], first[d+1]).
-    const std::size_t n = layer_ops.size();
-    std::vector<std::uint32_t> indegree(n, 0);
-    std::vector<std::uint32_t> first(n + 1, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        for (const std::uint32_t d : layer_ops[i].deps)
-            if (d < n) {
-                indegree[i]++;  // a self-loop never becomes ready
-                first[d] += d != i ? 1 : 0;
-            }
-    for (std::size_t d = 1; d <= n; ++d)
-        first[d] += first[d - 1];  // first[d] = end of d's range
-    std::vector<std::uint32_t> dependents(first[n]);
-    for (std::size_t i = 0; i < n; ++i)
-        for (const std::uint32_t d : layer_ops[i].deps)
-            if (d < n && d != i)
-                dependents[--first[d]] = static_cast<std::uint32_t>(i);
-    std::vector<std::uint32_t> ready;
-    ready.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (indegree[i] == 0)
-            ready.push_back(static_cast<std::uint32_t>(i));
-    std::size_t processed = 0;
-    while (!ready.empty()) {
-        const std::uint32_t i = ready.back();
-        ready.pop_back();
-        processed++;
-        for (std::uint32_t k = first[i]; k < first[i + 1]; ++k)
-            if (--indegree[dependents[k]] == 0)
-                ready.push_back(dependents[k]);
-    }
-    if (processed < n)
-        for (std::size_t i = 0; i < n; ++i)
-            if (indegree[i] != 0)
-                out.push_back(opRef("layer", i, layer_ops[i].label) +
-                              ": sits on a dependency cycle");
+    // A cycle needs an edge that does not point backward, so a plan in
+    // topological order skips the cycle pass and its working arrays.
+    if (!backward_deps)
+        appendCycleDiagnostics(layer_ops, out);
 
     for (std::size_t i = 0; i < tail_ops.size(); ++i) {
         const StepOpView op = tail_ops[i];
@@ -827,9 +840,9 @@ evaluatePlan(const StepPlan &plan, PlanEvaluation &ev)
     // Stage breakdown: per-layer sums accumulated in op-insertion order
     // (the order engines historically summed their terms), scaled by
     // the layer count, landing in declared-stage order.
-    ev.breakdown.clear();
-    ev.breakdown.reserve(n_stages);
     if (stage_dup) {
+        ev.breakdown.clear();
+        ev.breakdown.reserve(n_stages);
         for (const std::string &name : plan.stage_order) {
             Seconds lsum = 0.0;
             Seconds tsum = 0.0;
@@ -847,8 +860,8 @@ evaluatePlan(const StepPlan &plan, PlanEvaluation &ev)
         }
     } else {
         for (std::size_t s = 0; s < n_stages; ++s)
-            ev.breakdown.add(plan.stage_order[s],
-                             L * stage_layer[s] + stage_tail[s]);
+            stage_layer[s] = L * stage_layer[s] + stage_tail[s];
+        ev.breakdown.assign(plan.stage_order, {stage_layer, n_stages});
     }
 
     // Traffic counters: per-field sums in op-insertion order, per-layer

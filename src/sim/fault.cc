@@ -512,6 +512,14 @@ ConditionTimeline::nextChangeAfter(Seconds t) const
     return std::numeric_limits<Seconds>::infinity();
 }
 
+std::size_t
+ConditionTimeline::segmentAt(Seconds t) const
+{
+    return static_cast<std::size_t>(
+        std::upper_bound(changes_.begin(), changes_.end(), t) -
+        changes_.begin());
+}
+
 bool
 ConditionTimeline::deviceFailed(unsigned dev, Seconds t) const
 {

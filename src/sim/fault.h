@@ -235,6 +235,11 @@ class ConditionTimeline
     const std::vector<Seconds> &changeTimes() const { return changes_; }
     /** First change time after `t` (infinity when none). */
     Seconds nextChangeAfter(Seconds t) const;
+    /**
+     * Change times at or before `t`: the index of the constant-condition
+     * segment `t` falls in, the same for every time the conditions hold.
+     */
+    std::size_t segmentAt(Seconds t) const;
 
     /** Whether device `dev` has failed by time `t`. */
     bool deviceFailed(unsigned dev, Seconds t) const;

@@ -82,6 +82,18 @@ TEST(CliBoundary, BadValuesExitTwoWithTheOptionNamed)
          "error: fleet: host-fail targets host 1 but the fleet has 1 hosts"},
         {bench, "bench_fleet", "--policy fault-aware --spares 4 --hosts 4",
          "error: fleet: 4 spare hosts leaves no server in a fleet of 4"},
+        // Valid plans the node-loss study cannot use: each once printed
+        // the scaling table, then exited 1 on the study's self-check.
+        {bench, "bench_fleet", "--hosts 2 --fault-plan fail@1=5",
+         "error: --fault-plan: the node-loss study needs a host lost or "
+         "stalled before the run's last decode step"},
+        {bench, "bench_fleet", "--hosts 2 --fault-plan host-fail@1e9=1",
+         "error: --fault-plan: the node-loss study needs a host lost or "
+         "stalled before the run's last decode step"},
+        {bench, "bench_fleet", "--hosts 2 --fault-plan "
+         "'host-fail@0=0;host-fail@0=1'",
+         "error: --fault-plan: the node-loss study needs a host left to "
+         "serve"},
         {bench, "bench_sim_perf", "--repeats 0", "error: --repeats"},
         {bench, "bench_fig10_throughput", "--jobs -1", "error: --jobs"},
         {bench, "bench_fig13_sensitivity", "--jobs 4294967296",

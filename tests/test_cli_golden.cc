@@ -255,6 +255,9 @@ TEST(CliGolden, BadRunInputsExitTwoWithANamedError)
         {"--model NoSuch", "error: unknown model: NoSuch"},
         {"--engine nosuch", "error: --engine"},
         {"--fault-plan 'fail@nan=3'", "error: --fault-plan"},
+        // A plan that does not parse gets main's one `error:` line.
+        {"--fault-plan bogus",
+         "error: fault plan: missing '=' in 'bogus'\n"},
         // Past --devices: once a library panic, also under --report.
         {"--fault-plan 'fail@1=12'",
          "error: fault plan: device-fail targets device 12"},

@@ -224,7 +224,8 @@ TEST(EngineFootprint, WarmSimulatePlanAllocatesOnlyItsResultVectors)
  * per-thread scratch and renders every message into one buffer: once
  * warm, a call given the caller's evaluation allocates only op_slack,
  * bottleneck_chain, findings and each finding's strings. Without one
- * it evaluates into per-thread scratch too.
+ * it evaluates into per-thread scratch too, whose breakdown a plan of
+ * the same stage order refills in place, long stage names included.
  */
 TEST(EngineFootprint, WarmAnalyzePlanAllocatesOnlyItsResults)
 {
@@ -251,15 +252,10 @@ TEST(EngineFootprint, WarmAnalyzePlanAllocatesOnlyItsResults)
             for (const PlanFinding &f : with_ev.findings)
                 results += (onHeap(f.op) ? 1 : 0) + (onHeap(f.message) ? 1 : 0);
             findings += with_ev.findings.size();
-            // The analyzer's own evaluation re-creates its breakdown,
-            // so a stage name too long for a short string allocates.
-            std::uint64_t long_stages = 0;
-            for (const std::string &stage : plan.stage_order)
-                long_stages += onHeap(stage) ? 1 : 0;
             const char *phase = planPhaseName(plan.phase);
             EXPECT_EQ(with_ev_allocs, results)
                 << name << " warm " << phase << " analyzePlan(plan, ev)";
-            EXPECT_EQ(own_ev_allocs, results + long_stages)
+            EXPECT_EQ(own_ev_allocs, results)
                 << name << " warm " << phase << " analyzePlan(plan)";
         }
     }
@@ -291,7 +287,8 @@ TEST(EngineFootprint, FleetPlacementAllocatesAtMostOnce)
  * errors on every device and one host lost a third of the way into
  * decode. The fleet re-places the batch and rebuilds the lost shards;
  * a placement allocates only its assignments, and the epoch fold
- * evaluates every plan into one PlanEvaluation.
+ * evaluates every plan into one PlanEvaluation. Run again, the fold
+ * and the host runs rebuild their plans in run()'s per-thread cache.
  */
 TEST(EngineFootprint, FaultedFleetRunAllocatesAtMost250Times)
 {
@@ -319,6 +316,9 @@ TEST(EngineFootprint, FaultedFleetRunAllocatesAtMost250Times)
     EXPECT_GE(res.fleet.epochs.size(), 2u);
     EXPECT_GT(res.fleet.rebuild_time, 0.0);
     EXPECT_LE(allocs, 250u) << "faulted 8-host fleet run";
+    const std::uint64_t warm_allocs =
+        allocationsOf([&] { res = engine.run(run); });
+    EXPECT_LE(warm_allocs, 64u) << "warm faulted 8-host fleet run";
 }
 
 TEST(EngineFootprint, PlanCacheHitAllocatesNothing)

@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "core/hilos.h"
 #include "runtime/fleet_engine.h"
@@ -721,6 +723,99 @@ TEST(FleetFacade, MakeFleetEngineRunsTheFleet)
     EXPECT_TRUE(r.feasible);
     EXPECT_TRUE(r.fleet.any());
     EXPECT_EQ(r.fleet.hosts, 2u);
+}
+
+// --- The epoch fold's plan cache ---
+
+/**
+ * A faulted 8-host fleet (a host lost and another stalled mid-decode)
+ * and a faulted single HILOS, each cutting its decode into several
+ * epochs. In both, device 2 sees NAND read errors until it fails
+ * mid-decode, so the decode plans before the loss carry a fault-retry
+ * op and those after it do not: two topologies, which only plans keyed
+ * by their condition segment rebuild in place.
+ */
+struct FaultedPair {
+    RunConfig run = smallRun();
+    FleetConfig fleet = fleetOf(8);
+    HilosOptions hilos;
+
+    explicit FaultedPair(const SystemConfig &sys)
+    {
+        run.batch = 16 * fleet.hosts;
+        const Seconds mid = midDecode(sys, fleet, run);
+        fleet.fault_plan.addNandReadError(1e-3, 2)
+            .addDeviceFailure(0.8 * mid, 2)
+            .addHostFailure(mid, 3)
+            .addHostStall(1.2 * mid, 0.02, 5);
+        const RunResult healthy = HilosEngine(sys, hilos).run(smallRun());
+        hilos.fault_plan.addNandReadError(1e-3, 2).addDeviceFailure(
+            healthy.prefill_time + 8.0 * healthy.decode_step_time, 2);
+    }
+};
+
+TEST(FaultedRunCache, RunMatchesAColdAWarmAndAClearedCache)
+{
+    // run() re-prices a faulted run's plans through a per-thread
+    // PlanCache. A fresh thread starts it empty; the results must not
+    // depend on what it holds, including after churn has cleared it.
+    const SystemConfig sys = defaultSystem();
+    const FaultedPair pair(sys);
+    const FleetEngine fleet(sys, pair.fleet);
+    const HilosEngine hilos(sys, pair.hilos);
+    const auto both = [&] {
+        return test::serialize(fleet.run(pair.run)) +
+               test::serialize(hilos.run(smallRun()));
+    };
+    std::string cold;
+    std::thread([&] { cold = both(); }).join();
+    ASSERT_NE(cold.find("hosts_failed = 1"), std::string::npos) << cold;
+
+    std::string warm;
+    std::string cleared;
+    std::thread([&] {
+        (void)both();
+        warm = both();
+        // Distinct engines and models key distinct entries: 64 faulted
+        // configs hold several hundred plans, past the entries the
+        // cache keeps before it is cleared wholesale.
+        for (const ModelConfig &model :
+             {opt30b(), opt66b(), opt175b(), qwen32b()})
+            for (unsigned devices = 1; devices <= 16; ++devices) {
+                HilosOptions opts = pair.hilos;
+                opts.num_devices = devices;
+                opts.fault_plan = FaultPlan{}.addNandReadError(1e-3);
+                RunConfig run = smallRun();
+                run.model = model;
+                (void)HilosEngine(sys, opts).run(run);
+            }
+        cleared = both();
+    }).join();
+    EXPECT_EQ(warm, cold);
+    EXPECT_EQ(cleared, cold);
+}
+
+TEST(FaultedRunCache, SecondRunCachedRebuildsEveryPlanInPlace)
+{
+    const SystemConfig sys = defaultSystem();
+    const FaultedPair pair(sys);
+    const FleetEngine fleet(sys, pair.fleet);
+    const HilosEngine hilos(sys, pair.hilos);
+    const auto check = [](const InferenceEngine &engine,
+                          const RunConfig &run) {
+        PlanCache cache;
+        const std::string first =
+            test::serialize(engine.runCached(run, cache));
+        const PlanCache::Stats before = cache.stats();
+        EXPECT_EQ(test::serialize(engine.runCached(run, cache)), first);
+        const PlanCache::Stats &after = cache.stats();
+        EXPECT_EQ(after.misses, before.misses) << engine.name();
+        EXPECT_EQ(after.mismatches, 0u) << engine.name();
+        EXPECT_GT(after.hits, before.hits) << engine.name();
+        EXPECT_EQ(first, test::serialize(engine.run(run))) << engine.name();
+    };
+    check(fleet, pair.run);
+    check(hilos, smallRun());
 }
 
 }  // namespace

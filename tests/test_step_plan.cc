@@ -978,7 +978,12 @@ TEST(PlanCache, FaultRoutesRunCachedMatchRun)
 {
     // A faulted HILOS and a faulted fleet run the epoch fold rather
     // than the plan body; runCached must take the same route as run(),
-    // also over a cache that already holds the healthy plans.
+    // also over a cache that already holds the healthy plans. The
+    // reference is the fold on a fresh cache, which builds each plan
+    // cold (later prefill chunks rebuild the first chunk's entry, as on
+    // the healthy path): run() re-prices through a per-thread cache, so
+    // after its first call it is a warm rebuild like the side under
+    // test.
     const SystemConfig sys = defaultSystem();
     RunConfig run;
     run.model = opt30b();
@@ -1006,11 +1011,14 @@ TEST(PlanCache, FaultRoutesRunCachedMatchRun)
         makeEngine(EngineKind::Hilos, sys)->runCached(run, cache);
         for (const std::uint64_t chunks : {1ull, 4ull}) {
             run.prefill_chunks = chunks;
-            const RunResult uncached = engine->run(run);
-            EXPECT_TRUE(uncached.faults.any()) << engine->name();
-            EXPECT_EQ(test::serialize(engine->runCached(run, cache)),
-                      test::serialize(uncached))
+            PlanCache fresh;
+            const RunResult reference = engine->runCached(run, fresh);
+            EXPECT_TRUE(reference.faults.any()) << engine->name();
+            const std::string cold = test::serialize(reference);
+            EXPECT_EQ(test::serialize(engine->runCached(run, cache)), cold)
                 << engine->name() << " chunks=" << chunks;
+            EXPECT_EQ(test::serialize(engine->run(run)), cold)
+                << engine->name() << " run() chunks=" << chunks;
         }
         run.prefill_chunks = 1;
     }
