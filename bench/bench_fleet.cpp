@@ -16,7 +16,8 @@
  * `--replay-dir tests/fault_plans` switches to the adversarial-plan
  * library: every *.txt plan is replayed against the fleet and the
  * recovery invariants are asserted, with a non-zero exit on the first
- * violation (the nightly CI job). Results land in BENCH_fleet.json via
+ * violation (the nightly CI job); a directory or plan file it cannot
+ * use exits 2 before any replay. Results land in BENCH_fleet.json via
  * the shared bench-JSON writer.
  */
 
@@ -26,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -117,19 +119,41 @@ recoveryInvariants(const FleetEngine &fe, const RunConfig &run,
     return "";
 }
 
-/** Replay every *.txt plan in `dir`; count of violated plans. */
+/** A user error's message without HILOS_FATAL's "fatal: " prefix. */
+std::string_view
+userMessage(const std::runtime_error &e)
+{
+    std::string_view what = e.what();
+    if (what.starts_with("fatal: "))
+        what.remove_prefix(std::string_view("fatal: ").size());
+    return what;
+}
+
+/**
+ * Replay every *.txt plan in `dir`; count of violated plans. A
+ * directory that cannot be listed, or a plan file that cannot be read,
+ * parsed or built into a fleet, is a user error: each gets one
+ * `error: <path>: ...` line before any replay, and the result is -1.
+ */
 int
 replayPlanLibrary(const std::string &dir, const SystemConfig &sys,
                   const FleetConfig &shape, const RunConfig &run)
 {
     std::vector<std::filesystem::path> plans;
-    for (const auto &entry : std::filesystem::directory_iterator(dir))
-        if (entry.path().extension() == ".txt")
-            plans.push_back(entry.path());
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(dir, ec), end;
+         !ec && it != end; it.increment(ec))
+        if (it->path().extension() == ".txt")
+            plans.push_back(it->path());
+    if (ec) {
+        std::cerr << "error: " << dir << ": " << ec.message() << "\n";
+        return -1;
+    }
     std::sort(plans.begin(), plans.end());
     check(!plans.empty(), "no *.txt fault plans in " + dir);
 
-    int violations = 0;
+    std::vector<std::unique_ptr<FleetEngine>> fleets;
+    bool refused = false;
     for (const auto &path : plans) {
         std::ifstream in(path);
         std::string spec, line;
@@ -140,13 +164,27 @@ replayPlanLibrary(const std::string &dir, const SystemConfig &sys,
                 spec += ';';
             spec += line;
         }
-        FleetConfig fc = shape;
-        fc.fault_plan = parseFaultPlan(spec);
-        const FleetEngine fe(sys, fc);
+        try {
+            if (!in.eof())
+                throw std::runtime_error("cannot be read");
+            FleetConfig fc = shape;
+            fc.fault_plan = parseFaultPlan(spec);
+            fleets.push_back(std::make_unique<FleetEngine>(sys, fc));
+        } catch (const std::runtime_error &e) {
+            std::cerr << "error: " << path.string() << ": "
+                      << userMessage(e) << "\n";
+            refused = true;
+        }
+    }
+    if (refused)
+        return -1;
+
+    int violations = 0;
+    for (std::size_t i = 0; i < plans.size(); i++) {
         const std::string violated =
-            recoveryInvariants(fe, run, fc.hosts);
+            recoveryInvariants(*fleets[i], run, shape.hosts);
         std::cout << (violated.empty() ? "PASS " : "FAIL ")
-                  << path.filename().string()
+                  << plans[i].filename().string()
                   << (violated.empty() ? "" : ": " + violated) << "\n";
         violations += violated.empty() ? 0 : 1;
     }
@@ -216,10 +254,7 @@ main(int argc, char **argv)
                     ? FaultPlan{}.addHostFailure(0.0, 1)
                     : parseFaultPlan(args.get("fault-plan"));
         } catch (const std::runtime_error &e) {
-            std::string_view what = e.what();
-            if (what.starts_with("fatal: "))
-                what.remove_prefix(std::string_view("fatal: ").size());
-            std::cerr << "error: --fault-plan: " << what << "\n";
+            std::cerr << "error: --fault-plan: " << userMessage(e) << "\n";
             return 2;
         }
     }
@@ -232,6 +267,8 @@ main(int argc, char **argv)
     if (!args.get("replay-dir").empty()) {
         const int violations =
             replayPlanLibrary(args.get("replay-dir"), sys, shape, run);
+        if (violations < 0)
+            return 2;
         std::cout << (violations ? "replay FAILED: " : "replay OK: ")
                   << violations << " violated plan(s)\n";
         return violations ? 1 : 0;

@@ -47,7 +47,10 @@ as a compile error (those live in tests/compile_fail/):
     must be reachable through #includes from a file in bench/,
     examples/ or perfbench/, following each reached header and its
     own .cc. A module only its unit test reaches is dead code with a
-    test attached; delete both.
+    test attached; delete both. Its function-level counterpart is
+    scripts/check_reachability.py (the `reachability` CI job): a
+    --gc-sections link of the same binaries must keep every src/
+    function.
 
  9. one engine interface: every engine implements InferenceEngine,
     plans included, so no caller needs to probe an engine's type. A

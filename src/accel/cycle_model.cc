@@ -13,21 +13,6 @@ CycleBreakdown::bottleneckCycles() const
                      softmax_norm_cycles, sv_gemv_cycles, dram_cycles});
 }
 
-std::string
-CycleBreakdown::bottleneckName() const
-{
-    const Cycles b = bottleneckCycles();
-    if (b == dram_cycles)
-        return "dram";
-    if (b == qk_gemv_cycles)
-        return "qk_gemv";
-    if (b == sv_gemv_cycles)
-        return "sv_gemv";
-    if (b == softmax_stats_cycles)
-        return "softmax_stats";
-    return "softmax_norm";
-}
-
 CycleModel::CycleModel(const CycleModelConfig &cfg) : cfg_(cfg)
 {
     HILOS_ASSERT(cfg_.clock_hz > 0.0 && cfg_.dram_bandwidth > 0.0,

@@ -14,7 +14,6 @@
 #define HILOS_ACCEL_CYCLE_MODEL_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.h"
 
@@ -42,8 +41,6 @@ struct CycleBreakdown {
 
     /** The binding constraint in cycles per invocation. */
     Cycles bottleneckCycles() const;
-    /** Name of the binding unit ("dram", "qk_gemv", ...). */
-    std::string bottleneckName() const;
 };
 
 /**

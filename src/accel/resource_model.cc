@@ -10,13 +10,13 @@ namespace hilos {
 namespace {
 
 // Calibration anchors from Table 3 (d_group = 1, 4, 5):
-// {LUT%, FF%, BRAM%, URAM%, DSP%, power W, peak GFLOPS}.
+// {LUT%, FF%, BRAM%, URAM%, DSP%, power W}.
 struct Anchor {
-    double lut, ff, bram, uram, dsp, power, gflops;
+    double lut, ff, bram, uram, dsp, power;
 };
-constexpr Anchor kAnchor1{38.76, 28.57, 51.02, 9.38, 10.06, 11.25, 11.9};
-constexpr Anchor kAnchor4{56.60, 39.70, 59.30, 9.38, 20.27, 15.39, 46.8};
-constexpr Anchor kAnchor5{67.40, 46.15, 58.49, 9.38, 27.79, 16.08, 56.3};
+constexpr Anchor kAnchor1{38.76, 28.57, 51.02, 9.38, 10.06, 11.25};
+constexpr Anchor kAnchor4{56.60, 39.70, 59.30, 9.38, 20.27, 15.39};
+constexpr Anchor kAnchor5{67.40, 46.15, 58.49, 9.38, 27.79, 16.08};
 
 }  // namespace
 
@@ -63,13 +63,6 @@ ResourceModel::powerWatts(std::size_t d_group) const
 {
     return interpolate(d_group, kAnchor1.power, kAnchor4.power,
                        kAnchor5.power);
-}
-
-double
-ResourceModel::peakGflops(std::size_t d_group) const
-{
-    return interpolate(d_group, kAnchor1.gflops, kAnchor4.gflops,
-                       kAnchor5.gflops);
 }
 
 std::uint64_t

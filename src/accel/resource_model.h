@@ -61,9 +61,6 @@ class ResourceModel
     /** Total on-chip power (static + dynamic + transceivers), watts. */
     Watts powerWatts(std::size_t d_group) const;
 
-    /** Peak kernel throughput at this configuration, GFLOPS (Table 3). */
-    double peakGflops(std::size_t d_group) const;
-
     /** Achieved clock frequency, Hz. */
     Hertz clockHz() const { return 296.05e6; }
 

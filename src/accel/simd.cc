@@ -1,13 +1,9 @@
 #include "accel/simd.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/logging.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HILOS_SIMD_X86 1
-#include <immintrin.h>
 #else
 #define HILOS_SIMD_X86 0
 #endif
@@ -27,27 +23,11 @@ cpuHasAvx2F16c()
 #endif
 }
 
-SimdLevel
-detectSimdLevel()
-{
-    const char *env = std::getenv("HILOS_SIMD");
-    if (env != nullptr && std::strcmp(env, "scalar") == 0)
-        return SimdLevel::Scalar;
-    if (env != nullptr && std::strcmp(env, "avx2") == 0) {
-        HILOS_ASSERT(cpuHasAvx2F16c(),
-                     "HILOS_SIMD=avx2 but the CPU lacks AVX2/F16C");
-        return SimdLevel::Avx2;
-    }
-    HILOS_ASSERT(env == nullptr || env[0] == '\0',
-                 "unknown HILOS_SIMD value: ", env,
-                 " (expected 'scalar' or 'avx2')");
-    return cpuHasAvx2F16c() ? SimdLevel::Avx2 : SimdLevel::Scalar;
-}
-
 SimdLevel &
 activeLevelRef()
 {
-    static SimdLevel level = detectSimdLevel();
+    static SimdLevel level =
+        cpuHasAvx2F16c() ? SimdLevel::Avx2 : SimdLevel::Scalar;
     return level;
 }
 
@@ -78,34 +58,5 @@ setSimdLevel(SimdLevel level)
                  simdLevelName(level), " is not supported on this CPU");
     activeLevelRef() = level;
 }
-
-#if HILOS_SIMD_X86
-
-__attribute__((target("avx2,f16c"))) void
-cvtHalfToFloatAvx2(const Half *in, float *out, std::size_t n)
-{
-    static_assert(sizeof(Half) == sizeof(std::uint16_t));
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m128i bits = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(in + i));
-        _mm256_storeu_ps(out + i, _mm256_cvtph_ps(bits));
-    }
-    for (; i < n; i++) {
-        // Single-value tail through the same instruction.
-        const __m128i bits = _mm_cvtsi32_si128(in[i].bits());
-        out[i] = _mm_cvtss_f32(_mm_cvtph_ps(bits));
-    }
-}
-
-#else
-
-void
-cvtHalfToFloatAvx2(const Half *, float *, std::size_t)
-{
-    HILOS_PANIC("cvtHalfToFloatAvx2 called without AVX2 support");
-}
-
-#endif  // HILOS_SIMD_X86
 
 }  // namespace hilos

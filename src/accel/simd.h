@@ -4,9 +4,8 @@
  *
  * The FPGA-mirroring kernels (gemv, softmax, attention_kernel) carry an
  * AVX2+F16C fast path next to their scalar reference loops. Dispatch is
- * resolved once at startup from CPUID and can be overridden — by tests
- * and benches through setSimdLevel(), or externally with the HILOS_SIMD
- * environment variable ("scalar" or "avx2").
+ * resolved once at startup from CPUID; tests override it through
+ * setSimdLevel() (tests/support/scoped_simd.h).
  *
  * Contract: every vector path is bit-identical to its scalar loop for
  * non-NaN data. The vector code therefore never uses FMA (a fused
@@ -20,10 +19,6 @@
 
 #ifndef HILOS_ACCEL_SIMD_H_
 #define HILOS_ACCEL_SIMD_H_
-
-#include <cstddef>
-
-#include "common/half.h"
 
 namespace hilos {
 
@@ -40,24 +35,17 @@ const char *simdLevelName(SimdLevel level);
 bool simdLevelSupported(SimdLevel level);
 
 /**
- * The tier kernels currently dispatch to. Defaults to the best
- * supported tier, downgraded by HILOS_SIMD=scalar if set.
+ * The tier kernels currently dispatch to: the best tier this CPU
+ * supports, unless setSimdLevel() chose another.
  */
 SimdLevel activeSimdLevel();
 
 /**
  * Override the active tier (tests pin both sides of a differential
- * check; benches measure each tier in one process). Asserts the level
- * is supported. Not thread-safe against concurrently running kernels.
+ * check). Asserts the level is supported. Not thread-safe against
+ * concurrently running kernels.
  */
 void setSimdLevel(SimdLevel level);
-
-/**
- * Batch F16C widening: out[i] = float(in[i]) via VCVTPH2PS, any n.
- * Only callable when Avx2 is supported; exists so tests can compare
- * the hardware conversion against Half::halfToFloat exhaustively.
- */
-void cvtHalfToFloatAvx2(const Half *in, float *out, std::size_t n);
 
 }  // namespace hilos
 

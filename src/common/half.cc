@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <ostream>
 
 namespace hilos {
 
@@ -117,24 +116,6 @@ Half::halfToFloat(std::uint16_t bits)
 
     const std::uint32_t exp32 = exp16 + (127 - 15);
     return bitsToFloat(sign | (exp32 << 23) | (mant << 13));
-}
-
-bool
-Half::isNan() const
-{
-    return ((bits_ >> 10) & 0x1f) == 0x1f && (bits_ & 0x3ff) != 0;
-}
-
-bool
-Half::isInf() const
-{
-    return ((bits_ >> 10) & 0x1f) == 0x1f && (bits_ & 0x3ff) == 0;
-}
-
-std::ostream &
-operator<<(std::ostream &os, const Half &h)
-{
-    return os << h.toFloat();
 }
 
 }  // namespace hilos

@@ -13,7 +13,6 @@
 #define HILOS_COMMON_HALF_H_
 
 #include <cstdint>
-#include <iosfwd>
 
 namespace hilos {
 
@@ -48,11 +47,6 @@ class Half
     /** Implicit widening, mirroring hardware FP16->FP32 promotion. */
     operator float() const { return toFloat(); }
 
-    /** True if this encodes a NaN. */
-    bool isNan() const;
-    /** True if this encodes +/-infinity. */
-    bool isInf() const;
-
     /** Bitwise equality (distinguishes +0 from -0; NaN == NaN). */
     constexpr bool
     operator==(const Half &other) const
@@ -82,8 +76,6 @@ class Half
 };
 
 static_assert(sizeof(Half) == 2, "Half must be 2 bytes");
-
-std::ostream &operator<<(std::ostream &os, const Half &h);
 
 }  // namespace hilos
 

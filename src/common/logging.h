@@ -1,9 +1,8 @@
 /**
  * @file
  * Status-message and error-reporting helpers, modelled on the gem5
- * logging discipline: `panic` for internal invariant violations, `fatal`
- * for unrecoverable user/configuration errors, and `warn`/`inform` for
- * diagnostics that do not stop the run.
+ * logging discipline: `panic` for internal invariant violations and
+ * `fatal` for unrecoverable user/configuration errors.
  */
 
 #ifndef HILOS_COMMON_LOGGING_H_
@@ -14,28 +13,11 @@
 
 namespace hilos {
 
-/** Verbosity levels for non-fatal messages. */
-enum class LogLevel {
-    Silent = 0,  ///< Suppress everything except fatal/panic.
-    Warn = 1,    ///< Warnings only.
-    Inform = 2,  ///< Warnings and informational messages.
-    Debug = 3,   ///< Everything, including debug traces.
-};
-
-/** Set the global verbosity. Thread-compatible, not thread-safe. */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
-
 namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 /** Stream-compose a message from heterogeneous pieces. */
 template <typename... Args>
@@ -65,19 +47,6 @@ composeMessage(Args &&...args)
  */
 #define HILOS_FATAL(...)                                                   \
     ::hilos::detail::fatalImpl(::hilos::detail::composeMessage(__VA_ARGS__))
-
-/** Non-fatal warning, printed at LogLevel::Warn and above. */
-#define HILOS_WARN(...)                                                    \
-    ::hilos::detail::warnImpl(::hilos::detail::composeMessage(__VA_ARGS__))
-
-/** Informational status message, printed at LogLevel::Inform and above. */
-#define HILOS_INFORM(...)                                                  \
-    ::hilos::detail::informImpl(                                           \
-        ::hilos::detail::composeMessage(__VA_ARGS__))
-
-/** Debug trace, printed at LogLevel::Debug. */
-#define HILOS_DEBUG(...)                                                   \
-    ::hilos::detail::debugImpl(::hilos::detail::composeMessage(__VA_ARGS__))
 
 /** Panic unless `cond` holds. Cheap enough to keep in release builds. */
 #define HILOS_ASSERT(cond, ...)                                            \

@@ -6,12 +6,6 @@
 
 namespace hilos {
 
-const char *
-versionString()
-{
-    return "1.0.0";
-}
-
 std::string_view
 engineKindName(EngineKind kind)
 {

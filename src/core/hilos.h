@@ -26,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/version.h"
 #include "llm/model_config.h"
 #include "runtime/deepspeed_uvm.h"
 #include "runtime/engine.h"

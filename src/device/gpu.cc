@@ -36,12 +36,6 @@ Gpu::computeTime(Flops flops) const
     return flops / (cfg_.fp16_peak * cfg_.gemm_efficiency);
 }
 
-bool
-Gpu::fits(Bytes bytes) const
-{
-    return bytes <= static_cast<double>(cfg_.memory_capacity);
-}
-
 GpuConfig
 a100Config()
 {

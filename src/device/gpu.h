@@ -53,9 +53,6 @@ class Gpu
     /** Compute-bound operation at GEMM efficiency. */
     Seconds computeTime(Flops flops) const;
 
-    /** True if `bytes` of state fit in device memory. */
-    bool fits(Bytes bytes) const;
-
     const GpuConfig &config() const { return cfg_; }
 
   private:

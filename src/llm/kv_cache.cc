@@ -1,7 +1,5 @@
 #include "llm/kv_cache.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace hilos {
@@ -51,22 +49,6 @@ KvCache::values(const SliceId &id) const
     return HalfMatrixView{buf.data(), buf.size() / head_dim_, head_dim_};
 }
 
-std::uint64_t
-KvCache::sliceBytes(const SliceId &id) const
-{
-    const std::size_t i = index(id);
-    return (k_store_[i].size() + v_store_[i].size()) * sizeof(Half);
-}
-
-std::uint64_t
-KvCache::totalBytes() const
-{
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < k_store_.size(); i++)
-        total += (k_store_[i].size() + v_store_[i].size()) * sizeof(Half);
-    return total;
-}
-
 XCacheStore::XCacheStore(std::size_t batches, std::size_t hidden)
     : hidden_(hidden), store_(batches)
 {
@@ -80,13 +62,6 @@ XCacheStore::append(std::size_t batch, const Half *x)
     store_[batch].insert(store_[batch].end(), x, x + hidden_);
 }
 
-std::size_t
-XCacheStore::length(std::size_t batch) const
-{
-    HILOS_ASSERT(batch < store_.size(), "batch out of range");
-    return store_[batch].size() / hidden_;
-}
-
 HalfMatrixView
 XCacheStore::activations(std::size_t batch) const
 {
@@ -95,27 +70,11 @@ XCacheStore::activations(std::size_t batch) const
     return HalfMatrixView{buf.data(), buf.size() / hidden_, hidden_};
 }
 
-std::uint64_t
-XCacheStore::totalBytes() const
-{
-    std::uint64_t total = 0;
-    for (const auto &b : store_)
-        total += b.size() * sizeof(Half);
-    return total;
-}
-
 SlicePartition::SlicePartition(std::size_t batches, std::size_t kv_heads,
                                std::size_t devices)
-    : batches_(batches), kv_heads_(kv_heads), assignment_(devices)
+    : batches_(batches), kv_heads_(kv_heads), devices_(devices)
 {
     HILOS_ASSERT(devices > 0, "need at least one device");
-    std::size_t next = 0;
-    for (std::uint32_t b = 0; b < batches; b++) {
-        for (std::uint32_t h = 0; h < kv_heads; h++) {
-            assignment_[next % devices].push_back(SliceId{b, h});
-            next++;
-        }
-    }
 }
 
 std::size_t
@@ -125,23 +84,7 @@ SlicePartition::deviceOf(const SliceId &id) const
                  "slice out of range");
     const std::size_t linear =
         static_cast<std::size_t>(id.batch) * kv_heads_ + id.kv_head;
-    return linear % assignment_.size();
-}
-
-const std::vector<SliceId> &
-SlicePartition::slicesOf(std::size_t device) const
-{
-    HILOS_ASSERT(device < assignment_.size(), "device out of range");
-    return assignment_[device];
-}
-
-std::size_t
-SlicePartition::maxSlicesPerDevice() const
-{
-    std::size_t worst = 0;
-    for (const auto &v : assignment_)
-        worst = std::max(worst, v.size());
-    return worst;
+    return linear % devices_;
 }
 
 }  // namespace hilos

@@ -59,11 +59,6 @@ class KvCache
     /** Row-wise value matrix view (length x d) for a slice. */
     HalfMatrixView values(const SliceId &id) const;
 
-    /** Bytes held for one slice (K + V). */
-    std::uint64_t sliceBytes(const SliceId &id) const;
-    /** Total bytes across slices. */
-    std::uint64_t totalBytes() const;
-
     std::size_t batches() const { return batches_; }
     std::size_t kvHeads() const { return kv_heads_; }
     std::size_t headDim() const { return head_dim_; }
@@ -90,14 +85,8 @@ class XCacheStore
     /** Append one activation row (hidden halves) for a batch element. */
     void append(std::size_t batch, const Half *x);
 
-    /** Sequence length stored for a batch element. */
-    std::size_t length(std::size_t batch) const;
-
     /** Row-wise activation matrix view (length x hidden). */
     HalfMatrixView activations(std::size_t batch) const;
-
-    /** Total bytes held (half the equivalent KV bytes). */
-    std::uint64_t totalBytes() const;
 
     std::size_t hidden() const { return hidden_; }
 
@@ -122,19 +111,13 @@ class SlicePartition
     /** Device owning a slice. */
     std::size_t deviceOf(const SliceId &id) const;
 
-    /** Slices owned by one device. */
-    const std::vector<SliceId> &slicesOf(std::size_t device) const;
-
-    /** Max slices on any device (load balance bound). */
-    std::size_t maxSlicesPerDevice() const;
-
-    std::size_t devices() const { return assignment_.size(); }
+    std::size_t devices() const { return devices_; }
     std::size_t totalSlices() const { return batches_ * kv_heads_; }
 
   private:
     std::size_t batches_;
     std::size_t kv_heads_;
-    std::vector<std::vector<SliceId>> assignment_;
+    std::size_t devices_;
 };
 
 }  // namespace hilos

@@ -45,13 +45,4 @@ RopeTable::apply(float *vec, std::size_t pos) const
     }
 }
 
-void
-RopeTable::applyRows(Matrix &m, std::size_t pos0) const
-{
-    HILOS_ASSERT(m.cols() == head_dim_, "RoPE dimension mismatch: ",
-                 m.cols(), " vs ", head_dim_);
-    for (std::size_t r = 0; r < m.rows(); r++)
-        apply(m.row(r), pos0 + r);
-}
-
 }  // namespace hilos

@@ -17,8 +17,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "llm/tensor.h"
-
 namespace hilos {
 
 /**
@@ -42,9 +40,6 @@ class RopeTable
      * Pairs (2i, 2i+1) rotate by pos * theta^(-2i/d).
      */
     void apply(float *vec, std::size_t pos) const;
-
-    /** Rotate every row of a (rows x d) matrix, row i at `pos0 + i`. */
-    void applyRows(Matrix &m, std::size_t pos0 = 0) const;
 
     std::size_t headDim() const { return head_dim_; }
     std::size_t maxPos() const { return max_pos_; }

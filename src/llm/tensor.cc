@@ -41,16 +41,6 @@ Matrix::matmul(const Matrix &other) const
     return out;
 }
 
-Matrix
-Matrix::transposed() const
-{
-    Matrix out(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; r++)
-        for (std::size_t c = 0; c < cols_; c++)
-            out.at(c, r) = at(r, c);
-    return out;
-}
-
 float
 Matrix::maxAbsDiff(const Matrix &other) const
 {

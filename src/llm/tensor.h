@@ -48,9 +48,6 @@ class Matrix
     /** this (m x k) times other (k x n) -> (m x n), FP32. */
     Matrix matmul(const Matrix &other) const;
 
-    /** Transposed copy. */
-    Matrix transposed() const;
-
     /** Max absolute difference against another same-shape matrix. */
     float maxAbsDiff(const Matrix &other) const;
 

@@ -48,6 +48,14 @@ appendFindingNumber(std::string &out, double v)
 
 namespace {
 
+/** Registry entry describing one analyzer pass. */
+struct AnalyzerPassInfo {
+    const char *id;            ///< the "PAnnn" ID its findings carry
+    const char *name;          ///< short kebab-case pass name
+    FindingSeverity severity;  ///< severity of every finding it emits
+    const char *summary;       ///< one-line description
+};
+
 /** Append the decimal digits of `v`. */
 void
 appendCount(std::string &out, std::uint64_t v)
@@ -519,18 +527,6 @@ annotateSlack(const StepPlan &plan, const PlanEvaluation &ev,
 
 }  // namespace
 
-const std::vector<AnalyzerPassInfo> &
-analyzerPasses()
-{
-    static const std::vector<AnalyzerPassInfo> infos = [] {
-        std::vector<AnalyzerPassInfo> v;
-        for (const Pass &p : passRegistry())
-            v.push_back(p.info);
-        return v;
-    }();
-    return infos;
-}
-
 PlanAnalysis
 analyzePlan(const StepPlan &plan, const PlanEvaluation &ev)
 {
@@ -600,15 +596,6 @@ parsePlanWaivers(const std::string &text, std::vector<std::string> *problems)
         waivers.push_back(PlanWaiver{id, op});
     }
     return waivers;
-}
-
-std::string
-formatPlanWaivers(const std::vector<PlanWaiver> &waivers)
-{
-    std::string out;
-    for (const PlanWaiver &w : waivers)
-        out += w.id + " " + w.op + "\n";
-    return out;
 }
 
 void

@@ -55,17 +55,6 @@ struct PlanFinding {
     bool waived = false;  ///< set by applyPlanWaivers
 };
 
-/** Registry entry describing one analyzer pass (docs, tests, report). */
-struct AnalyzerPassInfo {
-    const char *id;            ///< the "PAnnn" ID its findings carry
-    const char *name;          ///< short kebab-case pass name
-    FindingSeverity severity;  ///< severity of every finding it emits
-    const char *summary;       ///< one-line description
-};
-
-/** The pass catalog, in ID order. */
-const std::vector<AnalyzerPassInfo> &analyzerPasses();
-
 /** Everything one analysis produces. */
 struct PlanAnalysis {
     /** Findings in pass order, then op order — deterministic. */
@@ -123,9 +112,6 @@ struct PlanWaiver {
  */
 std::vector<PlanWaiver> parsePlanWaivers(const std::string &text,
                                          std::vector<std::string> *problems);
-
-/** Canonical one-per-line rendering; parse(format(w)) round-trips. */
-std::string formatPlanWaivers(const std::vector<PlanWaiver> &waivers);
 
 /** Mark findings matched by a waiver (same ID, op label or "*"). */
 void applyPlanWaivers(PlanAnalysis &analysis,

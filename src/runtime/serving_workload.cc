@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "common/logging.h"
@@ -119,20 +118,6 @@ parseArrivalTrace(const std::string &text)
                          return a.arrival < b.arrival;
                      });
     return out;
-}
-
-std::string
-formatArrivalTrace(const std::vector<Request> &requests)
-{
-    std::ostringstream oss;
-    oss << "# arrival_seconds input_tokens output_tokens\n";
-    for (const Request &r : requests) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.9g", r.arrival.value());
-        oss << buf << " " << r.input_tokens << " " << r.output_tokens
-            << "\n";
-    }
-    return oss.str();
 }
 
 }  // namespace hilos

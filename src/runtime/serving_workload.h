@@ -74,9 +74,6 @@ RequestClass classifyByInputLength(std::uint64_t input_tokens);
  */
 std::vector<Request> parseArrivalTrace(const std::string &text);
 
-/** Inverse of parseArrivalTrace (canonical %.9g arrival times). */
-std::string formatArrivalTrace(const std::vector<Request> &requests);
-
 }  // namespace hilos
 
 #endif  // HILOS_RUNTIME_SERVING_WORKLOAD_H_

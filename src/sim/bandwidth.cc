@@ -43,13 +43,6 @@ BandwidthResource::occupy(Seconds start, Seconds duration)
     return busy_until_;
 }
 
-void
-BandwidthResource::setRate(Bandwidth rate)
-{
-    HILOS_ASSERT(rate > 0.0, "bandwidth must be positive: ", rate);
-    rate_ = rate;
-}
-
 double
 BandwidthResource::utilization(Seconds horizon) const
 {
@@ -67,13 +60,6 @@ BandwidthResource::utilization(Seconds horizon) const
                  " s (busy until ", busy_until_,
                  " s); query after the window completes");
     return util;
-}
-
-void
-BandwidthResource::reset()
-{
-    busy_until_ = 0.0;
-    busy_time_ = 0.0;
 }
 
 }  // namespace hilos

@@ -57,12 +57,6 @@ class BandwidthResource
      */
     Seconds occupy(Seconds start, Seconds duration);
 
-    /**
-     * Change the service rate for future transfers (fault-injected
-     * bandwidth degradation); in-flight history is unaffected.
-     */
-    void setRate(Bandwidth rate);
-
     /** Earliest time a new transfer could begin service. */
     Seconds busyUntil() const { return busy_until_; }
 
@@ -77,12 +71,6 @@ class BandwidthResource
      * exceeds 1 + epsilon, so bugs surface instead of saturating.
      */
     double utilization(Seconds horizon) const;
-
-    /**
-     * Reset the busy horizon and busy time back to the freshly
-     * constructed state (the configured rate and latency are preserved).
-     */
-    void reset();
 
     Bandwidth rate() const { return rate_; }
     Seconds latency() const { return latency_; }

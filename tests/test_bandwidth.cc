@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the shared-channel bandwidth resource: idle service,
- * FIFO queueing, contention, utilisation and reset.
+ * FIFO queueing, contention and utilisation.
  */
 
 #include <gtest/gtest.h>
@@ -61,52 +61,9 @@ TEST(Bandwidth, UtilizationOverHorizonDies)
     EXPECT_DEATH(ch.utilization(0.5e-3), "utilization");
 }
 
-TEST(Bandwidth, ResetRestoresIdle)
-{
-    BandwidthResource ch("ch", 1e9);
-    ch.transfer(0.0, 1'000'000);
-    ch.occupy(0.0, 1e-6);  // a stall counts as busy time too
-    ch.reset();
-    EXPECT_DOUBLE_EQ(ch.busyUntil(), 0.0);
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 0.0);
-    EXPECT_DOUBLE_EQ(ch.utilization(1.0), 0.0);
-    EXPECT_DOUBLE_EQ(ch.transfer(0.0, 1'000'000), 1e-3);
-}
-
 TEST(Bandwidth, InvalidRateDies)
 {
     EXPECT_DEATH(BandwidthResource("bad", 0.0), "positive");
-}
-
-TEST(Bandwidth, SetRateDoesNotRepriceInFlightTransfer)
-{
-    BandwidthResource ch("ch", 1e9);
-    ch.transfer(0.0, 1'000'000);  // in service until 1 ms at 1 GB/s
-    ch.setRate(2e9);              // rate change mid-transfer
-    // The in-flight transfer keeps its original pricing.
-    EXPECT_DOUBLE_EQ(ch.busyUntil(), 1e-3);
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 1e-3);
-    // Only subsequent transfers see the new rate, queued behind the
-    // old-rate completion.
-    const Seconds done = ch.transfer(0.0, 1'000'000);
-    EXPECT_DOUBLE_EQ(done, 1e-3 + 0.5e-3);
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 1.5e-3);
-    EXPECT_DOUBLE_EQ(ch.utilization(done), 1.0);
-}
-
-TEST(Bandwidth, SetRateDoesNotRepriceAccumulatedBusyTime)
-{
-    // Slowing the channel down must likewise leave history alone.
-    BandwidthResource ch("ch", 2e9);
-    ch.transfer(0.0, 1'000'000);  // 0.5 ms of service
-    ch.setRate(1e9);
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 0.5e-3);
-    EXPECT_DOUBLE_EQ(ch.busyUntil(), 0.5e-3);
-    ch.transfer(1e-3, 1'000'000);  // idle gap, then 1 ms at new rate
-    EXPECT_DOUBLE_EQ(ch.busyTime(), 1.5e-3);
-    EXPECT_DOUBLE_EQ(ch.busyUntil(), 2e-3);
-    // Busy time is 1.5 ms of a 2 ms window: no clamp, no repricing.
-    EXPECT_DOUBLE_EQ(ch.utilization(2e-3), 0.75);
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
  * engine dispatch, and the table renderer, not just the library calls
  * the other golden tests cover.
  *
- * The binary path arrives via the HILOS_CLI_PATH compile definition
- * ($<TARGET_FILE:hilos_cli>), so the test is build-tree relocatable.
+ * The binary paths arrive via the HILOS_CLI_PATH and
+ * HILOS_BENCH_FLEET_PATH compile definitions ($<TARGET_FILE:...>), so
+ * the test is build-tree relocatable.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -190,6 +192,46 @@ TEST(CliGolden, BadArrivalTraceLinesExitTwoWithTheLineNumber)
             << cmd << "\n" << out;
         std::remove(path.c_str());
     }
+}
+
+TEST(CliGolden, BadReplayDirPlansExitTwoBeforeAnyReplay)
+{
+    // bench_fleet --replay-dir: a plan file that does not parse or
+    // names a host past --hosts, and a directory that does not exist,
+    // are user errors: one `error: <path>: ...` line each and exit 2,
+    // before any plan replays (a good plan sits next to each bad one).
+    namespace fs = std::filesystem;
+    const fs::path root = fs::path(::testing::TempDir()) / "replay_dirs";
+    const struct {
+        const char *dir;
+        const char *plan;
+        const char *error;
+    } cases[] = {
+        {"unparsable", "bogus", "fault plan: missing '=' in 'bogus'"},
+        {"past_hosts", "host-fail@1=9",
+         "invalid fleet config: fleet: host-fail targets host 9 but the "
+         "fleet has 4 hosts"},
+        {"missing", nullptr, "No such file or directory"},
+    };
+    for (const auto &c : cases) {
+        const fs::path dir = root / c.dir;
+        std::string where = dir.string();
+        if (c.plan != nullptr) {
+            fs::create_directories(dir);
+            std::ofstream(dir / "a_good.txt") << "host-fail@0=1\n";
+            std::ofstream(dir / "bad.txt") << "# scenario\n" << c.plan << "\n";
+            where = (dir / "bad.txt").string();
+        }
+        const std::string cmd = std::string(HILOS_BENCH_FLEET_PATH) +
+                                " --hosts 4 --json-dir '' --replay-dir " +
+                                dir.string();
+        std::string out;
+        const int status = runStatus(cmd, &out);
+        ASSERT_TRUE(WIFEXITED(status)) << cmd << "\n" << out;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << "\n" << out;
+        EXPECT_EQ(out, "error: " + where + ": " + c.error + "\n") << cmd;
+    }
+    fs::remove_all(root);
 }
 
 TEST(CliGolden, UnplaceableFleetIsInfeasibleLikeOneHost)

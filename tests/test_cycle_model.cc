@@ -45,8 +45,8 @@ TEST(CycleModel, DramBoundAtOperatingPoint)
 {
     const CycleModel cm{CycleModelConfig{}};
     for (std::size_t dg : {1ul, 4ul, 5ul}) {
-        EXPECT_EQ(cm.breakdown(16384, 128, dg).bottleneckName(), "dram")
-            << "d_group " << dg;
+        const CycleBreakdown b = cm.breakdown(16384, 128, dg);
+        EXPECT_EQ(b.bottleneckCycles(), b.dram_cycles) << "d_group " << dg;
     }
 }
 
@@ -99,8 +99,8 @@ TEST(CycleModel, ComputeBoundWhenDramIsFast)
     CycleModelConfig cfg;
     cfg.dram_bandwidth = gbps(10000);  // effectively infinite
     const CycleModel cm(cfg);
-    const std::string unit = cm.breakdown(16384, 128, 4).bottleneckName();
-    EXPECT_NE(unit, "dram");
+    const CycleBreakdown b = cm.breakdown(16384, 128, 4);
+    EXPECT_GT(b.bottleneckCycles(), b.dram_cycles);
 }
 
 }  // namespace

@@ -45,13 +45,6 @@ TEST(Gpu, H100FasterThanA100)
     EXPECT_GT(h100Config().price_usd, a100Config().price_usd);
 }
 
-TEST(Gpu, CapacityCheck)
-{
-    const Gpu gpu(a100Config());
-    EXPECT_TRUE(gpu.fits(30e9));
-    EXPECT_FALSE(gpu.fits(50e9));
-}
-
 TEST(Cpu, MemoryBoundAttention)
 {
     const Cpu cpu(xeon6342Config());

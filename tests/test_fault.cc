@@ -262,14 +262,6 @@ TEST(BandwidthFaults, ZeroDurationOccupyIsANoOp)
     EXPECT_DOUBLE_EQ(res.busyUntil(), t1);
 }
 
-TEST(BandwidthFaults, SetRateScalesFutureServiceTime)
-{
-    BandwidthResource res("link", 2.0 * GB, 0.0);
-    const Seconds fast = res.serviceTime(1 << 30);
-    res.setRate(1.0 * GB);
-    EXPECT_DOUBLE_EQ(res.serviceTime(1 << 30), 2.0 * fast);
-}
-
 // --- FaultPlan::validate ---
 
 TEST(FaultPlanValidate, EmptyAndWellFormedPlansPass)

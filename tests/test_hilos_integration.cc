@@ -140,11 +140,6 @@ TEST(HilosIntegration, DecodeLoopWithRareSpills)
     runDecodeLoop(50, 10, 64);  // everything stays buffered
 }
 
-TEST(HilosIntegration, VersionString)
-{
-    EXPECT_STREQ(versionString(), "1.0.0");
-}
-
 TEST(HilosIntegration, QuickstartPathWorks)
 {
     SystemConfig sys = defaultSystem();

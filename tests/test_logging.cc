@@ -45,24 +45,5 @@ TEST(Logging, PanicAborts)
     EXPECT_DEATH(HILOS_PANIC("internal invariant broken"), "panic");
 }
 
-TEST(Logging, LevelRoundTrips)
-{
-    const LogLevel before = logLevel();
-    setLogLevel(LogLevel::Debug);
-    EXPECT_EQ(logLevel(), LogLevel::Debug);
-    setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setLogLevel(before);
-}
-
-TEST(Logging, WarnAndInformDoNotThrow)
-{
-    setLogLevel(LogLevel::Silent);
-    EXPECT_NO_THROW(HILOS_WARN("suppressed warning"));
-    EXPECT_NO_THROW(HILOS_INFORM("suppressed info"));
-    EXPECT_NO_THROW(HILOS_DEBUG("suppressed debug"));
-    setLogLevel(LogLevel::Warn);
-}
-
 }  // namespace
 }  // namespace hilos

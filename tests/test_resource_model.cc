@@ -40,14 +40,6 @@ TEST(ResourceModel, PowerMatchesTable3)
     EXPECT_DOUBLE_EQ(rm.powerWatts(5), 16.08);
 }
 
-TEST(ResourceModel, PeakGflopsMatchTable3)
-{
-    const ResourceModel rm;
-    EXPECT_DOUBLE_EQ(rm.peakGflops(1), 11.9);
-    EXPECT_DOUBLE_EQ(rm.peakGflops(4), 46.8);
-    EXPECT_DOUBLE_EQ(rm.peakGflops(5), 56.3);
-}
-
 TEST(ResourceModel, InterpolationIsMonotonicBetweenAnchors)
 {
     const ResourceModel rm;

@@ -100,21 +100,6 @@ TEST(Rope, ReapplicationReproducesOriginalRotation)
         EXPECT_FLOAT_EQ(first[i], regen[i]);
 }
 
-TEST(Rope, ApplyRowsUsesSequentialPositions)
-{
-    Rng rng(5);
-    const RopeTable rope(8, 64);
-    Matrix m = Matrix::random(4, 8, rng);
-    Matrix rows = m;
-    rope.applyRows(rows, 10);
-    for (std::size_t r = 0; r < 4; r++) {
-        std::vector<float> v(m.row(r), m.row(r) + 8);
-        rope.apply(v.data(), 10 + r);
-        for (std::size_t c = 0; c < 8; c++)
-            EXPECT_FLOAT_EQ(rows.at(r, c), v[c]);
-    }
-}
-
 TEST(Rope, TableBytesAreSmall)
 {
     // The "efficient caching strategy": the whole 128K x 128 table is

@@ -46,26 +46,6 @@ TEST(Matrix, MatmulShapeMismatchDies)
     EXPECT_DEATH(a.matmul(b), "mismatch");
 }
 
-TEST(Matrix, TransposeInvolution)
-{
-    Rng rng(1);
-    const Matrix m = Matrix::random(5, 7, rng);
-    const Matrix tt = m.transposed().transposed();
-    EXPECT_FLOAT_EQ(m.maxAbsDiff(tt), 0.0f);
-}
-
-TEST(Matrix, TransposeSwapsIndices)
-{
-    Rng rng(2);
-    const Matrix m = Matrix::random(4, 6, rng);
-    const Matrix t = m.transposed();
-    EXPECT_EQ(t.rows(), 6u);
-    EXPECT_EQ(t.cols(), 4u);
-    for (std::size_t r = 0; r < 4; r++)
-        for (std::size_t c = 0; c < 6; c++)
-            EXPECT_FLOAT_EQ(t.at(c, r), m.at(r, c));
-}
-
 TEST(Matrix, MaxAbsDiff)
 {
     Matrix a(1, 3), b(1, 3);
