@@ -99,8 +99,6 @@ class TwoPassSoftmax
         return 4 * n;
     }
 
-    std::size_t blockElems() const { return block_elems_; }
-
   private:
     std::size_t block_elems_;
 };

@@ -59,10 +59,6 @@ class KvCache
     /** Row-wise value matrix view (length x d) for a slice. */
     HalfMatrixView values(const SliceId &id) const;
 
-    std::size_t batches() const { return batches_; }
-    std::size_t kvHeads() const { return kv_heads_; }
-    std::size_t headDim() const { return head_dim_; }
-
   private:
     std::size_t index(const SliceId &id) const;
 
@@ -88,8 +84,6 @@ class XCacheStore
     /** Row-wise activation matrix view (length x hidden). */
     HalfMatrixView activations(std::size_t batch) const;
 
-    std::size_t hidden() const { return hidden_; }
-
   private:
     std::size_t hidden_;
     std::vector<std::vector<Half>> store_;
@@ -110,9 +104,6 @@ class SlicePartition
 
     /** Device owning a slice. */
     std::size_t deviceOf(const SliceId &id) const;
-
-    std::size_t devices() const { return devices_; }
-    std::size_t totalSlices() const { return batches_ * kv_heads_; }
 
   private:
     std::size_t batches_;

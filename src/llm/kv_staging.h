@@ -79,9 +79,7 @@ class WritebackBuffer
     /** Spills produced so far. */
     std::uint64_t totalSpills() const { return total_spills_; }
 
-    std::size_t spillInterval() const { return spill_interval_; }
     std::size_t headDim() const { return head_dim_; }
-    std::size_t slices() const { return k_buf_.size(); }
 
   private:
     std::size_t head_dim_;
@@ -91,7 +89,6 @@ class WritebackBuffer
     std::vector<SpillChunk> pending_;
     std::uint64_t total_spills_ = 0;
 };
-
 
 }  // namespace hilos
 

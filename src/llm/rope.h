@@ -42,7 +42,6 @@ class RopeTable
     void apply(float *vec, std::size_t pos) const;
 
     std::size_t headDim() const { return head_dim_; }
-    std::size_t maxPos() const { return max_pos_; }
 
     /** Table bytes (the caching cost; tiny next to the KV cache). */
     std::size_t tableBytes() const

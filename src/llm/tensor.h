@@ -35,7 +35,6 @@ class Matrix
     std::size_t size() const { return data_.size(); }
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }
-    const std::vector<float> &vec() const { return data_; }
 
     /** Pointer to the start of row r. */
     const float *row(std::size_t r) const { return &data_[r * cols_]; }

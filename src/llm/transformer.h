@@ -96,8 +96,6 @@ class TransformerLayer
     /** Current context length (same for every path). */
     std::size_t contextLen() const { return positions_; }
 
-    const LayerShape &shape() const { return shape_; }
-
     /** Entries currently staged in the writeback buffer (slice 0). */
     std::size_t buffered(std::size_t slice) const
     {
@@ -176,7 +174,6 @@ class TransformerModel
                                                      AttentionPath path);
 
     std::size_t contextLen() const { return layers_.front().contextLen(); }
-    std::size_t vocab() const { return vocab_; }
 
   private:
     /** Embedding lookup for a batch of token ids. */

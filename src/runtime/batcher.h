@@ -72,9 +72,6 @@ class OfflineBatcher
                           const ModelConfig &model,
                           const std::vector<Request> &requests) const;
 
-    std::uint64_t maxBatch() const { return max_batch_; }
-    std::uint64_t bucketQuantum() const { return bucket_quantum_; }
-
   private:
     std::uint64_t max_batch_;
     std::uint64_t bucket_quantum_;

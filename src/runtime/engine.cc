@@ -57,26 +57,6 @@ StageBreakdown::sum() const
 
 namespace {
 
-/** An engine's own decode builder, as a runPlans argument. */
-struct OwnDecode {
-    const InferenceEngine &engine;
-    void operator()(const RunConfig &cfg, RunResult &res,
-                    StepPlan &plan) const
-    {
-        engine.buildDecodePlan(cfg, res, plan);
-    }
-};
-
-/** An engine's own prefill builder, as a runPlans argument. */
-struct OwnPrefill {
-    const InferenceEngine &engine;
-    void operator()(const RunConfig &cfg, std::uint64_t chunk_index,
-                    std::uint64_t chunk_count, StepPlan &plan) const
-    {
-        engine.buildPrefillPlan(cfg, chunk_index, chunk_count, plan);
-    }
-};
-
 /**
  * What a plan of a run is for, mixed with its condition segment into its
  * PlanCache key (see roleKey): the plans of one faulted run each keep an
@@ -136,8 +116,7 @@ accumulateWeighted(RunResult &acc, const PlanEvaluation &ev, double w)
 
 RunResult
 InferenceEngine::runPlans(const RunConfig &cfg, PlanCache *cache,
-                          std::uint64_t role, DecodeBuilder decode,
-                          PrefillBuilder prefill) const
+                          std::optional<Seconds> at) const
 {
     HILOS_ASSERT(cfg.prefill_chunks >= 1,
                  "a run needs at least one prefill chunk");
@@ -161,7 +140,9 @@ InferenceEngine::runPlans(const RunConfig &cfg, PlanCache *cache,
             PlanCache::keyOf(engine, cfg.model.name, PlanPhase::Decode);
         prefill_key =
             PlanCache::keyOf(engine, cfg.model.name, PlanPhase::Prefill);
-        if (role != 0) {
+        if (at) {
+            const std::uint64_t role =
+                roleKey(kRoleRunAt, timeline().segmentAt(*at));
             decode_key = PlanCache::mixKey(decode_key, role);
             prefill_key = PlanCache::mixKey(prefill_key, role);
         }
@@ -171,14 +152,20 @@ InferenceEngine::runPlans(const RunConfig &cfg, PlanCache *cache,
     std::optional<StepPlan> decode_plan;
     const StepPlan &plan = build(decode_key, decode_plan, [&](StepPlan &p) {
         res = RunResult{};
-        decode(cfg, res, p);
+        if (at)
+            buildDecodePlanAt(cfg, *at, res, p);
+        else
+            buildDecodePlan(cfg, res, p);
     });
     if (!plan.feasible)
         return res;
     for (std::uint64_t i = 0; i < cfg.prefill_chunks; ++i) {
         std::optional<StepPlan> chunk;
         const StepPlan &pre = build(prefill_key, chunk, [&](StepPlan &p) {
-            prefill(cfg, i, cfg.prefill_chunks, p);
+            if (at)
+                buildPrefillPlanAt(cfg, *at, i, cfg.prefill_chunks, p);
+            else
+                buildPrefillPlan(cfg, i, cfg.prefill_chunks, p);
         });
         if (!applyPrefillPlan(pre, res))
             return res;
@@ -190,8 +177,7 @@ InferenceEngine::runPlans(const RunConfig &cfg, PlanCache *cache,
 RunResult
 InferenceEngine::runHealthy(const RunConfig &cfg, PlanCache *cache) const
 {
-    RunResult res =
-        runPlans(cfg, cache, 0, OwnDecode{*this}, OwnPrefill{*this});
+    RunResult res = runPlans(cfg, cache, std::nullopt);
     const DecodeEpoch only{res.prefill_time, res.decode_step_time,
                            cfg.output_len, 1.0};
     EpochLog log;
@@ -368,15 +354,7 @@ RunResult
 InferenceEngine::runAt(const RunConfig &cfg, Seconds now,
                        PlanCache *cache) const
 {
-    return runPlans(
-        cfg, cache, roleKey(kRoleRunAt, timeline().segmentAt(now)),
-        [&](const RunConfig &c, RunResult &res, StepPlan &plan) {
-            buildDecodePlanAt(c, now, res, plan);
-        },
-        [&](const RunConfig &c, std::uint64_t chunk_index,
-            std::uint64_t chunk_count, StepPlan &plan) {
-            buildPrefillPlanAt(c, now, chunk_index, chunk_count, plan);
-        });
+    return runPlans(cfg, cache, now);
 }
 
 StepPlan

@@ -9,6 +9,7 @@
 #define HILOS_RUNTIME_ENGINE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -233,38 +234,6 @@ struct EpochLog {
 };
 
 /**
- * A non-owning reference to a callable: one indirect call and no
- * allocation, unlike std::function, for builders passed down the
- * sweep's per-point path. The callable must outlive the call the
- * reference is passed to.
- */
-template <typename Signature>
-class FunctionRef;
-
-template <typename R, typename... Args>
-class FunctionRef<R(Args...)>
-{
-  public:
-    template <typename F>
-    FunctionRef(const F &fn)
-        : obj_(&fn), call_([](const void *obj, Args... args) -> R {
-              return (*static_cast<const F *>(obj))(
-                  std::forward<Args>(args)...);
-          })
-    {
-    }
-
-    R operator()(Args... args) const
-    {
-        return call_(obj_, std::forward<Args>(args)...);
-    }
-
-  private:
-    const void *obj_;
-    R (*call_)(const void *, Args...);
-};
-
-/**
  * Abstract offline-inference engine. An engine supplies two plan
  * builders (runtime/step_plan.h); the base class turns them into
  * runs, and serving, replay and tracing consume the plans directly.
@@ -397,22 +366,17 @@ class InferenceEngine
                                     PlanCache &cache) const;
 
   protected:
-    using DecodeBuilder =
-        FunctionRef<void(const RunConfig &, RunResult &, StepPlan &)>;
-    using PrefillBuilder = FunctionRef<void(
-        const RunConfig &, std::uint64_t, std::uint64_t, StepPlan &)>;
-
     /**
      * The one run body: build the decode plan and each prefill chunk
-     * with the given builders (cold when `cache` is null, else through
-     * `cache` under this engine's phase keys, mixed with `role` unless
-     * it is 0) and fold them with applyPrefillPlan/applyPlan. run() and
-     * runCached() pass the engine's own builders, runAt() the builders
-     * at one time.
+     * (cold when `cache` is null, else through `cache` under this
+     * engine's phase keys) and fold them with applyPrefillPlan/
+     * applyPlan. With no `at`, the engine's own builders run under the
+     * plain phase keys (run() and runCached()); with one, the `At`
+     * builders at that time run under keys of its timeline() segment
+     * (runAt()).
      */
     RunResult runPlans(const RunConfig &cfg, PlanCache *cache,
-                       std::uint64_t role, DecodeBuilder decode,
-                       PrefillBuilder prefill) const;
+                       std::optional<Seconds> at) const;
 
     /** run() and runCached() over runPlans plus the summary hook. */
     RunResult runHealthy(const RunConfig &cfg, PlanCache *cache) const;

@@ -128,11 +128,6 @@ class FleetEngine : public InferenceEngine
     Seconds simulatedDecodeStep(const RunConfig &cfg,
                                 Seconds now = 0.0) const;
 
-    const FleetConfig &fleet() const { return fleet_; }
-    const FleetScheduler &scheduler() const { return sched_; }
-    /** The per-host engine options after fleet fan-out. */
-    const HilosOptions &hostOptions() const { return host_opts_; }
-
   private:
     /** Per-step token/coordination exchange (0 for a one-host fleet). */
     Seconds coordinationTime(std::uint64_t placed_batch,

@@ -87,9 +87,6 @@ class FleetScheduler
     /** Requests one host can decode for this workload (may be 0). */
     std::uint64_t hostCapacity(const RunConfig &cfg) const;
 
-    PlacementPolicy policy() const { return policy_; }
-    unsigned spareHosts() const { return spare_hosts_; }
-
   private:
     SystemConfig sys_;
     HilosOptions host_opts_;

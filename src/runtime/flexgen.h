@@ -47,8 +47,6 @@ class FlexGenEngine : public InferenceEngine
     /** Aggregate storage write bandwidth of this tier's fleet. */
     Bandwidth storageWriteBw() const;
 
-    FlexTier tier() const { return tier_; }
-
   private:
     /** The capacity-shrunk batch (0 = infeasible); sets `note` when the
      *  batch shrank or the config does not fit. */

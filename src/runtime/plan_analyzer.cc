@@ -48,12 +48,10 @@ appendFindingNumber(std::string &out, double v)
 
 namespace {
 
-/** Registry entry describing one analyzer pass. */
+/** Registry entry for one analyzer pass (DESIGN.md catalogs them). */
 struct AnalyzerPassInfo {
     const char *id;            ///< the "PAnnn" ID its findings carry
-    const char *name;          ///< short kebab-case pass name
     FindingSeverity severity;  ///< severity of every finding it emits
-    const char *summary;       ///< one-line description
 };
 
 /** Append the decimal digits of `v`. */
@@ -422,41 +420,15 @@ struct Pass {
     PassFn fn;
 };
 
-const std::vector<Pass> &
-passRegistry()
-{
-    static const std::vector<Pass> registry = {
-        {{"PA001", "dead-op", FindingSeverity::Error,
-          "op contributes to no stage/traffic/busy field and nothing "
-          "depends on it"},
-         passDeadOp},
-        {{"PA002", "redundant-edge", FindingSeverity::Warn,
-          "dependency edge implied by the transitive closure of the "
-          "op's other dependencies"},
-         passRedundantEdge},
-        {{"PA003", "defeated-prefetch", FindingSeverity::Warn,
-          "prefetch/shadow op serialized behind timed work it should "
-          "overlap"},
-         passDefeatedPrefetch},
-        {{"PA004", "energy-coverage", FindingSeverity::Warn,
-          "timed or traffic-bearing op invisible to the enabled energy "
-          "spec (no busy tag)"},
-         passEnergyCoverage},
-        {{"PA005", "accounting-conservation", FindingSeverity::Error,
-          "attention traffic share exceeds the host traffic it must be "
-          "a subset of"},
-         passAccountingConservation},
-        {{"PA006", "phase-mismatch", FindingSeverity::Error,
-          "op or declared stage named for the opposite phase of its "
-          "plan"},
-         passPhaseMismatch},
-        {{"PA007", "prefill-energy-spec", FindingSeverity::Error,
-          "Prefill-phase plan carries an enabled energy spec nothing "
-          "consumes"},
-         passPrefillEnergySpec},
-    };
-    return registry;
-}
+constexpr Pass kPasses[] = {
+    {{"PA001", FindingSeverity::Error}, passDeadOp},
+    {{"PA002", FindingSeverity::Warn}, passRedundantEdge},
+    {{"PA003", FindingSeverity::Warn}, passDefeatedPrefetch},
+    {{"PA004", FindingSeverity::Warn}, passEnergyCoverage},
+    {{"PA005", FindingSeverity::Error}, passAccountingConservation},
+    {{"PA006", FindingSeverity::Error}, passPhaseMismatch},
+    {{"PA007", FindingSeverity::Error}, passPrefillEnergySpec},
+};
 
 // --- critical-path / slack annotator --------------------------------------
 
@@ -538,7 +510,7 @@ analyzePlan(const StepPlan &plan, const PlanEvaluation &ev)
     AnalyzerScratch &s = analyzerScratch();
     s.findings.findings.clear();
     const PassContext ctx = buildContext(plan, ev, s);
-    for (const Pass &p : passRegistry())
+    for (const Pass &p : kPasses)
         p.fn(plan, ctx, p.info, s.findings);
     out.findings.assign(std::make_move_iterator(s.findings.findings.begin()),
                         std::make_move_iterator(s.findings.findings.end()));

@@ -57,8 +57,6 @@ class VllmMultiGpuEngine : public InferenceEngine
     /** Aggregate GPU memory of the cluster. */
     double totalGpuMemory() const;
 
-    const VllmClusterConfig &cluster() const { return cluster_; }
-
   private:
     SystemConfig sys_;
     VllmClusterConfig cluster_;

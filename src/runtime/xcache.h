@@ -74,9 +74,6 @@ class XCacheScheduler
     XCacheTimes times(double alpha, std::uint64_t batch, std::uint64_t s,
                       std::uint64_t h, std::uint64_t kv) const;
 
-    Bandwidth ssdBandwidth() const { return ssd_bw_; }
-    Bandwidth pciBandwidth() const { return pci_bw_; }
-
     /** Candidate fractions considered by selectAlpha. */
     static const std::vector<double> &candidateAlphas();
 

@@ -72,7 +72,6 @@ class BandwidthResource
      */
     double utilization(Seconds horizon) const;
 
-    Bandwidth rate() const { return rate_; }
     Seconds latency() const { return latency_; }
     const std::string &name() const { return name_; }
 

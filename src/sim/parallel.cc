@@ -1,165 +1,59 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-
-#include "common/logging.h"
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 namespace hilos {
 
-unsigned
-ThreadPool::defaultJobs()
+SweepDriver::SweepDriver(unsigned jobs)
+    : jobs_(std::min(
+          jobs != 0 ? jobs
+                    : std::max(1u, std::thread::hardware_concurrency()),
+          kMaxJobs))
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
-ThreadPool::ThreadPool(unsigned jobs)
-    : jobs_(std::min(jobs == 0 ? defaultJobs() : jobs, kMaxJobs))
-{
-    if (jobs_ <= 1)
-        return;  // inline execution, no worker threads
-    shards_.reserve(jobs_);
-    for (unsigned i = 0; i < jobs_; i++)
-        shards_.push_back(std::make_unique<Shard>());
-    threads_.reserve(jobs_);
-    for (unsigned i = 0; i < jobs_; i++)
-        threads_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    if (threads_.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
-    }
-    start_cv_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
 }
 
 void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &fn)
+SweepDriver::run(std::size_t n,
+                 const std::function<void(unsigned, std::size_t)> &fn) const
 {
-    parallelForWorker(n, [&fn](unsigned, std::size_t i) { fn(i); });
-}
-
-void
-ThreadPool::parallelForWorker(
-    std::size_t n, const std::function<void(unsigned, std::size_t)> &fn)
-{
-    if (n == 0)
-        return;
-    if (threads_.empty() || n == 1) {
-        // Serial reference path: same code the workers run, same
-        // index order a 1-wide deal would produce.
+    const std::size_t workers = std::min<std::size_t>(jobs_, n);
+    if (workers <= 1) {
         for (std::size_t i = 0; i < n; i++)
             fn(0, i);
         return;
     }
 
-    // Deal indices round-robin before publishing the job, so workers
-    // never observe a partially filled shard.
-    for (std::size_t i = 0; i < n; i++) {
-        Shard &sh = *shards_[i % jobs_];
-        std::lock_guard<std::mutex> lk(sh.mu);
-        sh.indices.push_back(i);
-    }
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        HILOS_ASSERT(fn_ == nullptr, "parallelFor is not reentrant");
-        fn_ = &fn;
-        error_ = nullptr;
-        running_ = jobs_;
-        generation_++;
-    }
-    start_cv_.notify_all();
-
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [this] { return running_ == 0; });
-    fn_ = nullptr;
-    if (error_)
-        std::rethrow_exception(error_);
-}
-
-void
-ThreadPool::workerLoop(unsigned self)
-{
-    std::uint64_t seen = 0;
-    while (true) {
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            start_cv_.wait(lk, [&] {
-                return stop_ || generation_ != seen;
-            });
-            if (stop_)
-                return;
-            seen = generation_;
-        }
-        runShare(self);
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (--running_ == 0)
-                done_cv_.notify_all();
-        }
-    }
-}
-
-void
-ThreadPool::runShare(unsigned self)
-{
-    const std::function<void(unsigned, std::size_t)> &fn = *fn_;
-    std::size_t idx = 0;
-    while (popOwn(self, idx) || stealFrom(self, idx)) {
-        try {
-            fn(self, idx);
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                if (!error_)
-                    error_ = std::current_exception();
+    std::atomic<std::size_t> next{0};
+    std::mutex error_mu;
+    std::exception_ptr error;
+    const auto work = [&](unsigned worker) {
+        for (std::size_t i = next.fetch_add(1); i < n;
+             i = next.fetch_add(1)) {
+            try {
+                fn(worker, i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lk(error_mu);
+                if (!error)
+                    error = std::current_exception();
+                next.store(n);  // hand out no further index
             }
-            cancelPending();
         }
+    };
+    {
+        // Destroying the vector joins every started thread, also when
+        // starting the next one throws.
+        std::vector<std::jthread> threads;
+        threads.reserve(workers - 1);
+        for (unsigned w = 1; w < workers; w++)
+            threads.emplace_back(work, w);
+        work(0);
     }
-}
-
-bool
-ThreadPool::popOwn(unsigned self, std::size_t &idx)
-{
-    Shard &sh = *shards_[self];
-    std::lock_guard<std::mutex> lk(sh.mu);
-    if (sh.indices.empty())
-        return false;
-    idx = sh.indices.front();
-    sh.indices.pop_front();
-    return true;
-}
-
-bool
-ThreadPool::stealFrom(unsigned self, std::size_t &idx)
-{
-    for (unsigned off = 1; off < jobs_; off++) {
-        Shard &victim = *shards_[(self + off) % jobs_];
-        std::lock_guard<std::mutex> lk(victim.mu);
-        if (victim.indices.empty())
-            continue;
-        idx = victim.indices.back();
-        victim.indices.pop_back();
-        return true;
-    }
-    return false;
-}
-
-void
-ThreadPool::cancelPending()
-{
-    for (std::unique_ptr<Shard> &sh : shards_) {
-        std::lock_guard<std::mutex> lk(sh->mu);
-        sh->indices.clear();
-    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 }  // namespace hilos

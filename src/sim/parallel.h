@@ -1,20 +1,18 @@
 /**
  * @file
- * Parallel sweep execution: a small work-stealing thread pool plus a
- * SweepDriver that fans independent grid points across threads with
- * deterministic result ordering.
+ * Parallel sweep execution: a SweepDriver that fans independent grid
+ * points across threads with deterministic result ordering.
  *
- * Every paper figure re-runs the analytic engines and the event
- * simulator over large config grids (devices x batch x context x
- * model). The grid points are independent — each engine `run()` is
- * const and builds all of its state (BandwidthResource instances,
- * fault-injector RNG streams, trace buffers) locally — so they
- * parallelise embarrassingly. The driver guarantees:
+ * Every paper figure re-runs the engines over config grids (devices x
+ * batch x context x model) whose points are independent, so they
+ * parallelise embarrassingly. Each sweep starts its own threads, the
+ * caller working as worker 0, and every worker takes its next task
+ * index from one shared atomic counter. The driver guarantees:
  *
  *  - results are keyed by grid index, never by completion order, so a
  *    sweep renders byte-identically regardless of thread count;
- *  - `jobs == 1` executes inline on the calling thread with no worker
- *    threads at all (the serial reference path);
+ *  - `jobs == 1` (or a one-task sweep) executes inline on the calling
+ *    thread with no worker threads at all (the serial reference path);
  *  - tasks never share mutable state through the driver — each task
  *    owns whatever engines/simulators/recorders it constructs.
  */
@@ -22,33 +20,29 @@
 #ifndef HILOS_SIM_PARALLEL_H_
 #define HILOS_SIM_PARALLEL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <utility>
 #include <vector>
 
 namespace hilos {
 
 /**
- * Work-stealing thread pool over index ranges.
+ * Fans a grid of independent sweep points across threads.
  *
- * Workers are spawned once and reused across parallelFor() calls.
- * Indices are dealt round-robin into per-worker deques; a worker pops
- * from the front of its own deque and, when empty, steals from the
- * back of a victim's. parallelFor() is not reentrant: one sweep at a
- * time per pool.
+ * The driver owns nothing about the point type: callers pass a vector
+ * of tasks (RunConfig grid points, scenario structs, plain indices)
+ * and a function evaluating one of them. Results come back in a
+ * vector parallel to the input — element i is always the result of
+ * task i, whatever order the threads finished in. The first exception
+ * a task throws stops the sweep from handing out further tasks and is
+ * rethrown once every thread has joined; the driver stays usable
+ * afterwards.
  */
-class ThreadPool
+class SweepDriver
 {
   public:
     /** Hard ceiling on the worker count, so absurd requests (e.g. a
-     *  negative CLI value cast to unsigned) degrade to a large pool
+     *  negative CLI value cast to unsigned) degrade to a large sweep
      *  instead of exhausting the process's thread limit. */
     static constexpr unsigned kMaxJobs = 256;
 
@@ -57,81 +51,10 @@ class ThreadPool
      *        1 runs everything inline on the calling thread. Clamped
      *        to kMaxJobs.
      */
-    explicit ThreadPool(unsigned jobs = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
+    explicit SweepDriver(unsigned jobs = 0);
 
     /** Effective parallelism (>= 1). */
     unsigned jobs() const { return jobs_; }
-
-    /**
-     * Run `fn(i)` for every i in [0, n), blocking until all complete.
-     * The first exception thrown by any task is rethrown here after
-     * the remaining queued work is cancelled.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Worker-aware form: run `fn(worker, i)` for every i in [0, n),
-     * where `worker` identifies the executing worker in [0, jobs()).
-     * Serial execution (jobs() == 1 or n == 1) uses worker 0. A worker
-     * id never runs two tasks concurrently, so callers can keep
-     * per-worker scratch state (engine instances, plan caches) in a
-     * jobs()-sized vector without locking.
-     */
-    void parallelForWorker(
-        std::size_t n,
-        const std::function<void(unsigned, std::size_t)> &fn);
-
-    /** Default worker count for `jobs == 0`. */
-    static unsigned defaultJobs();
-
-  private:
-    /** One worker's share of the current sweep. */
-    struct Shard {
-        std::mutex mu;
-        std::deque<std::size_t> indices;
-    };
-
-    void workerLoop(unsigned self);
-    void runShare(unsigned self);
-    bool popOwn(unsigned self, std::size_t &idx);
-    bool stealFrom(unsigned self, std::size_t &idx);
-    void cancelPending();
-
-    unsigned jobs_ = 1;
-    std::vector<std::thread> threads_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-
-    std::mutex mu_;
-    std::condition_variable start_cv_;
-    std::condition_variable done_cv_;
-    std::uint64_t generation_ = 0;
-    unsigned running_ = 0;
-    bool stop_ = false;
-    const std::function<void(unsigned, std::size_t)> *fn_ = nullptr;
-    std::exception_ptr error_;
-};
-
-/**
- * Fans a grid of independent sweep points across a ThreadPool.
- *
- * The driver owns nothing about the point type: callers pass a vector
- * of tasks (RunConfig grid points, scenario structs, plain indices)
- * and a function evaluating one of them. Results come back in a
- * vector parallel to the input — element i is always the result of
- * task i, whatever order the threads finished in.
- */
-class SweepDriver
-{
-  public:
-    /** @param jobs see ThreadPool; 1 = serial reference execution. */
-    explicit SweepDriver(unsigned jobs = 0) : pool_(jobs) {}
-
-    unsigned jobs() const { return pool_.jobs(); }
 
     /**
      * Evaluate `fn(task)` for every task, results keyed by task index.
@@ -142,46 +65,36 @@ class SweepDriver
     auto map(const std::vector<Task> &tasks, Fn &&fn)
         -> std::vector<decltype(fn(tasks.front()))>
     {
-        std::vector<decltype(fn(tasks.front()))> results(tasks.size());
-        pool_.parallelFor(tasks.size(), [&](std::size_t i) {
-            results[i] = fn(tasks[i]);
-        });
-        return results;
-    }
-
-    /**
-     * Index-based form: evaluate `fn(i)` for i in [0, n), results
-     * keyed by i.
-     */
-    template <typename Fn>
-    auto sweep(std::size_t n, Fn &&fn) -> std::vector<decltype(fn(0u))>
-    {
-        std::vector<decltype(fn(0u))> results(n);
-        pool_.parallelFor(n,
-                          [&](std::size_t i) { results[i] = fn(i); });
-        return results;
+        return mapWorker(tasks,
+                         [&](unsigned, const Task &task) { return fn(task); });
     }
 
     /**
      * Worker-aware map: evaluate `fn(worker, task)` with the executing
-     * worker id as the first argument (see parallelForWorker), results
-     * still keyed by task index. Use when tasks want to reuse
-     * expensive per-worker state across the sweep.
+     * worker id as the first argument, results still keyed by task
+     * index. Worker ids lie in [0, min(jobs(), tasks.size())) and one
+     * id never runs two tasks at once, so callers can keep per-worker
+     * scratch state (engine instances, plan caches) in a jobs()-sized
+     * vector without locking.
      */
     template <typename Task, typename Fn>
     auto mapWorker(const std::vector<Task> &tasks, Fn &&fn)
         -> std::vector<decltype(fn(0u, tasks.front()))>
     {
         std::vector<decltype(fn(0u, tasks.front()))> results(tasks.size());
-        pool_.parallelForWorker(
-            tasks.size(), [&](unsigned worker, std::size_t i) {
-                results[i] = fn(worker, tasks[i]);
-            });
+        run(tasks.size(), [&](unsigned worker, std::size_t i) {
+            results[i] = fn(worker, tasks[i]);
+        });
         return results;
     }
 
   private:
-    ThreadPool pool_;
+    /** Run `fn(worker, i)` for every i in [0, n), blocking until all
+     *  complete (see the class comment for threads and exceptions). */
+    void run(std::size_t n,
+             const std::function<void(unsigned, std::size_t)> &fn) const;
+
+    unsigned jobs_;
 };
 
 }  // namespace hilos

@@ -91,13 +91,13 @@ TEST(SlicePartition, CoversAllSlicesExactlyOnce)
 {
     // Every slice has one owner among the devices, and every device
     // owns some slice while slices outnumber devices.
-    const SlicePartition part(4, 6, 5);
-    EXPECT_EQ(part.totalSlices(), 24u);
-    std::vector<std::size_t> owned(part.devices(), 0);
+    const std::size_t devices = 5;
+    const SlicePartition part(4, 6, devices);
+    std::vector<std::size_t> owned(devices, 0);
     for (std::uint32_t b = 0; b < 4; b++) {
         for (std::uint32_t h = 0; h < 6; h++) {
             const std::size_t dev = part.deviceOf(SliceId{b, h});
-            ASSERT_LT(dev, part.devices());
+            ASSERT_LT(dev, devices);
             owned[dev]++;
         }
     }
@@ -108,7 +108,7 @@ TEST(SlicePartition, CoversAllSlicesExactlyOnce)
 TEST(SlicePartition, BalancedWithinOne)
 {
     const SlicePartition part(16, 96, 7);
-    std::vector<std::size_t> owned(part.devices(), 0);
+    std::vector<std::size_t> owned(7, 0);
     for (std::uint32_t b = 0; b < 16; b++)
         for (std::uint32_t h = 0; h < 96; h++)
             owned.at(part.deviceOf(SliceId{b, h}))++;

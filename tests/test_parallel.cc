@@ -1,14 +1,17 @@
 /**
  * @file
- * Tests for the parallel sweep subsystem (sim/parallel.h): thread-pool
- * correctness, exception propagation, deterministic result ordering,
- * and the headline guarantee that engine grids and evaluation reports
- * are bit-identical between 1-thread and N-thread execution.
+ * Tests for the parallel sweep subsystem (sim/parallel.h): sweep-driver
+ * correctness, exclusive worker ids, exception propagation,
+ * deterministic result ordering, and the headline guarantee that engine
+ * grids and evaluation reports are bit-identical between 1-thread and
+ * N-thread execution.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -22,88 +25,106 @@
 namespace hilos {
 namespace {
 
+/** The task indices 0 .. n-1, for sweeps over plain indices. */
+std::vector<std::size_t>
+indices(std::size_t n)
+{
+    std::vector<std::size_t> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = i;
+    return out;
+}
+
 TEST(ParallelPool, RunsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.jobs(), 4u);
+    SweepDriver driver(4);
+    EXPECT_EQ(driver.jobs(), 4u);
     const std::size_t n = 10000;
     std::vector<std::atomic<int>> hits(n);
-    pool.parallelFor(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    driver.map(indices(n),
+               [&](std::size_t i) { return hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ParallelPool, JobsOneRunsInlineOnCallingThread)
 {
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.jobs(), 1u);
+    SweepDriver driver(1);
+    EXPECT_EQ(driver.jobs(), 1u);
     const std::thread::id caller = std::this_thread::get_id();
     bool same_thread = true;
-    pool.parallelFor(64, [&](std::size_t) {
+    driver.map(indices(64), [&](std::size_t) {
         same_thread = same_thread &&
                       std::this_thread::get_id() == caller;
+        return 0;
     });
     EXPECT_TRUE(same_thread);
 }
 
 TEST(ParallelPool, JobsZeroPicksHardwareConcurrency)
 {
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.jobs(), ThreadPool::defaultJobs());
-    EXPECT_GE(pool.jobs(), 1u);
+    SweepDriver driver(0);
+    EXPECT_EQ(driver.jobs(),
+              std::max(1u, std::thread::hardware_concurrency()));
+    EXPECT_GE(driver.jobs(), 1u);
 }
 
 TEST(ParallelPool, AbsurdJobCountsClampToCeiling)
 {
     // A negative --jobs value cast to unsigned must not try to spawn
     // four billion threads.
-    ThreadPool pool(static_cast<unsigned>(-1));
-    EXPECT_EQ(pool.jobs(), ThreadPool::kMaxJobs);
+    SweepDriver driver(static_cast<unsigned>(-1));
+    EXPECT_EQ(driver.jobs(), SweepDriver::kMaxJobs);
     std::atomic<int> calls{0};
-    pool.parallelFor(1000, [&](std::size_t) { calls.fetch_add(1); });
+    driver.map(indices(1000),
+               [&](std::size_t) { return calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 1000);
 }
 
 TEST(ParallelPool, EmptyRangeIsANoop)
 {
-    ThreadPool pool(4);
+    SweepDriver driver(4);
     std::atomic<int> calls{0};
-    pool.parallelFor(0, [&](std::size_t) { calls.fetch_add(1); });
+    EXPECT_TRUE(driver.map(indices(0), [&](std::size_t) {
+                          return calls.fetch_add(1);
+                      }).empty());
     EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ParallelPool, ReusableAcrossSweeps)
 {
-    ThreadPool pool(3);
+    SweepDriver driver(3);
     for (int round = 0; round < 5; ++round) {
         std::atomic<std::size_t> sum{0};
-        pool.parallelFor(100,
-                         [&](std::size_t i) { sum.fetch_add(i); });
+        driver.map(indices(100),
+                   [&](std::size_t i) { return sum.fetch_add(i); });
         EXPECT_EQ(sum.load(), 100u * 99u / 2u) << "round " << round;
     }
 }
 
 TEST(ParallelPool, FirstExceptionPropagatesAndPoolSurvives)
 {
-    ThreadPool pool(4);
-    EXPECT_THROW(
-        pool.parallelFor(256,
-                         [&](std::size_t i) {
-                             if (i == 97)
-                                 throw std::runtime_error("task 97");
-                         }),
-        std::runtime_error);
-    // The pool must stay usable after a failed sweep.
+    SweepDriver driver(4);
+    EXPECT_THROW(driver.map(indices(256),
+                            [&](std::size_t i) {
+                                if (i == 97)
+                                    throw std::runtime_error("task 97");
+                                return i;
+                            }),
+                 std::runtime_error);
+    // The driver must stay usable after a failed sweep.
     std::atomic<int> calls{0};
-    pool.parallelFor(32, [&](std::size_t) { calls.fetch_add(1); });
+    driver.map(indices(32), [&](std::size_t) { return calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 32);
 }
 
 TEST(ParallelPool, SerialPathAlsoPropagatesExceptions)
 {
-    ThreadPool pool(1);
-    EXPECT_THROW(pool.parallelFor(
-                     4, [](std::size_t) { throw std::logic_error("x"); }),
+    SweepDriver driver(1);
+    EXPECT_THROW(driver.map(indices(4),
+                            [](std::size_t) -> int {
+                                throw std::logic_error("x");
+                            }),
                  std::logic_error);
 }
 
@@ -124,9 +145,60 @@ TEST(ParallelSweepDriver, SweepKeysResultsByIndex)
 {
     SweepDriver driver(4);
     const std::vector<std::size_t> doubled =
-        driver.sweep(64, [](std::size_t i) { return 2 * i; });
+        driver.map(indices(64), [](std::size_t i) { return 2 * i; });
+    ASSERT_EQ(doubled.size(), 64u);
     for (std::size_t i = 0; i < doubled.size(); ++i)
         EXPECT_EQ(doubled[i], 2 * i);
+}
+
+TEST(ParallelSweepDriver, MapWorkerIdsStayInRangeAndAreNeverShared)
+{
+    // runGrid keeps one engine and PlanCache per worker id, so an id
+    // must lie in [0, min(jobs, n)) and never run two tasks at once.
+    struct Case {
+        unsigned jobs;
+        std::size_t tasks;
+    };
+    for (const Case c : {Case{4, 400}, Case{8, 3}, Case{1, 16}}) {
+        SweepDriver driver(c.jobs);
+        const std::size_t workers = std::min<std::size_t>(c.jobs, c.tasks);
+        std::vector<std::atomic<bool>> in_use(workers);
+        std::atomic<int> clashes{0};
+        const std::vector<unsigned> ids = driver.mapWorker(
+            indices(c.tasks), [&](unsigned worker, std::size_t) {
+                if (worker >= workers)
+                    return worker;
+                if (in_use[worker].exchange(true))
+                    clashes.fetch_add(1);
+                std::this_thread::yield();
+                in_use[worker].store(false);
+                return worker;
+            });
+        for (const unsigned id : ids)
+            EXPECT_LT(id, workers) << "jobs " << c.jobs;
+        EXPECT_EQ(clashes.load(), 0) << "jobs " << c.jobs;
+    }
+}
+
+TEST(ParallelSweepDriver, ThreeTaskSweepRunsOnThreeThreads)
+{
+    // Each task waits until all three have started, so the sweep must
+    // run them at once on three threads; jobs = 8 may not add more.
+    SweepDriver driver(8);
+    std::atomic<int> started{0};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    const std::vector<std::thread::id> ran_on =
+        driver.map(indices(3), [&](std::size_t) {
+            started.fetch_add(1);
+            while (started.load() < 3 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            return std::this_thread::get_id();
+        });
+    EXPECT_EQ(started.load(), 3);
+    const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+    EXPECT_EQ(distinct.size(), 3u);
 }
 
 /** The engine grid every sweep bench is built on. */
@@ -150,9 +222,10 @@ sampleGrid()
                 opts.num_devices = n;
                 grid.push_back(GridPoint{EngineKind::Hilos, opts, run});
             }
-            // A faulted point exercises per-task RNG isolation: the
-            // injector stream is seeded from the plan, so it must not
-            // care which worker thread evaluates it.
+            // A faulted point runs the epoch fold through the worker's
+            // PlanCache, whose entries depend on the points that worker
+            // ran before; its expected-value fault accounting must not
+            // care which worker evaluates it.
             HilosOptions faulted;
             faulted.num_devices = 8;
             faulted.fault_plan =

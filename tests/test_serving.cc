@@ -523,11 +523,13 @@ TEST_F(ServingSim, BitIdenticalAcrossRunsAndJobCounts)
     EXPECT_EQ(serialize(sim.run(reqs)), baseline);
 
     // The simulator is const and stateless across calls, so fanning the
-    // same simulation across a thread pool must not perturb a bit.
+    // same simulation across sweep threads must not perturb a bit.
+    std::vector<std::size_t> runs(8);
+    std::iota(runs.begin(), runs.end(), std::size_t{0});
     for (unsigned jobs : {2u, 8u}) {
         SweepDriver driver(jobs);
-        const std::vector<std::string> results = driver.sweep(
-            8, [&](std::size_t) { return serialize(sim.run(reqs)); });
+        const std::vector<std::string> results = driver.map(
+            runs, [&](std::size_t) { return serialize(sim.run(reqs)); });
         for (const std::string &r : results)
             EXPECT_EQ(r, baseline);
     }
