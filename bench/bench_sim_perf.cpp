@@ -14,7 +14,9 @@
  *     Prefill-phase plan's build/evaluate cost and the deterministic
  *     chunked-prefill overhead ratio (4 chunks vs monolithic);
  *  3. serving — ServingSimulator::run on a saturated open-loop Poisson
- *     stream (HILOS, OPT-66B, batch cap 16), per request served;
+ *     stream (HILOS, OPT-66B, batch cap 16), per request served, under
+ *     FCFS (serving_saturated) and under SJF (serving_saturated_sjf),
+ *     whose pending queue is a heap rather than a slice of arrivals;
  *  4. end-to-end sweep rate — runGrid and a plain loop of cold
  *     makeEngine(...)->run() on a Fig-10 style engine x batch x
  *     context grid, same binary; the two must agree bit for bit;
@@ -423,18 +425,25 @@ main(int argc, char **argv)
     ServingConfig serving_cfg;
     serving_cfg.model = model;
     serving_cfg.max_batch = 16;
-    const ServingSimulator serving(*serving_engine, serving_cfg);
-    std::uint64_t served = 0;
-    const Timing serving_t = timeSeconds(
-        [&] {
-            const ServingResult r = serving.run(stream);
-            check(r.feasible, "saturated serving stream infeasible");
-            served = r.records.size();
-        },
-        repeats);
-    check(served == stream.size(), "serving dropped requests");
-    reportTime("serving_saturated", "request", serving_t,
-               static_cast<double>(served));
+    const auto timeServing = [&](ServingPolicy policy) {
+        serving_cfg.policy = policy;
+        const ServingSimulator serving(*serving_engine, serving_cfg);
+        std::uint64_t served = 0;
+        const Timing t = timeSeconds(
+            [&] {
+                const ServingResult r = serving.run(stream);
+                check(r.feasible, "saturated serving stream infeasible");
+                served = r.records.size();
+            },
+            repeats);
+        check(served == stream.size(), "serving dropped requests");
+        return t;
+    };
+    const double requests = static_cast<double>(stream.size());
+    reportTime("serving_saturated", "request",
+               timeServing(ServingPolicy::Fcfs), requests);
+    reportTime("serving_saturated_sjf", "request",
+               timeServing(ServingPolicy::Sjf), requests);
 
     // --- 4. end-to-end sweep: a cold run() per point vs runGrid ---
     const std::vector<GridPoint> grid = sweepGrid(model, grid_repeats);

@@ -9,7 +9,7 @@
 namespace hilos {
 
 DeepSpeedUvmEngine::DeepSpeedUvmEngine(const SystemConfig &sys)
-    : sys_(sys)
+    : sys_(sys), gpu_(sys.gpu), power_(powerSpecOf(sys))
 {
 }
 
@@ -37,7 +37,6 @@ DeepSpeedUvmEngine::buildDecodePlan(const RunConfig &cfg,
                                     RunResult &res, StepPlan &plan) const
 {
     const ModelConfig &m = cfg.model;
-    const Gpu gpu(sys_.gpu);
 
     std::string cap_note;
     res.effective_batch = effectiveBatch(cfg, &cap_note);
@@ -60,7 +59,7 @@ DeepSpeedUvmEngine::buildDecodePlan(const RunConfig &cfg,
         m, b, home, sys_.host_pcie_bw * sys_.baseline_weight_efficiency,
         sys_.dram.bandwidth);
     const Seconds gpu_compute =
-        qkvProjTime(gpu, m, b) + mlpTime(gpu, m, b);
+        qkvProjTime(gpu_, m, b) + mlpTime(gpu_, m, b);
     // Attention runs on the GPU: the whole KV cache of the layer is
     // touched through UVM every step and migrates at the fault-
     // amortised rate.
@@ -123,7 +122,7 @@ DeepSpeedUvmEngine::buildDecodePlan(const RunConfig &cfg,
 
     // --- Energy spec ---
     plan.energy.enabled = true;
-    plan.energy.sys = sys_;
+    plan.energy.power = power_;
 }
 
 void
@@ -133,7 +132,6 @@ DeepSpeedUvmEngine::buildPrefillPlan(const RunConfig &cfg,
                                     StepPlan &plan) const
 {
     const ModelConfig &m = cfg.model;
-    const Gpu gpu(sys_.gpu);
 
     plan.phase = PlanPhase::Prefill;
     plan.chunk_index = chunk_index;
@@ -157,7 +155,7 @@ DeepSpeedUvmEngine::buildPrefillPlan(const RunConfig &cfg,
         sys_.host_pcie_bw * sys_.baseline_weight_efficiency,
         sys_.dram.bandwidth);
     const Seconds prefill_compute =
-        prefillChunkComputeTime(gpu, m, b, start, end);
+        prefillChunkComputeTime(gpu_, m, b, start, end);
     // The activation working set spills through UVM once per layer of
     // every chunk pass, at the decode-step spill size.
     const Bytes act_bytes =

@@ -39,6 +39,8 @@ class DeepSpeedUvmEngine : public InferenceEngine
                                  std::string *note) const;
 
     SystemConfig sys_;
+    Gpu gpu_;
+    PowerSpec power_;
 };
 
 }  // namespace hilos

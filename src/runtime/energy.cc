@@ -17,36 +17,49 @@ componentEnergy(Watts active, Watts idle, Seconds busy, Seconds wall)
 
 }  // namespace
 
+PowerSpec
+powerSpecOf(const SystemConfig &sys)
+{
+    PowerSpec p;
+    p.gpu_tdp = sys.gpu.tdp;
+    p.gpu_idle = sys.gpu.idle_power;
+    p.cpu_tdp = sys.cpu.tdp;
+    p.cpu_idle = sys.cpu.idle_power;
+    p.dram_active = sys.dram.active_power;
+    p.dram_idle = sys.dram.idle_power;
+    p.ssd_active = sys.baseline_ssd.active_power;
+    p.ssd_idle = sys.baseline_ssd.idle_power;
+    p.nand_active = sys.smartssd.nand.active_power;
+    p.nand_idle = sys.smartssd.nand.idle_power;
+    p.fpga_idle = sys.smartssd.fpga_idle_power;
+    return p;
+}
+
 EnergyBreakdown
-computeEnergy(const SystemConfig &sys, StorageKind kind, unsigned devices,
+computeEnergy(const PowerSpec &p, StorageKind kind, unsigned devices,
               Seconds wall, const ComponentBusy &busy, Watts fpga_power)
 {
     HILOS_ASSERT(wall >= 0.0, "negative wall time");
     EnergyBreakdown e;
-    e.gpu = componentEnergy(sys.gpu.tdp, sys.gpu.idle_power, busy.gpu, wall);
-    e.cpu = componentEnergy(sys.cpu.tdp, sys.cpu.idle_power, busy.cpu, wall);
-    e.dram = componentEnergy(sys.dram.active_power, sys.dram.idle_power,
-                             busy.dram, wall);
+    e.gpu = componentEnergy(p.gpu_tdp, p.gpu_idle, busy.gpu, wall);
+    e.cpu = componentEnergy(p.cpu_tdp, p.cpu_idle, busy.cpu, wall);
+    e.dram = componentEnergy(p.dram_active, p.dram_idle, busy.dram, wall);
 
     switch (kind) {
       case StorageKind::None:
         e.storage = 0.0;
         break;
-      case StorageKind::BaselineSsds: {
-        const auto &ssd = sys.baseline_ssd;
+      case StorageKind::BaselineSsds:
         e.storage = static_cast<double>(devices) *
-                    componentEnergy(ssd.active_power, ssd.idle_power,
+                    componentEnergy(p.ssd_active, p.ssd_idle,
                                     busy.storage, wall);
         break;
-      }
       case StorageKind::SmartSsds: {
-        const auto &sdev = sys.smartssd;
-        const Joules ssd_part =
-            componentEnergy(sdev.nand.active_power, sdev.nand.idle_power,
-                            busy.storage, wall);
-        const Joules fpga_part = componentEnergy(
-            std::max(fpga_power, sdev.fpga_idle_power),
-            sdev.fpga_idle_power, busy.fpga, wall);
+        const Joules ssd_part = componentEnergy(
+            p.nand_active, p.nand_idle, busy.storage, wall);
+        const Joules fpga_part =
+            componentEnergy(std::max(fpga_power, p.fpga_idle), p.fpga_idle,
+                            busy.fpga, wall);
         e.storage = static_cast<double>(devices) * (ssd_part + fpga_part);
         break;
       }

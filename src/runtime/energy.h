@@ -51,9 +51,31 @@ enum class StorageKind {
 };
 
 /**
+ * The power figures computeEnergy reads, drawn from a SystemConfig once:
+ * an engine keeps one per system (vLLM's scaled to its cluster), so a
+ * plan carries eleven numbers instead of a whole configuration.
+ */
+struct PowerSpec {
+    Watts gpu_tdp = 0;
+    Watts gpu_idle = 0;
+    Watts cpu_tdp = 0;
+    Watts cpu_idle = 0;
+    Watts dram_active = 0;
+    Watts dram_idle = 0;
+    Watts ssd_active = 0;   ///< baseline SSD, per device
+    Watts ssd_idle = 0;
+    Watts nand_active = 0;  ///< SmartSSD NAND, per device
+    Watts nand_idle = 0;
+    Watts fpga_idle = 0;    ///< SmartSSD FPGA, per device
+};
+
+/** The power figures of `sys`. */
+PowerSpec powerSpecOf(const SystemConfig &sys);
+
+/**
  * Energy accounting for one run.
  *
- * @param sys system configuration
+ * @param power component power figures
  * @param kind which storage fleet is powered
  * @param devices storage device count
  * @param wall wall-clock seconds of the run
@@ -61,7 +83,7 @@ enum class StorageKind {
  * @param fpga_power per-device FPGA power when busy (from the resource
  *        model; ignored unless kind == SmartSsds)
  */
-EnergyBreakdown computeEnergy(const SystemConfig &sys, StorageKind kind,
+EnergyBreakdown computeEnergy(const PowerSpec &power, StorageKind kind,
                               unsigned devices, Seconds wall,
                               const ComponentBusy &busy,
                               Watts fpga_power = 0.0);

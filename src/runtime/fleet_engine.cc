@@ -245,6 +245,13 @@ FleetEngine::rebuildPlanAt(const RunConfig &cfg, Seconds since, Seconds now,
 {
     if (timeline_.failedHosts(now) >= fleet_.hosts)
         return StepPlan{};  // no survivor to rebuild onto
+    // Host losses are permanent, so with no host and no host device
+    // lost since `since` nothing needs rebuilding: skip the placement.
+    const ConditionTimeline &host_timeline = host_engine_.timeline();
+    if (timeline_.failedHosts(now) == timeline_.failedHosts(since) &&
+        host_timeline.survivingDevices(now) >=
+            host_timeline.survivingDevices(since))
+        return StepPlan{};
     // Shards live where the placement held since `since` put them.
     const FleetPlacement held = placementAt(cfg, since);
     StepPlan plan = host_engine_.rebuildPlanAt(hostShare(cfg, held), since,

@@ -10,7 +10,8 @@
 namespace hilos {
 
 FlexGenEngine::FlexGenEngine(const SystemConfig &sys, FlexTier tier)
-    : sys_(sys), tier_(tier)
+    : sys_(sys), tier_(tier), gpu_(sys.gpu), cpu_(sys.cpu),
+      power_(powerSpecOf(sys))
 {
 }
 
@@ -101,8 +102,6 @@ FlexGenEngine::buildDecodePlan(const RunConfig &cfg, RunResult &res,
                                StepPlan &plan) const
 {
     const ModelConfig &m = cfg.model;
-    const Gpu gpu(sys_.gpu);
-    const Cpu cpu(sys_.cpu);
 
     const WeightHome home =
         chooseWeightHome(m, sys_.dram.capacity);
@@ -139,7 +138,7 @@ FlexGenEngine::buildDecodePlan(const RunConfig &cfg, RunResult &res,
         m, b, home, sys_.host_pcie_bw * sys_.baseline_weight_efficiency,
         weight_storage_bw);
     const Seconds gpu_compute =
-        qkvProjTime(gpu, m, b) + mlpTime(gpu, m, b);
+        qkvProjTime(gpu_, m, b) + mlpTime(gpu_, m, b);
     const Bytes kv_bytes = kvLayerBytes(m, b, s_mid);
     // For >100B models the weights stream from the same SSD fleet the
     // KV cache lives on: the reads serialise on the shared devices.
@@ -149,7 +148,7 @@ FlexGenEngine::buildDecodePlan(const RunConfig &cfg, RunResult &res,
             : Seconds(0.0);
     const Seconds kv_io =
         on_ssd ? kv_bytes / kv_read_bw + fleet_weight : Seconds(0.0);
-    const Seconds cpu_attn = cpuAttentionTime(cpu, m, b, s_mid);
+    const Seconds cpu_attn = cpuAttentionTime(cpu_, m, b, s_mid);
     // Activation round trip GPU <-> CPU for the offloaded attention.
     const Seconds act_xfer =
         Bytes(2.0 * static_cast<double>(b * m.hidden * m.dtype_bytes)) /
@@ -242,7 +241,7 @@ FlexGenEngine::buildDecodePlan(const RunConfig &cfg, RunResult &res,
 
     // --- Energy spec over the whole run ---
     plan.energy.enabled = true;
-    plan.energy.sys = sys_;
+    plan.energy.power = power_;
     if (tier_ == FlexTier::BaselineSsds) {
         plan.energy.kind = StorageKind::BaselineSsds;
         plan.energy.devices = sys_.num_baseline_ssds;
@@ -259,7 +258,6 @@ FlexGenEngine::buildPrefillPlan(const RunConfig &cfg,
                                StepPlan &plan) const
 {
     const ModelConfig &m = cfg.model;
-    const Gpu gpu(sys_.gpu);
 
     plan.phase = PlanPhase::Prefill;
     plan.chunk_index = chunk_index;
@@ -291,7 +289,7 @@ FlexGenEngine::buildPrefillPlan(const RunConfig &cfg,
         m, b, home, sys_.host_pcie_bw * sys_.baseline_weight_efficiency,
         weight_storage_bw);
     const Seconds prefill_compute =
-        prefillChunkComputeTime(gpu, m, b, start, end);
+        prefillChunkComputeTime(gpu_, m, b, start, end);
     const Bytes chunk_kv_bytes = kvLayerBytes(m, b, end - start);
     const Seconds prefill_kv_write =
         on_ssd ? chunk_kv_bytes / storageWriteBw()

@@ -55,6 +55,9 @@ class FlexGenEngine : public InferenceEngine
 
     SystemConfig sys_;
     FlexTier tier_;
+    Gpu gpu_;
+    Cpu cpu_;
+    PowerSpec power_;
 };
 
 }  // namespace hilos

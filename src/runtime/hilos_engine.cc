@@ -14,7 +14,8 @@ namespace hilos {
 
 HilosEngine::HilosEngine(const SystemConfig &sys, const HilosOptions &opts)
     : sys_(sys), opts_(opts),
-      timeline_(opts.fault_plan, opts.num_devices)
+      timeline_(opts.fault_plan, opts.num_devices), gpu_(sys.gpu),
+      cpu_(sys.cpu), power_(powerSpecOf(sys))
 {
     HILOS_ASSERT(opts_.num_devices >= 1 && opts_.num_devices <= 16,
                  "HILOS supports 1..16 SmartSSDs");
@@ -323,8 +324,6 @@ HilosEngine::makePlan(const RunConfig &cfg, const FleetConditions &cond,
 {
     HILOS_ASSERT(cond.devices >= 1, "fleet conditions need >= 1 device");
     const ModelConfig &m = cfg.model;
-    const Gpu gpu(sys_.gpu);
-    const Cpu cpu(sys_.cpu);
     const unsigned N = cond.devices;
     const double L = static_cast<double>(m.layers);
     const std::uint64_t total_seq = cfg.context_len + cfg.output_len;
@@ -394,14 +393,14 @@ HilosEngine::makePlan(const RunConfig &cfg, const FleetConditions &cond,
 
     // Host GPU work: projections and MLP (always), plus the X-cache
     // portion's K/V regeneration and attention.
-    const Seconds gpu_base = qkvProjTime(gpu, m, b) + mlpTime(gpu, m, b);
+    const Seconds gpu_base = qkvProjTime(gpu_, m, b) + mlpTime(gpu_, m, b);
     const XCacheScheduler sched(fleet_read, gds,
                                 sys_.gpu.fp16_peak *
                                     sys_.gpu.gemm_efficiency);
     const XCacheTimes xt =
         sched.times(alpha, b, s_mid, m.hidden, m.kv_heads * d);
     const Seconds gpu_xattn =
-        alpha * gpuAttentionTime(gpu, m, b, s_mid);
+        alpha * gpuAttentionTime(gpu_, m, b, s_mid);
     const Seconds gpu_stage = gpu_base + xt.t_gpu + gpu_xattn;
 
     // Query/key/value upload to the devices (the 6h-byte write of §4.1)
@@ -608,7 +607,7 @@ HilosEngine::makePlan(const RunConfig &cfg, const FleetConditions &cond,
         (static_cast<double>(opts_.spill_interval) / 2.0) *
         static_cast<double>(d) * 2.0;
     plan.addOp(computeOp(ComputeUnit::Cpu, "cpu_partial_scores",
-                         cpu.computeTime(partial_flops))
+                         cpu_.computeTime(partial_flops))
                    .busyTag(kBusyCpu)
                    .asOffline());
     plan.busy_step_fraction.cpu = 0.02;  // orchestration
@@ -620,7 +619,7 @@ HilosEngine::makePlan(const RunConfig &cfg, const FleetConditions &cond,
 
     // --- Energy spec over the whole run ---
     plan.energy.enabled = true;
-    plan.energy.sys = sys_;
+    plan.energy.power = power_;
     plan.energy.kind = StorageKind::SmartSsds;
     plan.energy.devices = N;
     plan.energy.fpga_power = res.fpga_power_watts;
@@ -635,7 +634,6 @@ HilosEngine::makePrefillPlan(const RunConfig &cfg,
 {
     HILOS_ASSERT(cond.devices >= 1, "fleet conditions need >= 1 device");
     const ModelConfig &m = cfg.model;
-    const Gpu gpu(sys_.gpu);
     const unsigned N = cond.devices;
     const std::uint64_t total_seq = cfg.context_len + cfg.output_len;
     const std::uint64_t d = m.headDim();
@@ -696,7 +694,7 @@ HilosEngine::makePrefillPlan(const RunConfig &cfg,
                  static_cast<double>(installed) *
                      sys_.smartssd.nand.seq_read_bw));
     const Seconds prefill_compute =
-        prefillChunkComputeTime(gpu, m, b, start, end);
+        prefillChunkComputeTime(gpu_, m, b, start, end);
     // The chunk's share of the KV/X cache commits to the fleet over the
     // narrower of the chassis uplink and the aggregate P2P write path.
     const double chunk_cache_bytes =

@@ -171,6 +171,9 @@ class HilosEngine : public InferenceEngine
     SystemConfig sys_;
     HilosOptions opts_;
     ConditionTimeline timeline_;
+    Gpu gpu_;
+    Cpu cpu_;
+    PowerSpec power_;
 };
 
 }  // namespace hilos

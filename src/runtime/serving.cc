@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -355,17 +354,18 @@ ServingSimulator::run(const std::vector<Request> &requests) const
     // leapfrogs, every admitted group is a prefix of that order. Under
     // FCFS the order is the (arrival, id) order of `arrivals`, so the
     // pending queue is the slice arrivals[fcfs_head, next_arrival) and
-    // an admitted group just moves fcfs_head. SJF and SLO keep an
-    // ordered set (O(log n) insert) and erase each admitted prefix.
+    // an admitted group just moves fcfs_head. SJF and SLO keep a binary
+    // heap whose top admits first: admitsBefore is a total order, so
+    // popping while the top fits admits the same prefix an ordered
+    // container would, with no allocation per arrival.
     const bool fcfs = cfg_.policy == ServingPolicy::Fcfs;
     std::size_t fcfs_head = 0;
-    const auto admission_order = [policy = cfg_.policy](
-                                     const AdmissionCandidate &a,
-                                     const AdmissionCandidate &b) {
-        return admitsBefore(policy, a, b);
+    const auto admitted_later = [policy = cfg_.policy](
+                                    const AdmissionCandidate &a,
+                                    const AdmissionCandidate &b) {
+        return admitsBefore(policy, b, a);
     };
-    std::set<AdmissionCandidate, decltype(admission_order)> pending(
-        admission_order);
+    std::vector<AdmissionCandidate> pending;
     const auto anyPending = [&] {
         return fcfs ? fcfs_head < next_arrival : !pending.empty();
     };
@@ -383,7 +383,8 @@ ServingSimulator::run(const std::vector<Request> &requests) const
             c.input_tokens = rec.input_tokens;
             c.output_tokens = rec.output_tokens;
             c.deadline = rec.arrival + cfg_.slo;
-            pending.insert(pending.end(), c);
+            pending.push_back(c);
+            std::push_heap(pending.begin(), pending.end(), admitted_later);
         }
     };
 
@@ -449,37 +450,33 @@ ServingSimulator::run(const std::vector<Request> &requests) const
                     flight_ctx =
                         std::max(flight_ctx, lifetime_ctx[admissions[i]]);
 
-            // Admit from the front of the queue [it, end) and return
-            // where admission stopped.
+            // Admit request `id`, the front of the queue, if it fits;
+            // false stops admission.
             const std::size_t first = admissions.size();
-            const auto admitFront = [&](auto it, auto end, auto id_of) {
-                for (; it != end; ++it) {
-                    const std::size_t committed =
-                        busy + admissions.size() - first;
-                    if (committed >= cfg_.max_batch)
-                        break;
-                    const std::size_t id = id_of(*it);
-                    const std::uint64_t ctx =
-                        std::max(flight_ctx, lifetime_ctx[id]);
-                    if (cost.capacity(ctx) < committed + 1)
-                        break;
-                    flight_ctx = ctx;
-                    res.records[id].admitted = now;
-                    admissions.push_back(id);
-                }
-                return it;
+            const auto admit = [&](std::size_t id) {
+                const std::size_t committed =
+                    busy + admissions.size() - first;
+                if (committed >= cfg_.max_batch)
+                    return false;
+                const std::uint64_t ctx =
+                    std::max(flight_ctx, lifetime_ctx[id]);
+                if (cost.capacity(ctx) < committed + 1)
+                    return false;
+                flight_ctx = ctx;
+                res.records[id].admitted = now;
+                admissions.push_back(id);
+                return true;
             };
             if (fcfs) {
-                admitFront(arrivals.begin() + fcfs_head,
-                           arrivals.begin() + next_arrival,
-                           [](std::size_t id) { return id; });
-                fcfs_head += admissions.size() - first;
+                while (fcfs_head < next_arrival &&
+                       admit(arrivals[fcfs_head]))
+                    fcfs_head++;
             } else {
-                pending.erase(pending.begin(),
-                              admitFront(pending.begin(), pending.end(),
-                                         [](const AdmissionCandidate &c) {
-                                             return c.id;
-                                         }));
+                while (!pending.empty() && admit(pending.front().id)) {
+                    std::pop_heap(pending.begin(), pending.end(),
+                                  admitted_later);
+                    pending.pop_back();
+                }
             }
             if (admissions.size() > first) {
                 // The newly admitted group's first prefill chunk runs

@@ -3,8 +3,8 @@
  * Admission / scheduling policies for the online serving simulator.
  *
  * A policy is a deterministic total order over pending requests,
- * encoded once in `admitsBefore`. The serving simulator keys its
- * pending set on that order and admits from the front at every step
+ * encoded once in `admitsBefore`. The serving simulator keeps its
+ * pending queue in that order and admits from the front at every step
  * boundary, never leapfrogging a request it cannot fit (so FCFS is
  * starvation-free by construction and the other policies starve only
  * while strictly better-ranked work keeps arriving).

@@ -99,85 +99,10 @@ detail::inlineCapacityExceeded(std::size_t capacity)
     HILOS_PANIC("step-op inline array of ", capacity, " entries is full");
 }
 
-StepOp &
-StepOp::dep(std::size_t id)
+void
+detail::dependencyIdOverflow(std::size_t id)
 {
-    HILOS_ASSERT(id <= UINT32_MAX, "step-op dependency id overflow: ", id);
-    deps.push_back(static_cast<std::uint32_t>(id));
-    return *this;
-}
-
-StepOp &
-StepOp::stageTag(std::string_view name)
-{
-    stage = name;
-    return *this;
-}
-
-StepOp &
-StepOp::busyTag(unsigned mask)
-{
-    busy |= mask;
-    return *this;
-}
-
-StepOp &
-StepOp::share(TrafficField field, Bytes bytes_contributed)
-{
-    traffic.push_back(TrafficShare{field, bytes_contributed});
-    return *this;
-}
-
-StepOp &
-StepOp::withFanout(std::uint64_t n)
-{
-    fanout = n;
-    return *this;
-}
-
-StepOp &
-StepOp::asPrefetch()
-{
-    prefetch = true;
-    return *this;
-}
-
-StepOp &
-StepOp::asShadow()
-{
-    shadow = true;
-    return *this;
-}
-
-StepOp &
-StepOp::asOffline()
-{
-    offline = true;
-    return *this;
-}
-
-StepOp
-transferOp(PlanResource resource, std::string_view label, Seconds seconds,
-           Bytes bytes)
-{
-    StepOp op;
-    op.op_kind = StepOp::Kind::Transfer;
-    op.resource = resource;
-    op.label = label;
-    op.seconds = seconds;
-    op.bytes = bytes;
-    return op;
-}
-
-StepOp
-computeOp(ComputeUnit unit, std::string_view label, Seconds seconds)
-{
-    StepOp op;
-    op.op_kind = StepOp::Kind::Compute;
-    op.unit = unit;
-    op.label = label;
-    op.seconds = seconds;
-    return op;
+    HILOS_PANIC("step-op dependency id overflow: ", id);
 }
 
 // --- StepOpArray -------------------------------------------------------
@@ -217,7 +142,7 @@ StepOpArray::get(std::size_t i) const
 }
 
 void
-StepOpArray::push(const StepOp &op)
+StepOpArray::push(const StepOp &op, std::uint32_t stage_index)
 {
     if (ops_.capacity() == 0) {
         ops_.reserve(kRecordReserve);
@@ -234,6 +159,7 @@ StepOpArray::push(const StepOp &op)
     r.fanout = op.fanout;
     r.label = intern(op.label);
     r.stage = intern(op.stage);
+    r.stage_index = stage_index;
     r.deps = op.deps;
     r.traffic = op.traffic;
 }
@@ -260,8 +186,10 @@ StepOpArray::set(std::size_t i, const StepOp &op)
         const std::string stage(op.stage);
         if (new_label)
             r.label = intern(label);
-        if (new_stage)
+        if (new_stage) {
             r.stage = intern(stage);
+            r.stage_index = kStageByName;
+        }
     }
     r.deps = op.deps;
     r.traffic = op.traffic;
@@ -391,13 +319,31 @@ validateOp(const StepOp &op, std::size_t id)
                      op.label);
 }
 
-bool
-stageDeclared(const StepPlan &plan, std::string_view name)
+/** Position of `name` in the plan's stage_order (its first entry);
+ *  stage_order.size() when undeclared. */
+std::size_t
+stagePosition(const StepPlan &plan, std::string_view name)
 {
-    for (const std::string &s : plan.stage_order)
-        if (s == name)
-            return true;
-    return false;
+    std::size_t s = 0;
+    while (s < plan.stage_order.size() && plan.stage_order[s] != name)
+        ++s;
+    return s;
+}
+
+/**
+ * The stage index an appended op records: its stage's position, found
+ * by the scan that asserts the stage is declared (kStageByName for an
+ * untagged op).
+ */
+std::uint32_t
+declaredStageIndex(const StepPlan &plan, const StepOp &op)
+{
+    if (op.stage.empty())
+        return kStageByName;
+    const std::size_t s = stagePosition(plan, op.stage);
+    HILOS_ASSERT(s < plan.stage_order.size(), "op stage not declared: ",
+                 op.stage);
+    return static_cast<std::uint32_t>(s);
 }
 
 }  // namespace
@@ -422,9 +368,7 @@ StepPlan::addOp(const StepOp &op)
     }
     const std::size_t id = layer_ops.size();
     validateOp(op, id);
-    HILOS_ASSERT(op.stage.empty() || stageDeclared(*this, op.stage),
-                 "op stage not declared: ", op.stage);
-    layer_ops.push(op);
+    layer_ops.push(op, declaredStageIndex(*this, op));
     return id;
 }
 
@@ -451,9 +395,7 @@ StepPlan::addTailOp(const StepOp &op)
         return id;
     }
     const std::size_t id = tail_ops.size();
-    HILOS_ASSERT(op.stage.empty() || stageDeclared(*this, op.stage),
-                 "op stage not declared: ", op.stage);
-    tail_ops.push(op);
+    tail_ops.push(op, declaredStageIndex(*this, op));
     return id;
 }
 
@@ -564,7 +506,8 @@ validateOpStatic(const StepPlan &plan, const char *kind, std::size_t id,
     if ((op.busy & ~kBusyAll) != 0)
         out.push_back(ref() + ": busy mask " + std::to_string(op.busy) +
                       " sets bits beyond the declared kBusy* tags");
-    if (!op.stage.empty() && !stageDeclared(plan, op.stage))
+    if (!op.stage.empty() &&
+        stagePosition(plan, op.stage) == plan.stage_order.size())
         out.push_back(ref() + ": stage '" + std::string(op.stage) +
                       "' is not declared");
     for (const TrafficShare &s : op.traffic) {
@@ -736,10 +679,12 @@ evaluatePlan(const StepPlan &plan, PlanEvaluation &ev)
     // the fusion is bit-identical.
     //
     // Stage sums index by declared position, which assigns an op to the
-    // first entry matching its name. A plan declaring the same stage
-    // twice (validate() rejects it, but evaluatePlan must not depend on
-    // that) takes the per-stage scan below instead, where a twice-
-    // declared name still collects the op into both entries.
+    // first entry matching its name. addOp records that position in the
+    // op, so only an op StepOpArray::set rewrote is looked up by name. A
+    // plan declaring the same stage twice (validate() rejects it, but
+    // evaluatePlan must not depend on that) takes the per-stage scan
+    // below instead, where a twice-declared name still collects the op
+    // into both entries.
     bool stage_dup = false;
     for (std::size_t i = 0; i + 1 < n_stages && !stage_dup; ++i)
         for (std::size_t j = i + 1; j < n_stages; ++j)
@@ -747,11 +692,11 @@ evaluatePlan(const StepPlan &plan, PlanEvaluation &ev)
                 stage_dup = true;
                 break;
             }
-    const auto stageIndex = [&](std::string_view stage) {
-        std::size_t s = 0;
-        while (s < n_stages && plan.stage_order[s] != stage)
-            ++s;
-        return s;  // == n_stages when undeclared: contributes nowhere
+    // == n_stages when undeclared: contributes nowhere.
+    const auto stageIndex = [&](const StepOpView &op) -> std::size_t {
+        if (op.stage_index != kStageByName)
+            return op.stage_index;
+        return stagePosition(plan, op.stage);
     };
 
     constexpr std::size_t kLanes = 5;
@@ -791,7 +736,7 @@ evaluatePlan(const StepPlan &plan, PlanEvaluation &ev)
         // Stage and traffic accounting skip shadow ops.
         if (!op.shadow) {
             if (!stage_dup && !op.stage.empty()) {
-                const std::size_t s = stageIndex(op.stage);
+                const std::size_t s = stageIndex(op);
                 if (s < n_stages)
                     stage_layer[s] += op.seconds;
             }
@@ -828,7 +773,7 @@ evaluatePlan(const StepPlan &plan, PlanEvaluation &ev)
     for (const StepOpView op : plan.tail_ops) {
         step += op.seconds;
         if (!stage_dup && !op.stage.empty()) {
-            const std::size_t s = stageIndex(op.stage);
+            const std::size_t s = stageIndex(op);
             if (s < n_stages)
                 stage_tail[s] += op.seconds;
         }
@@ -960,7 +905,7 @@ applyRunEnergy(const PlanEnergySpec &e, const RunConfig &cfg,
     rb.dram = res.busy.dram * steps + res.prefill_busy.dram;
     rb.storage = res.busy.storage * steps + res.prefill_busy.storage;
     rb.fpga = res.busy.fpga * steps + res.prefill_busy.fpga;
-    res.energy = computeEnergy(e.sys, e.kind, e.devices, res.total_time,
+    res.energy = computeEnergy(e.power, e.kind, e.devices, res.total_time,
                                rb, e.fpga_power);
 }
 

@@ -75,6 +75,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -82,7 +83,6 @@
 #include "common/units.h"
 #include "runtime/energy.h"
 #include "runtime/engine.h"
-#include "runtime/system_config.h"
 
 namespace hilos {
 
@@ -161,6 +161,8 @@ constexpr std::size_t kMaxOpShares = 6;
 namespace detail {
 /** Panics: an InlineVector of `capacity` entries is full. */
 [[noreturn]] void inlineCapacityExceeded(std::size_t capacity);
+/** Panics: dependency id `id` does not fit an op record. */
+[[noreturn]] void dependencyIdOverflow(std::size_t id);
 }  // namespace detail
 
 /**
@@ -228,23 +230,83 @@ struct StepOp {
     /** Earlier op ids this op waits on. */
     InlineVector<std::uint32_t, kMaxOpDeps> deps;
 
-    // Fluent builder setters.
-    StepOp &dep(std::size_t id);
-    StepOp &stageTag(std::string_view name);
-    StepOp &busyTag(unsigned mask);
-    StepOp &share(TrafficField field, Bytes bytes_contributed);
-    StepOp &withFanout(std::uint64_t n);
-    StepOp &asPrefetch();
-    StepOp &asShadow();
-    StepOp &asOffline();
+    // Fluent builder setters (inline: engines chain several per op on
+    // every plan build).
+    StepOp &dep(std::size_t id)
+    {
+        if (id > UINT32_MAX)
+            detail::dependencyIdOverflow(id);
+        deps.push_back(static_cast<std::uint32_t>(id));
+        return *this;
+    }
+    StepOp &stageTag(std::string_view name)
+    {
+        stage = name;
+        return *this;
+    }
+    StepOp &busyTag(unsigned mask)
+    {
+        busy |= mask;
+        return *this;
+    }
+    StepOp &share(TrafficField field, Bytes bytes_contributed)
+    {
+        traffic.push_back(TrafficShare{field, bytes_contributed});
+        return *this;
+    }
+    StepOp &withFanout(std::uint64_t n)
+    {
+        fanout = n;
+        return *this;
+    }
+    StepOp &asPrefetch()
+    {
+        prefetch = true;
+        return *this;
+    }
+    StepOp &asShadow()
+    {
+        shadow = true;
+        return *this;
+    }
+    StepOp &asOffline()
+    {
+        offline = true;
+        return *this;
+    }
 };
 
 /** A priced transfer op on a named resource. */
-StepOp transferOp(PlanResource resource, std::string_view label,
-                  Seconds seconds, Bytes bytes);
+inline StepOp
+transferOp(PlanResource resource, std::string_view label, Seconds seconds,
+           Bytes bytes)
+{
+    StepOp op;
+    op.op_kind = StepOp::Kind::Transfer;
+    op.resource = resource;
+    op.label = label;
+    op.seconds = seconds;
+    op.bytes = bytes;
+    return op;
+}
 
 /** A priced compute op on a unit. */
-StepOp computeOp(ComputeUnit unit, std::string_view label, Seconds seconds);
+inline StepOp
+computeOp(ComputeUnit unit, std::string_view label, Seconds seconds)
+{
+    StepOp op;
+    op.op_kind = StepOp::Kind::Compute;
+    op.unit = unit;
+    op.label = label;
+    op.seconds = seconds;
+    return op;
+}
+
+/**
+ * StepOpView::stage_index of an op whose stage is looked up by name:
+ * one with no stage, or one StepOpArray::set rewrote.
+ */
+constexpr std::uint32_t kStageByName = UINT32_MAX;
 
 /**
  * Read-only proxy over one op of a StepOpArray: the same field names as
@@ -261,6 +323,9 @@ struct StepOpView {
     std::uint64_t fanout = 1;
     std::string_view label;
     std::string_view stage;
+    /** Position of `stage` in the owning plan's stage_order, recorded
+     *  when the op was added; kStageByName when unknown. */
+    std::uint32_t stage_index = kStageByName;
     unsigned busy = 0;
     bool prefetch = false;
     bool shadow = false;
@@ -297,6 +362,7 @@ class StepOpArray
         v.fanout = r.fanout;
         v.label = arenaView(r.label);
         v.stage = arenaView(r.stage);
+        v.stage_index = r.stage_index;
         v.busy = r.busy;
         v.prefetch = (r.flags & kFlagPrefetch) != 0;
         v.shadow = (r.flags & kFlagShadow) != 0;
@@ -317,12 +383,14 @@ class StepOpArray
      * Overwrite op `i` with `op`, unchecked: no dependency or stage
      * validation runs (tests use this to assemble deliberately broken
      * plans for validate()). A changed label or stage is appended to
-     * the arena; the abandoned bytes stay as slack.
+     * the arena; the abandoned bytes stay as slack. A changed stage
+     * drops the recorded stage index (kStageByName).
      */
     void set(std::size_t i, const StepOp &op);
 
-    /** Append `op` as one record. */
-    void push(const StepOp &op);
+    /** Append `op` as one record whose stage sits at `stage_index` of
+     *  its plan's stage_order (kStageByName for no stage). */
+    void push(const StepOp &op, std::uint32_t stage_index);
 
     /** Overwrite only the priced annotations of op `i` (seconds, bytes,
      *  fanout, traffic-share bytes). Traffic length must match. */
@@ -397,6 +465,7 @@ class StepOpArray
         std::uint64_t fanout = 1;
         Span label;
         Span stage;
+        std::uint32_t stage_index = kStageByName;
         InlineVector<std::uint32_t, kMaxOpDeps> deps;
         InlineVector<TrafficShare, kMaxOpShares> traffic;
     };
@@ -441,16 +510,19 @@ struct PlanBusyFractions {
  * and calls computeEnergy. The prefill term is ordinary per-op (and
  * busy-fraction) accounting folded from the Prefill-phase plans by
  * applyPrefillPlan — there is no prefill side-channel in the spec
- * itself. `sys` is a copy because some engines price energy against a
- * modified system (the vLLM cluster scales GPU TDP by the fleet size).
+ * itself. `power` holds the figures the engine drew from its system at
+ * construction (vLLM scales its GPU and CPU power to the cluster), so
+ * writing or resetting a spec copies a few numbers and nothing else.
  */
 struct PlanEnergySpec {
     bool enabled = false;
-    SystemConfig sys;
+    PowerSpec power;
     StorageKind kind = StorageKind::None;
     unsigned devices = 0;
     Watts fpga_power = 0;
 };
+static_assert(std::is_trivially_copyable_v<PlanEnergySpec>,
+              "a plan rebuild resets its energy spec by plain copy");
 
 /**
  * A complete decoding-step plan: `layers` repetitions of the layer-op

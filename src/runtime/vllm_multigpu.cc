@@ -8,9 +8,32 @@
 
 namespace hilos {
 
+namespace {
+
+/**
+ * Power figures for energy over the whole cluster: all cluster GPUs, one
+ * CPU per node, no storage fleet. GPU and CPU power scale by their
+ * counts.
+ */
+PowerSpec
+clusterPower(const SystemConfig &sys, const VllmClusterConfig &cluster)
+{
+    const double gpus =
+        static_cast<double>(cluster.nodes * cluster.gpus_per_node);
+    PowerSpec p = powerSpecOf(sys);
+    p.gpu_tdp = cluster.gpu.tdp * gpus;
+    p.gpu_idle = cluster.gpu.idle_power * gpus;
+    p.cpu_tdp = sys.cpu.tdp * static_cast<double>(cluster.nodes);
+    p.cpu_idle = sys.cpu.idle_power * static_cast<double>(cluster.nodes);
+    return p;
+}
+
+}  // namespace
+
 VllmMultiGpuEngine::VllmMultiGpuEngine(const SystemConfig &sys,
                                        const VllmClusterConfig &cluster)
-    : sys_(sys), cluster_(cluster)
+    : sys_(sys), cluster_(cluster), gpu_(cluster.gpu),
+      power_(clusterPower(sys, cluster))
 {
     HILOS_ASSERT(cluster_.nodes >= 1 && cluster_.gpus_per_node >= 1,
                  "invalid cluster shape");
@@ -29,7 +52,6 @@ VllmMultiGpuEngine::buildDecodePlan(const RunConfig &cfg,
                                     RunResult &res, StepPlan &plan) const
 {
     const ModelConfig &m = cfg.model;
-    const Gpu gpu(cluster_.gpu);
     const unsigned tp = cluster_.gpus_per_node;
     const unsigned pp = cluster_.nodes;
     const std::uint64_t total_seq = cfg.context_len + cfg.output_len;
@@ -74,13 +96,13 @@ VllmMultiGpuEngine::buildDecodePlan(const RunConfig &cfg,
     // HBM-bandwidth bound on the per-GPU shard.
     const double layer_weight_shard =
         m.loadedWeightBytesPerLayer(b) / static_cast<double>(tp);
-    const Seconds gemm = gpu.kernelTime(
+    const Seconds gemm = gpu_.kernelTime(
         static_cast<double>(b) * m.denseFlopsPerTokenPerLayer() /
             static_cast<double>(tp),
         layer_weight_shard);
     // Paged attention over the sharded KV cache, HBM-bound.
     const Seconds attn =
-        gpuAttentionTime(gpu, m, b, s_mid) / static_cast<double>(tp);
+        gpuAttentionTime(gpu_, m, b, s_mid) / static_cast<double>(tp);
     // Two all-reduces per layer (attention output + MLP output) over the
     // intra-node fabric: ring all-reduce moves 2 (tp-1)/tp of the
     // activation per GPU.
@@ -146,18 +168,9 @@ VllmMultiGpuEngine::buildDecodePlan(const RunConfig &cfg,
                    static_cast<double>(pp) * act_bytes)
             .stageTag("pp_comm"));
 
-    // --- Energy spec: all cluster GPUs, no storage fleet. Scale the
-    // GPU busy power by the GPU count. ---
-    const double gpus =
-        static_cast<double>(cluster_.nodes * cluster_.gpus_per_node);
-    SystemConfig cluster_sys = sys_;
-    cluster_sys.gpu = cluster_.gpu;
-    cluster_sys.gpu.tdp = cluster_.gpu.tdp * gpus;
-    cluster_sys.gpu.idle_power = cluster_.gpu.idle_power * gpus;
-    cluster_sys.cpu.tdp = sys_.cpu.tdp * static_cast<double>(cluster_.nodes);
-    cluster_sys.cpu.idle_power = sys_.cpu.idle_power * static_cast<double>(cluster_.nodes);
+    // --- Energy spec: the cluster's power, no storage fleet ---
     plan.energy.enabled = true;
-    plan.energy.sys = cluster_sys;
+    plan.energy.power = power_;
 }
 
 void
@@ -167,7 +180,6 @@ VllmMultiGpuEngine::buildPrefillPlan(const RunConfig &cfg,
                                     StepPlan &plan) const
 {
     const ModelConfig &m = cfg.model;
-    const Gpu gpu(cluster_.gpu);
     const unsigned tp = cluster_.gpus_per_node;
     const unsigned pp = cluster_.nodes;
 
@@ -192,7 +204,7 @@ VllmMultiGpuEngine::buildPrefillPlan(const RunConfig &cfg,
     plan.chunk_tokens = end - start;
 
     const Seconds prefill_compute =
-        prefillChunkComputeTime(gpu, m, b, start, end) /
+        prefillChunkComputeTime(gpu_, m, b, start, end) /
         static_cast<double>(tp);
     const Bytes act_bytes = static_cast<double>(b) *
                             static_cast<double>(m.hidden) *

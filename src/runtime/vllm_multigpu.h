@@ -60,6 +60,9 @@ class VllmMultiGpuEngine : public InferenceEngine
   private:
     SystemConfig sys_;
     VllmClusterConfig cluster_;
+    Gpu gpu_;  ///< one cluster GPU
+    /** The whole cluster's power: every GPU and every node's CPU. */
+    PowerSpec power_;
 };
 
 }  // namespace hilos

@@ -13,9 +13,10 @@ namespace {
 TEST(Energy, IdleSystemDrawsIdlePower)
 {
     const SystemConfig sys = defaultSystem();
+    const PowerSpec power = powerSpecOf(sys);
     ComponentBusy busy;  // all zero
     const EnergyBreakdown e =
-        computeEnergy(sys, StorageKind::None, 0, 100.0, busy);
+        computeEnergy(power, StorageKind::None, 0, 100.0, busy);
     EXPECT_DOUBLE_EQ(e.gpu, sys.gpu.idle_power * 100.0);
     EXPECT_DOUBLE_EQ(e.cpu, sys.cpu.idle_power * 100.0);
     EXPECT_DOUBLE_EQ(e.storage, 0.0);
@@ -24,10 +25,11 @@ TEST(Energy, IdleSystemDrawsIdlePower)
 TEST(Energy, BusyTimeDrawsActivePower)
 {
     const SystemConfig sys = defaultSystem();
+    const PowerSpec power = powerSpecOf(sys);
     ComponentBusy busy;
     busy.gpu = 60.0;
     const EnergyBreakdown e =
-        computeEnergy(sys, StorageKind::None, 0, 100.0, busy);
+        computeEnergy(power, StorageKind::None, 0, 100.0, busy);
     EXPECT_DOUBLE_EQ(e.gpu, sys.gpu.tdp * 60.0 +
                                 sys.gpu.idle_power * 40.0);
 }
@@ -35,36 +37,39 @@ TEST(Energy, BusyTimeDrawsActivePower)
 TEST(Energy, BusyClampsToWall)
 {
     const SystemConfig sys = defaultSystem();
+    const PowerSpec power = powerSpecOf(sys);
     ComponentBusy busy;
     busy.gpu = 500.0;  // more than wall
     const EnergyBreakdown e =
-        computeEnergy(sys, StorageKind::None, 0, 100.0, busy);
+        computeEnergy(power, StorageKind::None, 0, 100.0, busy);
     EXPECT_DOUBLE_EQ(e.gpu, sys.gpu.tdp * 100.0);
 }
 
 TEST(Energy, BaselineSsdFleetScalesWithDevices)
 {
     const SystemConfig sys = defaultSystem();
+    const PowerSpec power = powerSpecOf(sys);
     ComponentBusy busy;
     busy.storage = 50.0;
     const EnergyBreakdown e4 =
-        computeEnergy(sys, StorageKind::BaselineSsds, 4, 100.0, busy);
+        computeEnergy(power, StorageKind::BaselineSsds, 4, 100.0, busy);
     const EnergyBreakdown e8 =
-        computeEnergy(sys, StorageKind::BaselineSsds, 8, 100.0, busy);
+        computeEnergy(power, StorageKind::BaselineSsds, 8, 100.0, busy);
     EXPECT_DOUBLE_EQ(e8.storage, 2.0 * e4.storage);
 }
 
 TEST(Energy, SmartSsdsIncludeFpgaPower)
 {
     const SystemConfig sys = defaultSystem();
+    const PowerSpec power = powerSpecOf(sys);
     ComponentBusy busy;
     busy.storage = 50.0;
     busy.fpga = 50.0;
     const EnergyBreakdown with_fpga = computeEnergy(
-        sys, StorageKind::SmartSsds, 8, 100.0, busy, 16.08);
+        power, StorageKind::SmartSsds, 8, 100.0, busy, 16.08);
     busy.fpga = 0.0;
     const EnergyBreakdown without = computeEnergy(
-        sys, StorageKind::SmartSsds, 8, 100.0, busy, 16.08);
+        power, StorageKind::SmartSsds, 8, 100.0, busy, 16.08);
     EXPECT_GT(with_fpga.storage, without.storage);
 }
 

@@ -417,6 +417,117 @@ TEST(FleetEngine, CascadeDuringRebuildChargesBothRebuilds)
     EXPECT_LT(r.fleet.availability, one_loss.fleet.availability);
 }
 
+/**
+ * FleetEngine::rebuildPlanAt without its nothing-lost shortcut, built
+ * from the public pieces the fleet composes: the placement held since
+ * `since`, the host engine's shard rebuild at that share, and the KV of
+ * the requests homed on hosts lost by `now`, re-homed over the
+ * inter-host link at the prompt's length.
+ */
+StepPlan
+slowFleetRebuild(const SystemConfig &sys, const FleetConfig &fc,
+                 const RunConfig &cfg, Seconds since, Seconds now,
+                 std::uint64_t done)
+{
+    const ConditionTimeline fleet_timeline(fc.fault_plan,
+                                           fc.devices_per_host, fc.hosts);
+    if (fleet_timeline.failedHosts(now) >= fc.hosts)
+        return StepPlan{};
+    HilosOptions host_opts;
+    host_opts.num_devices = fc.devices_per_host;
+    host_opts.fault_plan = fc.fault_plan;
+    std::uint64_t serving = 0;
+    for (unsigned h = 0; h < fc.hosts; h++) {
+        if (!fleet_timeline.hostFailed(h, since) &&
+            !fleet_timeline.hostStalled(h, since))
+            serving |= std::uint64_t{1} << h;
+    }
+    const FleetPlacement held =
+        FleetScheduler(sys, host_opts, fc.policy, fc.spare_hosts)
+            .place(cfg, cfg.batch, serving);
+    RunConfig share = cfg;
+    share.batch = held.maxHostBatch();
+    StepPlan plan =
+        HilosEngine(sys, host_opts).rebuildPlanAt(share, since, now, done);
+    std::uint64_t lost_batch = 0;
+    for (const HostAssignment &a : held.assignments) {
+        if (fleet_timeline.hostFailed(a.host, now))
+            lost_batch += a.batch;
+    }
+    if (lost_batch == 0)
+        return plan;
+    const Bytes lost = cfg.model.kvBytesTotal(lost_batch, cfg.context_len);
+    const Bandwidth bw =
+        fc.inter_host_bw * fleet_timeline.interHostDerate(now);
+    plan.declareStage("host_rebuild");
+    plan.declareResource(PlanResource::InterNode, 1);
+    plan.addTailOp(transferOp(PlanResource::InterNode, "host_rebuild",
+                              lost / bw, lost)
+                       .stageTag("host_rebuild"));
+    return plan;
+}
+
+TEST(FleetEngine, RebuildPlanMatchesTheSlowPathAtEveryEpochBoundary)
+{
+    // rebuildPlanAt skips the placement when no host and no host device
+    // was lost since `since`. Between every pair of epoch boundaries
+    // and condition changes of the faulted fleets (the golden's host
+    // loss with a stall and a degraded link, a device loss, a cascade
+    // of two host losses), its plan is the slow path's, and both kinds
+    // of result (nothing to rebuild, a rebuild) occur.
+    const SystemConfig sys = defaultSystem();
+    RunConfig golden_run = smallRun();
+    golden_run.context_len = 32768;
+    golden_run.output_len = 64;
+    FleetConfig golden = fleetOf(4);
+    golden.fault_plan = parseFaultPlan(
+        "seed=7;host-fail@400=1;host-stall@350=0.02:2;"
+        "host-degrade@300=0.8");
+    const RunConfig run = smallRun();
+    FleetConfig device_loss = fleetOf(2);
+    device_loss.fault_plan.addDeviceFailure(midDecode(sys, device_loss, run),
+                                            3);
+    FleetConfig cascade = fleetOf(4);
+    const Seconds mid = midDecode(sys, cascade, run);
+    cascade.fault_plan.addHostFailure(mid, 1).addHostFailure(mid + 1.0, 2);
+
+    std::size_t empty = 0;
+    std::size_t rebuilt = 0;
+    for (const auto &[fc, cfg] : {std::pair{golden, golden_run},
+                                  std::pair{device_loss, run},
+                                  std::pair{cascade, run}}) {
+        const FleetEngine fe(sys, fc);
+        const RunResult r = fe.run(cfg);
+        ASSERT_TRUE(r.feasible) << r.note;
+        std::vector<Seconds> times = {Seconds(0.0)};
+        for (const FleetEpoch &ep : r.fleet.epochs)
+            times.push_back(ep.start);
+        for (const Seconds t : fe.timeline().changeTimes())
+            times.push_back(t);
+        for (const Seconds since : times) {
+            for (const Seconds now : times) {
+                if (now < since)
+                    continue;
+                for (const std::uint64_t done : {std::uint64_t{0},
+                                                 cfg.output_len / 2}) {
+                    const StepPlan got =
+                        fe.rebuildPlanAt(cfg, since, now, done);
+                    EXPECT_EQ(test::serialize(got),
+                              test::serialize(slowFleetRebuild(
+                                  sys, fc, cfg, since, now, done)))
+                        << "since " << since << " now " << now;
+                    if (got.tail_ops.empty())
+                        empty++;
+                    else
+                        rebuilt++;
+                }
+            }
+        }
+    }
+    EXPECT_GT(empty, 0u);
+    EXPECT_GT(rebuilt, 0u);
+}
+
 TEST(FleetEngine, DeviceFailAndLinkDegradeSameEpoch)
 {
     // Device-scope faults apply to that device on every host and share

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
 #include "core/hilos.h"
 #include "device/gpu.h"
@@ -29,7 +30,8 @@ constexpr double kEps = 1e-12;
 
 /** A plan with a serial chain, a racing branch, and a tail op. */
 StepPlan
-smallPlan()
+smallPlan(std::string_view race_stage = "commit",
+          std::string_view hop_stage = "tail")
 {
     StepPlan plan;
     plan.layers = 4;
@@ -51,7 +53,7 @@ smallPlan()
             .dep(load));
     const std::size_t race = plan.addOp(
         transferOp(PlanResource::Storage, "race", 4.0, 400.0)
-            .stageTag("commit")
+            .stageTag(race_stage)
             .busyTag(kBusyStorage)
             .withFanout(2)
             .share(TrafficField::StorageWrite, 400.0));
@@ -61,7 +63,7 @@ smallPlan()
                    .dep(compute)
                    .dep(race));
     plan.addTailOp(transferOp(PlanResource::InterNode, "hop", 0.5, 50.0)
-                       .stageTag("tail"));
+                       .stageTag(hop_stage));
     return plan;
 }
 
@@ -100,6 +102,42 @@ TEST(EvaluatePlan, BreakdownFollowsDeclarationOrderTimesLayers)
     EXPECT_EQ(stages[2].second, 4.0 * (4.0 + 1.0));
     EXPECT_EQ(stages[3].first, "tail");  // tail ops count once
     EXPECT_EQ(stages[3].second, 0.5);
+}
+
+TEST(EvaluatePlan, OpsRecordTheirStagePositionWhenAdded)
+{
+    const StepPlan plan = smallPlan();
+    for (const StepOpArray *ops : {&plan.layer_ops, &plan.tail_ops}) {
+        for (const StepOpView op : *ops) {
+            ASSERT_LT(op.stage_index, plan.stage_order.size()) << op.label;
+            EXPECT_EQ(plan.stage_order[op.stage_index], op.stage)
+                << op.label;
+        }
+    }
+}
+
+TEST(EvaluatePlan, SetRenamedStagesBreakDownLikeAColdBuild)
+{
+    // set() moves the race op from "commit" to "load" and the tail hop
+    // from "tail" to "compute": each drops its recorded position and is
+    // looked up by name, so the breakdown is the cold build's that
+    // declares both ops under their new stages.
+    StepPlan renamed = smallPlan();
+    StepOp race = renamed.layer_ops.get(2);
+    race.stage = "load";
+    renamed.layer_ops.set(2, race);
+    StepOp hop = renamed.tail_ops.get(0);
+    hop.stage = "compute";
+    renamed.tail_ops.set(0, hop);
+    EXPECT_EQ(renamed.layer_ops[2].stage_index, kStageByName);
+    EXPECT_EQ(renamed.tail_ops[0].stage_index, kStageByName);
+
+    const PlanEvaluation got = evaluatePlan(renamed);
+    const PlanEvaluation want = evaluatePlan(smallPlan("load", "compute"));
+    EXPECT_EQ(got.breakdown.stages(), want.breakdown.stages());
+    EXPECT_EQ(got.decode_step_time, want.decode_step_time);
+    EXPECT_EQ(got.breakdown.stages()[0].second, 4.0 * (2.0 + 4.0));
+    EXPECT_EQ(got.breakdown.stages()[1].second, 4.0 * 3.0 + 0.5);
 }
 
 TEST(EvaluatePlan, TrafficIsLayerSumTimesLayersPlusTail)
@@ -789,6 +827,27 @@ TEST(PlanCache, VerifiedRebuildIsByteIdenticalToColdBuild)
     EXPECT_EQ(cache.stats().hits, 4u);
     EXPECT_EQ(cache.stats().mismatches, 0u);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(PlanCache, VerifiedRebuildWithNewPricesBreaksDownLikeAColdBuild)
+{
+    PlanCache cache;
+    cache.build(1, [](StepPlan &p) { buildToy(p, 1.0, false); });
+    for (const double scale : {3.0, 0.25}) {
+        const StepPlan &hit = cache.build(
+            1, [scale](StepPlan &p) { buildToy(p, scale, false); });
+        StepPlan fresh;
+        buildToy(fresh, scale, false);
+        const PlanEvaluation got = evaluatePlan(hit);
+        const PlanEvaluation want = evaluatePlan(fresh);
+        EXPECT_EQ(got.breakdown.stages(), want.breakdown.stages())
+            << "scale " << scale;
+        EXPECT_EQ(got.decode_step_time, want.decode_step_time);
+        for (std::size_t i = 0; i < hit.layer_ops.size(); ++i)
+            EXPECT_EQ(hit.layer_ops[i].stage_index,
+                      fresh.layer_ops[i].stage_index);
+    }
+    EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 TEST(PlanCache, TopologyChangeFallsBackToColdBuild)
